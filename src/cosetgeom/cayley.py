@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -71,31 +72,42 @@ def build_ball(
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     g = group_for(spec)
+    apply_letter = g.apply_letter
     letters = spec.letters
     elements: List[Element] = [g.identity()]
     index: Dict[Element, int] = {g.identity(): 0}
     dist: List[int] = [0]
+    adj: List[Tuple[Tuple[int, int], ...]] = []
+    count = 1
     layer_start = 0
+    # An expanded vertex at distance d-1 has all its neighbours in layers
+    # d-2..d, so its adjacency row is complete once its letters are applied.
     for d in range(1, radius + 1):
-        layer_end = len(elements)
+        layer_end = count
         for vid in range(layer_start, layer_end):
             a = elements[vid]
+            row = []
             for letter in letters:
-                b = g.apply_letter(a, letter)
-                if b not in index:
-                    index[b] = len(elements)
+                b = apply_letter(a, letter)
+                other = index.get(b)
+                if other is None:
+                    other = index[b] = count
                     elements.append(b)
                     dist.append(d)
-                    if len(elements) > max_vertices:
-                        raise BallOverflowError(d, len(elements), max_vertices)
+                    count += 1
+                    if count > max_vertices:
+                        raise BallOverflowError(d, count, max_vertices)
+                row.append((letter, other))
+            adj.append(tuple(row))
         layer_start = layer_end
-        if layer_start == len(elements):
+        if layer_start == count:
             break  # the whole group fit inside the previous radius
-    adj: List[Tuple[Tuple[int, int], ...]] = []
-    for a in elements:
+    # The rim was never expanded; keep its edges that stay inside the ball.
+    for vid in range(layer_start, count):
+        a = elements[vid]
         row = []
         for letter in letters:
-            other = index.get(g.apply_letter(a, letter))
+            other = index.get(apply_letter(a, letter))
             if other is not None:
                 row.append((letter, other))
         adj.append(tuple(row))
@@ -205,9 +217,21 @@ def ball_from_payload(payload: dict) -> Ball:
 
 
 def save_ball(ball: Ball, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(ball_to_payload(ball), fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    """Write the ball to a temp file beside path, then rename it into place.
+
+    A reader sees either the old file or the whole new one, never a
+    half-written ball, even when runs race or one is interrupted.
+    """
+    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(ball_to_payload(ball), fh, sort_keys=True, separators=(",", ":"))
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_ball(path: str) -> Ball:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import add
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import ConfigError
@@ -293,6 +294,14 @@ class BaumslagSolitarGroup(Group):
     makes right cosets of <x> legible directly from the form.
     """
 
+    def __init__(self, spec: GroupSpec):
+        super().__init__(spec)
+        # stable letter -> (div, mul, |div|) with x^(div c) t^(+-1) = t^(+-1) x^(mul c)
+        self._t_rules = {
+            2: (spec.m, spec.n, abs(spec.m)),
+            -2: (spec.n, spec.m, abs(spec.n)),
+        }
+
     def identity(self) -> Element:
         return (0, ())
 
@@ -356,13 +365,32 @@ class BaumslagSolitarGroup(Group):
         return self._fold(-exps[-1], raw)
 
     def apply_letter(self, a: Element, letter: Letter) -> Element:
-        head, sylls_t = a
-        sylls = [list(p) for p in sylls_t]
-        if abs(letter) == 1:
-            head = self._mul_x(head, sylls, 1 if letter > 0 else -1)
-        else:
-            head = self._mul_t(head, sylls, 1 if letter > 0 else -1)
-        return (head, tuple((s, e) for s, e in sylls))
+        # Only the last one or two syllables change; the inner (s, e)
+        # tuples are shared with a.  Same rules as _mul_x and _mul_t.
+        head, sylls = a
+        if letter == 1 or letter == -1:
+            if sylls:
+                s, e = sylls[-1]
+                return (head, sylls[:-1] + ((s, e + letter),))
+            return (head + letter, ())
+        sign = 1 if letter > 0 else -1
+        div, mul, mod = self._t_rules[letter]
+        if not sylls:
+            r = head % mod
+            return (r, ((sign, mul * ((head - r) // div)),))
+        s, e = sylls[-1]
+        if s == -sign and e % mod == 0:
+            # pinch: t^-1 x^(m c) t = x^(n c) or t x^(n c) t^-1 = x^(m c)
+            c = mul * (e // div)
+            rest = sylls[:-1]
+            if c == 0:
+                return (head, rest)
+            if rest:
+                s, e = rest[-1]
+                return (head, rest[:-1] + ((s, e + c),))
+            return (head + c, ())
+        r = e % mod
+        return (head, sylls[:-1] + ((s, r), (sign, mul * ((e - r) // div))))
 
     def canonical_key(self, a: Element) -> bytes:
         head, sylls = a
@@ -423,6 +451,7 @@ class AscendingHNNGroup(Group):
         self.det = determinant(self.M)
         self.adj = adjugate(self.M)
         self._hnf_cache: Dict[int, IntMatrix] = {}
+        self._step_cache: Dict[Tuple[int, Letter], Tuple[int, ...]] = {}
 
     def identity(self) -> Element:
         return (0, (0,) * self.k, 0)
@@ -457,19 +486,29 @@ class AscendingHNNGroup(Group):
         p, v, q = a
         return (q, tuple(-x for x in v), p)
 
+    def _step(self, q: int, letter: Letter) -> Tuple[int, ...]:
+        """M^q applied to the unit vector of an x-letter, cached per (q, letter)."""
+        step = [0] * self.k
+        step[abs(letter) - 1] = 1 if letter > 0 else -1
+        self._step_cache[(q, letter)] = self._mat_pow_vec(q, tuple(step))
+        return self._step_cache[(q, letter)]
+
     def apply_letter(self, a: Element, letter: Letter) -> Element:
         p, v, q = a
-        i = abs(letter) - 1
-        if i < self.k:
-            step = [0] * self.k
-            step[i] = 1 if letter > 0 else -1
-            moved = self._mat_pow_vec(q, tuple(step))
-            return (p, tuple(x + y for x, y in zip(v, moved)), q)
+        if abs(letter) <= self.k:
+            moved = self._step_cache.get((q, letter))
+            if moved is None:
+                moved = self._step(q, letter)
+            return (p, tuple(map(add, v, moved)), q)
+        # a is reduced, so with p > 0 and q > 0 its v is outside M Z^k and
+        # only a step from q = 0 to q = 1 can cancel a t against a t^-1.
         if letter > 0:
             if q > 0:
-                return self._reduce(p, v, q - 1)
+                return (p, v, q - 1)
             return (p + 1, mat_vec(self.M, v), 0)
-        return self._reduce(p, v, q + 1)
+        if q > 0:
+            return (p, v, q + 1)
+        return self._reduce(p, v, 1)
 
     def lattice_hnf(self, power: int) -> IntMatrix:
         """Column Hermite form of M^power, cached per power."""
@@ -521,7 +560,7 @@ class AscendingHNNGroup(Group):
 
 @lru_cache(maxsize=None)
 def group_for(spec: GroupSpec) -> Group:
-    """Arithmetic object for a spec (cached; Group instances are stateless)."""
+    """Arithmetic object for a spec, cached so per-group caches live with it."""
     if spec.family == FAMILY_FREE:
         return FreeGroup(spec)
     if spec.family == FAMILY_ABELIAN:

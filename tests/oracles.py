@@ -1,17 +1,18 @@
 """Independent oracles used to cross-check the package's arithmetic.
 
 Nothing in this file imports from cosetgeom's element representations.
-The two oracles are deliberately different in kind: one is an exact
-faithful linear representation (only available for bs:1,n), the other is
-a purely syntactic rewriting closure (available for any bs:m,n but only
-at bounded word length).
+The two word-problem oracles are deliberately different in kind: one is an
+exact faithful linear representation (only available for bs:1,n), the
+other is a purely syntactic rewriting closure (available for any bs:m,n
+but only at bounded word length).  The reference ball builder pins the
+production builder's numbering and adjacency using only Group.multiply.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 # ---------------------------------------------------------------------------
 # Faithful 2x2 rational representation of bs:1,n
@@ -161,3 +162,60 @@ class RelatorClosure:
 def all_words(max_len: int) -> Iterable[Tuple[int, ...]]:
     for length in range(max_len + 1):
         yield from itertools.product((0, 1, 2, 3), repeat=length)
+
+
+# ---------------------------------------------------------------------------
+# Reference ball builder
+# ---------------------------------------------------------------------------
+#
+# The straightforward two-pass breadth-first search: first discover every
+# vertex up to the radius, expanding each layer in id order and the letters
+# in the given order, then give every vertex one adjacency row by applying
+# each letter again.  Letter steps go through group.multiply with the
+# one-letter elements, not through apply_letter on arbitrary elements, so a
+# fast letter step or a one-pass builder is checked against independent
+# arithmetic.
+
+
+class ReferenceOverflow(Exception):
+    """The reference builder passed its vertex budget."""
+
+    def __init__(self, layer: int, count: int):
+        super().__init__(f"layer {layer}, count {count}")
+        self.layer = layer
+        self.count = count
+
+
+def reference_ball(
+    group, letters: Sequence[int], radius: int, max_vertices: Optional[int] = None
+):
+    """(elements, dist, adj) of the radius ball, numbered in BFS order."""
+    step = {letter: group.evaluate_word((letter,)) for letter in letters}
+    elements = [group.identity()]
+    index = {elements[0]: 0}
+    dist = [0]
+    layer_start = 0
+    for d in range(1, radius + 1):
+        layer_end = len(elements)
+        for vid in range(layer_start, layer_end):
+            a = elements[vid]
+            for letter in letters:
+                b = group.multiply(a, step[letter])
+                if b not in index:
+                    index[b] = len(elements)
+                    elements.append(b)
+                    dist.append(d)
+                    if max_vertices is not None and len(elements) > max_vertices:
+                        raise ReferenceOverflow(d, len(elements))
+        layer_start = layer_end
+        if layer_start == len(elements):
+            break
+    adj = []
+    for a in elements:
+        row = []
+        for letter in letters:
+            other = index.get(group.multiply(a, step[letter]))
+            if other is not None:
+                row.append((letter, other))
+        adj.append(tuple(row))
+    return elements, dist, adj

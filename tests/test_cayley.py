@@ -8,8 +8,10 @@ import pytest
 
 from cosetgeom.cayley import (
     UNREACHED,
+    Ball,
     PathInBall,
     ball_from_payload,
+    ball_cache_name,
     ball_to_payload,
     build_ball,
     cached_ball,
@@ -25,12 +27,38 @@ from cosetgeom.groups import (
     free_abelian_group,
     free_group,
     group_for,
+    parse_group_spec,
     parse_word,
 )
+
+from .oracles import ReferenceOverflow, reference_ball
 
 FREE2 = free_group(2)
 AB2 = free_abelian_group(2)
 BS12 = baumslag_solitar(1, 2)
+
+#: One spec per family, plus negative BS exponents and HNN matrices whose
+#: image lattice is not diagonal.
+REFERENCE_SPECS = [
+    parse_group_spec(text)
+    for text in (
+        "free:1",
+        "free:2",
+        "abelian:1",
+        "abelian:3",
+        "bs:1,2",
+        "bs:2,3",
+        "bs:-2,3",
+        "bs:3,-2",
+        "hnn:1,3",
+        "hnn:2,0 1;2 1",
+        "hnn:2,2 1;0 2",
+    )
+]
+
+
+def payload_bytes(ball):
+    return json.dumps(ball_to_payload(ball), sort_keys=True, separators=(",", ":"))
 
 
 class TestCensus:
@@ -80,6 +108,41 @@ class TestStructure:
     def test_overflow_budget(self):
         with pytest.raises(BallOverflowError):
             build_ball(FREE2, 10, max_vertices=100)
+
+
+@pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=lambda s: s.describe().replace(" ", "_"))
+class TestReferenceBuilder:
+    def test_matches_two_pass_multiply_builder(self, spec):
+        g = group_for(spec)
+        for radius in range(7):
+            ball = build_ball(spec, radius)
+            elements, dist, adj = reference_ball(g, spec.letters, radius)
+            assert ball.elements == elements
+            assert ball.dist == dist
+            assert ball.adj == adj
+            reference = Ball(
+                spec=spec,
+                radius=radius,
+                elements=elements,
+                index={a: i for i, a in enumerate(elements)},
+                dist=dist,
+                adj=adj,
+            )
+            assert payload_bytes(ball) == payload_bytes(reference)
+
+    def test_overflow_fires_where_the_two_pass_builder_does(self, spec):
+        g = group_for(spec)
+        for radius in (1, 3, 5):
+            n = build_ball(spec, radius).n_vertices
+            assert build_ball(spec, radius, max_vertices=n).n_vertices == n
+            for budget in sorted({n - 1, n // 2, 1}):
+                with pytest.raises(BallOverflowError) as got:
+                    build_ball(spec, radius, max_vertices=budget)
+                with pytest.raises(ReferenceOverflow) as want:
+                    reference_ball(g, spec.letters, radius, max_vertices=budget)
+                assert got.value.radius_reached == want.value.layer
+                assert got.value.count == want.value.count == budget + 1
+                assert got.value.budget == budget
 
 
 class TestDistances:
@@ -165,6 +228,39 @@ class TestSerialization:
         b2 = cached_ball(BS12, 4, d)
         assert b1.elements == b2.elements
         assert list(tmp_path.iterdir()) == files
+
+    def test_truncated_cache_file_is_rebuilt(self, tmp_path):
+        d = str(tmp_path)
+        cached_ball(BS12, 4, d)
+        path = tmp_path / ball_cache_name(BS12, 4)
+        whole = path.read_bytes()
+        path.write_bytes(whole[: len(whole) // 2])
+        ball = cached_ball(BS12, 4, d)
+        assert payload_bytes(ball) == payload_bytes(build_ball(BS12, 4))
+        assert path.read_bytes() == whole
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_save_replaces_without_leaving_temp_files(self, tmp_path):
+        path = tmp_path / "ball.json"
+        save_ball(build_ball(AB2, 3), str(path))
+        save_ball(build_ball(AB2, 4), str(path))
+        assert load_ball(str(path)).radius == 4
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_interrupted_save_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "ball.json"
+        save_ball(build_ball(AB2, 3), str(path))
+        before = path.read_bytes()
+
+        def dump_half(obj, fh, **kwargs):
+            fh.write(json.dumps(obj, **kwargs)[:100])
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(json, "dump", dump_half)
+        with pytest.raises(KeyboardInterrupt):
+            save_ball(build_ball(AB2, 4), str(path))
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_save_load_bytes_stable(self, tmp_path):
         ball = build_ball(AB2, 5)

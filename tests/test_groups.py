@@ -168,6 +168,100 @@ class TestPropertyBased:
         assert g.evaluate_word(u + inverse_word(u)) == ()
 
 
+def reduce_word(word):
+    out = []
+    for letter in word:
+        if out and out[-1] == -letter:
+            out.pop()
+        else:
+            out.append(letter)
+    return tuple(out)
+
+
+def x_power(letter, power):
+    return [letter if power > 0 else -letter] * abs(power)
+
+
+STEP_SPECS = (
+    BS23,
+    BS12,
+    baumslag_solitar(-2, 3),
+    baumslag_solitar(3, -2),
+    FREE2,
+    AB2,
+    HNN_DOUBLE,
+    HNN_MIXED,
+)
+
+
+@st.composite
+def letter_walks(draw, spec):
+    """A reduced word whose last steps often hit a rewrite rule.
+
+    bs: the word ends t^-1 x^(m c) t or t x^(n c) t^-1, a pinch.
+    hnn: the word ends t^-j x^u (steps taken at q = j > 0), or
+    t x^(M c e_i) t^-1, which cancels the t.
+    """
+    word = draw(st.lists(st.sampled_from(spec.letters), max_size=10))
+    t = spec.stable_letter
+    tail = draw(st.sampled_from(("none", "up", "down"))) if t else "none"
+    c = draw(st.integers(-2, 2))
+    if spec.family == "bs":
+        if tail == "up":
+            word += [-t] + x_power(1, spec.m * c) + [t]
+        elif tail == "down":
+            word += [t] + x_power(1, spec.n * c) + [-t]
+    elif tail == "up":
+        word += [-t] * draw(st.integers(1, 3))
+        word += draw(st.lists(st.sampled_from(spec.letters[:-2]), max_size=4))
+    elif tail == "down":
+        i = draw(st.integers(0, spec.rank - 1))
+        word += [t]
+        for j, row in enumerate(spec.matrix):
+            word += x_power(j + 1, row[i] * c)
+        word += [-t]
+    word.append(draw(st.sampled_from(spec.letters)))
+    return reduce_word(word)
+
+
+def check_letter_steps(spec, word):
+    """Every step of the walk agrees with multiply by a one-letter element."""
+    g = group_for(spec)
+    step = {letter: g.evaluate_word((letter,)) for letter in spec.letters}
+    a = g.identity()
+    for letter in word:
+        b = g.apply_letter(a, letter)
+        a = g.multiply(a, step[letter])
+        assert b == a, (word, letter)
+        assert g.is_canonical(b), (word, letter)
+
+
+class TestLetterStep:
+    @pytest.mark.parametrize("spec", STEP_SPECS, ids=lambda s: s.describe().replace(" ", "_"))
+    @given(data=st.data())
+    def test_apply_letter_matches_multiply(self, spec, data):
+        check_letter_steps(spec, data.draw(letter_walks(spec)))
+
+    @pytest.mark.parametrize(
+        "spec, text",
+        [
+            (BS23, "t^-1.x^2.t"),
+            (BS23, "x.t^-1.x^-4.t"),
+            (BS23, "t.x^3.t^-1"),
+            (BS23, "t.x.t^-1.x^-1.t.x^6.t^-1"),
+            (BS12, "t^-1.x^3.t.t.x^2.t^-1"),
+            (baumslag_solitar(-2, 3), "t^-1.x^2.t.t^-1.x^-4.t"),
+            (baumslag_solitar(3, -2), "t.x^-2.t^-1.t.x^4.t^-1"),
+            (HNN_DOUBLE, "t^-1.t^-1.x1.t.t"),
+            (HNN_DOUBLE, "t.x1^2.t^-1"),
+            (HNN_MIXED, "t^-1.t^-1.x1.x2^-1.t.x2.t"),
+            (HNN_MIXED, "t.x1.x2^3.t^-1.t^-1.x2"),
+        ],
+    )
+    def test_pinches_and_deep_steps(self, spec, text):
+        check_letter_steps(spec, reduce_word(parse_word(spec, text)))
+
+
 class TestSmallClosureOracle:
     def test_bs23_keys_match_relator_closure_small(self):
         # Development-scale version of the acceptance check: words of
