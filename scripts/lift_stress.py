@@ -75,7 +75,7 @@ def main(argv=None):
     for _ in range(args.paths):
         lpath = random_walk(patch, rng, args.max_len)
         try:
-            lift = approximate_lift(spec, q, ball, patch, lpath, 0, constants)
+            lift = approximate_lift(patch, lpath, 0, constants)
         except InsufficientRadiusError:
             refused += 1
             continue

@@ -51,7 +51,7 @@ def survey_instance(spec, radius, cache_dir):
 
     radii = default_radii(ball.radius)
     profiles = [
-        hausdorff_profile(spec, q, g, radii, ball)
+        hausdorff_profile(patch, g, radii)
         for _, g in default_test_elements(spec)
     ]
     verdict = commensuration_verdict(profiles)

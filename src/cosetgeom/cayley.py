@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import BallOverflowError, InsufficientRadiusError
+from .errors import BallOverflowError, ConfigError, InsufficientRadiusError
 from .groups import Element, GroupSpec, Word, group_for, parse_group_spec
 
 #: Sentinel distance for vertices a BFS never reached.
@@ -198,20 +198,28 @@ def ball_to_payload(ball: Ball) -> dict:
     }
 
 
-def ball_from_payload(payload: dict) -> Ball:
-    if payload.get("format") != BALL_FORMAT:
-        raise ValueError(f"unknown ball format {payload.get('format')!r}")
-    spec = parse_group_spec(payload["group"])
-    g = group_for(spec)
-    elements = [g.decode_key(key.encode()) for key in payload["vertices"]]
-    index = {a: i for i, a in enumerate(elements)}
-    adj = [tuple((l, v) for l, v in row) for row in payload["adj"]]
+def ball_from_payload(payload) -> Ball:
+    """Rebuild a ball; raises ValueError for a payload of the wrong shape."""
+    if not isinstance(payload, dict) or payload.get("format") != BALL_FORMAT:
+        raise ValueError("not a ball payload of format " + BALL_FORMAT)
+    try:
+        spec = parse_group_spec(payload["group"])
+        g = group_for(spec)
+        elements = [g.decode_key(key.encode()) for key in payload["vertices"]]
+        index = {a: i for i, a in enumerate(elements)}
+        adj = [tuple((l, v) for l, v in row) for row in payload["adj"]]
+        dist = list(payload["dist"])
+        radius = payload["radius"]
+    except (AttributeError, ConfigError, IndexError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed ball payload: {exc!r}") from None
+    if not isinstance(radius, int) or not len(elements) == len(dist) == len(adj):
+        raise ValueError("ball payload fields disagree")
     return Ball(
         spec=spec,
-        radius=payload["radius"],
+        radius=radius,
         elements=elements,
         index=index,
-        dist=list(payload["dist"]),
+        dist=dist,
         adj=adj,
     )
 
@@ -262,7 +270,7 @@ def cached_ball(
             ball = load_ball(path)
             if ball.spec == spec and ball.radius == radius:
                 return ball
-        except (ValueError, KeyError, json.JSONDecodeError):
+        except ValueError:  # JSONDecodeError is one too
             pass  # fall through and rebuild a corrupt or stale file
     ball = build_ball(spec, radius, max_vertices)
     save_ball(ball, path)

@@ -3,8 +3,8 @@
 Every subcommand writes one schema-versioned JSON report whose embedded
 scenario block pins all inputs that influence the numbers (group, subgroup,
 radius, schedules, margins).  Worker count and cache location never change
-a report byte: parallel sections gather results in input order and the
-cache stores exactly what a cold build produces.
+a report byte: the cache stores exactly what a cold build produces, and
+``--workers`` is accepted but has no effect.
 
 Exit codes: 0 for a conclusive run, 2 when the result is Inconclusive or a
 constant failed to stabilize, 1 for configuration or computation errors.
@@ -17,7 +17,6 @@ import configparser
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
@@ -41,7 +40,7 @@ from .groups import (
     render_word,
 )
 from .homotopy import build_ladder, build_ray_system, verify_ladder
-from .lifting import approximate_lift, compute_f, compute_m, lift_constants
+from .lifting import approximate_lift, certify_constants, compute_f, lift_constants
 from .metrics import (
     commensuration_verdict,
     default_radii,
@@ -192,7 +191,6 @@ class Scenario:
             raise ConfigError("missing required option --radius")
         if self.radius < 0:
             raise ConfigError("radius must be nonnegative")
-        self.workers = max(1, settings.get_int("workers", os.cpu_count() or 1))
         self.cache_dir = settings.get("cache_dir", os.environ.get(CACHE_ENV))
         self.max_vertices = settings.get_int("max_vertices", DEFAULT_VERTEX_BUDGET)
         self.trust_margin = settings.get_int("trust_margin", DEFAULT_TRUST_MARGIN)
@@ -214,13 +212,6 @@ class Scenario:
                 self.spec, self.q, self.ball, self.trust_margin
             )
         return self._patch
-
-    def map_ordered(self, fn: Callable, items: Sequence) -> List:
-        items = list(items)
-        if self.workers <= 1 or len(items) <= 1:
-            return [fn(item) for item in items]
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            return list(pool.map(fn, items))
 
     def block(self, **extras) -> dict:
         base = {
@@ -310,7 +301,7 @@ def cmd_hausdorff(sc: Scenario):
     g = evaluate_word(sc.spec, sc.word("element"))
     radii_text = sc.settings.get("radii")
     radii = parse_int_list(radii_text) if radii_text else default_radii(sc.ball.radius)
-    profile = hausdorff_profile(sc.spec, sc.q, g, radii, sc.ball)
+    profile = hausdorff_profile(sc.patch, g, radii)
     status = STATUS_INCONCLUSIVE if profile.verdict == INCONCLUSIVE else STATUS_OK
     scenario = sc.block(
         element=sc.settings.require("element"),
@@ -331,13 +322,7 @@ def cmd_commensurate(sc: Scenario):
                 word = parse_word(sc.spec, token)
                 tests.append((token, evaluate_word(sc.spec, word)))
     radii = default_radii(sc.ball.radius)
-    ball = sc.ball
-
-    def run(item):
-        _, g = item
-        return hausdorff_profile(sc.spec, sc.q, g, radii, ball)
-
-    profiles = sc.map_ordered(run, tests)
+    profiles = [hausdorff_profile(sc.patch, g, radii) for _, g in tests]
     overall = commensuration_verdict(profiles)
     result = {
         "verdict": overall.verdict,
@@ -405,8 +390,7 @@ def cmd_constants(sc: Scenario):
             "unstable": sorted(unstable),
         }
         return scenario, result, STATUS_INCONCLUSIVE, None
-    constants = lift_constants(sc.spec, sc.q, sc.ball, radii)
-    m_scan = compute_m(sc.spec, sc.q, sc.ball, constants.f, radii)
+    constants, m_scan = certify_constants(sc.spec, sc.q, sc.ball, scans, radii)
     result = {
         "confidence": constants.confidence,
         "f_per_letter": [
@@ -439,9 +423,7 @@ def cmd_lift(sc: Scenario):
         }
         return scenario, result, STATUS_INCONCLUSIVE, None
     lpath = project_path(sc.patch, PathInBall(base, word))
-    lift = approximate_lift(
-        sc.spec, sc.q, sc.ball, sc.patch, lpath, base, constants
-    )
+    lift = approximate_lift(sc.patch, lpath, base, constants)
     replay = project_path(sc.patch, PathInBall(base, lift.word))
     group = group_for(sc.spec)
     result = {
@@ -591,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--group", help="free:k | abelian:k | bs:m,n | hnn:k,rows")
         p.add_argument("--subgroup", help="vertex | words:w1,w2@radius")
         p.add_argument("--radius", type=int, help="ball radius")
-        p.add_argument("--workers", type=int, help="thread count for parallel parts")
+        p.add_argument("--workers", type=int, help="accepted; has no effect")
         p.add_argument("--cache-dir", dest="cache_dir", help="ball cache directory")
         p.add_argument(
             "--max-vertices", dest="max_vertices", type=int, help="ball vertex budget"
@@ -600,7 +582,6 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("ball", "build a Cayley ball and report its size profile")
-    p.add_argument("--stats", action="store_true", help="accepted for compatibility")
     p.add_argument("--dot", help="write the ball as DOT")
 
     p = add("coset-graph", "project the ball onto its coset-graph patch")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from .cayley import Ball, PathInBall, UNREACHED, multi_source_distance
-from .cosetgraph import CosetPatch
+from .cosetgraph import CosetPatch, _UnionFind
 from .errors import (
     ConfigError,
     EmptyCosetInBallError,
@@ -37,7 +37,7 @@ from .metrics import (
     default_test_elements,
     hausdorff_profile,
 )
-from .subgroups import SubgroupSpec, VERTEX, base_coset_key, coset_key
+from .subgroups import SubgroupSpec, VERTEX, coset_key
 
 ZERO_ENDS = "ZeroEnds"
 STABLE_COUNT = "StableCount"
@@ -93,27 +93,13 @@ def _annulus_component_count(
     dist: Sequence[int], neighbors: Callable[[int], Iterable[int]], r: int, R: int
 ) -> int:
     member = [r <= d <= R for d in dist]
-    ids = [v for v, m in enumerate(member) if m]
-    pos = {v: i for i, v in enumerate(ids)}
-    parent = list(range(len(ids)))
-
-    def find(i: int) -> int:
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
-
-    for v in ids:
-        pv = pos[v]
-        for w in neighbors(v):
-            if member[w]:
-                ri, rj = find(pv), find(pos[w])
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-    touching = {find(pos[v]) for v in ids if dist[v] == R}
-    return len(touching)
+    uf = _UnionFind(len(dist))
+    for v, inside in enumerate(member):
+        if inside:
+            for w in neighbors(v):
+                if member[w]:
+                    uf.union(v, w)
+    return len({uf.find(v) for v, d in enumerate(dist) if d == R})
 
 
 def _classify(counts: Sequence[int]) -> Tuple[str, Optional[int]]:
@@ -176,18 +162,16 @@ def filtered_ends_report(
     return ends_report(patch, schedule)
 
 
-def stable_hausdorff_bound(
-    spec: GroupSpec, q: SubgroupSpec, ball: Ball
-) -> int:
+def stable_hausdorff_bound(patch: CosetPatch) -> int:
     """The constant K: max stabilized Hausdorff distance over generator cosets.
 
     Raises NotStabilizedError when any generator profile fails to stabilize,
     since escape construction is only meaningful with commensuration evidence.
     """
-    radii = default_radii(ball.radius)
+    radii = default_radii(patch.radius)
     k = 0
-    for name, g in default_test_elements(spec):
-        profile = hausdorff_profile(spec, q, g, radii, ball)
+    for name, g in default_test_elements(patch.spec):
+        profile = hausdorff_profile(patch, g, radii)
         if profile.verdict != COMMENSURATED:
             raise NotStabilizedError("K", profile.k_values())
         k = max(k, profile.final_k())
@@ -224,24 +208,17 @@ def _bfs_route(
     return None
 
 
-def _blocked_region(
-    ball: Ball, keys: Sequence[bytes], excluded: FrozenSet[int]
-) -> Set[int]:
+def _blocked_region(patch: CosetPatch, excluded: FrozenSet[int]) -> Set[int]:
     """The excluded set plus bounded in-coset pockets it cuts off.
 
     For each coset meeting the excluded set, the coset's remaining in-ball
     vertices split into components; a component that never reaches the outer
     sphere is a dead end for in-coset travel and is treated as blocked.
     """
+    ball = patch.ball
     blocked: Set[int] = set(excluded)
-    affected = {keys[v] for v in excluded}
-    if not affected:
-        return blocked
-    for key in sorted(affected):
-        members = [
-            v for v in range(ball.n_vertices)
-            if keys[v] == key and v not in excluded
-        ]
+    for cid in sorted({patch.coset_of[v] for v in excluded}):
+        members = [v for v in patch.vertices_in_coset(cid) if v not in excluded]
         unseen = set(members)
         for seed in members:
             if seed not in unseen:
@@ -255,7 +232,7 @@ def _blocked_region(
                 if ball.dist[v] == ball.radius:
                     touches = True
                 for _, w in ball.adj[v]:
-                    if w in unseen and keys[w] == key:
+                    if w in unseen:
                         unseen.discard(w)
                         component.append(w)
                         stack.append(w)
@@ -265,9 +242,7 @@ def _blocked_region(
 
 
 def escape_route(
-    spec: GroupSpec,
-    q: SubgroupSpec,
-    ball: Ball,
+    patch: CosetPatch,
     c_vertices: Iterable[int],
     v: int,
     g: Element,
@@ -279,10 +254,10 @@ def escape_route(
     of the excluded set, then routes freely (still avoiding the set) into the
     target coset.  K may be passed in to reuse a previously computed bound.
     """
-    if q.mode != VERTEX:
+    if patch.subgroup.mode != VERTEX:
         raise ConfigError("escape routing needs exact coset keys (vertex mode)")
-    if spec != ball.spec:
-        raise ConfigError("ball was built for a different group")
+    ball = patch.ball
+    coset_of = patch.coset_of
     excluded = frozenset(c_vertices)
     n = ball.n_vertices
     for u in excluded:
@@ -293,18 +268,17 @@ def escape_route(
     if v in excluded:
         raise EscapeBlockedError("start vertex lies in the excluded set")
 
-    keys = [coset_key(spec, q, a) for a in ball.elements]
-    key_g = coset_key(spec, q, g)
-    targets = [w for w in range(n) if keys[w] == key_g and w not in excluded]
+    g_coset = patch.coset_id(coset_key(patch.spec, patch.subgroup, g))
+    targets = [w for w in range(n) if coset_of[w] == g_coset and w not in excluded]
     if not targets:
         raise EmptyCosetInBallError(
             "target coset has no usable vertex inside the ball"
         )
 
     if k is None:
-        k = stable_hausdorff_bound(spec, q, ball)
+        k = stable_hausdorff_bound(patch)
 
-    blocked = _blocked_region(ball, keys, excluded)
+    blocked = _blocked_region(patch, excluded)
     if v in blocked:
         raise EscapeBlockedError(
             "start vertex is trapped in a bounded pocket of its coset"
@@ -318,11 +292,11 @@ def escape_route(
     def clear_of_star(u: int) -> bool:
         return dist_c[u] == UNREACHED or dist_c[u] > k
 
-    key_v = keys[v]
+    home = coset_of[v]
     alpha = _bfs_route(
         ball,
         v,
-        allowed=lambda u: keys[u] == key_v and u not in blocked,
+        allowed=lambda u: coset_of[u] == home and u not in blocked,
         is_target=clear_of_star,
     )
     if alpha is None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .cayley import Ball
 from .cosetgraph import CosetPatch
@@ -29,7 +29,7 @@ from .errors import (
     InsufficientRadiusError,
 )
 from .groups import Element, GroupSpec, group_for, inverse_word
-from .lifting import STABLE, LiftConstants
+from .lifting import STABLE, LiftConstants, _crossing, _q_walk
 from .subgroups import SubgroupSpec, VERTEX, coset_key, k_letters, q_letters
 
 
@@ -168,67 +168,6 @@ class Ladder:
         return tuple(out)
 
 
-def _coset_walk(
-    spec: GroupSpec,
-    q: SubgroupSpec,
-    ball: Ball,
-    start: int,
-    key: bytes,
-    qlets: Sequence[int],
-    goal: Optional[int],
-    crossing: Optional[int],
-    target_key: Optional[bytes],
-    max_len: int,
-) -> Tuple[Optional[Tuple[Tuple[int, ...], int]], bool]:
-    """Shortest Q-walk inside one coset, to a goal vertex or a crossing spot.
-
-    Exactly one of goal (a vertex id) and crossing (a letter whose edge must
-    land in target_key, or anywhere when target_key is None) is active.
-    Returns ((word, final vertex), saw_rim); final vertex is the walk end
-    for goal mode and the landing vertex across the crossing letter for
-    crossing mode.  Length is capped: the walk itself never exceeds max_len.
-    """
-    ordered = sorted(qlets)
-    seen = {start}
-    layer: List[Tuple[int, Tuple[int, ...]]] = [(start, ())]
-    saw_rim = False
-    depth = 0
-    while True:
-        for w, word in layer:
-            if not ball.complete(w):
-                saw_rim = True
-            if goal is not None:
-                if w == goal:
-                    return (word, w), saw_rim
-            else:
-                nb = ball.neighbor(w, crossing)
-                if nb is None:
-                    continue
-                if (
-                    target_key is None
-                    or coset_key(spec, q, ball.elements[nb]) == target_key
-                ):
-                    return (word, nb), saw_rim
-        depth += 1
-        if depth > max_len:
-            return None, saw_rim
-        nxt: List[Tuple[int, Tuple[int, ...]]] = []
-        for w, word in layer:
-            if not ball.complete(w):
-                continue
-            for letter in ordered:
-                nb = ball.neighbor(w, letter)
-                if nb is None or nb in seen:
-                    continue
-                if coset_key(spec, q, ball.elements[nb]) != key:
-                    continue
-                seen.add(nb)
-                nxt.append((nb, word + (letter,)))
-        if not nxt:
-            return None, saw_rim
-        layer = nxt
-
-
 def build_ladder(
     spec: GroupSpec,
     q: SubgroupSpec,
@@ -262,24 +201,25 @@ def build_ladder(
             )
         vids.append(nb)
 
-    home_key = coset_key(spec, q, ball.elements[base])
+    elements = ball.elements
+    home_key = coset_key(spec, q, elements[base])
     f_bound = constants.f_for(crossing)
+
+    def in_coset(key: bytes) -> Callable[[int], bool]:
+        return lambda v: coset_key(spec, q, elements[v]) == key
 
     alphas: List[Tuple[int, ...]] = []
     transfer_vids: List[int] = []
     landing_vids: List[int] = []
     target_key: Optional[bytes] = None
     for i, v in enumerate(vids):
-        found, saw_rim = _coset_walk(
-            spec,
-            q,
+        lands = (lambda w: True) if target_key is None else in_coset(target_key)
+        found, saw_rim = _q_walk(
             ball,
-            v,
-            home_key,
             qlets,
-            goal=None,
-            crossing=crossing,
-            target_key=target_key,
+            v,
+            in_coset=in_coset(home_key),
+            hit=_crossing(ball, crossing, lands),
             max_len=f_bound - 1,
         )
         if found is None:
@@ -293,7 +233,7 @@ def build_ladder(
             )
         alpha, landing = found
         if target_key is None:
-            target_key = coset_key(spec, q, ball.elements[landing])
+            target_key = coset_key(spec, q, elements[landing])
         alphas.append(alpha)
         landing_vids.append(landing)
         walked = v
@@ -303,16 +243,13 @@ def build_ladder(
 
     rungs: List[Tuple[int, ...]] = []
     for i in range(len(prefix)):
-        found, saw_rim = _coset_walk(
-            spec,
-            q,
+        goal = landing_vids[i + 1]
+        found, saw_rim = _q_walk(
             ball,
-            landing_vids[i],
-            target_key,
             qlets,
-            goal=landing_vids[i + 1],
-            crossing=None,
-            target_key=None,
+            landing_vids[i],
+            in_coset=in_coset(target_key),
+            hit=lambda w: w if w == goal else None,
             max_len=constants.m,
         )
         if found is None:
@@ -327,7 +264,6 @@ def build_ladder(
         rung, _ = found
         rungs.append(rung)
 
-    elements = ball.elements
     ladder = Ladder(
         constants=constants,
         base=base,

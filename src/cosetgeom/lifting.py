@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .cayley import Ball
 from .cosetgraph import CosetPatch, LambdaPath
@@ -250,6 +250,18 @@ def lift_constants(
 ) -> LiftConstants:
     """Compute and certify F (per letter), M, and the loop bound L."""
     scans = compute_f(spec, q, ball, radii)
+    return certify_constants(spec, q, ball, scans, radii, strict)[0]
+
+
+def certify_constants(
+    spec: GroupSpec,
+    q: SubgroupSpec,
+    ball: Ball,
+    scans: Dict[int, ConstantScan],
+    radii: Optional[Sequence[int]] = None,
+    strict: bool = True,
+) -> Tuple[LiftConstants, ConstantScan]:
+    """Certify the F scans of compute_f, then scan M; returns the M scan too."""
     stable = True
     for s in sorted(scans, key=lambda l: (abs(l), -l)):
         scan = scans[s]
@@ -265,7 +277,7 @@ def lift_constants(
         stable = False
     m = m_scan.final
     per_letter = tuple((s, scans[s].final) for s in spec.letters)
-    return LiftConstants(
+    constants = LiftConstants(
         f_per_letter=per_letter,
         f=f,
         m=m,
@@ -273,73 +285,77 @@ def lift_constants(
         radii=_default_radii(ball, radii),
         confidence=STABLE if stable else BALL_LIMITED,
     )
+    return constants, m_scan
 
 
-def _transfer_search(
+def _q_walk(
     ball: Ball,
-    patch: CosetPatch,
     qlets: Sequence[int],
     start: int,
-    step_letter: int,
-    bound: int,
-    target_coset: Optional[int],
+    in_coset: Callable[[int], bool],
+    hit: Callable[[int], Optional[int]],
+    max_len: int,
 ) -> Tuple[Optional[Tuple[Tuple[int, ...], int]], bool]:
-    """Shortest Q-walk (lexicographic tie-break) whose step-edge lands right.
+    """Shortest Q-walk inside start's coset (lexicographic tie-break) to a hit.
 
-    Returns ((alpha, landing vertex), saw_rim).  A landing is a vertex w in
-    start's coset with alpha = path(start -> w), |alpha| < bound, such that
-    the step_letter edge at w exists and enters target_coset (any coset if
-    target_coset is None).  saw_rim reports whether the search touched the
-    ball boundary, which distinguishes truncation from genuine absence.
+    The walk steps along Q-letters to vertices passing in_coset and has
+    length at most max_len.  hit(w) names the walk's result vertex at w (w
+    itself for a goal, the landing vertex across a crossing edge) or None.
+    Returns ((walk, result vertex), saw_rim); saw_rim reports whether the
+    search touched the ball boundary, which tells truncation from genuine
+    absence.
     """
-    coset = patch.coset_of[start]
     ordered = sorted(qlets)
     seen = {start}
     layer: List[Tuple[int, Tuple[int, ...]]] = [(start, ())]
     saw_rim = False
     depth = 0
     while True:
-        for w, alpha in layer:
+        for w, walk in layer:
             if not ball.complete(w):
                 saw_rim = True
-            nb = ball.neighbor(w, step_letter)
-            if nb is None:
-                continue
-            if target_coset is None or patch.coset_of[nb] == target_coset:
-                return (alpha, nb), saw_rim
+            end = hit(w)
+            if end is not None:
+                return (walk, end), saw_rim
         depth += 1
-        if depth >= bound:
+        if depth > max_len:
             return None, saw_rim
         nxt: List[Tuple[int, Tuple[int, ...]]] = []
-        for w, alpha in layer:
+        for w, walk in layer:
             if not ball.complete(w):
                 continue
             for letter in ordered:
                 nb = ball.neighbor(w, letter)
-                if nb is None or nb in seen:
-                    continue
-                if patch.coset_of[nb] != coset:
+                if nb is None or nb in seen or not in_coset(nb):
                     continue
                 seen.add(nb)
-                nxt.append((nb, alpha + (letter,)))
+                nxt.append((nb, walk + (letter,)))
         if not nxt:
             return None, saw_rim
         layer = nxt
 
 
+def _crossing(
+    ball: Ball, letter: int, lands: Callable[[int], bool]
+) -> Callable[[int], Optional[int]]:
+    """A hit test: the letter's edge at w exists and lands where wanted."""
+
+    def hit(w: int) -> Optional[int]:
+        nb = ball.neighbor(w, letter)
+        return nb if nb is not None and lands(nb) else None
+
+    return hit
+
+
 def approximate_lift(
-    spec: GroupSpec,
-    q: SubgroupSpec,
-    ball: Ball,
     patch: CosetPatch,
     lpath: LambdaPath,
     base: int,
     constants: Optional[LiftConstants] = None,
 ) -> LiftResult:
     """Lift a coset-graph path to a group path through the given base vertex."""
+    spec, q, ball = patch.spec, patch.subgroup, patch.ball
     _require_vertex_mode(q)
-    if patch.ball is not ball and patch.ball != ball:
-        raise ConfigError("patch was built over a different ball")
     if not (0 <= base < ball.n_vertices):
         raise ConfigError(f"base vertex {base} not in ball")
     if patch.coset_of[base] != lpath.start:
@@ -351,13 +367,20 @@ def approximate_lift(
         constants = lift_constants(spec, q, ball)
 
     qlets = q_letters(spec, q)
+    coset_of = patch.coset_of
     u = base
     blocks: List[Tuple[int, ...]] = []
     letters: List[int] = []
     for i, s in enumerate(lpath.letters):
         bound = constants.f_for(s)
-        found, saw_rim = _transfer_search(
-            ball, patch, qlets, u, s, bound, lpath.cosets[i + 1]
+        home, target = coset_of[u], lpath.cosets[i + 1]
+        found, saw_rim = _q_walk(
+            ball,
+            qlets,
+            u,
+            in_coset=lambda v: coset_of[v] == home,
+            hit=_crossing(ball, s, lambda v: coset_of[v] == target),
+            max_len=bound - 1,
         )
         if found is None:
             if saw_rim:

@@ -20,15 +20,10 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .cayley import Ball, UNREACHED, multi_source_distance
+from .cosetgraph import CosetPatch
 from .errors import ConfigError, EmptyCosetInBallError
 from .groups import Element, GroupSpec, group_for, render_word
-from .subgroups import (
-    SubgroupSpec,
-    VERTEX,
-    base_coset_key,
-    coset_key,
-    is_member,
-)
+from .subgroups import SubgroupSpec, VERTEX, coset_key, is_member
 
 COMMENSURATED = "CommensuratedEvidence"
 NOT_COMMENSURATED = "NotCommensuratedEvidence"
@@ -80,24 +75,22 @@ def _profile_verdict(values: Sequence[RadiusValue], window: int) -> str:
 
 
 def hausdorff_profile(
-    spec: GroupSpec,
-    q: SubgroupSpec,
+    patch: CosetPatch,
     g: Element,
     radii: Sequence[int],
-    ball: Ball,
     window: int = STABILIZATION_WINDOW,
 ) -> HausdorffProfile:
     """Measure the two one-sided coset distances at each requested radius.
 
     Forward: how far elements of Q within radius r can sit from gQ.
     Backward: how far elements of gQ within radius r can sit from Q.
-    Both are computed from full-ball BFS layers, so each call costs two
-    traversals regardless of how many radii are requested.
+    Both cosets are read off the patch's labelling, and the distances come
+    from full-ball BFS layers, so each call costs two traversals regardless
+    of how many radii are requested.
     """
-    if q.mode != VERTEX:
+    if patch.subgroup.mode != VERTEX:
         raise ConfigError("hausdorff_profile needs exact coset keys (vertex mode)")
-    if spec != ball.spec:
-        raise ConfigError("ball was built for a different group")
+    ball = patch.ball
     radii = list(radii)
     if not radii or sorted(radii) != radii:
         raise ConfigError("radii must be a nondecreasing nonempty sequence")
@@ -106,18 +99,9 @@ def hausdorff_profile(
             f"largest radius {radii[-1]} too close to ball radius {ball.radius}"
         )
 
-    group = group_for(spec)
-    key_q = base_coset_key(spec, q)
-    key_g = coset_key(spec, q, g)
-
-    q_vertices: List[int] = []
-    g_vertices: List[int] = []
-    for vid, a in enumerate(ball.elements):
-        key = coset_key(spec, q, a)
-        if key == key_q:
-            q_vertices.append(vid)
-        if key == key_g:
-            g_vertices.append(vid)
+    q_vertices = patch.vertices_in_coset(patch.base)
+    g_coset = patch.coset_id(coset_key(patch.spec, patch.subgroup, g))
+    g_vertices = () if g_coset is None else patch.vertices_in_coset(g_coset)
     if not g_vertices or min(ball.dist[v] for v in g_vertices) > ball.radius - 1:
         raise EmptyCosetInBallError(
             "gQ does not meet the trusted part of the ball"
@@ -142,7 +126,7 @@ def hausdorff_profile(
 
     return HausdorffProfile(
         g=g,
-        g_text=group.render(g),
+        g_text=group_for(patch.spec).render(g),
         values=tuple(values),
         verdict=_profile_verdict(values, window),
         window=window,

@@ -6,6 +6,8 @@ exact faithful linear representation (only available for bs:1,n), the
 other is a purely syntactic rewriting closure (available for any bs:m,n
 but only at bounded word length).  The reference ball builder pins the
 production builder's numbering and adjacency using only Group.multiply.
+The coset sweep pins a patch's labelling, and the brute-force Hausdorff
+distances in Z^2 and F_2 use arithmetic of their own.
 """
 
 from __future__ import annotations
@@ -219,3 +221,123 @@ def reference_ball(
                 row.append((letter, other))
         adj.append(tuple(row))
     return elements, dist, adj
+
+
+#: One group per family, plus negative BS exponents and HNN matrices whose
+#: image lattice is not diagonal.
+REFERENCE_GROUPS = (
+    "free:1",
+    "free:2",
+    "abelian:1",
+    "abelian:3",
+    "bs:1,2",
+    "bs:2,3",
+    "bs:-2,3",
+    "bs:3,-2",
+    "hnn:1,3",
+    "hnn:2,0 1;2 1",
+    "hnn:2,2 1;0 2",
+)
+
+
+# ---------------------------------------------------------------------------
+# Coset labelling by a direct sweep
+# ---------------------------------------------------------------------------
+#
+# One coset key per ball vertex, cosets numbered in order of their first
+# vertex: the labelling each analysis once recomputed for itself, and which
+# a coset patch now holds once for all of them.
+
+
+def coset_sweep(keys: Sequence) -> Tuple[List, List[int]]:
+    """(distinct keys in order of first vertex, coset id of every vertex)."""
+    ids: Dict = {}
+    coset_of = [ids.setdefault(key, len(ids)) for key in keys]
+    return list(ids), coset_of
+
+
+# ---------------------------------------------------------------------------
+# Brute-force Hausdorff distances in Z^2 and F_2
+# ---------------------------------------------------------------------------
+#
+# Each group gets its own arithmetic here: Z^2 as integer pairs with the l1
+# word length, F_2 as freely reduced words over the letters +-1, +-2, whose
+# word length is their length.  Q is the cyclic subgroup of the first
+# generator.  The distance from a to a coset is the least word length of
+# a^-1 b over the coset's elements b of a ball large enough to hold a nearest
+# one, and the Hausdorff values are maxima of such distances.
+
+
+class Z2:
+    @staticmethod
+    def evaluate(word: Iterable[int]) -> Tuple[int, int]:
+        a = [0, 0]
+        for letter in word:
+            a[abs(letter) - 1] += 1 if letter > 0 else -1
+        return (a[0], a[1])
+
+    @staticmethod
+    def mul(a: Tuple[int, int], b: Tuple[int, int]) -> Tuple[int, int]:
+        return (a[0] + b[0], a[1] + b[1])
+
+    @staticmethod
+    def inv(a: Tuple[int, int]) -> Tuple[int, int]:
+        return (-a[0], -a[1])
+
+    @staticmethod
+    def length(a: Tuple[int, int]) -> int:
+        return abs(a[0]) + abs(a[1])
+
+
+class F2:
+    @staticmethod
+    def evaluate(word: Iterable[int]) -> Tuple[int, ...]:
+        out: List[int] = []
+        for letter in word:
+            if out and out[-1] == -letter:
+                out.pop()
+            else:
+                out.append(letter)
+        return tuple(out)
+
+    @classmethod
+    def mul(cls, a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
+        return cls.evaluate(a + b)
+
+    @staticmethod
+    def inv(a: Tuple[int, ...]) -> Tuple[int, ...]:
+        return tuple(-letter for letter in reversed(a))
+
+    @staticmethod
+    def length(a: Tuple[int, ...]) -> int:
+        return len(a)
+
+
+def coset_elements(model, g, radius: int) -> List:
+    """The elements g * x1^n of word length at most radius."""
+    bound = radius + model.length(g)  # |g x1^n| >= |n| - |g|
+    out = []
+    for n in range(-bound, bound + 1):
+        b = model.mul(g, model.evaluate((1 if n > 0 else -1,) * abs(n)))
+        if model.length(b) <= radius:
+            out.append(b)
+    return out
+
+
+def brute_hausdorff(model, g, r: int, reach: int) -> Tuple[int, int]:
+    """(k_forward, k_backward) between Q and gQ at radius r.
+
+    Points of either coset within radius r are measured against the other
+    coset's elements within radius reach.
+    """
+
+    def gap(a, coset) -> int:
+        a_inv = model.inv(a)
+        return min(model.length(model.mul(a_inv, b)) for b in coset)
+
+    ident = model.evaluate(())
+    gq_far = coset_elements(model, g, reach)
+    q_far = coset_elements(model, ident, reach)
+    k_forward = max(gap(a, gq_far) for a in coset_elements(model, ident, r))
+    k_backward = max(gap(b, q_far) for b in coset_elements(model, g, r))
+    return k_forward, k_backward

@@ -156,15 +156,15 @@ def test_criterion_2_ball_census_matches_closed_forms(ball_free2_r8, ball_ab2_r1
 
 
 def test_criterion_3_commensuration_verdicts(
-    ball_bs12_r10, ball_bs23_r10, ball_ab2_r12
+    patch_bs12_r10, patch_bs23_r10, patch_ab2_r12
 ):
     t0 = time.monotonic()
 
-    for spec, ball in ((BS12, ball_bs12_r10), (BS23, ball_bs23_r10)):
-        radii = default_radii(ball.radius)
+    for patch in (patch_bs12_r10, patch_bs23_r10):
+        radii = default_radii(patch.radius)
         profiles = [
-            hausdorff_profile(spec, Q, g, radii, ball)
-            for _, g in default_test_elements(spec)
+            hausdorff_profile(patch, g, radii)
+            for _, g in default_test_elements(patch.spec)
         ]
         report = commensuration_verdict(profiles)
         assert report.verdict == COMMENSURATED
@@ -174,14 +174,12 @@ def test_criterion_3_commensuration_verdicts(
     for b in range(1, 5):
         g = element(AB2, f"x2^{b}")
         radii = list(range(b, 12 - b))
-        profile = hausdorff_profile(AB2, Q, g, radii, ball_ab2_r12)
+        profile = hausdorff_profile(patch_ab2_r12, g, radii)
         assert profile.verdict == COMMENSURATED
         assert set(profile.k_values()) == {b}
 
-    ball_free2_r9 = build_ball(FREE2, 9)
-    profile = hausdorff_profile(
-        FREE2, Q, element(FREE2, "x2"), [4, 5, 6, 7, 8], ball_free2_r9
-    )
+    patch_free2_r9 = build_coset_patch(FREE2, Q, build_ball(FREE2, 9))
+    profile = hausdorff_profile(patch_free2_r9, element(FREE2, "x2"), [4, 5, 6, 7, 8])
     assert profile.verdict == NOT_COMMENSURATED
     for radius, k in zip([4, 5, 6, 7, 8], profile.k_values()):
         assert k >= radius - 2
@@ -253,7 +251,7 @@ def test_criterion_6_approximate_lifting(ball_bs12_r15, ball_bs23_r13):
         for _ in range(1000):
             lpath = random_lambda_path(patch, rng, 10)
             try:
-                lift = approximate_lift(spec, Q, ball, patch, lpath, 0, constants)
+                lift = approximate_lift(patch, lpath, 0, constants)
             except InsufficientRadiusError:
                 refused += 1
                 continue
@@ -313,15 +311,12 @@ def test_criterion_7_homotopy_ladders(ball_bs23_r13):
     )
 
 
-def test_criterion_8_escape_paths(ball_bs12_r10, ball_bs23_r10, ball_ab2_r12):
-    instances = (
-        (BS12, ball_bs12_r10, 2, 81),
-        (BS23, ball_bs23_r10, 2, 82),
-        (AB2, ball_ab2_r12, 1, 83),
-    )
+def test_criterion_8_escape_paths(patch_bs12_r10, patch_bs23_r10, patch_ab2_r12):
+    instances = ((patch_bs12_r10, 2, 81), (patch_bs23_r10, 2, 82), (patch_ab2_r12, 1, 83))
     summary = []
-    for spec, ball, k, seed in instances:
-        assert stable_hausdorff_bound(spec, Q, ball) == k
+    for patch, k, seed in instances:
+        spec, ball = patch.spec, patch.ball
+        assert stable_hausdorff_bound(patch) == k
         rng = random.Random(seed)
         shallow = [vid for vid in range(ball.n_vertices) if ball.dist[vid] <= 3]
         starts = [
@@ -336,7 +331,7 @@ def test_criterion_8_escape_paths(ball_bs12_r10, ball_bs23_r10, ball_ab2_r12):
             word = tuple(rng.choice(spec.letters) for _ in range(rng.randint(1, 4)))
             g = evaluate_word(spec, word)
             try:
-                path = escape_route(spec, Q, ball, excluded, v, g, k=k)
+                path = escape_route(patch, excluded, v, g, k=k)
             except (EscapeBlockedError, EmptyCosetInBallError):
                 continue
             except NoRouteWithinBallError as exc:

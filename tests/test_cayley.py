@@ -31,30 +31,13 @@ from cosetgeom.groups import (
     parse_word,
 )
 
-from .oracles import ReferenceOverflow, reference_ball
+from .oracles import REFERENCE_GROUPS, ReferenceOverflow, reference_ball
 
 FREE2 = free_group(2)
 AB2 = free_abelian_group(2)
 BS12 = baumslag_solitar(1, 2)
 
-#: One spec per family, plus negative BS exponents and HNN matrices whose
-#: image lattice is not diagonal.
-REFERENCE_SPECS = [
-    parse_group_spec(text)
-    for text in (
-        "free:1",
-        "free:2",
-        "abelian:1",
-        "abelian:3",
-        "bs:1,2",
-        "bs:2,3",
-        "bs:-2,3",
-        "bs:3,-2",
-        "hnn:1,3",
-        "hnn:2,0 1;2 1",
-        "hnn:2,2 1;0 2",
-    )
-]
+REFERENCE_SPECS = [parse_group_spec(text) for text in REFERENCE_GROUPS]
 
 
 def payload_bytes(ball):
@@ -239,6 +222,37 @@ class TestSerialization:
         assert payload_bytes(ball) == payload_bytes(build_ball(BS12, 4))
         assert path.read_bytes() == whole
         assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize(
+        "reshape",
+        [
+            lambda p: [],
+            lambda p: "x",
+            lambda p: {**p, "vertices": None},
+            lambda p: {**p, "vertices": [1]},
+            lambda p: {**p, "group": "bs:x"},
+            lambda p: {**p, "radius": "4"},
+            lambda p: {**p, "dist": p["dist"][:-1]},
+            lambda p: {**p, "adj": p["adj"] + [[]]},
+            lambda p: {**p, "adj": [7] * len(p["adj"])},
+        ],
+        ids=[
+            "list", "string", "vertices-null", "vertex-int", "bad-group",
+            "radius-text", "short-dist", "long-adj", "adj-row-int",
+        ],
+    )
+    def test_wrong_shape_cache_file_is_rebuilt(self, tmp_path, reshape):
+        d = str(tmp_path)
+        cached_ball(BS12, 4, d)
+        path = tmp_path / ball_cache_name(BS12, 4)
+        whole = path.read_bytes()
+        bad = reshape(json.loads(whole))
+        with pytest.raises(ValueError):
+            ball_from_payload(bad)
+        path.write_text(json.dumps(bad))
+        ball = cached_ball(BS12, 4, d)
+        assert payload_bytes(ball) == payload_bytes(build_ball(BS12, 4))
+        assert path.read_bytes() == whole
 
     def test_save_replaces_without_leaving_temp_files(self, tmp_path):
         path = tmp_path / "ball.json"

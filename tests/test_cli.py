@@ -27,7 +27,7 @@ def run_cli(args, cache_dir, tmp_path, name="report.json"):
 class TestReportsAndExitCodes:
     def test_ball_census_free_group(self, cache_dir, tmp_path):
         code, report = run_cli(
-            ["ball", "--group", "free:2", "--radius", "2", "--stats"],
+            ["ball", "--group", "free:2", "--radius", "2"],
             cache_dir,
             tmp_path,
         )

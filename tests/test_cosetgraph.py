@@ -18,8 +18,11 @@ from cosetgeom.groups import (
     free_abelian_group,
     free_group,
     group_for,
+    parse_group_spec,
 )
-from cosetgeom.subgroups import is_member, vertex_subgroup, word_subgroup
+from cosetgeom.subgroups import coset_key, is_member, vertex_subgroup, word_subgroup
+
+from .oracles import REFERENCE_GROUPS, coset_sweep
 
 Q = vertex_subgroup()
 
@@ -80,6 +83,18 @@ class TestAbelianAndFreePatches:
             assert patch.degree(patch.base) == 2 * (2 * radius - 1)
             maxima.append(degree_profile(patch).max_degree)
         assert maxima[0] < maxima[1] < maxima[2]
+
+
+@pytest.mark.parametrize("text", REFERENCE_GROUPS)
+def test_patch_labelling_matches_a_coset_key_sweep(text):
+    spec = parse_group_spec(text)
+    for radius in range(7):
+        ball = build_ball(spec, radius)
+        patch = build_coset_patch(spec, Q, ball)
+        keys, coset_of = coset_sweep([coset_key(spec, Q, a) for a in ball.elements])
+        assert list(patch.keys) == keys, radius
+        assert list(patch.coset_of) == coset_of, radius
+        assert [patch.coset_id(key) for key in keys] == list(range(len(keys)))
 
 
 class TestPartitionSoundness:

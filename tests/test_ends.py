@@ -7,6 +7,7 @@ import random
 import pytest
 
 from cosetgeom.cayley import PathInBall, build_ball
+from cosetgeom.cosetgraph import build_coset_patch
 from cosetgeom.ends import (
     GROWING,
     INCONCLUSIVE,
@@ -151,55 +152,55 @@ class TestSchedulesAndClassification:
 
 class TestStableHausdorffBound:
     def test_bounds_for_commensurated_instances(
-        self, ball_bs12_r10, ball_bs23_r10, ball_ab2_r12
+        self, patch_bs12_r10, patch_bs23_r10, patch_ab2_r12
     ):
-        assert stable_hausdorff_bound(baumslag_solitar(1, 2), Q, ball_bs12_r10) == 2
-        assert stable_hausdorff_bound(baumslag_solitar(2, 3), Q, ball_bs23_r10) == 2
-        assert stable_hausdorff_bound(free_abelian_group(2), Q, ball_ab2_r12) == 1
+        assert stable_hausdorff_bound(patch_bs12_r10) == 2
+        assert stable_hausdorff_bound(patch_bs23_r10) == 2
+        assert stable_hausdorff_bound(patch_ab2_r12) == 1
 
-    def test_free_group_bound_does_not_stabilize(self, ball_free2_r8):
+    def test_free_group_bound_does_not_stabilize(self, patch_free2_r8):
         with pytest.raises(NotStabilizedError):
-            stable_hausdorff_bound(free_group(2), Q, ball_free2_r8)
+            stable_hausdorff_bound(patch_free2_r8)
 
 
 class TestEscapeRoutes:
-    def test_hnn_route_around_small_ball(self, ball_bs23_r10):
+    def test_hnn_route_around_small_ball(self, ball_bs23_r10, patch_bs23_r10):
         spec = baumslag_solitar(2, 3)
         excluded = ball_vertices_within(ball_bs23_r10, 2)
         v = ball_bs23_r10.vertex(element(spec, "x^5"))
         g = element(spec, "t^3")
-        path = escape_route(spec, Q, ball_bs23_r10, excluded, v, g, k=2)
+        path = escape_route(patch_bs23_r10, excluded, v, g, k=2)
         ok, reason = verify_escape_route(
             spec, Q, ball_bs23_r10, excluded, v, g, path
         )
         assert ok, reason
 
-    def test_plane_route_goes_straight_up(self, ball_ab2_r12):
+    def test_plane_route_goes_straight_up(self, ball_ab2_r12, patch_ab2_r12):
         spec = free_abelian_group(2)
         excluded = ball_vertices_within(ball_ab2_r12, 1)
         v = ball_ab2_r12.vertex(element(spec, "x2^3"))
         g = element(spec, "x2^5")
-        path = escape_route(spec, Q, ball_ab2_r12, excluded, v, g, k=1)
+        path = escape_route(patch_ab2_r12, excluded, v, g, k=1)
         assert path.word == (2, 2)
         ok, reason = verify_escape_route(spec, Q, ball_ab2_r12, excluded, v, g, path)
         assert ok, reason
 
-    def test_empty_exclusion_accepts_geodesic(self, ball_ab2_r12):
+    def test_empty_exclusion_accepts_geodesic(self, ball_ab2_r12, patch_ab2_r12):
         spec = free_abelian_group(2)
         v = ball_ab2_r12.vertex(element(spec, "x2^3"))
         g = element(spec, "x2^5")
-        path = escape_route(spec, Q, ball_ab2_r12, [], v, g, k=1)
+        path = escape_route(patch_ab2_r12, [], v, g, k=1)
         assert len(path.word) == 2
         ok, reason = verify_escape_route(spec, Q, ball_ab2_r12, [], v, g, path)
         assert ok, reason
 
-    def test_start_inside_excluded_set_is_blocked(self, ball_ab2_r12):
+    def test_start_inside_excluded_set_is_blocked(self, ball_ab2_r12, patch_ab2_r12):
         spec = free_abelian_group(2)
         v = ball_ab2_r12.vertex(element(spec, "x1"))
         with pytest.raises(EscapeBlockedError):
-            escape_route(spec, Q, ball_ab2_r12, [v], v, element(spec, "x2^3"), k=1)
+            escape_route(patch_ab2_r12, [v], v, element(spec, "x2^3"), k=1)
 
-    def test_bounded_pocket_is_blocked(self, ball_ab2_r12):
+    def test_bounded_pocket_is_blocked(self, ball_ab2_r12, patch_ab2_r12):
         spec = free_abelian_group(2)
         excluded = [
             ball_ab2_r12.vertex(element(spec, "x1^2")),
@@ -207,24 +208,24 @@ class TestEscapeRoutes:
         ]
         v = ball_ab2_r12.vertex(element(spec, "x1^3"))
         with pytest.raises(EscapeBlockedError):
-            escape_route(spec, Q, ball_ab2_r12, excluded, v, element(spec, "x2^3"), k=1)
+            escape_route(patch_ab2_r12, excluded, v, element(spec, "x2^3"), k=1)
 
-    def test_missing_target_coset_reported(self, ball_ab2_r12):
+    def test_missing_target_coset_reported(self, ball_ab2_r12, patch_ab2_r12):
         spec = free_abelian_group(2)
         v = ball_ab2_r12.vertex(element(spec, "x2^3"))
         with pytest.raises(EmptyCosetInBallError):
-            escape_route(spec, Q, ball_ab2_r12, [], v, element(spec, "x2^13"), k=1)
+            escape_route(patch_ab2_r12, [], v, element(spec, "x2^13"), k=1)
 
-    def test_unreachable_target_reports_needed_radius(self, ball_ab2_r12):
+    def test_unreachable_target_reports_needed_radius(self, ball_ab2_r12, patch_ab2_r12):
         spec = free_abelian_group(2)
         tip_guard = ball_ab2_r12.vertex(element(spec, "x2^11"))
         v = ball_ab2_r12.vertex(element(spec, "x1^3"))
         g = element(spec, "x2^12")
         with pytest.raises(NoRouteWithinBallError) as info:
-            escape_route(spec, Q, ball_ab2_r12, [tip_guard], v, g, k=1)
+            escape_route(patch_ab2_r12, [tip_guard], v, g, k=1)
         assert info.value.required_radius > ball_ab2_r12.radius
 
-    def test_pinched_coset_reports_needed_radius(self, ball_ab2_r12):
+    def test_pinched_coset_reports_needed_radius(self, ball_ab2_r12, patch_ab2_r12):
         spec = free_abelian_group(2)
         excluded = [
             vid
@@ -234,7 +235,7 @@ class TestEscapeRoutes:
         v = ball_ab2_r12.vertex(element(spec, "x2^3"))
         g = element(spec, "x2^8")
         with pytest.raises(NoRouteWithinBallError) as info:
-            escape_route(spec, Q, ball_ab2_r12, excluded, v, g, k=1)
+            escape_route(patch_ab2_r12, excluded, v, g, k=1)
         assert info.value.required_radius > ball_ab2_r12.radius
 
     def test_word_mode_subgroup_rejected(self, ball_ab2_r12):
@@ -242,15 +243,17 @@ class TestEscapeRoutes:
         wq = word_subgroup(((1,),))
         v = ball_ab2_r12.vertex(element(spec, "x2^3"))
         with pytest.raises(ConfigError):
-            escape_route(spec, wq, ball_ab2_r12, [], v, element(spec, "x2^5"), k=1)
+            escape_route(
+                build_coset_patch(spec, wq, ball_ab2_r12), [], v, element(spec, "x2^5"), k=1
+            )
 
-    def test_route_is_deterministic(self, ball_bs23_r10):
+    def test_route_is_deterministic(self, ball_bs23_r10, patch_bs23_r10):
         spec = baumslag_solitar(2, 3)
         excluded = ball_vertices_within(ball_bs23_r10, 2)
         v = ball_bs23_r10.vertex(element(spec, "x^5"))
         g = element(spec, "t^3")
-        first = escape_route(spec, Q, ball_bs23_r10, excluded, v, g, k=2)
-        second = escape_route(spec, Q, ball_bs23_r10, excluded, v, g, k=2)
+        first = escape_route(patch_bs23_r10, excluded, v, g, k=2)
+        second = escape_route(patch_bs23_r10, excluded, v, g, k=2)
         assert first == second
 
 
@@ -294,7 +297,8 @@ class TestEscapeVerifierIndependence:
 
 
 class TestRandomEscapeScenarios:
-    def run_scenarios(self, spec, ball, k, seed, n_scenarios=20):
+    def run_scenarios(self, patch, k, seed, n_scenarios=20):
+        spec, ball = patch.spec, patch.ball
         rng = random.Random(seed)
         solved = 0
         for _ in range(n_scenarios):
@@ -311,7 +315,7 @@ class TestRandomEscapeScenarios:
             )
             g = ball.elements[g_vid]
             try:
-                path = escape_route(spec, Q, ball, excluded, v, g, k=k)
+                path = escape_route(patch, excluded, v, g, k=k)
             except (NoRouteWithinBallError, EscapeBlockedError):
                 continue
             ok, reason = verify_escape_route(spec, Q, ball, excluded, v, g, path)
@@ -319,10 +323,10 @@ class TestRandomEscapeScenarios:
             solved += 1
         return solved
 
-    def test_plane_scenarios_verify(self, ball_ab2_r12):
-        solved = self.run_scenarios(free_abelian_group(2), ball_ab2_r12, 1, seed=5)
+    def test_plane_scenarios_verify(self, patch_ab2_r12):
+        solved = self.run_scenarios(patch_ab2_r12, 1, seed=5)
         assert solved >= 15
 
-    def test_hnn_scenarios_verify(self, ball_bs12_r10):
-        solved = self.run_scenarios(baumslag_solitar(1, 2), ball_bs12_r10, 2, seed=7)
+    def test_hnn_scenarios_verify(self, patch_bs12_r10):
+        solved = self.run_scenarios(patch_bs12_r10, 2, seed=7)
         assert solved >= 10

@@ -57,16 +57,6 @@ def random_lambda_walk(patch, rng, length):
 
 
 @pytest.fixture(scope="module")
-def patch_bs12(ball_bs12_r10):
-    return build_coset_patch(baumslag_solitar(1, 2), Q, ball_bs12_r10)
-
-
-@pytest.fixture(scope="module")
-def patch_bs23(ball_bs23_r10):
-    return build_coset_patch(baumslag_solitar(2, 3), Q, ball_bs23_r10)
-
-
-@pytest.fixture(scope="module")
 def constants_bs12(ball_bs12_r10):
     return lift_constants(baumslag_solitar(1, 2), Q, ball_bs12_r10)
 
@@ -142,91 +132,73 @@ class TestTransferConstants:
 
 
 class TestApproximateLift:
-    def test_empty_path_lifts_to_base(self, ball_bs12_r10, patch_bs12, constants_bs12):
+    def test_empty_path_lifts_to_base(self, patch_bs12_r10, constants_bs12):
         spec = baumslag_solitar(1, 2)
-        lift = approximate_lift(
-            spec, Q, ball_bs12_r10, patch_bs12, LambdaPath((0,), ()), 0, constants_bs12
-        )
+        lift = approximate_lift(patch_bs12_r10, LambdaPath((0,), ()), 0, constants_bs12)
         assert lift.word == ()
         assert lift.end == 0
 
-    def test_bs12_ascent_needs_no_padding(
-        self, ball_bs12_r10, patch_bs12, constants_bs12
-    ):
+    def test_bs12_ascent_needs_no_padding(self, patch_bs12_r10, constants_bs12):
         spec = baumslag_solitar(1, 2)
         c0 = 0
         cosets = [c0]
         for _ in range(3):
-            cosets.append(patch_bs12.adj[cosets[-1]][2][0])
+            cosets.append(patch_bs12_r10.adj[cosets[-1]][2][0])
         lp = LambdaPath(tuple(cosets), (2, 2, 2))
-        lift = approximate_lift(spec, Q, ball_bs12_r10, patch_bs12, lp, 0, constants_bs12)
+        lift = approximate_lift(patch_bs12_r10, lp, 0, constants_bs12)
         assert lift.word == (2, 2, 2)
         assert lift.blocks == ((), (), ())
 
     def test_bs23_odd_base_pads_one_step(
-        self, ball_bs23_r10, patch_bs23, constants_bs23
+        self, ball_bs23_r10, patch_bs23_r10, constants_bs23
     ):
         spec = baumslag_solitar(2, 3)
         base = ball_bs23_r10.vertex(element(spec, "x^3"))
-        even_child = patch_bs23.adj[0][2][0]
+        even_child = patch_bs23_r10.adj[0][2][0]
         lp = LambdaPath((0, even_child), (2,))
-        lift = approximate_lift(
-            spec, Q, ball_bs23_r10, patch_bs23, lp, base, constants_bs23
-        )
+        lift = approximate_lift(patch_bs23_r10, lp, base, constants_bs23)
         assert lift.blocks == ((-1,),)
         assert lift.letters == (2,)
 
-    def test_lift_is_deterministic(self, ball_bs23_r10, patch_bs23, constants_bs23):
+    def test_lift_is_deterministic(self, patch_bs23_r10, constants_bs23):
         spec = baumslag_solitar(2, 3)
         rng = random.Random(3)
-        lp = random_lambda_walk(patch_bs23, rng, 4)
-        first = approximate_lift(
-            spec, Q, ball_bs23_r10, patch_bs23, lp, 0, constants_bs23
-        )
-        second = approximate_lift(
-            spec, Q, ball_bs23_r10, patch_bs23, lp, 0, constants_bs23
-        )
+        lp = random_lambda_walk(patch_bs23_r10, rng, 4)
+        first = approximate_lift(patch_bs23_r10, lp, 0, constants_bs23)
+        second = approximate_lift(patch_bs23_r10, lp, 0, constants_bs23)
         assert first == second
 
     @pytest.mark.parametrize("seed", [11, 12, 13])
-    def test_short_walks_round_trip(
-        self, seed, ball_bs12_r10, patch_bs12, constants_bs12
-    ):
+    def test_short_walks_round_trip(self, seed, patch_bs12_r10, constants_bs12):
         spec = baumslag_solitar(1, 2)
         rng = random.Random(seed)
         for _ in range(50):
-            lp = random_lambda_walk(patch_bs12, rng, rng.randint(0, 5))
-            lift = approximate_lift(
-                spec, Q, ball_bs12_r10, patch_bs12, lp, 0, constants_bs12
-            )
-            assert project_path(patch_bs12, PathInBall(0, lift.word)) == lp
+            lp = random_lambda_walk(patch_bs12_r10, rng, rng.randint(0, 5))
+            lift = approximate_lift(patch_bs12_r10, lp, 0, constants_bs12)
+            assert project_path(patch_bs12_r10, PathInBall(0, lift.word)) == lp
             for block, letter in zip(lift.blocks, lift.letters):
                 assert len(block) < constants_bs12.f_for(letter)
 
     def test_base_must_project_to_start(
-        self, ball_bs12_r10, patch_bs12, constants_bs12
+        self, ball_bs12_r10, patch_bs12_r10, constants_bs12
     ):
         spec = baumslag_solitar(1, 2)
         t_vid = ball_bs12_r10.vertex(element(spec, "t"))
-        lp = LambdaPath((0, patch_bs12.coset_of[t_vid]), (2,))
+        lp = LambdaPath((0, patch_bs12_r10.coset_of[t_vid]), (2,))
         with pytest.raises(ConfigError):
-            approximate_lift(
-                spec, Q, ball_bs12_r10, patch_bs12, lp, t_vid, constants_bs12
-            )
+            approximate_lift(patch_bs12_r10, lp, t_vid, constants_bs12)
 
     def test_rim_base_reports_insufficient_radius(
-        self, ball_bs12_r10, patch_bs12, constants_bs12
+        self, ball_bs12_r10, patch_bs12_r10, constants_bs12
     ):
         spec = baumslag_solitar(1, 2)
         rim = ball_bs12_r10.vertex(element(spec, "t^10"))
-        cid = patch_bs12.coset_of[rim]
+        cid = patch_bs12_r10.coset_of[rim]
         lp = LambdaPath((cid, 0), (2,))
         with pytest.raises(InsufficientRadiusError):
-            approximate_lift(
-                spec, Q, ball_bs12_r10, patch_bs12, lp, rim, constants_bs12
-            )
+            approximate_lift(patch_bs12_r10, lp, rim, constants_bs12)
 
-    def test_underestimated_f_reports_no_transfer(self, ball_bs23_r10, patch_bs23):
+    def test_underestimated_f_reports_no_transfer(self, patch_bs23_r10):
         spec = baumslag_solitar(2, 3)
         starved = LiftConstants(
             f_per_letter=((1, 1), (-1, 1), (2, 1), (-2, 1)),
@@ -236,17 +208,15 @@ class TestApproximateLift:
             radii=(9, 10),
             confidence=STABLE,
         )
-        t_children = patch_bs23.adj[0][2]
+        t_children = patch_bs23_r10.adj[0][2]
         assert len(t_children) == 2
         lp = LambdaPath((0, t_children[1]), (2,))
         with pytest.raises(NoTransferVertexError):
-            approximate_lift(spec, Q, ball_bs23_r10, patch_bs23, lp, 0, starved)
+            approximate_lift(patch_bs23_r10, lp, 0, starved)
 
     def test_words_mode_rejected(self, ball_ab2_r12):
         spec = free_abelian_group(2)
         wq = word_subgroup(((1,),))
-        patch = build_coset_patch(spec, Q, ball_ab2_r12)
+        patch = build_coset_patch(spec, wq, ball_ab2_r12)
         with pytest.raises(ConfigError):
-            approximate_lift(
-                spec, wq, ball_ab2_r12, patch, LambdaPath((0,), ()), 0, None
-            )
+            approximate_lift(patch, LambdaPath((0,), ()), 0, None)

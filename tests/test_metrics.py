@@ -5,12 +5,15 @@ from __future__ import annotations
 import pytest
 
 from cosetgeom.cayley import build_ball
+from cosetgeom.cosetgraph import build_coset_patch
 from cosetgeom.errors import ConfigError, EmptyCosetInBallError
 from cosetgeom.groups import (
     baumslag_solitar,
+    evaluate_word,
     free_abelian_group,
     free_group,
     group_for,
+    parse_group_spec,
     parse_word,
 )
 from cosetgeom.metrics import (
@@ -25,6 +28,8 @@ from cosetgeom.metrics import (
 )
 from cosetgeom.subgroups import vertex_subgroup, word_subgroup
 
+from .oracles import F2, Z2, brute_hausdorff
+
 Q = vertex_subgroup()
 
 
@@ -33,98 +38,123 @@ def element(spec, text):
 
 
 class TestHausdorffProfiles:
-    def test_bs12_t_stabilizes_at_two(self, ball_bs12_r10):
-        spec = ball_bs12_r10.spec
-        p = hausdorff_profile(spec, Q, element(spec, "t"), [4, 5, 6, 7], ball_bs12_r10)
+    def test_bs12_t_stabilizes_at_two(self, patch_bs12_r10):
+        spec = patch_bs12_r10.spec
+        p = hausdorff_profile(patch_bs12_r10, element(spec, "t"), [4, 5, 6, 7])
         assert p.k_values() == (2, 2, 2, 2)
         assert all(v.k_forward == 1 and v.k_backward == 2 for v in p.values)
         assert all(v.exact for v in p.values)
         assert p.verdict == COMMENSURATED
 
-    def test_bs23_t_stabilizes_at_two(self, ball_bs23_r10):
-        spec = ball_bs23_r10.spec
-        p = hausdorff_profile(spec, Q, element(spec, "t"), [4, 5, 6, 7], ball_bs23_r10)
+    def test_bs23_t_stabilizes_at_two(self, patch_bs23_r10):
+        spec = patch_bs23_r10.spec
+        p = hausdorff_profile(patch_bs23_r10, element(spec, "t"), [4, 5, 6, 7])
         assert p.k_values() == (2, 2, 2, 2)
         assert p.verdict == COMMENSURATED
 
-    def test_z2_vertical_translate_gives_exactly_its_height(self, ball_ab2_r12):
-        spec = ball_ab2_r12.spec
+    def test_z2_vertical_translate_gives_exactly_its_height(self, patch_ab2_r12):
+        spec = patch_ab2_r12.spec
         for b in (1, 2, 3, 4):
             g = element(spec, f"x2^{b}")
-            p = hausdorff_profile(spec, Q, g, [5, 6, 7], ball_ab2_r12)
+            p = hausdorff_profile(patch_ab2_r12, g, [5, 6, 7])
             assert p.k_values() == (b, b, b)
             assert p.verdict == COMMENSURATED
 
-    def test_margin_flags_values_too_close_to_the_boundary(self, ball_ab2_r12):
-        spec = ball_ab2_r12.spec
+    def test_margin_flags_values_too_close_to_the_boundary(self, patch_ab2_r12):
+        spec = patch_ab2_r12.spec
         g = element(spec, "x2^3")
-        p = hausdorff_profile(spec, Q, g, [7, 8, 9], ball_ab2_r12)
+        p = hausdorff_profile(patch_ab2_r12, g, [7, 8, 9])
         assert [v.exact for v in p.values] == [True, True, False]
         assert p.verdict == INCONCLUSIVE
 
-    def test_free2_profile_grows_linearly(self, ball_free2_r8):
-        spec = ball_free2_r8.spec
-        p = hausdorff_profile(spec, Q, element(spec, "x2"), [2, 3, 4, 5, 6], ball_free2_r8)
+    def test_free2_profile_grows_linearly(self, patch_free2_r8):
+        spec = patch_free2_r8.spec
+        p = hausdorff_profile(patch_free2_r8, element(spec, "x2"), [2, 3, 4, 5, 6])
         assert p.k_values() == (3, 4, 5, 6, 7)
         assert p.verdict == NOT_COMMENSURATED
 
-    def test_k_is_monotone_in_the_radius(self, ball_bs23_r10):
-        spec = ball_bs23_r10.spec
+    def test_k_is_monotone_in_the_radius(self, patch_bs23_r10):
+        spec = patch_bs23_r10.spec
         for text in ("t", "t^-1", "x.t", "t.x"):
-            p = hausdorff_profile(
-                spec, Q, element(spec, text), list(range(3, 8)), ball_bs23_r10
-            )
+            p = hausdorff_profile(patch_bs23_r10, element(spec, text), list(range(3, 8)))
             ks = p.k_values()
             assert all(a <= b for a, b in zip(ks, ks[1:]))
 
-    def test_member_element_gives_zero_profile(self, ball_bs23_r10):
-        spec = ball_bs23_r10.spec
-        p = hausdorff_profile(spec, Q, element(spec, "x^3"), [4, 5, 6], ball_bs23_r10)
+    def test_member_element_gives_zero_profile(self, patch_bs23_r10):
+        spec = patch_bs23_r10.spec
+        p = hausdorff_profile(patch_bs23_r10, element(spec, "x^3"), [4, 5, 6])
         assert p.k_values() == (0, 0, 0)
         assert p.verdict == COMMENSURATED
 
-    def test_verdict_symmetric_under_inversion(self, ball_bs23_r10, ball_free2_r8):
-        spec = ball_bs23_r10.spec
+    def test_verdict_symmetric_under_inversion(self, patch_bs23_r10, patch_free2_r8):
+        spec = patch_bs23_r10.spec
         for a, b in (("t", "t^-1"), ("x", "x^-1")):
-            pa = hausdorff_profile(spec, Q, element(spec, a), [4, 5, 6], ball_bs23_r10)
-            pb = hausdorff_profile(spec, Q, element(spec, b), [4, 5, 6], ball_bs23_r10)
+            pa = hausdorff_profile(patch_bs23_r10, element(spec, a), [4, 5, 6])
+            pb = hausdorff_profile(patch_bs23_r10, element(spec, b), [4, 5, 6])
             assert pa.verdict == pb.verdict
-        spec = ball_free2_r8.spec
-        pa = hausdorff_profile(spec, Q, element(spec, "x2"), [2, 3, 4], ball_free2_r8)
-        pb = hausdorff_profile(spec, Q, element(spec, "x2^-1"), [2, 3, 4], ball_free2_r8)
+        spec = patch_free2_r8.spec
+        pa = hausdorff_profile(patch_free2_r8, element(spec, "x2"), [2, 3, 4])
+        pb = hausdorff_profile(patch_free2_r8, element(spec, "x2^-1"), [2, 3, 4])
         assert pa.verdict == pb.verdict
 
-    def test_rejects_bad_inputs(self, ball_ab2_r12):
-        spec = ball_ab2_r12.spec
+    def test_rejects_bad_inputs(self, ball_ab2_r12, patch_ab2_r12):
+        spec = patch_ab2_r12.spec
         g = element(spec, "x2^3")
         with pytest.raises(ConfigError):
-            hausdorff_profile(spec, Q, g, [5, 4], ball_ab2_r12)
+            hausdorff_profile(patch_ab2_r12, g, [5, 4])
         with pytest.raises(ConfigError):
-            hausdorff_profile(spec, Q, g, [12], ball_ab2_r12)
+            hausdorff_profile(patch_ab2_r12, g, [12])
         with pytest.raises(ConfigError):
-            hausdorff_profile(spec, word_subgroup(((1,),)), g, [4, 5], ball_ab2_r12)
+            words = build_coset_patch(spec, word_subgroup(((1,),)), ball_ab2_r12)
+            hausdorff_profile(words, g, [4, 5])
         with pytest.raises(EmptyCosetInBallError):
-            hausdorff_profile(spec, Q, element(spec, "x2^12"), [4, 5], ball_ab2_r12)
+            hausdorff_profile(patch_ab2_r12, element(spec, "x2^12"), [4, 5])
+
+
+@pytest.mark.parametrize(
+    "group, radius, word",
+    [("abelian:2", 8, w) for w in ("x2", "x2^-2", "x2^2.x1^3", "x1^-2.x2")]
+    + [("free:2", 7, w) for w in ("x2", "x2^-1", "x1.x2", "x2^2.x1^3")],
+)
+def test_profile_matches_brute_force_distances(group, radius, word):
+    """Exact values equal the true distances; the others never undercut them.
+
+    The radii run up to R - 1, where a nearest point of the other coset can
+    lie outside the ball and the in-ball value overshoots.
+    """
+    spec = parse_group_spec(group)
+    model = {"abelian:2": Z2, "free:2": F2}[group]
+    letters = parse_word(spec, word)
+    patch = build_coset_patch(spec, Q, build_ball(spec, radius))
+    radii = list(range(2, radius))
+    profile = hausdorff_profile(patch, evaluate_word(spec, letters), radii)
+    assert any(v.exact for v in profile.values)
+    for v in profile.values:
+        truth = brute_hausdorff(model, model.evaluate(letters), v.radius, 3 * radius)
+        if v.exact:
+            assert (v.k_forward, v.k_backward) == truth, v
+        else:
+            assert v.k_forward >= truth[0] and v.k_backward >= truth[1], v
 
 
 class TestCommensurationVerdicts:
-    def run(self, spec, ball):
-        radii = default_radii(ball.radius)
+    def run(self, patch):
+        radii = default_radii(patch.radius)
         profiles = [
-            hausdorff_profile(spec, Q, g, radii, ball)
-            for _, g in default_test_elements(spec)
+            hausdorff_profile(patch, g, radii)
+            for _, g in default_test_elements(patch.spec)
         ]
         return commensuration_verdict(profiles)
 
-    def test_bs12_and_bs23_commensurated(self, ball_bs12_r10, ball_bs23_r10):
-        assert self.run(ball_bs12_r10.spec, ball_bs12_r10).verdict == COMMENSURATED
-        assert self.run(ball_bs23_r10.spec, ball_bs23_r10).verdict == COMMENSURATED
+    def test_bs12_and_bs23_commensurated(self, patch_bs12_r10, patch_bs23_r10):
+        assert self.run(patch_bs12_r10).verdict == COMMENSURATED
+        assert self.run(patch_bs23_r10).verdict == COMMENSURATED
 
-    def test_z2_commensurated(self, ball_ab2_r12):
-        assert self.run(ball_ab2_r12.spec, ball_ab2_r12).verdict == COMMENSURATED
+    def test_z2_commensurated(self, patch_ab2_r12):
+        assert self.run(patch_ab2_r12).verdict == COMMENSURATED
 
-    def test_free2_not_commensurated(self, ball_free2_r8):
-        report = self.run(ball_free2_r8.spec, ball_free2_r8)
+    def test_free2_not_commensurated(self, patch_free2_r8):
+        report = self.run(patch_free2_r8)
         assert report.verdict == NOT_COMMENSURATED
         assert report.by_element()["x2"].verdict == NOT_COMMENSURATED
         assert report.by_element()["x1"].verdict == COMMENSURATED
