@@ -80,6 +80,8 @@ def parse_subgroup_spec(spec: GroupSpec, text: str) -> SubgroupSpec:
                 raise ConfigError(
                     f"bad membership radius {radius_text!r} in {text!r}"
                 ) from None
+            if radius < 0:
+                raise ConfigError(f"membership radius must be nonnegative in {text!r}")
         words = [parse_word(spec, tok) for tok in body.split(",") if tok.strip()]
         if not words:
             raise ConfigError(f"no generator words in {text!r}")
@@ -521,11 +523,14 @@ def cmd_ladder(sc: Scenario):
 
 def cmd_export(sc: Scenario):
     what = sc.settings.get("what", "patch")
+    if what not in ("ball", "patch"):
+        raise ConfigError(f"unknown export target {what!r} (use ball or patch)")
+    sc.settings.require("dot")
     if what == "ball":
         graph = sc.ball
         edges = sum(len(row) for row in graph.adj)
         nodes = graph.n_vertices
-    elif what == "patch":
+    else:
         graph = sc.patch
         edges = sum(
             len(targets)
@@ -533,9 +538,6 @@ def cmd_export(sc: Scenario):
             for targets in graph.adj[cid].values()
         )
         nodes = graph.n_cosets
-    else:
-        raise ConfigError(f"unknown export target {what!r} (use ball or patch)")
-    sc.settings.require("dot")
     result = {"graph": what, "nodes": nodes, "edges": edges}
     return sc.block(what=what), result, STATUS_OK, export_dot(graph)
 
@@ -649,11 +651,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "result": result,
             "status": status,
         }
-        emit(payload, settings.get("out"))
         dot_path = settings.get("dot")
         if dot_text is not None and dot_path:
             with open(dot_path, "w") as fh:
                 fh.write(dot_text)
+        emit(payload, settings.get("out"))
     except CosetGeomError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -16,7 +16,7 @@ to the boundary that their recorded degree is likely clipped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .cayley import Ball, PathInBall, UNREACHED
 from .errors import ConfigError, InsufficientRadiusError
@@ -102,6 +102,23 @@ class CosetPatch:
 
     def vertices_in_coset(self, cid: int) -> Tuple[int, ...]:
         return tuple(v for v, c in enumerate(self.coset_of) if c == cid)
+
+
+def graph_view(graph: Union[Ball, CosetPatch]):
+    """(kind, dist, neighbors, horizon) of a ball or a coset patch.
+
+    neighbors(v) may repeat a vertex and follows no particular order.
+    """
+    if isinstance(graph, Ball):
+        adj = graph.adj
+
+        def neighbors(v: int) -> Iterable[int]:
+            return (other for _, other in adj[v])
+
+        return "ball", graph.dist, neighbors, graph.radius
+    if isinstance(graph, CosetPatch):
+        return "patch", graph.dist, graph.neighbors, max(graph.dist)
+    raise ConfigError(f"expected a ball or a coset patch, got {type(graph).__name__}")
 
 
 class _UnionFind:

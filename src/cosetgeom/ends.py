@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from .cayley import Ball, PathInBall, UNREACHED, multi_source_distance
-from .cosetgraph import CosetPatch, _UnionFind
+from .cosetgraph import CosetPatch, _UnionFind, graph_view
 from .errors import (
     ConfigError,
     EmptyCosetInBallError,
@@ -74,21 +74,6 @@ def default_schedule(horizon: int) -> List[Tuple[int, int]]:
     return [(r, outer) for r in inners]
 
 
-def _graph_view(graph: Union[Ball, CosetPatch]):
-    if isinstance(graph, Ball):
-        dist = graph.dist
-        adj = graph.adj
-
-        def neighbors(v: int) -> Iterable[int]:
-            return (other for _, other in adj[v])
-
-        return "ball", dist, neighbors, graph.radius
-    if isinstance(graph, CosetPatch):
-        dist = graph.dist
-        return "patch", dist, graph.neighbors, max(dist)
-    raise ConfigError(f"cannot count ends of {type(graph).__name__}")
-
-
 def _annulus_component_count(
     dist: Sequence[int], neighbors: Callable[[int], Iterable[int]], r: int, R: int
 ) -> int:
@@ -118,7 +103,7 @@ def ends_report(
     graph: Union[Ball, CosetPatch], schedule: Optional[Schedule] = None
 ) -> EndsReport:
     """Count sphere-touching annulus components over a schedule of (r, R)."""
-    kind, dist, neighbors, horizon = _graph_view(graph)
+    kind, dist, neighbors, horizon = graph_view(graph)
     if schedule is None:
         schedule = default_schedule(horizon)
     schedule = [(int(r), int(R)) for r, R in schedule]

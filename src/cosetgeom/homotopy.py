@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .cayley import Ball
-from .cosetgraph import CosetPatch
+from .cosetgraph import CosetPatch, graph_view
 from .errors import (
     ConfigError,
     ConstantViolationError,
@@ -49,26 +49,14 @@ class RaySystem:
         return self.rays[v]
 
 
-def _neighbors_fn(graph: Union[Ball, CosetPatch]):
-    if isinstance(graph, Ball):
-        adj = graph.adj
-
-        def neighbors(v: int) -> List[int]:
-            return sorted({w for _, w in adj[v]})
-
-        return "ball", len(adj), neighbors
-    if isinstance(graph, CosetPatch):
-        return "patch", graph.n_cosets, graph.neighbors
-    raise ConfigError(f"cannot build rays over {type(graph).__name__}")
-
-
 def build_ray_system(graph: Union[Ball, CosetPatch], base: int = 0) -> RaySystem:
     """Outward rays: from each vertex, greedily step to deeper shells."""
-    kind, n, neighbors = _neighbors_fn(graph)
+    kind, dist, neighbors, _ = graph_view(graph)
+    n = len(dist)
     if not (0 <= base < n):
         raise ConfigError(f"base vertex {base} not in graph")
     if base == 0:
-        shell = list(graph.dist)
+        shell = list(dist)
     else:
         shell = [-1] * n
         shell[base] = 0
@@ -202,23 +190,21 @@ def build_ladder(
         vids.append(nb)
 
     elements = ball.elements
-    home_key = coset_key(spec, q, elements[base])
     f_bound = constants.f_for(crossing)
-
-    def in_coset(key: bytes) -> Callable[[int], bool]:
-        return lambda v: coset_key(spec, q, elements[v]) == key
-
     alphas: List[Tuple[int, ...]] = []
     transfer_vids: List[int] = []
     landing_vids: List[int] = []
     target_key: Optional[bytes] = None
+
+    def lands(w: int) -> bool:
+        # the first crossing fixes the target coset; later ones must match it
+        return target_key is None or coset_key(spec, q, elements[w]) == target_key
+
     for i, v in enumerate(vids):
-        lands = (lambda w: True) if target_key is None else in_coset(target_key)
         found, saw_rim = _q_walk(
             ball,
             qlets,
             v,
-            in_coset=in_coset(home_key),
             hit=_crossing(ball, crossing, lands),
             max_len=f_bound - 1,
         )
@@ -248,7 +234,6 @@ def build_ladder(
             ball,
             qlets,
             landing_vids[i],
-            in_coset=in_coset(target_key),
             hit=lambda w: w if w == goal else None,
             max_len=constants.m,
         )

@@ -16,6 +16,7 @@ Projecting the lift back to the coset graph returns the input exactly.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -29,13 +30,7 @@ from .errors import (
     NoTransferVertexError,
 )
 from .groups import GroupSpec, group_for, render_word
-from .subgroups import (
-    SubgroupSpec,
-    VERTEX,
-    base_coset_key,
-    coset_key,
-    q_letters,
-)
+from .subgroups import SubgroupSpec, VERTEX, is_member, q_letters
 
 STABLE = "Stable"
 BALL_LIMITED = "BallLimited"
@@ -123,30 +118,26 @@ def _default_radii(ball: Ball, radii: Optional[Sequence[int]]) -> Tuple[int, ...
 
 
 def _q_vertex_ids(spec: GroupSpec, q: SubgroupSpec, ball: Ball) -> List[int]:
-    base_key = base_coset_key(spec, q)
-    return [
-        vid
-        for vid in range(ball.n_vertices)
-        if coset_key(spec, q, ball.elements[vid]) == base_key
-    ]
+    return [vid for vid, a in enumerate(ball.elements) if is_member(spec, q, a)]
 
 
 def _q_subgraph_distance(
     ball: Ball,
     qlets: Set[int],
-    members: Set[int],
     sources: Sequence[int],
     radius: int,
 ) -> Dict[int, int]:
-    """BFS over Q-letter edges among members, restricted to dist <= radius."""
+    """BFS over Q-letter edges from Q-vertices, restricted to dist <= radius.
+
+    A Q-letter step from a Q-vertex lands in Q again, so the search never
+    leaves Q and needs no membership test.
+    """
     dist = {vid: 0 for vid in sources if ball.dist[vid] <= radius}
     frontier = deque(sorted(dist))
     while frontier:
         v = frontier.popleft()
         for letter, w in ball.adj[v]:
-            if letter not in qlets or w in dist:
-                continue
-            if w not in members or ball.dist[w] > radius:
+            if letter not in qlets or w in dist or ball.dist[w] > radius:
                 continue
             dist[w] = dist[v] + 1
             frontier.append(w)
@@ -163,9 +154,7 @@ def compute_f(
     _require_vertex_mode(q)
     radii = _default_radii(ball, radii)
     group = group_for(spec)
-    base_key = base_coset_key(spec, q)
     q_ids = _q_vertex_ids(spec, q, ball)
-    members = set(q_ids)
     qlets = set(q_letters(spec, q))
 
     out: Dict[int, ConstantScan] = {}
@@ -175,14 +164,13 @@ def compute_f(
         transfer = [
             vid
             for vid in q_ids
-            if coset_key(
+            if is_member(
                 spec, q, group.multiply(group.multiply(s_inv, ball.elements[vid]), s_el)
             )
-            == base_key
         ]
         values = []
         for r in radii:
-            dist = _q_subgraph_distance(ball, qlets, members, transfer, r)
+            dist = _q_subgraph_distance(ball, qlets, transfer, r)
             worst = 0
             for vid in q_ids:
                 if ball.dist[vid] > r:
@@ -220,15 +208,18 @@ def compute_m(
         raise ConfigError(
             f"pair distance bound {bound} exceeds the smallest radius {radii[0]}"
         )
-    q_ids = _q_vertex_ids(spec, q, ball)
-    members = set(q_ids)
     qlets = set(q_letters(spec, q))
     identity_vid = 0
-    deltas = [vid for vid in q_ids if 0 < ball.dist[vid] <= bound]
+    # vertex ids follow BFS order, so the vertices within the bound come first
+    deltas = [
+        vid
+        for vid in range(1, bisect_right(ball.dist, bound))
+        if is_member(spec, q, ball.elements[vid])
+    ]
 
     values = []
     for r in radii:
-        dist = _q_subgraph_distance(ball, qlets, members, [identity_vid], r)
+        dist = _q_subgraph_distance(ball, qlets, [identity_vid], r)
         worst = 0
         for vid in deltas:
             if vid not in dist:
@@ -292,18 +283,18 @@ def _q_walk(
     ball: Ball,
     qlets: Sequence[int],
     start: int,
-    in_coset: Callable[[int], bool],
     hit: Callable[[int], Optional[int]],
     max_len: int,
 ) -> Tuple[Optional[Tuple[Tuple[int, ...], int]], bool]:
-    """Shortest Q-walk inside start's coset (lexicographic tie-break) to a hit.
+    """Shortest Q-walk from start (lexicographic tie-break) to a hit.
 
-    The walk steps along Q-letters to vertices passing in_coset and has
-    length at most max_len.  hit(w) names the walk's result vertex at w (w
-    itself for a goal, the landing vertex across a crossing edge) or None.
-    Returns ((walk, result vertex), saw_rim); saw_rim reports whether the
-    search touched the ball boundary, which tells truncation from genuine
-    absence.
+    The walk steps along Q-letters and has length at most max_len.  Right
+    multiplication by an element of Q fixes the left coset, so the walk
+    never leaves start's coset and needs no coset test.  hit(w) names the
+    walk's result vertex at w (w itself for a goal, the landing vertex
+    across a crossing edge) or None.  Returns ((walk, result vertex),
+    saw_rim); saw_rim reports whether the search touched the ball boundary,
+    which tells truncation from genuine absence.
     """
     ordered = sorted(qlets)
     seen = {start}
@@ -326,7 +317,7 @@ def _q_walk(
                 continue
             for letter in ordered:
                 nb = ball.neighbor(w, letter)
-                if nb is None or nb in seen or not in_coset(nb):
+                if nb is None or nb in seen:
                     continue
                 seen.add(nb)
                 nxt.append((nb, walk + (letter,)))
@@ -373,12 +364,11 @@ def approximate_lift(
     letters: List[int] = []
     for i, s in enumerate(lpath.letters):
         bound = constants.f_for(s)
-        home, target = coset_of[u], lpath.cosets[i + 1]
+        target = lpath.cosets[i + 1]
         found, saw_rim = _q_walk(
             ball,
             qlets,
             u,
-            in_coset=lambda v: coset_of[v] == home,
             hit=_crossing(ball, s, lambda v: coset_of[v] == target),
             max_len=bound - 1,
         )

@@ -118,7 +118,6 @@ def generator_elements(spec: GroupSpec, q: SubgroupSpec) -> List[Element]:
 
 
 def is_member(spec: GroupSpec, q: SubgroupSpec, a: Element) -> Membership:
-    g = group_for(spec)
     if q.mode == VERTEX:
         if spec.family == FAMILY_FREE:
             inside = all(abs(l) == 1 for l in a)
@@ -130,6 +129,7 @@ def is_member(spec: GroupSpec, q: SubgroupSpec, a: Element) -> Membership:
             inside = a[0] == 0 and a[2] == 0
         return Membership(YES if inside else NO, 0)
     # breadth-first search over products of the generating words
+    g = group_for(spec)
     if a == g.identity():
         return Membership(YES, 0)
     gens = generator_elements(spec, q)

@@ -124,6 +124,17 @@ class TestReportsAndExitCodes:
         assert code == 1
         assert "subgroup" in capsys.readouterr().err
 
+    def test_negative_membership_radius_exits_one(self, cache_dir, tmp_path, capsys):
+        code, report = run_cli(
+            ["filtered-ends", "--group", "bs:1,2", "--radius", "8",
+             "--subgroup", "words:x@-3"],
+            cache_dir,
+            tmp_path,
+        )
+        assert code == 1
+        assert report is None
+        assert "membership radius" in capsys.readouterr().err
+
 
 class TestScenarioResolution:
     def test_config_file_supplies_scenario(self, cache_dir, tmp_path):
@@ -310,12 +321,29 @@ class TestDotExport:
         assert text.count(", dist=") == 17
         assert text.count(" -> ") == report["result"]["edges"]
 
-    def test_export_without_dot_path_exits_one(self, cache_dir, tmp_path, capsys):
-        code, _ = run_cli(
-            ["export", "--group", "free:2", "--radius", "2"], cache_dir, tmp_path
+    def test_export_without_dot_path_exits_one(self, tmp_path, capsys):
+        # the missing option is caught before any ball is built or cached
+        fresh_cache = tmp_path / "fresh_cache"
+        fresh_cache.mkdir()
+        code, report = run_cli(
+            ["export", "--group", "free:2", "--radius", "2"], fresh_cache, tmp_path
         )
         assert code == 1
+        assert report is None
         assert "dot" in capsys.readouterr().err
+        assert list(fresh_cache.iterdir()) == []
+
+    def test_failed_dot_write_emits_no_report(self, cache_dir, tmp_path, capsys):
+        dot_path = tmp_path / "missing" / "x.dot"
+        code = main(
+            ["ball", "--group", "free:2", "--radius", "1",
+             "--dot", str(dot_path), "--cache-dir", str(cache_dir)]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "error:" in captured.err
+        assert not dot_path.exists()
 
     def test_ball_subcommand_writes_dot_too(self, cache_dir, tmp_path):
         dot_path = tmp_path / "ball2.dot"

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from cosetgeom.cayley import PathInBall
+from cosetgeom.cayley import PathInBall, build_ball
 from cosetgeom.cosetgraph import LambdaPath, build_coset_patch, project_path
 from cosetgeom.errors import (
     ConfigError,
@@ -19,6 +19,7 @@ from cosetgeom.groups import (
     evaluate_word,
     free_abelian_group,
     free_group,
+    parse_group_spec,
     parse_word,
 )
 from cosetgeom.lifting import (
@@ -85,6 +86,24 @@ class TestTransferConstants:
         assert (c.f, c.m, c.l) == (1, 3, 6)
         assert c.confidence == STABLE
 
+    @pytest.mark.parametrize(
+        "text, f_per_letter, fml",
+        [
+            ("hnn:1,3", ((1, 1), (-1, 1), (2, 1), (-2, 2)), (2, 9, 14)),
+            (
+                "hnn:2,0 1;2 1",
+                ((1, 1), (-1, 1), (2, 1), (-2, 1), (3, 1), (-3, 2)),
+                (2, 6, 11),
+            ),
+        ],
+    )
+    def test_hnn_values(self, text, f_per_letter, fml):
+        spec = parse_group_spec(text)
+        c = lift_constants(spec, Q, build_ball(spec, 8))
+        assert c.f_per_letter == f_per_letter
+        assert (c.f, c.m, c.l) == fml
+        assert c.confidence == STABLE
+
     def test_free_group_does_not_stabilize(self, ball_free2_r8):
         with pytest.raises(NotStabilizedError):
             lift_constants(free_group(2), Q, ball_free2_r8)
@@ -103,6 +122,13 @@ class TestTransferConstants:
     def test_smaller_pair_bound_shrinks_m(self, ball_bs12_r10):
         scan = compute_m(baumslag_solitar(1, 2), Q, ball_bs12_r10, 1)
         assert scan.final == 3
+
+    def test_m_scan_walks_only_inside_each_radius(self):
+        # x^9 = t^2.x.t^-2 sits at distance 5, but the x-walk to it passes
+        # x^8 at distance 6, so the scan at radius 5 cannot reach it
+        spec = baumslag_solitar(1, 3)
+        with pytest.raises(NoTransferVertexError, match="inside radius 5"):
+            compute_m(spec, Q, build_ball(spec, 6), 2, radii=(5, 6))
 
     def test_radii_validation(self, ball_bs12_r10):
         spec = baumslag_solitar(1, 2)

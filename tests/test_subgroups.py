@@ -12,6 +12,7 @@ from cosetgeom.groups import (
     free_abelian_group,
     free_group,
     group_for,
+    parse_group_spec,
     parse_word,
 )
 from cosetgeom.subgroups import (
@@ -26,6 +27,8 @@ from cosetgeom.subgroups import (
     vertex_subgroup,
     word_subgroup,
 )
+
+from .oracles import REFERENCE_GROUPS
 
 BS23 = baumslag_solitar(2, 3)
 BS12 = baumslag_solitar(1, 2)
@@ -130,6 +133,21 @@ class TestCosetKeys:
             for a in ball.elements:
                 inside = is_member(spec, Q, a).verdict == YES
                 assert inside == (coset_key(spec, Q, a) == base)
+
+
+@pytest.mark.parametrize("text", REFERENCE_GROUPS)
+def test_q_letter_edges_stay_in_their_coset(text):
+    # Q-walks and the F/M scans skip coset tests on the strength of this:
+    # a Q-letter edge never changes the coset, a K-letter edge always does
+    spec = parse_group_spec(text)
+    qlets, klets = set(q_letters(spec, Q)), set(k_letters(spec, Q))
+    for radius in range(7):
+        ball = build_ball(spec, radius)
+        keys = [coset_key(spec, Q, a) for a in ball.elements]
+        for v, row in enumerate(ball.adj):
+            for letter, w in row:
+                assert letter in qlets or letter in klets
+                assert (keys[v] == keys[w]) == (letter in qlets), (radius, v, letter)
 
 
 class TestLetterSplit:
