@@ -260,7 +260,12 @@ def cached_ball(
     cache_dir: Optional[str],
     max_vertices: int = DEFAULT_VERTEX_BUDGET,
 ) -> Ball:
-    """Build a ball, reusing a cache file when its header matches."""
+    """Build a ball, reusing a cache file when its header matches.
+
+    A cached ball larger than the budget raises the BallOverflowError a
+    cold build would: ids are in discovery order, so that build fails on
+    adding vertex max(max_vertices, 1), in that vertex's layer.
+    """
     if not cache_dir:
         return build_ball(spec, radius, max_vertices)
     os.makedirs(cache_dir, exist_ok=True)
@@ -269,6 +274,9 @@ def cached_ball(
         try:
             ball = load_ball(path)
             if ball.spec == spec and ball.radius == radius:
+                over = max(max_vertices, 1)
+                if over < ball.n_vertices:
+                    raise BallOverflowError(ball.dist[over], over + 1, max_vertices)
                 return ball
         except ValueError:  # JSONDecodeError is one too
             pass  # fall through and rebuild a corrupt or stale file

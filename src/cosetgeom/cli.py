@@ -47,13 +47,7 @@ from .metrics import (
     default_test_elements,
     hausdorff_profile,
 )
-from .subgroups import (
-    DEFAULT_MEMBERSHIP_RADIUS,
-    SubgroupSpec,
-    VERTEX,
-    vertex_subgroup,
-    word_subgroup,
-)
+from .subgroups import SubgroupSpec, VERTEX, vertex_subgroup, word_subgroup
 
 SCHEMA = "cosetgeom.report.v1"
 CACHE_ENV = "COSETGEOM_CACHE"
@@ -66,34 +60,23 @@ STATUS_INCONCLUSIVE = "inconclusive"
 
 
 def parse_subgroup_spec(spec: GroupSpec, text: str) -> SubgroupSpec:
+    """Parse ``vertex`` or ``words:w1,w2,...`` (comma-separated words)."""
     text = text.strip()
     if text == "vertex":
         return vertex_subgroup()
     if text.startswith("words:"):
         body = text[len("words:") :]
-        radius = DEFAULT_MEMBERSHIP_RADIUS
-        if "@" in body:
-            body, _, radius_text = body.rpartition("@")
-            try:
-                radius = int(radius_text)
-            except ValueError:
-                raise ConfigError(
-                    f"bad membership radius {radius_text!r} in {text!r}"
-                ) from None
-            if radius < 0:
-                raise ConfigError(f"membership radius must be nonnegative in {text!r}")
         words = [parse_word(spec, tok) for tok in body.split(",") if tok.strip()]
         if not words:
             raise ConfigError(f"no generator words in {text!r}")
-        return word_subgroup(words, radius)
+        return word_subgroup(words)
     raise ConfigError(f"unknown subgroup syntax {text!r} (use vertex or words:...)")
 
 
 def render_subgroup_spec(spec: GroupSpec, q: SubgroupSpec) -> str:
     if q.mode == VERTEX:
         return "vertex"
-    body = ",".join(render_word(spec, w) for w in q.words)
-    return f"words:{body}@{q.membership_radius}"
+    return "words:" + ",".join(render_word(spec, w) for w in q.words)
 
 
 def parse_schedule(text: str) -> List[Tuple[int, int]]:
@@ -560,8 +543,16 @@ HANDLERS: Dict[str, Handler] = {
 # ---------------------------------------------------------------- plumbing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, like any malformed input; 2 means inconclusive."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cosetgeom",
         description="Finite-radius geometry of coset graphs: balls, ends, "
         "commensuration evidence, lifts, and ladder certificates.",
@@ -573,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="INI config file; flags override it")
         p.add_argument("--group", help="free:k | abelian:k | bs:m,n | hnn:k,rows")
-        p.add_argument("--subgroup", help="vertex | words:w1,w2@radius")
+        p.add_argument("--subgroup", help="vertex | words:w1,w2,...")
         p.add_argument("--radius", type=int, help="ball radius")
         p.add_argument("--workers", type=int, help="accepted; has no effect")
         p.add_argument("--cache-dir", dest="cache_dir", help="ball cache directory")

@@ -305,92 +305,58 @@ class BaumslagSolitarGroup(Group):
     def identity(self) -> Element:
         return (0, ())
 
-    def _mul_x(self, head: int, sylls: List[List[int]], c: int) -> int:
+    def _x_power(self, a: Element, c: int) -> Element:
+        """Right-multiply a by x^c: only the trailing exponent changes."""
+        head, sylls = a
         if c == 0:
-            return head
+            return a
         if sylls:
-            sylls[-1][1] += c
-            return head
-        return head + c
+            s, e = sylls[-1]
+            return (head, sylls[:-1] + ((s, e + c),))
+        return (head + c, ())
 
-    def _mul_t(self, head: int, sylls: List[List[int]], sign: int) -> int:
-        m, n = self.spec.m, self.spec.n
-        if sylls and sylls[-1][0] == -sign:
-            # possible pinch: t^-1 x^e t with m | e, or t x^e t^-1 with n | e
-            e = sylls[-1][1]
-            div = m if sign > 0 else n
-            mul = n if sign > 0 else m
-            if e % abs(div) == 0:
-                sylls.pop()
-                return self._mul_x(head, sylls, mul * (e // div))
-        if sign > 0:
-            div, mul = m, n
-        else:
-            div, mul = n, m
-        e = sylls[-1][1] if sylls else head
-        r = e % abs(div)
-        q = (e - r) // div
-        if sylls:
-            sylls[-1][1] = r
-        else:
-            head = r
-        sylls.append([sign, mul * q])
-        return head
-
-    def _fold(self, head: int, raw: Iterable[Tuple[int, int]]) -> Element:
-        sylls: List[List[int]] = []
-        for sign, exp in raw:
-            head = self._mul_t(head, sylls, sign)
-            head = self._mul_x(head, sylls, exp)
-        return (head, tuple((s, e) for s, e in sylls))
-
-    def multiply(self, a: Element, b: Element) -> Element:
-        head_a, sylls_a = a
-        head_b, sylls_b = b
-        sylls: List[List[int]] = [list(p) for p in sylls_a]
-        head = self._mul_x(head_a, sylls, head_b)
-        for sign, exp in sylls_b:
-            head = self._mul_t(head, sylls, sign)
-            head = self._mul_x(head, sylls, exp)
-        return (head, tuple((s, e) for s, e in sylls))
-
-    def invert(self, a: Element) -> Element:
+    def _t_step(self, a: Element, letter: Letter) -> Element:
+        """Right-multiply a by t^(+-1); only the last syllable is rewritten."""
         head, sylls = a
-        if not sylls:
-            return (-head, ())
-        exps = [head] + [e for _, e in sylls]
-        raw = [
-            (-sylls[i][0], -exps[i]) for i in range(len(sylls) - 1, -1, -1)
-        ]
-        return self._fold(-exps[-1], raw)
-
-    def apply_letter(self, a: Element, letter: Letter) -> Element:
-        # Only the last one or two syllables change; the inner (s, e)
-        # tuples are shared with a.  Same rules as _mul_x and _mul_t.
-        head, sylls = a
-        if letter == 1 or letter == -1:
-            if sylls:
-                s, e = sylls[-1]
-                return (head, sylls[:-1] + ((s, e + letter),))
-            return (head + letter, ())
-        sign = 1 if letter > 0 else -1
         div, mul, mod = self._t_rules[letter]
+        sign = 1 if letter > 0 else -1
         if not sylls:
             r = head % mod
             return (r, ((sign, mul * ((head - r) // div)),))
         s, e = sylls[-1]
         if s == -sign and e % mod == 0:
             # pinch: t^-1 x^(m c) t = x^(n c) or t x^(n c) t^-1 = x^(m c)
-            c = mul * (e // div)
-            rest = sylls[:-1]
-            if c == 0:
-                return (head, rest)
-            if rest:
-                s, e = rest[-1]
-                return (head, rest[:-1] + ((s, e + c),))
-            return (head + c, ())
+            return self._x_power((head, sylls[:-1]), mul * (e // div))
         r = e % mod
         return (head, sylls[:-1] + ((s, r), (sign, mul * ((e - r) // div))))
+
+    def multiply(self, a: Element, b: Element) -> Element:
+        head_b, sylls_b = b
+        a = self._x_power(a, head_b)
+        for sign, exp in sylls_b:
+            a = self._x_power(self._t_step(a, 2 * sign), exp)
+        return a
+
+    def invert(self, a: Element) -> Element:
+        # x^h t^s1 x^e1 ... t^sj x^ej inverts to x^-ej t^-sj ... t^-s1 x^-h
+        head, sylls = a
+        if not sylls:
+            return (-head, ())
+        exps = (head,) + tuple(e for _, e in sylls)
+        b = (-exps[-1], ())
+        for i in range(len(sylls) - 1, -1, -1):
+            b = self._x_power(self._t_step(b, -2 * sylls[i][0]), -exps[i])
+        return b
+
+    def apply_letter(self, a: Element, letter: Letter) -> Element:
+        # The x-step of _x_power, inlined: the ball builder's hot path.
+        if letter == 1 or letter == -1:
+            head, sylls = a
+            if sylls:
+                s, e = sylls[-1]
+                return (head, sylls[:-1] + ((s, e + letter),))
+            return (head + letter, ())
+        return self._t_step(a, letter)
 
     def canonical_key(self, a: Element) -> bytes:
         head, sylls = a

@@ -216,7 +216,7 @@ def intersection_index_evidence(
     g_inv = group.invert(g)
 
     def in_conjugate(a: Element) -> bool:
-        return bool(is_member(spec, q, group.multiply(group.multiply(g_inv, a), g)))
+        return is_member(spec, q, group.multiply(group.multiply(g_inv, a), g))
 
     q_elements: List[Tuple[int, Element]] = []
     for vid, a in enumerate(ball.elements):

@@ -4,15 +4,15 @@ Two modes are supported.  A vertex subgroup is the distinguished base
 subgroup of the family (the x-generators; for free and free abelian
 groups, <x1>), where membership and coset identity are exact and read
 directly off canonical forms.  A word-generated subgroup is given by
-arbitrary generator words; membership there is a bounded search that
-answers yes or unknown, never no, and anything derived from it is
-flagged approximate.
+arbitrary generator words; it has no membership test or coset key, and a
+coset patch built for it merges ball vertices joined by generator words
+inside the ball, so it under-merges near the rim.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Tuple
 
 from .errors import SubgroupModeError
 from .groups import (
@@ -25,24 +25,16 @@ from .groups import (
     GroupSpec,
     Word,
     group_for,
-    inverse_word,
 )
 
 VERTEX = "vertex"
 WORDS = "words"
-
-DEFAULT_MEMBERSHIP_RADIUS = 8
-
-YES = "yes"
-NO = "no"
-UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
 class SubgroupSpec:
     mode: str
     words: Tuple[Word, ...] = ()
-    membership_radius: int = DEFAULT_MEMBERSHIP_RADIUS
 
     def __post_init__(self):
         if self.mode not in (VERTEX, WORDS):
@@ -50,36 +42,13 @@ class SubgroupSpec:
         if self.mode == WORDS and not self.words:
             raise SubgroupModeError("word-generated subgroup needs generator words")
 
-    @property
-    def approximate(self) -> bool:
-        return self.mode == WORDS
-
-    def describe(self) -> str:
-        if self.mode == VERTEX:
-            return "vertex"
-        body = ",".join("".join(str(l) + ";" for l in w) for w in self.words)
-        return f"words[{body}]@{self.membership_radius}"
-
 
 def vertex_subgroup() -> SubgroupSpec:
     return SubgroupSpec(mode=VERTEX)
 
 
-def word_subgroup(words, membership_radius: int = DEFAULT_MEMBERSHIP_RADIUS) -> SubgroupSpec:
-    return SubgroupSpec(
-        mode=WORDS,
-        words=tuple(tuple(w) for w in words),
-        membership_radius=membership_radius,
-    )
-
-
-@dataclass(frozen=True)
-class Membership:
-    verdict: str
-    radius_used: int
-
-    def __bool__(self) -> bool:
-        return self.verdict == YES
+def word_subgroup(words) -> SubgroupSpec:
+    return SubgroupSpec(mode=WORDS, words=tuple(tuple(w) for w in words))
 
 
 def q_letters(spec: GroupSpec, q: SubgroupSpec) -> Tuple[int, ...]:
@@ -105,49 +74,17 @@ def k_letters(spec: GroupSpec, q: SubgroupSpec) -> Tuple[int, ...]:
     return tuple(l for l in spec.letters if l not in inside)
 
 
-def generator_elements(spec: GroupSpec, q: SubgroupSpec) -> List[Element]:
-    """Subgroup generators and inverses, as group elements."""
-    g = group_for(spec)
-    if q.mode == VERTEX:
-        return [g.evaluate_word((l,)) for l in q_letters(spec, q)]
-    out = []
-    for w in q.words:
-        out.append(g.evaluate_word(w))
-        out.append(g.evaluate_word(inverse_word(w)))
-    return out
-
-
-def is_member(spec: GroupSpec, q: SubgroupSpec, a: Element) -> Membership:
-    if q.mode == VERTEX:
-        if spec.family == FAMILY_FREE:
-            inside = all(abs(l) == 1 for l in a)
-        elif spec.family == FAMILY_ABELIAN:
-            inside = not any(a[1:])
-        elif spec.family == FAMILY_BS:
-            inside = not a[1]
-        else:
-            inside = a[0] == 0 and a[2] == 0
-        return Membership(YES if inside else NO, 0)
-    # breadth-first search over products of the generating words
-    g = group_for(spec)
-    if a == g.identity():
-        return Membership(YES, 0)
-    gens = generator_elements(spec, q)
-    seen = {g.identity()}
-    frontier = [g.identity()]
-    for depth in range(1, q.membership_radius + 1):
-        next_frontier = []
-        for b in frontier:
-            for step in gens:
-                c = g.multiply(b, step)
-                if c in seen:
-                    continue
-                if c == a:
-                    return Membership(YES, depth)
-                seen.add(c)
-                next_frontier.append(c)
-        frontier = next_frontier
-    return Membership(UNKNOWN, q.membership_radius)
+def is_member(spec: GroupSpec, q: SubgroupSpec, a: Element) -> bool:
+    """Exact test of a in Q, read off the normal form (vertex mode only)."""
+    if q.mode != VERTEX:
+        raise SubgroupModeError("is_member requires a vertex subgroup")
+    if spec.family == FAMILY_BS:
+        return not a[1]
+    if spec.family == FAMILY_HNN:
+        return a[0] == 0 and a[2] == 0
+    if spec.family == FAMILY_ABELIAN:
+        return not any(a[1:])
+    return all(abs(l) == 1 for l in a)
 
 
 def coset_key(spec: GroupSpec, q: SubgroupSpec, a: Element) -> bytes:

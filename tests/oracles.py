@@ -2,10 +2,10 @@
 
 Nothing in this file imports from cosetgeom's element representations.
 The two word-problem oracles are deliberately different in kind: one is an
-exact faithful linear representation (only available for bs:1,n), the
-other is a purely syntactic rewriting closure (available for any bs:m,n
-but only at bounded word length).  The reference ball builder pins the
-production builder's numbering and adjacency using only Group.multiply.
+exact affine representation (a homomorphism of every bs:m,n, faithful only
+when |m| = 1), the other is a purely syntactic rewriting closure (available
+for any bs:m,n but only at bounded word length).  The reference ball
+builder pins the production builder's numbering and adjacency using only Group.multiply.
 The coset sweep pins a patch's labelling, and the brute-force Hausdorff
 distances in Z^2 and F_2 use arithmetic of their own.
 """
@@ -17,34 +17,36 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 # ---------------------------------------------------------------------------
-# Faithful 2x2 rational representation of bs:1,n
+# Affine representation of bs:m,n
 # ---------------------------------------------------------------------------
 #
-# x maps to [[1, 1], [0, 1]] and t to [[1/n, 0], [0, 1]]; both are affine
-# maps y -> a*y + b of the line, stored as the pair (a, b).  The relation
-# t^-1 x t = x^n holds, and the representation is faithful on bs:1,n.
+# x maps to y -> y + 1 and t to y -> (m/n) y, affine maps of the line stored
+# as the pair (a, b) of y -> a*y + b; a word maps to the composite of its
+# letters' maps, the first letter outermost.  The relation t^-1 x^m t = x^n
+# holds, so this is a homomorphism of every bs:m,n, and it is faithful when
+# |m| = 1.  Equal elements always have equal images.
 
 
 def affine_identity() -> Tuple[Fraction, Fraction]:
     return (Fraction(1), Fraction(0))
 
 
-def affine_letter(letter: int, n: int) -> Tuple[Fraction, Fraction]:
+def affine_letter(letter: int, n: int, m: int = 1) -> Tuple[Fraction, Fraction]:
     if letter == 1:
         return (Fraction(1), Fraction(1))
     if letter == -1:
         return (Fraction(1), Fraction(-1))
     if letter == 2:
-        return (Fraction(1, n), Fraction(0))
+        return (Fraction(m, n), Fraction(0))
     if letter == -2:
-        return (Fraction(n), Fraction(0))
+        return (Fraction(n, m), Fraction(0))
     raise ValueError(f"bad letter {letter}")
 
 
-def affine_evaluate(word: Iterable[int], n: int) -> Tuple[Fraction, Fraction]:
+def affine_evaluate(word: Iterable[int], n: int, m: int = 1) -> Tuple[Fraction, Fraction]:
     a, b = affine_identity()
     for letter in word:
-        a2, b2 = affine_letter(letter, n)
+        a2, b2 = affine_letter(letter, n, m)
         a, b = a * a2, a * b2 + b
     return (a, b)
 

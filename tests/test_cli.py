@@ -124,16 +124,41 @@ class TestReportsAndExitCodes:
         assert code == 1
         assert "subgroup" in capsys.readouterr().err
 
-    def test_negative_membership_radius_exits_one(self, cache_dir, tmp_path, capsys):
+    def test_radius_suffix_on_words_exits_one(self, cache_dir, tmp_path, capsys):
+        # words subgroups take no @radius: the suffix is part of the last word
         code, report = run_cli(
             ["filtered-ends", "--group", "bs:1,2", "--radius", "8",
-             "--subgroup", "words:x@-3"],
+             "--subgroup", "words:x@6"],
             cache_dir,
             tmp_path,
         )
         assert code == 1
         assert report is None
-        assert "membership radius" in capsys.readouterr().err
+        assert "unknown generator 'x@6'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ball", "--group", "free:2", "--radius", "2", "--no-such-flag"],
+            ["ball", "--group", "free:2", "--radius", "x"],
+        ],
+        ids=["unknown-flag", "non-integer-radius"],
+    )
+    def test_malformed_command_line_exits_one(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: cosetgeom")
+        assert "error:" in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["ball", "--help"]])
+    def test_help_and_version_exit_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
 
 
 class TestScenarioResolution:
@@ -176,12 +201,12 @@ class TestScenarioResolution:
     def test_word_subgroup_round_trip(self, cache_dir, tmp_path):
         code, report = run_cli(
             ["coset-graph", "--group", "free:2", "--radius", "5",
-             "--subgroup", "words:x1^2,x2@6"],
+             "--subgroup", "words:x1^2,x2"],
             cache_dir,
             tmp_path,
         )
         assert code == 0
-        assert report["scenario"]["subgroup"] == "words:x1^2,x2@6"
+        assert report["scenario"]["subgroup"] == "words:x1^2,x2"
 
 
 class TestDeterminismAndCache:
@@ -204,6 +229,24 @@ class TestDeterminismAndCache:
         assert (tmp_path / "cold.json").read_bytes() == (
             tmp_path / "warm.json"
         ).read_bytes()
+
+    @pytest.mark.parametrize(
+        "group, radius", [("bs:1,2", 0), ("bs:1,2", 1), ("bs:1,2", 6), ("abelian:2", 4)]
+    )
+    def test_warm_cache_honours_vertex_budget(self, tmp_path, capsys, group, radius):
+        # a cache hit must fail where a cold build fails, with the same message
+        cache = str(tmp_path / "cache")
+        args = ["ball", "--group", group, "--radius", str(radius)]
+        assert main([*args, "--cache-dir", cache]) == 0
+        n = json.loads(capsys.readouterr().out)["result"]["n_vertices"]
+        for budget in sorted({n, n - 1, 1}):
+            budgeted = [*args, "--max-vertices", str(budget)]
+            cold_code = main(budgeted)
+            cold = capsys.readouterr()
+            warm_code = main([*budgeted, "--cache-dir", cache])
+            warm = capsys.readouterr()
+            assert (warm_code, warm.out, warm.err) == (cold_code, cold.out, cold.err)
+            assert cold_code == (0 if budget >= n or radius == 0 else 1), budget
 
 
 class TestGeometrySubcommands:

@@ -262,6 +262,48 @@ class TestLetterStep:
         check_letter_steps(spec, reduce_word(parse_word(spec, text)))
 
 
+AFFINE_SPECS = tuple(
+    baumslag_solitar(m, n) for m, n in ((2, 3), (-2, 3), (3, -2), (1, 2), (-1, 2), (2, -2))
+)
+
+
+def bs_words(rng, spec, tokens=6):
+    """Random words of t-letters and x-powers, so pinches come up often."""
+    k = 2 * abs(spec.m * spec.n)
+    word = []
+    for _ in range(rng.randrange(tokens + 1)):
+        if rng.random() < 0.5:
+            word.append(rng.choice((2, -2)))
+        else:
+            word += x_power(1, rng.randint(-k, k))
+    return word
+
+
+class TestAffineImage:
+    """BS products and inverses against the affine map x -> y+1, t -> (m/n)y.
+
+    The map is a homomorphism of every bs:m,n and shares no rewrite rule with
+    the normal forms, so a rendered product or inverse must have the image
+    of the concatenated or inverted word.
+    """
+
+    @pytest.mark.parametrize("spec", AFFINE_SPECS, ids=lambda s: s.describe())
+    def test_products_and_inverses(self, spec):
+        g = group_for(spec)
+        rng = random.Random(29)
+
+        def image(word):
+            return affine_evaluate(word, spec.n, spec.m)
+
+        for _ in range(400):
+            u, v = bs_words(rng, spec), bs_words(rng, spec)
+            a, b = g.evaluate_word(u), g.evaluate_word(v)
+            ab, a_inv = g.multiply(a, b), g.invert(a)
+            assert g.is_canonical(ab) and g.is_canonical(a_inv), (u, v)
+            assert image(parse_word(spec, g.render(ab))) == image(u + v), (u, v)
+            assert image(parse_word(spec, g.render(a_inv))) == image(inverse_word(u)), u
+
+
 class TestSmallClosureOracle:
     def test_bs23_keys_match_relator_closure_small(self):
         # Development-scale version of the acceptance check: words of
