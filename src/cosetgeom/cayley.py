@@ -7,17 +7,25 @@ canonical order, so two builds of the same scenario are identical byte for
 byte.
 Vertices at distance exactly R have incomplete adjacency; everything
 strictly inside is complete.
+
+Adjacency is one flat int array with a slot per (vertex, letter): slot
+``vid * n_letters + i`` holds the neighbour across the i-th letter of
+``spec.letters``, or NO_EDGE where that neighbour lies outside the ball.
+Distances are one byte each while the radius stays below 256.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
 import threading
+from array import array
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import BallOverflowError, ConfigError, InsufficientRadiusError
 from .groups import Element, GroupSpec, Word, group_for, parse_group_spec
@@ -25,9 +33,16 @@ from .groups import Element, GroupSpec, Word, group_for, parse_group_spec
 #: Sentinel distance for vertices a BFS never reached.
 UNREACHED = -1
 
+#: Adjacency slot of a rim vertex whose neighbour lies outside the ball.
+NO_EDGE = -1
+
 DEFAULT_VERTEX_BUDGET = 5_000_000
 
 BALL_FORMAT = "cosetgeom.ball.v1"
+
+
+def _dist_array(radius: int) -> array:
+    return array("B" if radius < 256 else "i")
 
 
 @dataclass
@@ -36,8 +51,14 @@ class Ball:
     radius: int
     elements: List[Element]
     index: Dict[Element, int]
-    dist: List[int]
-    adj: List[Tuple[Tuple[int, int], ...]]
+    dist: array
+    adj: array
+    letters: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _slot: Dict[int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.letters = self.spec.letters
+        self._slot = {letter: i for i, letter in enumerate(self.letters)}
 
     @property
     def n_vertices(self) -> int:
@@ -57,36 +78,65 @@ class Ball:
         return self.index.get(a)
 
     def neighbor(self, vid: int, letter: int) -> Optional[int]:
-        for l, other in self.adj[vid]:
-            if l == letter:
-                return other
-        return None
+        other = self.adj[vid * len(self.letters) + self._slot[letter]]
+        return None if other == NO_EDGE else other
 
-    def neighbors(self, vid: int) -> Tuple[int, ...]:
-        return tuple(other for _, other in self.adj[vid])
+    def edges(self, vid: int) -> Iterator[Tuple[int, int]]:
+        """(letter, neighbour) for each in-ball edge, in letter order."""
+        k = len(self.letters)
+        start = vid * k
+        for letter, other in zip(self.letters, self.adj[start : start + k]):
+            if other != NO_EDGE:
+                yield letter, other
+
+
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic collector, then put it back as it was.
+
+    Building, writing and reading a ball allocate one container or more per
+    vertex and free none of them, so a collection meanwhile could only
+    rescan what was just made.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def build_ball(
     spec: GroupSpec, radius: int, max_vertices: int = DEFAULT_VERTEX_BUDGET
 ) -> Ball:
+    """The ball of the given radius; raises BallOverflowError past the budget."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
+    if max_vertices < 1:
+        raise ValueError("vertex budget must be at least 1")
+    with _collector_paused():
+        return _bfs_ball(spec, radius, max_vertices)
+
+
+def _bfs_ball(spec: GroupSpec, radius: int, max_vertices: int) -> Ball:
     g = group_for(spec)
     apply_letter = g.apply_letter
     letters = spec.letters
     elements: List[Element] = [g.identity()]
     index: Dict[Element, int] = {g.identity(): 0}
-    dist: List[int] = [0]
-    adj: List[Tuple[Tuple[int, int], ...]] = []
+    dist = _dist_array(radius)
+    dist.append(0)
+    adj = array("i")
+    add_edge = adj.append
     count = 1
     layer_start = 0
     # An expanded vertex at distance d-1 has all its neighbours in layers
-    # d-2..d, so its adjacency row is complete once its letters are applied.
+    # d-2..d, so its adjacency slots are complete once its letters are applied.
     for d in range(1, radius + 1):
         layer_end = count
         for vid in range(layer_start, layer_end):
             a = elements[vid]
-            row = []
             for letter in letters:
                 b = apply_letter(a, letter)
                 other = index.get(b)
@@ -97,20 +147,15 @@ def build_ball(
                     count += 1
                     if count > max_vertices:
                         raise BallOverflowError(d, count, max_vertices)
-                row.append((letter, other))
-            adj.append(tuple(row))
+                add_edge(other)
         layer_start = layer_end
         if layer_start == count:
             break  # the whole group fit inside the previous radius
     # The rim was never expanded; keep its edges that stay inside the ball.
     for vid in range(layer_start, count):
         a = elements[vid]
-        row = []
         for letter in letters:
-            other = index.get(apply_letter(a, letter))
-            if other is not None:
-                row.append((letter, other))
-        adj.append(tuple(row))
+            add_edge(index.get(apply_letter(a, letter), NO_EDGE))
     return Ball(spec=spec, radius=radius, elements=elements, index=index, dist=dist, adj=adj)
 
 
@@ -124,7 +169,7 @@ def multi_source_distance(ball: Ball, sources: Iterable[int]) -> List[int]:
     while queue:
         v = queue.popleft()
         dv = out[v]
-        for _, other in ball.adj[v]:
+        for _, other in ball.edges(v):
             if out[other] == UNREACHED:
                 out[other] = dv + 1
                 queue.append(other)
@@ -147,7 +192,7 @@ def star(ball: Ball, seeds: Iterable[int], n: int) -> StarResult:
         for v in frontier:
             if not ball.complete(v):
                 clipped = True
-            for _, other in ball.adj[v]:
+            for _, other in ball.edges(v):
                 if other not in current:
                     next_frontier.add(other)
         current |= next_frontier
@@ -193,8 +238,8 @@ def ball_to_payload(ball: Ball) -> dict:
         "group": ball.spec.describe(),
         "radius": ball.radius,
         "vertices": [g.canonical_key(a).decode() for a in ball.elements],
-        "dist": list(ball.dist),
-        "adj": [[[l, v] for l, v in row] for row in ball.adj],
+        "dist": ball.dist.tolist(),
+        "adj": [[[l, v] for l, v in ball.edges(vid)] for vid in range(ball.n_vertices)],
     }
 
 
@@ -203,17 +248,31 @@ def ball_from_payload(payload) -> Ball:
     if not isinstance(payload, dict) or payload.get("format") != BALL_FORMAT:
         raise ValueError("not a ball payload of format " + BALL_FORMAT)
     try:
+        radius = payload["radius"]
+        if not isinstance(radius, int):
+            raise ValueError("ball payload radius is not an integer")
         spec = parse_group_spec(payload["group"])
         g = group_for(spec)
         elements = [g.decode_key(key.encode()) for key in payload["vertices"]]
         index = {a: i for i, a in enumerate(elements)}
-        adj = [tuple((l, v) for l, v in row) for row in payload["adj"]]
-        dist = list(payload["dist"])
-        radius = payload["radius"]
-    except (AttributeError, ConfigError, IndexError, KeyError, TypeError) as exc:
+        dist = _dist_array(radius)
+        dist.extend(payload["dist"])
+        slot = {letter: i for i, letter in enumerate(spec.letters)}
+        k = len(slot)
+        rows = payload["adj"]
+        adj = array("i", [NO_EDGE]) * (len(rows) * k)
+        for start, row in zip(range(0, len(adj), k), rows):
+            for l, v in row:
+                adj[start + slot[l]] = v
+    except (
+        AttributeError, ConfigError, IndexError, KeyError, OverflowError, TypeError
+    ) as exc:
         raise ValueError(f"malformed ball payload: {exc!r}") from None
-    if not isinstance(radius, int) or not len(elements) == len(dist) == len(adj):
+    n = len(elements)
+    if not n == len(dist) == len(rows):
         raise ValueError("ball payload fields disagree")
+    if min(dist) < 0 or max(dist) > radius or min(adj) < NO_EDGE or max(adj) >= n:
+        raise ValueError("ball payload distance or vertex id out of range")
     return Ball(
         spec=spec,
         radius=radius,
@@ -232,7 +291,7 @@ def save_ball(ball: Ball, path: str) -> None:
     """
     tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
-        with open(tmp, "w") as fh:
+        with open(tmp, "w") as fh, _collector_paused():
             json.dump(ball_to_payload(ball), fh, sort_keys=True, separators=(",", ":"))
             fh.write("\n")
         os.replace(tmp, path)
@@ -243,7 +302,7 @@ def save_ball(ball: Ball, path: str) -> None:
 
 
 def load_ball(path: str) -> Ball:
-    with open(path) as fh:
+    with open(path) as fh, _collector_paused():
         return ball_from_payload(json.load(fh))
 
 
@@ -264,8 +323,10 @@ def cached_ball(
 
     A cached ball larger than the budget raises the BallOverflowError a
     cold build would: ids are in discovery order, so that build fails on
-    adding vertex max(max_vertices, 1), in that vertex's layer.
+    adding vertex max_vertices, in that vertex's layer.
     """
+    if max_vertices < 1:
+        raise ValueError("vertex budget must be at least 1")
     if not cache_dir:
         return build_ball(spec, radius, max_vertices)
     os.makedirs(cache_dir, exist_ok=True)
@@ -274,9 +335,10 @@ def cached_ball(
         try:
             ball = load_ball(path)
             if ball.spec == spec and ball.radius == radius:
-                over = max(max_vertices, 1)
-                if over < ball.n_vertices:
-                    raise BallOverflowError(ball.dist[over], over + 1, max_vertices)
+                if max_vertices < ball.n_vertices:
+                    raise BallOverflowError(
+                        ball.dist[max_vertices], max_vertices + 1, max_vertices
+                    )
                 return ball
         except ValueError:  # JSONDecodeError is one too
             pass  # fall through and rebuild a corrupt or stale file

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import gc
 import json
 import os
 import sys
@@ -178,6 +179,8 @@ class Scenario:
             raise ConfigError("radius must be nonnegative")
         self.cache_dir = settings.get("cache_dir", os.environ.get(CACHE_ENV))
         self.max_vertices = settings.get_int("max_vertices", DEFAULT_VERTEX_BUDGET)
+        if self.max_vertices < 1:
+            raise ConfigError("max-vertices must be at least 1")
         self.trust_margin = settings.get_int("trust_margin", DEFAULT_TRUST_MARGIN)
         self._ball: Optional[Ball] = None
         self._patch: Optional[CosetPatch] = None
@@ -188,6 +191,9 @@ class Scenario:
             self._ball = cached_ball(
                 self.spec, self.radius, self.cache_dir, self.max_vertices
             )
+            # The ball lives until this one-shot process exits, so the cyclic
+            # collector need never scan it again.
+            gc.freeze()
         return self._ball
 
     @property
@@ -511,8 +517,8 @@ def cmd_export(sc: Scenario):
     sc.settings.require("dot")
     if what == "ball":
         graph = sc.ball
-        edges = sum(len(row) for row in graph.adj)
         nodes = graph.n_vertices
+        edges = sum(1 for v in range(nodes) for _ in graph.edges(v))
     else:
         graph = sc.patch
         edges = sum(

@@ -110,10 +110,10 @@ def graph_view(graph: Union[Ball, CosetPatch]):
     neighbors(v) may repeat a vertex and follows no particular order.
     """
     if isinstance(graph, Ball):
-        adj = graph.adj
+        edges = graph.edges
 
         def neighbors(v: int) -> Iterable[int]:
-            return (other for _, other in adj[v])
+            return (other for _, other in edges(v))
 
         return "ball", graph.dist, neighbors, graph.radius
     if isinstance(graph, CosetPatch):
@@ -219,7 +219,7 @@ def build_coset_patch(
     edge_sets: List[Dict[int, set]] = [dict() for _ in range(n_cosets)]
     for v in range(n):
         cv = coset_of[v]
-        for letter, u in ball.adj[v]:
+        for letter, u in ball.edges(v):
             cu = coset_of[u]
             if cu == cv:
                 continue

@@ -39,7 +39,7 @@ def _ball_dot(ball: Ball, name: str) -> str:
         lines.append(f"  v{v} [label={_quote(label)}, dist={ball.dist[v]}];")
     edges = []
     for v in range(ball.n_vertices):
-        for letter, w in ball.adj[v]:
+        for letter, w in ball.edges(v):
             edges.append((keys[v], letter, keys[w], v, w))
     for _, letter, _, v, w in sorted(edges):
         label = render_word(spec, (letter,))

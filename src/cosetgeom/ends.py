@@ -177,7 +177,7 @@ def _bfs_route(
     while frontier:
         nxt = []
         for v in frontier:
-            for letter, w in ball.adj[v]:
+            for letter, w in ball.edges(v):
                 if w in parent or not allowed(w):
                     continue
                 parent[w] = (v, letter)
@@ -216,7 +216,7 @@ def _blocked_region(patch: CosetPatch, excluded: FrozenSet[int]) -> Set[int]:
                 v = stack.pop()
                 if ball.dist[v] == ball.radius:
                     touches = True
-                for _, w in ball.adj[v]:
+                for _, w in ball.edges(v):
                     if w in unseen:
                         unseen.discard(w)
                         component.append(w)

@@ -136,7 +136,7 @@ def _q_subgraph_distance(
     frontier = deque(sorted(dist))
     while frontier:
         v = frontier.popleft()
-        for letter, w in ball.adj[v]:
+        for letter, w in ball.edges(v):
             if letter not in qlets or w in dist or ball.dist[w] > radius:
                 continue
             dist[w] = dist[v] + 1

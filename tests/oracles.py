@@ -1,10 +1,11 @@
 """Independent oracles used to cross-check the package's arithmetic.
 
 Nothing in this file imports from cosetgeom's element representations.
-The two word-problem oracles are deliberately different in kind: one is an
-exact affine representation (a homomorphism of every bs:m,n, faithful only
-when |m| = 1), the other is a purely syntactic rewriting closure (available
-for any bs:m,n but only at bounded word length).  The reference ball
+The two BS word-problem oracles are deliberately different in kind: one is
+an exact affine representation (a homomorphism of every bs:m,n, faithful
+only when |m| = 1), the other is a purely syntactic rewriting closure
+(available for any bs:m,n but only at bounded word length).  The ascending
+HNN groups get an affine representation too, faithful on all of them.  The reference ball
 builder pins the production builder's numbering and adjacency using only Group.multiply.
 The coset sweep pins a patch's labelling, and the brute-force Hausdorff
 distances in Z^2 and F_2 use arithmetic of their own.
@@ -49,6 +50,76 @@ def affine_evaluate(word: Iterable[int], n: int, m: int = 1) -> Tuple[Fraction, 
         a2, b2 = affine_letter(letter, n, m)
         a, b = a * a2, a * b2 + b
     return (a, b)
+
+
+# ---------------------------------------------------------------------------
+# Affine representation of Z^k *_M
+# ---------------------------------------------------------------------------
+#
+# The letter x_i translates Q^k by the i-th unit vector, t maps y -> M^-1 y
+# and t^-1 maps y -> M y; maps are pairs (A, b) of y -> A y + b with exact
+# Fraction entries, composed the first letter outermost as above.  Then
+# t^-1 x^v t maps y -> y + M v, so the relation t^-1 x^v t = x^(M v) holds.
+# The element t^p x^v t^-q maps y -> M^(q-p) y + M^-p v; when no power of M
+# but M^0 is the identity (det M != +-1 suffices), equal images force equal
+# p - q and M^-p v, which for reduced triples forces equal triples, so the
+# action is faithful and equal images mean equal elements.
+
+AffineMap = Tuple[Tuple[Tuple[Fraction, ...], ...], Tuple[Fraction, ...]]
+
+
+def _fraction_inverse(rows: Sequence[Sequence[int]]) -> Tuple[Tuple[Fraction, ...], ...]:
+    """Inverse of an integer matrix by Gauss-Jordan elimination over Q."""
+    k = len(rows)
+    aug = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(k)]
+        for i, row in enumerate(rows)
+    ]
+    for col in range(k):
+        pivot = next(r for r in range(col, k) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        scale = aug[col][col]
+        aug[col] = [x / scale for x in aug[col]]
+        for r in range(k):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(row[k:]) for row in aug)
+
+
+class HNNAffine:
+    """The affine action of Z^k *_M on Q^k, for the matrix given as rows."""
+
+    def __init__(self, matrix: Sequence[Sequence[int]]):
+        self.k = len(matrix)
+        k = self.k
+        unit = tuple(tuple(Fraction(int(i == j)) for j in range(k)) for i in range(k))
+        zero = (Fraction(0),) * k
+        self.letter_maps: Dict[int, AffineMap] = {
+            k + 1: (_fraction_inverse(matrix), zero),
+            -(k + 1): (tuple(tuple(Fraction(x) for x in row) for row in matrix), zero),
+        }
+        for i in range(1, k + 1):
+            self.letter_maps[i] = (unit, unit[i - 1])
+            self.letter_maps[-i] = (unit, tuple(-x for x in unit[i - 1]))
+        self.identity: AffineMap = (unit, zero)
+
+    @staticmethod
+    def compose(f: AffineMap, g: AffineMap) -> AffineMap:
+        """f after g: y -> A_f (A_g y + b_g) + b_f."""
+        (a_f, b_f), (a_g, b_g) = f, g
+        cols = list(zip(*a_g))
+        product = tuple(
+            tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a_f
+        )
+        shift = tuple(sum(x * y for x, y in zip(row, b_g)) + c for row, c in zip(a_f, b_f))
+        return (product, shift)
+
+    def evaluate(self, word: Iterable[int]) -> AffineMap:
+        out = self.identity
+        for letter in word:
+            out = self.compose(out, self.letter_maps[letter])
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -91,7 +91,7 @@ def vertices_within(ball, center, depth):
         u, d = frontier.popleft()
         if d == depth:
             continue
-        for w in ball.neighbors(u):
+        for _, w in ball.edges(u):
             if w not in seen:
                 seen.add(w)
                 frontier.append((w, d + 1))

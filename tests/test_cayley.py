@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import gc
 import json
+from array import array
 
 import pytest
 
+from cosetgeom import cayley
 from cosetgeom.cayley import (
+    NO_EDGE,
     UNREACHED,
     Ball,
     PathInBall,
@@ -44,6 +48,16 @@ def payload_bytes(ball):
     return json.dumps(ball_to_payload(ball), sort_keys=True, separators=(",", ":"))
 
 
+def flat_adjacency(letters, rows):
+    """Rows of (letter, vertex) pairs laid out as one slot per vertex and letter."""
+    slot = {letter: i for i, letter in enumerate(letters)}
+    adj = array("i", [NO_EDGE]) * (len(rows) * len(letters))
+    for vid, row in enumerate(rows):
+        for letter, other in row:
+            adj[vid * len(letters) + slot[letter]] = other
+    return adj
+
+
 class TestCensus:
     def test_free2_counts(self):
         # 2 * 3^R - 1 vertices at radius R
@@ -59,6 +73,14 @@ class TestCensus:
         ball = build_ball(BS12, 1)
         assert ball.n_vertices == 5  # identity, x, x^-1, t, t^-1
 
+    def test_radius_past_one_byte(self):
+        # distances outgrow array("B") at radius 256 and still round-trip
+        ball = build_ball(free_abelian_group(1), 300)
+        assert ball.sphere_sizes() == [1] + [2] * 300
+        assert [ball.dist[ball.index[(n,)]] for n in (-300, 0, 299)] == [300, 0, 299]
+        clone = ball_from_payload(json.loads(payload_bytes(ball)))
+        assert clone.dist == ball.dist and clone.adj == ball.adj
+
     def test_monotone_in_radius(self):
         small, large = build_ball(BS12, 4), build_ball(BS12, 5)
         assert set(small.elements) <= set(large.elements)
@@ -70,14 +92,14 @@ class TestCensus:
 class TestStructure:
     def test_edge_symmetry(self):
         ball = build_ball(BS12, 5)
-        for vid, row in enumerate(ball.adj):
-            for letter, other in row:
+        for vid in range(ball.n_vertices):
+            for letter, other in ball.edges(vid):
                 assert ball.neighbor(other, -letter) == vid
 
     def test_complete_flag(self):
         ball = build_ball(FREE2, 3)
         for vid in range(ball.n_vertices):
-            expected = len(ball.adj[vid]) == 4
+            expected = len(list(ball.edges(vid))) == 4
             # interior vertices have all four neighbors present
             if ball.complete(vid):
                 assert expected
@@ -97,21 +119,42 @@ class TestStructure:
 class TestReferenceBuilder:
     def test_matches_two_pass_multiply_builder(self, spec):
         g = group_for(spec)
+        letters = spec.letters
         for radius in range(7):
             ball = build_ball(spec, radius)
-            elements, dist, adj = reference_ball(g, spec.letters, radius)
+            elements, dist, adj = reference_ball(g, letters, radius)
             assert ball.elements == elements
-            assert ball.dist == dist
-            assert ball.adj == adj
+            assert ball.dist.tolist() == dist
             reference = Ball(
                 spec=spec,
                 radius=radius,
                 elements=elements,
                 index={a: i for i, a in enumerate(elements)},
-                dist=dist,
-                adj=adj,
+                dist=array("B", dist),
+                adj=flat_adjacency(letters, adj),
             )
             assert payload_bytes(ball) == payload_bytes(reference)
+
+    def test_flat_layout_matches_reference_rows(self, spec):
+        # slot vid * n_letters + i is the neighbour across letters[i], or
+        # NO_EDGE; neighbor and edges read it back as the reference rows
+        g = group_for(spec)
+        letters = spec.letters
+        for radius in range(7):
+            ball = build_ball(spec, radius)
+            _, _, adj = reference_ball(g, letters, radius)
+            assert (ball.adj.typecode, ball.dist.typecode) == ("i", "B")
+            assert len(ball.adj) == ball.n_vertices * len(letters)
+            for vid, row in enumerate(adj):
+                targets = dict(row)
+                assert list(ball.edges(vid)) == list(row)
+                for i, letter in enumerate(letters):
+                    assert ball.neighbor(vid, letter) == targets.get(letter)
+                    assert ball.adj[vid * len(letters) + i] == targets.get(letter, NO_EDGE)
+            clone = ball_from_payload(ball_to_payload(ball))
+            assert (clone.adj.typecode, clone.dist.typecode) == ("i", "B")
+            assert clone.adj == ball.adj
+            assert clone.dist == ball.dist
 
     def test_overflow_fires_where_the_two_pass_builder_does(self, spec):
         g = group_for(spec)
@@ -235,10 +278,17 @@ class TestSerialization:
             lambda p: {**p, "dist": p["dist"][:-1]},
             lambda p: {**p, "adj": p["adj"] + [[]]},
             lambda p: {**p, "adj": [7] * len(p["adj"])},
+            lambda p: {**p, "adj": [[[9, 1]]] + p["adj"][1:]},
+            lambda p: {**p, "adj": [[[1, len(p["vertices"])]]] + p["adj"][1:]},
+            lambda p: {**p, "dist": [300] + p["dist"][1:]},
+            lambda p: {**p, "dist": [-1] + p["dist"][1:]},
+            lambda p: {**p, "dist": [p["radius"] + 1] + p["dist"][1:]},
         ],
         ids=[
             "list", "string", "vertices-null", "vertex-int", "bad-group",
             "radius-text", "short-dist", "long-adj", "adj-row-int",
+            "unknown-letter", "vertex-id-past-end", "dist-300", "dist-negative",
+            "dist-past-radius",
         ],
     )
     def test_wrong_shape_cache_file_is_rebuilt(self, tmp_path, reshape):
@@ -282,3 +332,77 @@ class TestSerialization:
         save_ball(ball, str(p1))
         save_ball(load_ball(str(p1)), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestCollectorPause:
+    """Ball builds, saves and loads pause the cyclic collector and leave it
+    as they found it."""
+
+    @pytest.fixture
+    def collections_in_bfs(self, monkeypatch):
+        """How many collections had started when each BFS returned or raised."""
+        started, seen = [], []
+
+        def record(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        bfs = cayley._bfs_ball
+
+        def watched(*args):
+            try:
+                return bfs(*args)
+            finally:
+                seen.append(len(started))
+
+        monkeypatch.setattr(cayley, "_bfs_ball", watched)
+        gc.callbacks.append(record)
+        yield seen
+        gc.callbacks.remove(record)
+
+    def test_no_collection_during_build_and_collector_back_on(self, collections_in_bfs):
+        assert gc.isenabled()
+        ball = build_ball(BS12, 12)
+        assert collections_in_bfs == [0]
+        assert gc.isenabled()
+        # the build made many times the youngest generation's threshold
+        assert ball.n_vertices > 10 * gc.get_threshold()[0]
+
+    def test_collector_back_on_after_overflow(self, collections_in_bfs):
+        assert gc.isenabled()
+        with pytest.raises(BallOverflowError):
+            build_ball(BS12, 12, max_vertices=10_000)
+        assert collections_in_bfs == [0]
+        assert gc.isenabled()
+
+    def test_save_and_load_put_the_collector_back(self, tmp_path):
+        path = str(tmp_path / "ball.json")
+        save_ball(build_ball(BS12, 4), path)
+        assert gc.isenabled()
+        load_ball(path)
+        assert gc.isenabled()
+        (tmp_path / "bad.json").write_text("{")
+        with pytest.raises(ValueError):
+            load_ball(str(tmp_path / "bad.json"))
+        assert gc.isenabled()
+
+    def test_collector_left_off_when_it_was_off(self, tmp_path):
+        path = str(tmp_path / "ball.json")
+        gc.disable()
+        try:
+            build_ball(BS12, 4)
+            with pytest.raises(BallOverflowError):
+                build_ball(BS12, 4, max_vertices=10)
+            save_ball(build_ball(BS12, 4), path)
+            load_ball(path)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_library_never_freezes_the_collector(self, tmp_path, monkeypatch):
+        frozen = []
+        monkeypatch.setattr(cayley.gc, "freeze", lambda: frozen.append(1))
+        build_ball(BS12, 4)
+        cached_ball(BS12, 4, str(tmp_path))
+        cached_ball(BS12, 4, str(tmp_path))
+        assert frozen == []

@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from cosetgeom import cli as cli_module
 from cosetgeom.cli import main
 
 
@@ -246,7 +247,32 @@ class TestDeterminismAndCache:
             warm_code = main([*budgeted, "--cache-dir", cache])
             warm = capsys.readouterr()
             assert (warm_code, warm.out, warm.err) == (cold_code, cold.out, cold.err)
-            assert cold_code == (0 if budget >= n or radius == 0 else 1), budget
+            # a budget of 0 (n - 1 at radius 0) is malformed, not just too small
+            assert cold_code == (0 if budget >= n else 1), budget
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("budget", ["-5", "0"])
+    def test_budget_below_one_is_malformed(self, tmp_path, capsys, budget, warm):
+        # even a radius-0 ball, which never reaches its budget, is refused
+        cache = str(tmp_path / "cache")
+        args = ["ball", "--group", "free:2", "--radius", "0", "--cache-dir", cache]
+        if warm:
+            assert main(args) == 0
+            capsys.readouterr()
+        out = tmp_path / "report.json"
+        code = main([*args, "--max-vertices", budget, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert not out.exists() and captured.out == ""
+        assert captured.err == "error: max-vertices must be at least 1\n"
+
+    def test_only_the_cli_freezes_its_ball(self, tmp_path, monkeypatch):
+        frozen = []
+        monkeypatch.setattr(cli_module.gc, "freeze", lambda: frozen.append(1))
+        out = tmp_path / "report.json"
+        args = ["ball", "--group", "free:2", "--radius", "2", "--out", str(out)]
+        assert main(args) == 0
+        assert frozen == [1]
 
 
 class TestGeometrySubcommands:

@@ -21,7 +21,7 @@ from cosetgeom.groups import (
     render_word,
 )
 
-from .oracles import affine_evaluate, digits_to_letters, RelatorClosure, all_words
+from .oracles import HNNAffine, affine_evaluate, digits_to_letters, RelatorClosure, all_words
 
 BS23 = baumslag_solitar(2, 3)
 BS12 = baumslag_solitar(1, 2)
@@ -302,6 +302,63 @@ class TestAffineImage:
             assert g.is_canonical(ab) and g.is_canonical(a_inv), (u, v)
             assert image(parse_word(spec, g.render(ab))) == image(u + v), (u, v)
             assert image(parse_word(spec, g.render(a_inv))) == image(inverse_word(u)), u
+
+
+#: (spec text, M as rows) written out twice, so the oracle never reads the
+#: matrix through the package's own parser.
+HNN_AFFINE_CASES = (
+    ("hnn:2,2 1;0 2", ((2, 1), (0, 2))),
+    ("hnn:1,3", ((3,),)),
+    ("hnn:2,0 1;2 1", ((0, 1), (2, 1))),
+)
+
+
+def hnn_words(rng, spec, tokens=8):
+    """Random words of t-letters and x-powers; runs of t^-1 then t force reductions."""
+    t = spec.rank + 1
+    word = []
+    for _ in range(rng.randrange(tokens + 1)):
+        if rng.random() < 0.5:
+            word.append(rng.choice((t, -t)))
+        else:
+            word += x_power(rng.randint(1, spec.rank), rng.randint(-4, 4))
+    return word
+
+
+class TestHNNAffineImage:
+    """HNN letter steps, products and inverses against the affine action.
+
+    x_i translates Q^k and t acts by M^-1, exactly, with no rule shared with
+    the reduced triples; the action is faithful, so a rendered result must
+    have the image of the word it stands for.
+    """
+
+    @pytest.mark.parametrize("text, matrix", HNN_AFFINE_CASES, ids=[c[0] for c in HNN_AFFINE_CASES])
+    def test_letter_steps_products_and_inverses(self, text, matrix):
+        spec = parse_group_spec(text)
+        g = group_for(spec)
+        image = HNNAffine(matrix).evaluate
+        rng = random.Random(31)
+
+        def rendered(a):
+            assert g.is_canonical(a), a
+            return image(parse_word(spec, g.render(a)))
+
+        for _ in range(200):
+            u, v = hnn_words(rng, spec), hnn_words(rng, spec)
+            a, b = g.evaluate_word(u), g.evaluate_word(v)
+            assert rendered(a) == image(u), u
+            for letter in spec.letters:
+                assert rendered(g.apply_letter(a, letter)) == image(u + [letter]), (u, letter)
+            assert rendered(g.multiply(a, b)) == image(u + v), (u, v)
+            assert rendered(g.invert(a)) == image(inverse_word(u)), u
+
+    def test_oracle_separates_what_the_relation_does_not_identify(self):
+        # t^-1 x t = x^M holds in the image; t x t^-1 is not an x-power
+        image = HNNAffine(((2, 1), (0, 2))).evaluate
+        assert image([-3, 1, 3]) == image([1, 1])
+        assert image([3, 1, -3]) != image([1])
+        assert image([3, 1, -3, 3, 1, -3]) == image([3, 1, 1, -3])
 
 
 class TestSmallClosureOracle:

@@ -37,7 +37,7 @@ def element(spec, text):
 
 
 def ball_neighbor_sets(ball):
-    return [sorted({w for _, w in row}) for row in ball.adj]
+    return [sorted({w for _, w in ball.edges(v)}) for v in range(ball.n_vertices)]
 
 
 @pytest.fixture(scope="module")

@@ -129,8 +129,8 @@ def test_q_letter_edges_stay_in_their_coset(text):
     for radius in range(7):
         ball = build_ball(spec, radius)
         keys = [coset_key(spec, Q, a) for a in ball.elements]
-        for v, row in enumerate(ball.adj):
-            for letter, w in row:
+        for v in range(ball.n_vertices):
+            for letter, w in ball.edges(v):
                 assert letter in qlets or letter in klets
                 assert (keys[v] == keys[w]) == (letter in qlets), (radius, v, letter)
 
