@@ -123,39 +123,48 @@ def _bfs_ball(spec: GroupSpec, radius: int, max_vertices: int) -> Ball:
     g = group_for(spec)
     apply_letter = g.apply_letter
     letters = spec.letters
+    k = len(letters)
+    slot_of = {letter: i for i, letter in enumerate(letters)}
+    back = [slot_of[-letter] for letter in letters]
     elements: List[Element] = [g.identity()]
     index: Dict[Element, int] = {g.identity(): 0}
     dist = _dist_array(radius)
     dist.append(0)
-    adj = array("i")
-    add_edge = adj.append
+    blank = array("i", [NO_EDGE]) * k
+    adj = array("i", blank)
     count = 1
     layer_start = 0
-    # An expanded vertex at distance d-1 has all its neighbours in layers
-    # d-2..d, so its adjacency slots are complete once its letters are applied.
-    for d in range(1, radius + 1):
+    # Layer d-1 is expanded at step d, the rim (d = radius + 1) without
+    # adding vertices.  An edge v -l-> w found from v is written at both
+    # ends, since w.l^-1 = v, so a slot already set needs no group step;
+    # skipping only known vertices keeps the discovery order.  An expanded
+    # vertex has all its neighbours in layers d-2..d, so its slots are
+    # complete once its letters are applied.
+    for d in range(1, radius + 2):
         layer_end = count
         for vid in range(layer_start, layer_end):
             a = elements[vid]
-            for letter in letters:
+            base = vid * k
+            for i, letter in enumerate(letters):
+                if adj[base + i] != NO_EDGE:
+                    continue
                 b = apply_letter(a, letter)
                 other = index.get(b)
                 if other is None:
+                    if d > radius:
+                        continue  # the rim keeps only its edges inside the ball
                     other = index[b] = count
                     elements.append(b)
                     dist.append(d)
+                    adj.extend(blank)
                     count += 1
                     if count > max_vertices:
                         raise BallOverflowError(d, count, max_vertices)
-                add_edge(other)
+                adj[base + i] = other
+                adj[other * k + back[i]] = vid
         layer_start = layer_end
         if layer_start == count:
-            break  # the whole group fit inside the previous radius
-    # The rim was never expanded; keep its edges that stay inside the ball.
-    for vid in range(layer_start, count):
-        a = elements[vid]
-        for letter in letters:
-            add_edge(index.get(apply_letter(a, letter), NO_EDGE))
+            break  # no vertex left to expand: the rim, or the whole group, is done
     return Ball(spec=spec, radius=radius, elements=elements, index=index, dist=dist, adj=adj)
 
 
@@ -166,11 +175,14 @@ def multi_source_distance(ball: Ball, sources: Iterable[int]) -> List[int]:
     for vid in sorted(set(sources)):
         out[vid] = 0
         queue.append(vid)
+    # Whole-ball passes read the adjacency slots directly: a generator of
+    # (letter, vertex) pairs per vertex would cost several times more.
+    adj, k = ball.adj, len(ball.letters)
     while queue:
         v = queue.popleft()
         dv = out[v]
-        for _, other in ball.edges(v):
-            if out[other] == UNREACHED:
+        for other in adj[v * k : v * k + k]:
+            if other != NO_EDGE and out[other] == UNREACHED:
                 out[other] = dv + 1
                 queue.append(other)
     return out
