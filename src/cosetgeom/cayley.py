@@ -22,10 +22,9 @@ import json
 import os
 import threading
 from array import array
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import BallOverflowError, ConfigError, InsufficientRadiusError
 from .groups import Element, GroupSpec, Word, group_for, parse_group_spec
@@ -80,6 +79,11 @@ class Ball:
     def neighbor(self, vid: int, letter: int) -> Optional[int]:
         other = self.adj[vid * len(self.letters) + self._slot[letter]]
         return None if other == NO_EDGE else other
+
+    def neighbors(self, vid: int) -> List[int]:
+        """The vertex's in-ball neighbours, in letter order."""
+        k = len(self.letters)
+        return [other for other in self.adj[vid * k : vid * k + k] if other != NO_EDGE]
 
     def edges(self, vid: int) -> Iterator[Tuple[int, int]]:
         """(letter, neighbour) for each in-ball edge, in letter order."""
@@ -168,23 +172,48 @@ def _bfs_ball(spec: GroupSpec, radius: int, max_vertices: int) -> Ball:
     return Ball(spec=spec, radius=radius, elements=elements, index=index, dist=dist, adj=adj)
 
 
+def bfs_layers(
+    neighbors: Callable[[int], Iterable[int]], n: int, sources: Iterable[int]
+) -> List[List[int]]:
+    """Vertices reached from the sources, one list per edge distance.
+
+    Layer 0 holds the sources in the order given, and each later layer its
+    vertices in discovery order.  Vertex ids lie in 0..n-1; neighbors may
+    yield NO_EDGE, which is skipped, so a ball's adjacency slots can be
+    passed as stored.  Callers restrict the search inside neighbors.
+    """
+    seen = bytearray(n)
+    layer = []
+    for v in sources:
+        if not seen[v]:
+            seen[v] = 1
+            layer.append(v)
+    layers = []
+    while layer:
+        layers.append(layer)
+        nxt = []
+        for v in layer:
+            for w in neighbors(v):
+                # NO_EDGE reads the last byte of the mask, so it is tested
+                # only when that byte says unseen: most edges stop at seen[w]
+                if not seen[w] and w != NO_EDGE:
+                    seen[w] = 1
+                    nxt.append(w)
+        layer = nxt
+    return layers
+
+
 def multi_source_distance(ball: Ball, sources: Iterable[int]) -> List[int]:
     """Edge distance from a vertex set, inside the ball; UNREACHED if cut off."""
-    out = [UNREACHED] * ball.n_vertices
-    queue = deque()
-    for vid in sorted(set(sources)):
-        out[vid] = 0
-        queue.append(vid)
     # Whole-ball passes read the adjacency slots directly: a generator of
     # (letter, vertex) pairs per vertex would cost several times more.
     adj, k = ball.adj, len(ball.letters)
-    while queue:
-        v = queue.popleft()
-        dv = out[v]
-        for other in adj[v * k : v * k + k]:
-            if other != NO_EDGE and out[other] == UNREACHED:
-                out[other] = dv + 1
-                queue.append(other)
+    out = [UNREACHED] * ball.n_vertices
+    for d, layer in enumerate(
+        bfs_layers(lambda v: adj[v * k : v * k + k], ball.n_vertices, sources)
+    ):
+        for v in layer:
+            out[v] = d
     return out
 
 
@@ -224,6 +253,8 @@ class PathInBall:
 
 def walk_path(ball: Ball, path: PathInBall) -> List[int]:
     """Vertex ids visited by the path; raises if it leaves the ball."""
+    if not (0 <= path.base < ball.n_vertices):
+        raise InsufficientRadiusError(f"base vertex {path.base} not in ball")
     g = group_for(ball.spec)
     vids = [path.base]
     a = ball.elements[path.base]

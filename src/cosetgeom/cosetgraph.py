@@ -16,9 +16,9 @@ to the boundary that their recorded degree is likely clipped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .cayley import Ball, PathInBall, UNREACHED
+from .cayley import Ball, PathInBall, UNREACHED, bfs_layers
 from .errors import ConfigError, InsufficientRadiusError
 from .groups import GroupSpec, group_for
 from .subgroups import VERTEX, WORDS, SubgroupSpec, coset_key
@@ -110,12 +110,7 @@ def graph_view(graph: Union[Ball, CosetPatch]):
     neighbors(v) may repeat a vertex and follows no particular order.
     """
     if isinstance(graph, Ball):
-        edges = graph.edges
-
-        def neighbors(v: int) -> Iterable[int]:
-            return (other for _, other in edges(v))
-
-        return "ball", graph.dist, neighbors, graph.radius
+        return "ball", graph.dist, graph.neighbors, graph.radius
     if isinstance(graph, CosetPatch):
         return "patch", graph.dist, graph.neighbors, max(graph.dist)
     raise ConfigError(f"expected a ball or a coset patch, got {type(graph).__name__}")
@@ -229,21 +224,13 @@ def build_coset_patch(
         for bucket in edge_sets
     )
 
+    def linked(cid: int) -> List[int]:
+        return [t for targets in adj[cid].values() for t in targets]
+
     dist = [UNREACHED] * n_cosets
-    base = coset_of[0]
-    dist[base] = 0
-    frontier = [base]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for cid in frontier:
-            for targets in adj[cid].values():
-                for t in targets:
-                    if dist[t] == UNREACHED:
-                        dist[t] = d
-                        nxt.append(t)
-        frontier = nxt
+    for d, layer in enumerate(bfs_layers(linked, n_cosets, [coset_of[0]])):
+        for cid in layer:
+            dist[cid] = d
 
     trusted = tuple(
         ball.dist[w] + trust_margin <= ball.radius for w in witness

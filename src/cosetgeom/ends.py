@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from .cayley import Ball, PathInBall, UNREACHED, multi_source_distance
+from .cayley import Ball, PathInBall, UNREACHED, bfs_layers, multi_source_distance
 from .cosetgraph import CosetPatch, _UnionFind, graph_view
 from .errors import (
     ConfigError,
@@ -169,61 +169,48 @@ def _bfs_route(
     allowed: Callable[[int], bool],
     is_target: Callable[[int], bool],
 ) -> Optional[Tuple[int, ...]]:
-    """Letters of a shortest allowed path from start to a target, or None."""
-    if is_target(start):
-        return ()
-    parent: dict = {start: (-1, 0)}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for letter, w in ball.edges(v):
-                if w in parent or not allowed(w):
-                    continue
-                parent[w] = (v, letter)
-                if is_target(w):
-                    letters: List[int] = []
-                    u = w
-                    while u != start:
-                        u, letter_in = parent[u]
-                        letters.append(letter_in)
-                    return tuple(reversed(letters))
-                nxt.append(w)
-        frontier = nxt
-    return None
+    """Letters of a shortest allowed path from start to a target, or None.
+
+    The path ends at the first target in discovery order.  Each step back
+    goes to the first vertex of the layer before with an edge to the current
+    vertex, which is the vertex that discovered it.
+    """
+    layers = bfs_layers(
+        lambda u: [w for w in ball.neighbors(u) if allowed(w)], ball.n_vertices, [start]
+    )
+    found = next(
+        ((d, u) for d, layer in enumerate(layers) for u in layer if is_target(u)), None
+    )
+    if found is None:
+        return None
+    depth, w = found
+    letters: List[int] = []
+    for layer in reversed(layers[:depth]):
+        adjacent = set(ball.neighbors(w))
+        u = next(u for u in layer if u in adjacent)
+        letters.append(next(letter for letter, x in ball.edges(u) if x == w))
+        w = u
+    return tuple(reversed(letters))
 
 
 def _blocked_region(patch: CosetPatch, excluded: FrozenSet[int]) -> Set[int]:
     """The excluded set plus bounded in-coset pockets it cuts off.
 
-    For each coset meeting the excluded set, the coset's remaining in-ball
-    vertices split into components; a component that never reaches the outer
-    sphere is a dead end for in-coset travel and is treated as blocked.
+    A vertex of a coset that meets the excluded set is blocked when no path
+    inside its coset that avoids the set joins it to the outer sphere: its
+    pocket is a dead end for in-coset travel.
     """
-    ball = patch.ball
-    blocked: Set[int] = set(excluded)
-    for cid in sorted({patch.coset_of[v] for v in excluded}):
-        members = [v for v in patch.vertices_in_coset(cid) if v not in excluded]
-        unseen = set(members)
-        for seed in members:
-            if seed not in unseen:
-                continue
-            component = [seed]
-            unseen.discard(seed)
-            stack = [seed]
-            touches = False
-            while stack:
-                v = stack.pop()
-                if ball.dist[v] == ball.radius:
-                    touches = True
-                for _, w in ball.edges(v):
-                    if w in unseen:
-                        unseen.discard(w)
-                        component.append(w)
-                        stack.append(w)
-            if not touches:
-                blocked.update(component)
-    return blocked
+    ball, coset_of = patch.ball, patch.coset_of
+    hit = {coset_of[v] for v in excluded}
+    members = {v for v in range(ball.n_vertices) if coset_of[v] in hit} - excluded
+    rim = [v for v in members if ball.dist[v] == ball.radius]
+
+    def in_coset(v: int) -> List[int]:
+        cid = coset_of[v]
+        return [w for w in ball.neighbors(v) if w in members and coset_of[w] == cid]
+
+    joined = {v for layer in bfs_layers(in_coset, ball.n_vertices, rim) for v in layer}
+    return (members - joined).union(excluded)
 
 
 def escape_route(
@@ -322,6 +309,8 @@ def verify_escape_route(
     excluded = frozenset(c_vertices)
     if path.base != v:
         return False, "path does not start at the requested vertex"
+    if not (0 <= v < ball.n_vertices):
+        return False, "start vertex not in ball"
     group = group_for(spec)
     a = ball.elements[v]
     vid: Optional[int] = v

@@ -17,11 +17,10 @@ group arithmetic alone.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from .cayley import Ball
+from .cayley import Ball, UNREACHED, bfs_layers
 from .cosetgraph import CosetPatch, graph_view
 from .errors import (
     ConfigError,
@@ -56,17 +55,12 @@ def build_ray_system(graph: Union[Ball, CosetPatch], base: int = 0) -> RaySystem
     if not (0 <= base < n):
         raise ConfigError(f"base vertex {base} not in graph")
     if base == 0:
-        shell = list(dist)
+        shell = list(dist)  # the graph's own distances are from vertex 0
     else:
-        shell = [-1] * n
-        shell[base] = 0
-        frontier = deque([base])
-        while frontier:
-            v = frontier.popleft()
-            for w in neighbors(v):
-                if shell[w] == -1:
-                    shell[w] = shell[v] + 1
-                    frontier.append(w)
+        shell = [UNREACHED] * n
+        for d, layer in enumerate(bfs_layers(neighbors, n, [base])):
+            for v in layer:
+                shell[v] = d
     horizon = max(shell)
 
     rays: List[Tuple[int, ...]] = []

@@ -17,11 +17,10 @@ Projecting the lift back to the coset graph returns the input exactly.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .cayley import Ball
+from .cayley import Ball, bfs_layers
 from .cosetgraph import CosetPatch, LambdaPath
 from .errors import (
     ConfigError,
@@ -121,27 +120,18 @@ def _q_vertex_ids(spec: GroupSpec, q: SubgroupSpec, ball: Ball) -> List[int]:
     return [vid for vid, a in enumerate(ball.elements) if is_member(spec, q, a)]
 
 
-def _q_subgraph_distance(
-    ball: Ball,
-    qlets: Set[int],
-    sources: Sequence[int],
-    radius: int,
-) -> Dict[int, int]:
-    """BFS over Q-letter edges from Q-vertices, restricted to dist <= radius.
+def _q_steps(ball: Ball, qlets: Sequence[int], radius: int) -> Callable[[int], List[int]]:
+    """Neighbours of a vertex across Q-letters, restricted to dist <= radius.
 
-    A Q-letter step from a Q-vertex lands in Q again, so the search never
-    leaves Q and needs no membership test.
+    A Q-letter step from a Q-vertex lands in Q again, so a search from
+    Q-vertices never leaves Q and needs no membership test.
     """
-    dist = {vid: 0 for vid in sources if ball.dist[vid] <= radius}
-    frontier = deque(sorted(dist))
-    while frontier:
-        v = frontier.popleft()
-        for letter, w in ball.edges(v):
-            if letter not in qlets or w in dist or ball.dist[w] > radius:
-                continue
-            dist[w] = dist[v] + 1
-            frontier.append(w)
-    return dist
+
+    def steps(v: int) -> List[int]:
+        across = (ball.neighbor(v, letter) for letter in qlets)
+        return [w for w in across if w is not None and ball.dist[w] <= radius]
+
+    return steps
 
 
 def compute_f(
@@ -155,7 +145,8 @@ def compute_f(
     radii = _default_radii(ball, radii)
     group = group_for(spec)
     q_ids = _q_vertex_ids(spec, q, ball)
-    qlets = set(q_letters(spec, q))
+    qlets = q_letters(spec, q)
+    q_within = {r: sum(1 for vid in q_ids if ball.dist[vid] <= r) for r in radii}
 
     out: Dict[int, ConstantScan] = {}
     for s in spec.letters:
@@ -170,21 +161,16 @@ def compute_f(
         ]
         values = []
         for r in radii:
-            dist = _q_subgraph_distance(ball, qlets, transfer, r)
-            worst = 0
-            for vid in q_ids:
-                if ball.dist[vid] > r:
-                    continue
-                if vid not in dist:
-                    worst = None
-                    break
-                worst = max(worst, dist[vid])
-            if worst is None:
+            sources = [vid for vid in transfer if ball.dist[vid] <= r]
+            layers = bfs_layers(_q_steps(ball, qlets, r), ball.n_vertices, sources)
+            # the search stays among the Q-vertices within r, so it reached
+            # them all when the counts agree, the last ones len(layers) - 1 away
+            if sum(map(len, layers)) != q_within[r]:
                 raise NoTransferVertexError(
                     f"letter {render_word(spec, (s,))} has unreachable Q-vertices "
                     f"at radius {r}"
                 )
-            values.append(1 + worst)
+            values.append(len(layers))
         out[s] = ConstantScan(
             name=f"F[{render_word(spec, (s,))}]",
             radii=radii,
@@ -208,7 +194,7 @@ def compute_m(
         raise ConfigError(
             f"pair distance bound {bound} exceeds the smallest radius {radii[0]}"
         )
-    qlets = set(q_letters(spec, q))
+    qlets = q_letters(spec, q)
     identity_vid = 0
     # vertex ids follow BFS order, so the vertices within the bound come first
     deltas = [
@@ -219,7 +205,8 @@ def compute_m(
 
     values = []
     for r in radii:
-        dist = _q_subgraph_distance(ball, qlets, [identity_vid], r)
+        layers = bfs_layers(_q_steps(ball, qlets, r), ball.n_vertices, [identity_vid])
+        dist = {vid: d for d, layer in enumerate(layers) for vid in layer}
         worst = 0
         for vid in deltas:
             if vid not in dist:

@@ -8,14 +8,16 @@ only when |m| = 1), the other is a purely syntactic rewriting closure
 HNN groups get an affine representation too, faithful on all of them.  The reference ball
 builder pins the production builder's numbering and adjacency using only Group.multiply.
 The coset sweep pins a patch's labelling, and the brute-force Hausdorff
-distances in Z^2 and F_2 use arithmetic of their own.
+distances in Z^2 and F_2 use arithmetic of their own.  The parent-map route
+search pins the letters of escape routes, which the package reads off BFS
+layers instead.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 # ---------------------------------------------------------------------------
 # Affine representation of bs:m,n
@@ -414,3 +416,43 @@ def brute_hausdorff(model, g, r: int, reach: int) -> Tuple[int, int]:
     k_forward = max(gap(a, gq_far) for a in coset_elements(model, ident, r))
     k_backward = max(gap(b, q_far) for b in coset_elements(model, g, r))
     return k_forward, k_backward
+
+
+# ---------------------------------------------------------------------------
+# Shortest routes by a forward parent map
+# ---------------------------------------------------------------------------
+#
+# Each vertex records the vertex and letter that discovered it, and the
+# search stops at the first target it discovers.  The package finds the same
+# route from whole BFS layers, stepping back through the first vertex of
+# each earlier layer with an edge to the current one.
+
+
+def reference_route(
+    ball,
+    start: int,
+    allowed: Callable[[int], bool],
+    is_target: Callable[[int], bool],
+) -> Optional[Tuple[int, ...]]:
+    """Letters of a shortest allowed path from start to a target, or None."""
+    if is_target(start):
+        return ()
+    parent: dict = {start: (-1, 0)}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for letter, w in ball.edges(v):
+                if w in parent or not allowed(w):
+                    continue
+                parent[w] = (v, letter)
+                if is_target(w):
+                    letters: List[int] = []
+                    u = w
+                    while u != start:
+                        u, letter_in = parent[u]
+                        letters.append(letter_in)
+                    return tuple(reversed(letters))
+                nxt.append(w)
+        frontier = nxt
+    return None

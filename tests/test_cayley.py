@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import gc
 import json
+import random
 from array import array
+from collections import deque
 
 import pytest
 
@@ -17,6 +19,7 @@ from cosetgeom.cayley import (
     ball_from_payload,
     ball_cache_name,
     ball_to_payload,
+    bfs_layers,
     build_ball,
     cached_ball,
     load_ball,
@@ -137,7 +140,8 @@ class TestReferenceBuilder:
 
     def test_flat_layout_matches_reference_rows(self, spec):
         # slot vid * n_letters + i is the neighbour across letters[i], or
-        # NO_EDGE; neighbor and edges read it back as the reference rows
+        # NO_EDGE; neighbor, neighbors and edges read it back as the
+        # reference rows
         g = group_for(spec)
         letters = spec.letters
         for radius in range(7):
@@ -148,6 +152,7 @@ class TestReferenceBuilder:
             for vid, row in enumerate(adj):
                 targets = dict(row)
                 assert list(ball.edges(vid)) == list(row)
+                assert ball.neighbors(vid) == [w for _, w in row]
                 for i, letter in enumerate(letters):
                     assert ball.neighbor(vid, letter) == targets.get(letter)
                     assert ball.adj[vid * len(letters) + i] == targets.get(letter, NO_EDGE)
@@ -198,6 +203,58 @@ class TestDistances:
         assert got[ball.index[(2, 2)]] == 4 or got[ball.index[(2, 2)]] == UNREACHED
 
 
+def queue_layers(rows, sources):
+    """Textbook BFS with a queue, its vertices grouped by depth in dequeue order."""
+    depth = {}
+    queue = deque()
+    for s in sources:
+        if s not in depth:
+            depth[s] = 0
+            queue.append(s)
+    layers = []
+    while queue:
+        v = queue.popleft()
+        if depth[v] == len(layers):
+            layers.append([])
+        layers[depth[v]].append(v)
+        for _, w in rows[v]:
+            if w not in depth:
+                depth[w] = depth[v] + 1
+                queue.append(w)
+    return layers
+
+
+class TestBfsLayers:
+    @pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=REFERENCE_GROUPS)
+    def test_matches_queue_bfs_on_reference_balls(self, spec):
+        rng = random.Random(spec.describe())
+        _, dist, rows = reference_ball(group_for(spec), spec.letters, 6)
+        k = len(spec.letters)
+        for radius in range(7):
+            # ids follow BFS order, so the smaller ball is a prefix
+            n = sum(1 for d in dist if d <= radius)
+            sub = [[(l, w) for l, w in rows[v] if w < n] for v in range(n)]
+            axis = [0]
+            for letter in (1, -1):
+                v = 0
+                while (v := dict(sub[v]).get(letter)) is not None:
+                    axis.append(v)
+            adj = build_ball(spec, radius).adj
+            for sources in ([0], axis, rng.sample(range(n), min(n, 5))):
+                want = queue_layers(sub, sources)
+                got = bfs_layers(lambda v: [w for _, w in sub[v]], n, sources)
+                assert got == want, (radius, sources)
+                # stored slots, NO_EDGE included, give the same layers
+                assert bfs_layers(lambda v: adj[v * k : v * k + k], n, sources) == want
+
+    def test_no_sources_and_repeated_sources(self):
+        ball = build_ball(AB2, 2)
+        assert bfs_layers(ball.neighbors, ball.n_vertices, []) == []
+        layers = bfs_layers(ball.neighbors, ball.n_vertices, [3, 0, 3])
+        assert layers[0] == [3, 0]
+        assert sorted(v for layer in layers for v in layer) == list(range(ball.n_vertices))
+
+
 class TestStar:
     def test_zero_star_is_seed_set(self):
         ball = build_ball(AB2, 4)
@@ -236,6 +293,13 @@ class TestPaths:
         ball = build_ball(FREE2, 2)
         with pytest.raises(InsufficientRadiusError):
             walk_path(ball, PathInBall(base=0, word=(1, 1, 1)))
+
+    @pytest.mark.parametrize("where", ["before", "past"])
+    def test_base_outside_ball_raises(self, where):
+        ball = build_ball(AB2, 4)
+        base = -1 if where == "before" else ball.n_vertices
+        with pytest.raises(InsufficientRadiusError, match=f"base vertex {base} not in ball"):
+            walk_path(ball, PathInBall(base=base, word=()))
 
 
 class TestSerialization:

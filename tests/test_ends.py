@@ -13,6 +13,7 @@ from cosetgeom.ends import (
     INCONCLUSIVE,
     STABLE_COUNT,
     ZERO_ENDS,
+    _blocked_region,
     _classify,
     default_schedule,
     ends_report,
@@ -36,7 +37,9 @@ from cosetgeom.groups import (
     free_group,
     parse_word,
 )
-from cosetgeom.subgroups import vertex_subgroup, word_subgroup
+from cosetgeom.subgroups import coset_key, vertex_subgroup, word_subgroup
+
+from .oracles import reference_route
 
 Q = vertex_subgroup()
 
@@ -294,6 +297,148 @@ class TestEscapeVerifierIndependence:
             spec, Q, ball_ab2_r12, [], rim, element(spec, "x2^13"), bad
         )
         assert not ok and "ball" in reason
+
+    @pytest.mark.parametrize("where", ["before", "past"])
+    def test_verifier_rejects_base_outside_ball(self, where):
+        # base -1 would read vertex n - 1, which is excluded here
+        spec = free_abelian_group(2)
+        ball = build_ball(spec, 4)
+        last = ball.n_vertices - 1
+        base = -1 if where == "before" else ball.n_vertices
+        ok, reason = verify_escape_route(
+            spec, Q, ball, [last], base, ball.elements[last], PathInBall(base, ())
+        )
+        assert (ok, reason) == (False, "start vertex not in ball")
+
+
+def within(ball, sources, k):
+    """Vertices at edge distance at most k from the sources."""
+    out = set(sources)
+    frontier = out
+    for _ in range(k):
+        frontier = {w for u in frontier for _, w in ball.edges(u)} - out
+        out |= frontier
+    return out
+
+
+def reference_blocked(patch, excluded):
+    """The excluded set plus each component of the rest of the cosets it
+    meets, joined by in-coset edges, that has no vertex on the outer sphere."""
+    ball, coset_of = patch.ball, patch.coset_of
+    hit = {coset_of[u] for u in excluded}
+    unseen = {u for u in range(ball.n_vertices) if coset_of[u] in hit} - set(excluded)
+    blocked = set(excluded)
+    while unseen:
+        component = [unseen.pop()]
+        for u in component:  # the list grows while it is walked
+            for _, w in ball.edges(u):
+                if w in unseen and coset_of[w] == coset_of[u]:
+                    unseen.discard(w)
+                    component.append(w)
+        if all(ball.dist[u] < ball.radius for u in component):
+            blocked.update(component)
+    return blocked
+
+
+def pocket_walls(ball, v):
+    """The vertices two x-steps either side of v, when both lie in the ball:
+    excluding them cuts v's stretch of its coset's x-line off."""
+    walls = set()
+    for letter in (1, -1):
+        w = ball.neighbor(v, letter)
+        w = None if w is None else ball.neighbor(w, letter)
+        if w is None:
+            return set()
+        walls.add(w)
+    return walls
+
+
+def reference_escape(patch, excluded, v, g, k):
+    """escape_route's word, or the name of the error it should raise."""
+    ball, coset_of = patch.ball, patch.coset_of
+    if v in excluded:
+        return "EscapeBlockedError"
+    target = patch.coset_id(coset_key(patch.spec, Q, g))
+    if all(coset_of[u] != target or u in excluded for u in range(ball.n_vertices)):
+        return "EmptyCosetInBallError"
+    blocked = reference_blocked(patch, excluded)
+    if v in blocked:
+        return "EscapeBlockedError"
+    near = within(ball, excluded, k)
+    home = coset_of[v]
+    alpha = reference_route(
+        ball,
+        v,
+        allowed=lambda u: coset_of[u] == home and u not in blocked,
+        is_target=lambda u: u not in near,
+    )
+    if alpha is None:
+        return "NoRouteWithinBallError"
+    mid = v
+    for letter in alpha:
+        mid = ball.neighbor(mid, letter)
+    beta = reference_route(
+        ball,
+        mid,
+        allowed=lambda u: u not in excluded,
+        is_target=lambda u: coset_of[u] == target and u not in excluded,
+    )
+    if beta is None:
+        return "NoRouteWithinBallError"
+    return alpha + beta
+
+
+class TestEscapeRouteOracle:
+    """Routes read off BFS layers match the parent-map search of the oracles."""
+
+    def check(self, patch, seed, n_scenarios=25):
+        ball = patch.ball
+        n = ball.n_vertices
+        rng = random.Random(seed)
+        routes = []
+        for i in range(n_scenarios):
+            center = rng.randrange(n)
+            v = rng.randrange(n)
+            if i % 3 == 0:
+                excluded = within(ball, [center], rng.randint(0, 2))
+            elif i % 3 == 1:
+                excluded = set(rng.sample(range(n), rng.randint(1, 30)))
+            else:
+                excluded = pocket_walls(ball, v) | {center}
+            g = ball.elements[rng.randrange(n)]
+            k = rng.randint(1, 2)
+            want = reference_escape(patch, excluded, v, g, k)
+            try:
+                got = escape_route(patch, excluded, v, g, k=k).word
+            except (EscapeBlockedError, EmptyCosetInBallError, NoRouteWithinBallError) as exc:
+                got = type(exc).__name__
+            assert got == want, (i, sorted(excluded), v, g, k)
+            if isinstance(got, tuple):
+                routes.append(got)
+        # most scenarios end in a route, and many of those have choices to make
+        assert len(routes) >= n_scenarios // 2
+        assert sum(len(r) >= 3 for r in routes) >= 5
+
+    def test_bs23_routes(self, patch_bs23_r10):
+        self.check(patch_bs23_r10, seed=31)
+
+    def test_plane_routes(self, patch_ab2_r12):
+        self.check(patch_ab2_r12, seed=32)
+
+    @pytest.mark.parametrize("name", ["patch_bs23_r10", "patch_ab2_r12"])
+    def test_blocked_region_matches_its_components(self, name, request):
+        patch = request.getfixturevalue(name)
+        ball = patch.ball
+        rng = random.Random(33)
+        pockets = 0
+        for _ in range(10):
+            excluded = set(rng.sample(range(ball.n_vertices), 10))
+            for v in rng.sample(range(ball.n_vertices), 5):
+                excluded |= pocket_walls(ball, v)
+            want = reference_blocked(patch, excluded)
+            assert _blocked_region(patch, frozenset(excluded)) == want
+            pockets += len(want - excluded)
+        assert pockets >= 10
 
 
 class TestRandomEscapeScenarios:

@@ -131,6 +131,29 @@ class TestRaySystems:
         assert system.shell[0] == 1
         self.check_invariants(system, ball_neighbor_sets(ball))
 
+    def test_rebased_shells_on_a_patch(self, patch_bs23_r10):
+        patch = patch_bs23_r10
+        rng = random.Random(21)
+        for base in [1, patch.n_cosets - 1, *rng.sample(range(2, patch.n_cosets - 1), 3)]:
+            system = build_ray_system(patch, base=base)
+            assert system.shell[base] == 0
+            shell = [-1] * patch.n_cosets
+            shell[base] = 0
+            frontier = [base]
+            while frontier:
+                nxt = []
+                for c in frontier:
+                    for d in patch.neighbors(c):
+                        if shell[d] == -1:
+                            shell[d] = shell[c] + 1
+                            nxt.append(d)
+                frontier = nxt
+            assert system.shell == tuple(shell)
+            assert system.horizon == max(shell)
+            self.check_invariants(
+                system, [patch.neighbors(c) for c in range(patch.n_cosets)]
+            )
+
     def test_no_targets_means_no_meeters(self, ball_free2_r8):
         system = build_ray_system(ball_free2_r8)
         assert rays_meeting(system, ()) == ()

@@ -19,6 +19,7 @@ from cosetgeom.groups import (
     evaluate_word,
     free_abelian_group,
     free_group,
+    group_for,
     parse_group_spec,
     parse_word,
 )
@@ -30,7 +31,7 @@ from cosetgeom.lifting import (
     compute_m,
     lift_constants,
 )
-from cosetgeom.subgroups import vertex_subgroup, word_subgroup
+from cosetgeom.subgroups import coset_key, is_member, vertex_subgroup, word_subgroup
 
 Q = vertex_subgroup()
 
@@ -155,6 +156,90 @@ class TestTransferConstants:
                 radii=(9, 10),
                 confidence=STABLE,
             )
+
+
+def x_walk_distances(ball, start, radius):
+    """Length of the shortest walk along x and x^-1 from start to each vertex
+    it reaches without leaving the given radius."""
+    depth = {start: 0}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for letter in (1, -1):
+                w = ball.neighbor(u, letter)
+                if w is not None and ball.dist[w] <= radius and w not in depth:
+                    depth[w] = depth[u] + 1
+                    nxt.append(w)
+        frontier = nxt
+    return depth
+
+
+def brute_f(spec, ball, q_vertices, s, r):
+    """1 + the longest x-walk any Q-vertex within r needs to a vertex whose
+    s-edge lands in the coset sQ, or None when some Q-vertex reaches none."""
+    group = group_for(spec)
+    s_el = group.evaluate_word((s,))
+    goal = coset_key(spec, Q, s_el)
+    worst = 0
+    for a in q_vertices:
+        if ball.dist[a] > r:
+            continue
+        gaps = [
+            d
+            for b, d in x_walk_distances(ball, a, r).items()
+            if coset_key(spec, Q, group.multiply(ball.elements[b], s_el)) == goal
+        ]
+        if not gaps:
+            return None
+        worst = max(worst, min(gaps))
+    return worst + 1
+
+
+def brute_m(ball, q_vertices, f, r):
+    """The longest x-walk within r from the identity to a Q-vertex at ambient
+    distance at most 2f + 1, or None when one is out of reach."""
+    reach = x_walk_distances(ball, 0, r)
+    near = [v for v in q_vertices if ball.dist[v] <= 2 * f + 1]
+    if any(v not in reach for v in near):
+        return None
+    return max(reach[v] for v in near)
+
+
+class TestBruteForceConstants:
+    """compute_f and compute_m against their definitions, at every radius pair."""
+
+    # bs:2,5 cuts Q-vertices off from every transfer vertex at radii 7 and 8,
+    # and bs:1,3 cuts x^9 off from the identity at radius 5
+    @pytest.mark.parametrize("text", ["free:2", "abelian:2", "bs:1,2", "bs:1,3", "bs:2,5"])
+    def test_scans_match_the_definitions(self, text):
+        spec = parse_group_spec(text)
+        ball = build_ball(spec, 8)
+        q_vertices = [v for v, a in enumerate(ball.elements) if is_member(spec, Q, a)]
+        f_at = {
+            (s, r): brute_f(spec, ball, q_vertices, s, r)
+            for s in spec.letters
+            for r in range(1, 9)
+        }
+        m_at = {
+            (f, r): brute_m(ball, q_vertices, f, r) for f in (1, 2, 3) for r in range(1, 9)
+        }
+        for r1 in range(1, 9):
+            for r2 in range(r1, 9):
+                want = {s: (f_at[s, r1], f_at[s, r2]) for s in spec.letters}
+                if any(None in values for values in want.values()):
+                    with pytest.raises(NoTransferVertexError):
+                        compute_f(spec, Q, ball, (r1, r2))
+                else:
+                    scans = compute_f(spec, Q, ball, (r1, r2))
+                    assert {s: scan.values for s, scan in scans.items()} == want
+                for f in range(1, (r1 - 1) // 2 + 1):
+                    values = (m_at[f, r1], m_at[f, r2])
+                    if None in values:
+                        with pytest.raises(NoTransferVertexError):
+                            compute_m(spec, Q, ball, f, (r1, r2))
+                    else:
+                        assert compute_m(spec, Q, ball, f, (r1, r2)).values == values
 
 
 class TestApproximateLift:
