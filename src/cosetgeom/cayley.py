@@ -24,7 +24,8 @@ import threading
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from itertools import islice
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BallOverflowError, ConfigError, InsufficientRadiusError
 from .groups import Element, GroupSpec, Word, group_for, parse_group_spec
@@ -174,13 +175,15 @@ def _bfs_ball(spec: GroupSpec, radius: int, max_vertices: int) -> Ball:
 
 def bfs_layers(
     neighbors: Callable[[int], Iterable[int]], n: int, sources: Iterable[int]
-) -> List[List[int]]:
+) -> Iterator[List[int]]:
     """Vertices reached from the sources, one list per edge distance.
 
     Layer 0 holds the sources in the order given, and each later layer its
-    vertices in discovery order.  Vertex ids lie in 0..n-1; neighbors may
-    yield NO_EDGE, which is skipped, so a ball's adjacency slots can be
-    passed as stored.  Callers restrict the search inside neighbors.
+    vertices in discovery order.  Each layer is yielded before the next is
+    searched, so a caller that stops asking stops the search.  Vertex ids
+    lie in 0..n-1; neighbors may yield NO_EDGE, which is skipped, so a
+    ball's adjacency slots can be passed as stored.  Callers restrict the
+    search inside neighbors.
     """
     seen = bytearray(n)
     layer = []
@@ -188,9 +191,8 @@ def bfs_layers(
         if not seen[v]:
             seen[v] = 1
             layer.append(v)
-    layers = []
     while layer:
-        layers.append(layer)
+        yield layer
         nxt = []
         for v in layer:
             for w in neighbors(v):
@@ -200,7 +202,25 @@ def bfs_layers(
                     seen[w] = 1
                     nxt.append(w)
         layer = nxt
-    return layers
+
+
+def walk_back(
+    layers: Sequence[List[int]],
+    w: int,
+    edges: Callable[[int], Iterable[Tuple[int, int]]],
+) -> Tuple[int, ...]:
+    """Letters of the search walk from layer 0 to w, a vertex of the last layer.
+
+    edges(u) yields u's search edges as (letter, vertex) in search order.
+    Each step back goes to the first vertex of the layer before with a
+    search edge to the current vertex, which is the vertex that discovered
+    it, across that vertex's first such edge.
+    """
+    letters = []
+    for layer in reversed(layers[:-1]):
+        letter, w = next((l, u) for u in layer for l, x in edges(u) if x == w)
+        letters.append(letter)
+    return tuple(reversed(letters))
 
 
 def multi_source_distance(ball: Ball, sources: Iterable[int]) -> List[int]:
@@ -224,23 +244,22 @@ class StarResult:
 
 
 def star(ball: Ball, seeds: Iterable[int], n: int) -> StarResult:
-    """Vertices within edge distance n of the seed set, clipped to the ball."""
-    current = set(seeds)
-    frontier = set(current)
-    clipped = False
-    for _ in range(n):
-        next_frontier = set()
-        for v in frontier:
-            if not ball.complete(v):
-                clipped = True
-            for _, other in ball.edges(v):
-                if other not in current:
-                    next_frontier.add(other)
-        current |= next_frontier
-        frontier = next_frontier
-        if not frontier:
-            break
-    return StarResult(vertices=frozenset(current), clipped=clipped)
+    """Vertices within edge distance n of the seed set, clipped to the ball.
+
+    clipped says a vertex closer than n to the seeds lies on the rim, so
+    the star may miss vertices outside the ball.
+    """
+    if n < 0:
+        raise ValueError("star radius must be nonnegative")
+    seeds = list(seeds)
+    for v in seeds:
+        if not (0 <= v < ball.n_vertices):
+            raise InsufficientRadiusError(f"seed vertex {v} not in ball")
+    layers = list(islice(bfs_layers(ball.neighbors, ball.n_vertices, seeds), n + 1))
+    return StarResult(
+        vertices=frozenset(v for layer in layers for v in layer),
+        clipped=any(not ball.complete(v) for layer in layers[:n] for v in layer),
+    )
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,8 @@
 
 Every subcommand writes one schema-versioned JSON report whose embedded
 scenario block pins all inputs that influence the numbers (group, subgroup,
-radius, schedules, margins).  Worker count and cache location never change
-a report byte: the cache stores exactly what a cold build produces, and
-``--workers`` is accepted but has no effect.
+radius, schedules, margins).  The cache location never changes a report
+byte: the cache stores exactly what a cold build produces.
 
 Exit codes: 0 for a conclusive run, 2 when the result is Inconclusive or a
 constant failed to stabilize, 1 for configuration or computation errors.
@@ -572,7 +571,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--group", help="free:k | abelian:k | bs:m,n | hnn:k,rows")
         p.add_argument("--subgroup", help="vertex | words:w1,w2,...")
         p.add_argument("--radius", type=int, help="ball radius")
-        p.add_argument("--workers", type=int, help="accepted; has no effect")
         p.add_argument("--cache-dir", dest="cache_dir", help="ball cache directory")
         p.add_argument(
             "--max-vertices", dest="max_vertices", type=int, help="ball vertex budget"

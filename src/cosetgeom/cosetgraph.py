@@ -74,6 +74,7 @@ class CosetPatch:
     dist: Tuple[int, ...]
     trusted: Tuple[bool, ...]
     adj: Tuple[Dict[int, Tuple[int, ...]], ...]
+    links: Tuple[Tuple[int, ...], ...]  # each coset's neighbours, sorted, once each
     _id_of_key: Dict[bytes, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -92,13 +93,10 @@ class CosetPatch:
         return self._id_of_key.get(key)
 
     def neighbors(self, cid: int) -> Tuple[int, ...]:
-        seen = set()
-        for targets in self.adj[cid].values():
-            seen.update(targets)
-        return tuple(sorted(seen))
+        return self.links[cid]
 
     def degree(self, cid: int) -> int:
-        return len(self.neighbors(cid))
+        return len(self.links[cid])
 
     def vertices_in_coset(self, cid: int) -> Tuple[int, ...]:
         return tuple(v for v, c in enumerate(self.coset_of) if c == cid)
@@ -223,12 +221,10 @@ def build_coset_patch(
         {letter: tuple(sorted(targets)) for letter, targets in sorted(bucket.items())}
         for bucket in edge_sets
     )
-
-    def linked(cid: int) -> List[int]:
-        return [t for targets in adj[cid].values() for t in targets]
+    links = tuple(tuple(sorted(set().union(*bucket.values()))) for bucket in edge_sets)
 
     dist = [UNREACHED] * n_cosets
-    for d, layer in enumerate(bfs_layers(linked, n_cosets, [coset_of[0]])):
+    for d, layer in enumerate(bfs_layers(links.__getitem__, n_cosets, [coset_of[0]])):
         for cid in layer:
             dist[cid] = d
 
@@ -248,6 +244,7 @@ def build_coset_patch(
         dist=tuple(dist),
         trusted=trusted,
         adj=adj,
+        links=links,
     )
 
 

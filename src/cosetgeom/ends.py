@@ -18,9 +18,10 @@ an independent verifier that uses only group arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from .cayley import Ball, PathInBall, UNREACHED, bfs_layers, multi_source_distance
+from .cayley import Ball, PathInBall, bfs_layers, walk_back
 from .cosetgraph import CosetPatch, _UnionFind, graph_view
 from .errors import (
     ConfigError,
@@ -171,26 +172,18 @@ def _bfs_route(
 ) -> Optional[Tuple[int, ...]]:
     """Letters of a shortest allowed path from start to a target, or None.
 
-    The path ends at the first target in discovery order.  Each step back
-    goes to the first vertex of the layer before with an edge to the current
-    vertex, which is the vertex that discovered it.
+    The path ends at the first target in discovery order, and the search
+    stops at the layer that holds it.
     """
-    layers = bfs_layers(
+    layers: List[List[int]] = []
+    for layer in bfs_layers(
         lambda u: [w for w in ball.neighbors(u) if allowed(w)], ball.n_vertices, [start]
-    )
-    found = next(
-        ((d, u) for d, layer in enumerate(layers) for u in layer if is_target(u)), None
-    )
-    if found is None:
-        return None
-    depth, w = found
-    letters: List[int] = []
-    for layer in reversed(layers[:depth]):
-        adjacent = set(ball.neighbors(w))
-        u = next(u for u in layer if u in adjacent)
-        letters.append(next(letter for letter, x in ball.edges(u) if x == w))
-        w = u
-    return tuple(reversed(letters))
+    ):
+        layers.append(layer)
+        for u in layer:
+            if is_target(u):
+                return walk_back(layers, u, ball.edges)
+    return None
 
 
 def _blocked_region(patch: CosetPatch, excluded: FrozenSet[int]) -> Set[int]:
@@ -256,20 +249,15 @@ def escape_route(
             "start vertex is trapped in a bounded pocket of its coset"
         )
 
-    if excluded:
-        dist_c = multi_source_distance(ball, excluded)
-    else:
-        dist_c = [UNREACHED] * n
-
-    def clear_of_star(u: int) -> bool:
-        return dist_c[u] == UNREACHED or dist_c[u] > k
+    search = bfs_layers(ball.neighbors, n, excluded)
+    near = {u for layer in islice(search, max(k + 1, 0)) for u in layer}  # within K
 
     home = coset_of[v]
     alpha = _bfs_route(
         ball,
         v,
         allowed=lambda u: coset_of[u] == home and u not in blocked,
-        is_target=clear_of_star,
+        is_target=lambda u: u not in near,
     )
     if alpha is None:
         max_c = max((ball.dist[u] for u in excluded), default=0)

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .cayley import Ball, bfs_layers
+from .cayley import Ball, bfs_layers, walk_back
 from .cosetgraph import CosetPatch, LambdaPath
 from .errors import (
     ConfigError,
@@ -162,15 +163,16 @@ def compute_f(
         values = []
         for r in radii:
             sources = [vid for vid in transfer if ball.dist[vid] <= r]
-            layers = bfs_layers(_q_steps(ball, qlets, r), ball.n_vertices, sources)
+            search = bfs_layers(_q_steps(ball, qlets, r), ball.n_vertices, sources)
+            sizes = [len(layer) for layer in search]
             # the search stays among the Q-vertices within r, so it reached
-            # them all when the counts agree, the last ones len(layers) - 1 away
-            if sum(map(len, layers)) != q_within[r]:
+            # them all when the counts agree, the last ones len(sizes) - 1 away
+            if sum(sizes) != q_within[r]:
                 raise NoTransferVertexError(
                     f"letter {render_word(spec, (s,))} has unreachable Q-vertices "
                     f"at radius {r}"
                 )
-            values.append(len(layers))
+            values.append(len(sizes))
         out[s] = ConstantScan(
             name=f"F[{render_word(spec, (s,))}]",
             radii=radii,
@@ -284,33 +286,25 @@ def _q_walk(
     which tells truncation from genuine absence.
     """
     ordered = sorted(qlets)
-    seen = {start}
-    layer: List[Tuple[int, Tuple[int, ...]]] = [(start, ())]
+
+    def steps(u: int) -> List[Tuple[int, int]]:
+        # rim vertices are tested for hits but never expanded
+        if not ball.complete(u):
+            return []
+        return [(letter, ball.neighbor(u, letter)) for letter in ordered]
+
+    layers: List[List[int]] = []
     saw_rim = False
-    depth = 0
-    while True:
-        for w, walk in layer:
+    search = bfs_layers(lambda u: [w for _, w in steps(u)], ball.n_vertices, [start])
+    for layer in islice(search, max_len + 1):
+        layers.append(layer)
+        for w in layer:
             if not ball.complete(w):
                 saw_rim = True
             end = hit(w)
             if end is not None:
-                return (walk, end), saw_rim
-        depth += 1
-        if depth > max_len:
-            return None, saw_rim
-        nxt: List[Tuple[int, Tuple[int, ...]]] = []
-        for w, walk in layer:
-            if not ball.complete(w):
-                continue
-            for letter in ordered:
-                nb = ball.neighbor(w, letter)
-                if nb is None or nb in seen:
-                    continue
-                seen.add(nb)
-                nxt.append((nb, walk + (letter,)))
-        if not nxt:
-            return None, saw_rim
-        layer = nxt
+                return (walk_back(layers, w, steps), end), saw_rim
+    return None, saw_rim
 
 
 def _crossing(

@@ -9,8 +9,9 @@ HNN groups get an affine representation too, faithful on all of them.  The refer
 builder pins the production builder's numbering and adjacency using only Group.multiply.
 The coset sweep pins a patch's labelling, and the brute-force Hausdorff
 distances in Z^2 and F_2 use arithmetic of their own.  The parent-map route
-search pins the letters of escape routes, which the package reads off BFS
-layers instead.
+search pins the letters of escape routes, and the walk-carrying Q-walk those
+of lifts and ladders, which the package reads off BFS layers instead.  The
+set-based star pins the one the package takes from the first BFS layers.
 """
 
 from __future__ import annotations
@@ -424,8 +425,8 @@ def brute_hausdorff(model, g, r: int, reach: int) -> Tuple[int, int]:
 #
 # Each vertex records the vertex and letter that discovered it, and the
 # search stops at the first target it discovers.  The package finds the same
-# route from whole BFS layers, stepping back through the first vertex of
-# each earlier layer with an edge to the current one.
+# route from the BFS layers up to the target's, stepping back through the
+# first vertex of each earlier layer with an edge to the current one.
 
 
 def reference_route(
@@ -456,3 +457,71 @@ def reference_route(
                 nxt.append(w)
         frontier = nxt
     return None
+
+
+# ---------------------------------------------------------------------------
+# Q-walks that carry their walks, and stars grown as sets
+# ---------------------------------------------------------------------------
+#
+# The Q-walk extends each vertex's walk by one letter as it discovers a
+# neighbour, trying Q-letters in sorted order from each vertex of a layer in
+# turn, and never expands a rim vertex.  The star grows a vertex set one
+# frontier at a time.
+
+
+def reference_q_walk(
+    ball,
+    qlets: Sequence[int],
+    start: int,
+    hit: Callable[[int], Optional[int]],
+    max_len: int,
+) -> Tuple[Optional[Tuple[Tuple[int, ...], int]], bool]:
+    """((walk, result vertex) of the first hit, or None; saw_rim)."""
+    ordered = sorted(qlets)
+    seen = {start}
+    layer: List[Tuple[int, Tuple[int, ...]]] = [(start, ())]
+    saw_rim = False
+    depth = 0
+    while True:
+        for w, walk in layer:
+            if not ball.complete(w):
+                saw_rim = True
+            end = hit(w)
+            if end is not None:
+                return (walk, end), saw_rim
+        depth += 1
+        if depth > max_len:
+            return None, saw_rim
+        nxt: List[Tuple[int, Tuple[int, ...]]] = []
+        for w, walk in layer:
+            if not ball.complete(w):
+                continue
+            for letter in ordered:
+                nb = ball.neighbor(w, letter)
+                if nb is None or nb in seen:
+                    continue
+                seen.add(nb)
+                nxt.append((nb, walk + (letter,)))
+        if not nxt:
+            return None, saw_rim
+        layer = nxt
+
+
+def reference_star(ball, seeds: Iterable[int], n: int) -> Tuple[frozenset, bool]:
+    """(vertices within n of the seeds, whether a vertex closer than n is on the rim)."""
+    current = set(seeds)
+    frontier = set(current)
+    clipped = False
+    for _ in range(n):
+        next_frontier = set()
+        for v in frontier:
+            if not ball.complete(v):
+                clipped = True
+            for _, other in ball.edges(v):
+                if other not in current:
+                    next_frontier.add(other)
+        current |= next_frontier
+        frontier = next_frontier
+        if not frontier:
+            break
+    return frozenset(current), clipped

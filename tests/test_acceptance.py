@@ -350,9 +350,7 @@ def test_criterion_8_escape_paths(patch_bs12_r10, patch_bs23_r10, patch_ab2_r12)
     )
 
 
-def test_criterion_9_reports_identical_across_worker_counts(tmp_path):
-    cache = tmp_path / "cache"
-    cache.mkdir()
+def test_criterion_9_reports_identical_cold_and_warm(tmp_path):
     matrix = [
         ["ball", "--group", "free:2", "--radius", "5"],
         ["coset-graph", "--group", "bs:1,2", "--radius", "6"],
@@ -369,20 +367,21 @@ def test_criterion_9_reports_identical_across_worker_counts(tmp_path):
         ["export", "--group", "bs:1,2", "--radius", "5", "--what", "patch",
          "--dot", str(tmp_path / "patch.dot")],
     ]
-    for argv in matrix:
+    for i, argv in enumerate(matrix):
         reports = {}
-        for workers in ("1", "4"):
-            out = tmp_path / f"{argv[0]}-w{workers}.json"
-            code = main(
-                argv
-                + ["--workers", workers, "--cache-dir", str(cache), "--out", str(out)]
-            )
+        # each command gets an empty cache: the first run builds the ball and
+        # writes it, the second loads it
+        cache = tmp_path / f"cache-{i}"
+        for run in ("cold", "warm"):
+            out = tmp_path / f"{argv[0]}-{run}.json"
+            code = main(argv + ["--cache-dir", str(cache), "--out", str(out)])
             assert code == 0, argv
-            reports[workers] = out.read_bytes()
+            reports[run] = out.read_bytes()
             if argv[0] == "export":
-                reports[workers] += (tmp_path / "patch.dot").read_bytes()
-        assert reports["1"] == reports["4"], argv
+                reports[run] += (tmp_path / "patch.dot").read_bytes()
+        assert len(list(cache.glob("ball-*.json"))) == 1, argv
+        assert reports["cold"] == reports["warm"], argv
     print(
         f"criterion 9 (determinism): PASS; {len(matrix)} subcommand "
-        "reports byte-identical for 1 and 4 workers"
+        "reports byte-identical from a cold and a warm cache"
     )

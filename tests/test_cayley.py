@@ -38,7 +38,7 @@ from cosetgeom.groups import (
     parse_word,
 )
 
-from .oracles import REFERENCE_GROUPS, ReferenceOverflow, reference_ball
+from .oracles import REFERENCE_GROUPS, ReferenceOverflow, reference_ball, reference_star
 
 FREE2 = free_group(2)
 AB2 = free_abelian_group(2)
@@ -242,17 +242,24 @@ class TestBfsLayers:
             adj = build_ball(spec, radius).adj
             for sources in ([0], axis, rng.sample(range(n), min(n, 5))):
                 want = queue_layers(sub, sources)
-                got = bfs_layers(lambda v: [w for _, w in sub[v]], n, sources)
+                got = list(bfs_layers(lambda v: [w for _, w in sub[v]], n, sources))
                 assert got == want, (radius, sources)
                 # stored slots, NO_EDGE included, give the same layers
-                assert bfs_layers(lambda v: adj[v * k : v * k + k], n, sources) == want
+                slots = bfs_layers(lambda v: adj[v * k : v * k + k], n, sources)
+                assert list(slots) == want
 
     def test_no_sources_and_repeated_sources(self):
         ball = build_ball(AB2, 2)
-        assert bfs_layers(ball.neighbors, ball.n_vertices, []) == []
-        layers = bfs_layers(ball.neighbors, ball.n_vertices, [3, 0, 3])
+        assert list(bfs_layers(ball.neighbors, ball.n_vertices, [])) == []
+        layers = list(bfs_layers(ball.neighbors, ball.n_vertices, [3, 0, 3]))
         assert layers[0] == [3, 0]
         assert sorted(v for layer in layers for v in layer) == list(range(ball.n_vertices))
+
+    def test_yields_a_layer_before_searching_the_next(self):
+        def refuse(v):
+            raise AssertionError(f"searched from vertex {v}")
+
+        assert next(bfs_layers(refuse, 3, [2, 0])) == [2, 0]
 
 
 class TestStar:
@@ -277,6 +284,30 @@ class TestStar:
         ball = build_ball(FREE2, 2)
         boundary = next(vid for vid in range(ball.n_vertices) if ball.dist[vid] == 2)
         assert star(ball, [boundary], 1).clipped
+
+    @pytest.mark.parametrize("seed", [-1, 25], ids=["before", "past"])
+    def test_seed_outside_ball_raises(self, seed):
+        ball = build_ball(AB2, 3)
+        assert ball.n_vertices == 25
+        with pytest.raises(InsufficientRadiusError, match=f"vertex {seed} not in ball"):
+            star(ball, [0, seed], 1)
+
+    def test_negative_radius_raises(self):
+        with pytest.raises(ValueError):
+            star(build_ball(AB2, 3), [0], -1)
+
+    @pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=REFERENCE_GROUPS)
+    def test_matches_set_based_star(self, spec):
+        rng = random.Random(spec.describe())
+        for radius in range(1, 7):
+            ball = build_ball(spec, radius)
+            for _ in range(6):
+                size = min(ball.n_vertices, rng.randint(1, 3))
+                seeds = rng.sample(range(ball.n_vertices), size)
+                for n in range(5):
+                    got = star(ball, seeds, n)
+                    want = reference_star(ball, seeds, n)
+                    assert (got.vertices, got.clipped) == want, (radius, seeds, n)
 
 
 class TestPaths:

@@ -142,8 +142,9 @@ class TestReportsAndExitCodes:
         [
             ["ball", "--group", "free:2", "--radius", "2", "--no-such-flag"],
             ["ball", "--group", "free:2", "--radius", "x"],
+            ["ball", "--group", "free:2", "--radius", "2", "--workers", "4"],
         ],
-        ids=["unknown-flag", "non-integer-radius"],
+        ids=["unknown-flag", "non-integer-radius", "removed-workers-flag"],
     )
     def test_malformed_command_line_exits_one(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -211,15 +212,6 @@ class TestScenarioResolution:
 
 
 class TestDeterminismAndCache:
-    def test_reports_byte_identical_across_workers(self, cache_dir, tmp_path):
-        args = ["commensurate", "--group", "abelian:2", "--radius", "10"]
-        code1, _ = run_cli(args + ["--workers", "1"], cache_dir, tmp_path, "w1.json")
-        code4, _ = run_cli(args + ["--workers", "4"], cache_dir, tmp_path, "w4.json")
-        assert code1 == code4 == 0
-        assert (tmp_path / "w1.json").read_bytes() == (
-            tmp_path / "w4.json"
-        ).read_bytes()
-
     def test_cache_hit_reproduces_report(self, cache_dir, tmp_path):
         args = ["ends", "--group", "bs:1,2", "--radius", "8"]
         code1, _ = run_cli(args, cache_dir, tmp_path, "cold.json")

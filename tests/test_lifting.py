@@ -26,14 +26,26 @@ from cosetgeom.groups import (
 from cosetgeom.lifting import (
     STABLE,
     LiftConstants,
+    _crossing,
+    _q_walk,
     approximate_lift,
     compute_f,
     compute_m,
     lift_constants,
 )
-from cosetgeom.subgroups import coset_key, is_member, vertex_subgroup, word_subgroup
+from cosetgeom.subgroups import (
+    coset_key,
+    is_member,
+    k_letters,
+    q_letters,
+    vertex_subgroup,
+    word_subgroup,
+)
+
+from .oracles import REFERENCE_GROUPS, reference_q_walk
 
 Q = vertex_subgroup()
+REFERENCE_SPECS = [parse_group_spec(text) for text in REFERENCE_GROUPS]
 
 
 def element(spec, text):
@@ -240,6 +252,37 @@ class TestBruteForceConstants:
                             compute_m(spec, Q, ball, f, (r1, r2))
                     else:
                         assert compute_m(spec, Q, ball, f, (r1, r2)).values == values
+
+
+class TestQWalkOracle:
+    """_q_walk against the walk-carrying loop it replaced, hit for hit."""
+
+    @pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=REFERENCE_GROUPS)
+    def test_matches_walk_carrying_search(self, spec):
+        rng = random.Random(spec.describe())
+        qlets = q_letters(spec, Q)
+        crossings = k_letters(spec, Q) or spec.letters
+        for radius in range(1, 7):
+            ball = build_ball(spec, radius)
+            n = ball.n_vertices
+            for _ in range(8):
+                start = rng.randrange(n)
+                # a goal some Q-steps away, which may lie past the rim
+                goal = start
+                for _ in range(rng.randint(0, 4)):
+                    step = ball.neighbor(goal, rng.choice(qlets))
+                    goal = goal if step is None else step
+                lands = set(rng.sample(range(n), max(1, n // 4)))
+                hits = [
+                    lambda w: w if w == goal else None,
+                    _crossing(ball, rng.choice(crossings), lands.__contains__),
+                    lambda w: None,
+                ]
+                for hit in hits:
+                    for max_len in range(5):
+                        got = _q_walk(ball, qlets, start, hit, max_len)
+                        want = reference_q_walk(ball, qlets, start, hit, max_len)
+                        assert got == want, (radius, start, max_len)
 
 
 class TestApproximateLift:
