@@ -5,12 +5,14 @@ and checks the exit code contract: 0 conclusive, 2 inconclusive, 1 error.
 A module-scoped cache directory keeps repeated ball builds cheap.
 """
 
+import hashlib
 import json
 
 import pytest
 
+from cosetgeom import build_ball, build_coset_patch, export_dot, parse_group_spec
 from cosetgeom import cli as cli_module
-from cosetgeom.cli import main
+from cosetgeom.cli import main, parse_subgroup_spec
 
 
 @pytest.fixture(scope="module")
@@ -405,6 +407,34 @@ class TestDotExport:
         assert captured.out == ""
         assert "error:" in captured.err
         assert not dot_path.exists()
+
+    @pytest.mark.parametrize(
+        "group,radius,subgroup,digest",
+        [
+            ("free:2", 3, None,
+             "dbd0a5714498a2a2cfdb559e275e6e97077b180f983dd1fdf2aca19e54b960ce"),
+            ("free:2", 3, "vertex",
+             "3ff8bfdb61c4c8b455e90047ae1ddb257ee13cee5827940443bf2c7296da63e4"),
+            ("bs:1,2", 5, None,
+             "b81656f7f32a7c04706a7333a9785c607357c50593405cdfbc38507401450302"),
+            ("bs:1,2", 5, "vertex",
+             "1b214b24a6faa57f9c6f9ed98df2db955842b272fd3c72ada72aa91aa3d0aee3"),
+            ("bs:1,2", 5, "words:x,t.x.t^-1",
+             "1d03f617da911707e747b6f39b47efbf796dff974b8370768a12c7b30d9fa432"),
+            ("hnn:2,2 1;0 2", 3, None,
+             "e8bbf2ab22d532526853bbd1212b09ac09d78467d259c46f94dfcb08b327ea14"),
+            ("hnn:2,2 1;0 2", 3, "vertex",
+             "7e39e1d2a363c45ef8800999573d8be2ca997b730085a6f1b39f67e837396c24"),
+        ],
+    )
+    def test_dot_bytes_are_pinned(self, group, radius, subgroup, digest):
+        # Golden digests of export_dot output: a ball when subgroup is None,
+        # else the coset patch of that subgroup.
+        spec = parse_group_spec(group)
+        graph = build_ball(spec, radius)
+        if subgroup is not None:
+            graph = build_coset_patch(spec, parse_subgroup_spec(spec, subgroup), graph)
+        assert hashlib.sha256(export_dot(graph).encode()).hexdigest() == digest
 
     def test_ball_subcommand_writes_dot_too(self, cache_dir, tmp_path):
         dot_path = tmp_path / "ball2.dot"
