@@ -223,18 +223,26 @@ def walk_back(
     return tuple(reversed(letters))
 
 
+def bfs_distances(
+    neighbors: Callable[[int], Iterable[int]], n: int, sources: Iterable[int]
+) -> List[int]:
+    """Edge distance from the sources of each vertex, UNREACHED if never reached.
+
+    neighbors, n and sources are as for bfs_layers.
+    """
+    out = [UNREACHED] * n
+    for d, layer in enumerate(bfs_layers(neighbors, n, sources)):
+        for v in layer:
+            out[v] = d
+    return out
+
+
 def multi_source_distance(ball: Ball, sources: Iterable[int]) -> List[int]:
     """Edge distance from a vertex set, inside the ball; UNREACHED if cut off."""
     # Whole-ball passes read the adjacency slots directly: a generator of
     # (letter, vertex) pairs per vertex would cost several times more.
     adj, k = ball.adj, len(ball.letters)
-    out = [UNREACHED] * ball.n_vertices
-    for d, layer in enumerate(
-        bfs_layers(lambda v: adj[v * k : v * k + k], ball.n_vertices, sources)
-    ):
-        for v in layer:
-            out[v] = d
-    return out
+    return bfs_distances(lambda v: adj[v * k : v * k + k], ball.n_vertices, sources)
 
 
 @dataclass(frozen=True)
@@ -331,8 +339,8 @@ def ball_from_payload(payload) -> Ball:
     ) as exc:
         raise ValueError(f"malformed ball payload: {exc!r}") from None
     n = len(elements)
-    if not n == len(dist) == len(rows):
-        raise ValueError("ball payload fields disagree")
+    if not n == len(index) == len(dist) == len(rows):
+        raise ValueError("ball payload fields disagree or repeat a vertex")
     if min(dist) < 0 or max(dist) > radius or min(adj) < NO_EDGE or max(adj) >= n:
         raise ValueError("ball payload distance or vertex id out of range")
     return Ball(

@@ -262,8 +262,7 @@ def cmd_coset_graph(sc: Scenario):
         result["edges"] = [
             [cid, sc.letter_name(letter), target]
             for cid in range(patch.n_cosets)
-            for letter, targets in patch.adj[cid].items()
-            for target in targets
+            for letter, target in patch.edges(cid)
         ]
     dot = export_dot(patch) if sc.settings.get("dot") else None
     return sc.block(trust_margin=sc.trust_margin), result, STATUS_OK, dot
@@ -514,18 +513,9 @@ def cmd_export(sc: Scenario):
     if what not in ("ball", "patch"):
         raise ConfigError(f"unknown export target {what!r} (use ball or patch)")
     sc.settings.require("dot")
-    if what == "ball":
-        graph = sc.ball
-        nodes = graph.n_vertices
-        edges = sum(1 for v in range(nodes) for _ in graph.edges(v))
-    else:
-        graph = sc.patch
-        edges = sum(
-            len(targets)
-            for cid in range(graph.n_cosets)
-            for targets in graph.adj[cid].values()
-        )
-        nodes = graph.n_cosets
+    graph = sc.ball if what == "ball" else sc.patch
+    nodes = graph.n_vertices if what == "ball" else graph.n_cosets
+    edges = sum(1 for v in range(nodes) for _ in graph.edges(v))
     result = {"graph": what, "nodes": nodes, "edges": edges}
     return sc.block(what=what), result, STATUS_OK, export_dot(graph)
 

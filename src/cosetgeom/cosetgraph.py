@@ -16,9 +16,9 @@ to the boundary that their recorded degree is likely clipped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .cayley import Ball, PathInBall, UNREACHED, bfs_layers
+from .cayley import Ball, PathInBall, bfs_distances
 from .errors import ConfigError, InsufficientRadiusError
 from .groups import GroupSpec, group_for
 from .subgroups import VERTEX, WORDS, SubgroupSpec, coset_key
@@ -97,6 +97,12 @@ class CosetPatch:
 
     def degree(self, cid: int) -> int:
         return len(self.links[cid])
+
+    def edges(self, cid: int) -> Iterator[Tuple[int, int]]:
+        """(letter, coset) for each edge leaving the coset, by letter then coset."""
+        for letter, targets in self.adj[cid].items():
+            for target in targets:
+                yield letter, target
 
     def vertices_in_coset(self, cid: int) -> Tuple[int, ...]:
         return tuple(v for v, c in enumerate(self.coset_of) if c == cid)
@@ -223,10 +229,7 @@ def build_coset_patch(
     )
     links = tuple(tuple(sorted(set().union(*bucket.values()))) for bucket in edge_sets)
 
-    dist = [UNREACHED] * n_cosets
-    for d, layer in enumerate(bfs_layers(links.__getitem__, n_cosets, [coset_of[0]])):
-        for cid in layer:
-            dist[cid] = d
+    dist = bfs_distances(links.__getitem__, n_cosets, [coset_of[0]])
 
     trusted = tuple(
         ball.dist[w] + trust_margin <= ball.radius for w in witness
@@ -282,9 +285,6 @@ class DegreeProfile:
 
     def histogram_dict(self) -> Dict[int, int]:
         return dict(self.histogram)
-
-    def per_label_dict(self) -> Dict[int, int]:
-        return dict(self.per_label)
 
 
 def degree_profile(patch: CosetPatch) -> DegreeProfile:

@@ -20,59 +20,42 @@ def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def export_dot(graph: Union[Ball, CosetPatch], name: str = None) -> str:
+def export_dot(graph: Union[Ball, CosetPatch]) -> str:
+    """One node line per vertex, then one edge line per directed edge.
+
+    A ball and a patch differ only in their node names, sort keys and node
+    attributes; both list their edges through ``graph.edges``.
+    """
+    if not isinstance(graph, (Ball, CosetPatch)):
+        raise ConfigError(f"cannot export {type(graph).__name__} as DOT")
+    group = group_for(graph.spec)
     if isinstance(graph, Ball):
-        return _ball_dot(graph, name or "cayley_ball")
-    if isinstance(graph, CosetPatch):
-        return _patch_dot(graph, name or "coset_patch")
-    raise ConfigError(f"cannot export {type(graph).__name__} as DOT")
+        name, prefix, n = "cayley_ball", "v", graph.n_vertices
+        keys = [group.canonical_key(a) for a in graph.elements]
 
+        def attrs(v: int) -> str:
+            label = group.render(graph.elements[v])
+            return f"label={_quote(label)}, dist={graph.dist[v]}"
 
-def _ball_dot(ball: Ball, name: str) -> str:
-    spec = ball.spec
-    group = group_for(spec)
-    keys = [group.canonical_key(a) for a in ball.elements]
-    order = sorted(range(ball.n_vertices), key=lambda v: keys[v])
+    else:
+        name, prefix, n = "coset_patch", "c", graph.n_cosets
+        keys = graph.keys
+
+        def attrs(c: int) -> str:
+            witness = group.render(graph.ball.elements[graph.witness[c]])
+            trust = "true" if graph.trusted[c] else "false"
+            return f"label={_quote(witness)}, dist={graph.dist[c]}, trusted={trust}"
+
     lines: List[str] = [f"digraph {name} {{"]
-    for v in order:
-        label = group.render(ball.elements[v])
-        lines.append(f"  v{v} [label={_quote(label)}, dist={ball.dist[v]}];")
-    edges = []
-    for v in range(ball.n_vertices):
-        for letter, w in ball.edges(v):
-            edges.append((keys[v], letter, keys[w], v, w))
-    for _, letter, _, v, w in sorted(edges):
-        label = render_word(spec, (letter,))
-        lines.append(f"  v{v} -> v{w} [label={_quote(label)}];")
+    for v in sorted(range(n), key=keys.__getitem__):
+        lines.append(f"  {prefix}{v} [{attrs(v)}];")
+    edges = sorted(
+        (keys[v], letter, keys[w], v, w)
+        for v in range(n)
+        for letter, w in graph.edges(v)
+    )
+    for _, letter, _, v, w in edges:
+        label = _quote(render_word(graph.spec, (letter,)))
+        lines.append(f"  {prefix}{v} -> {prefix}{w} [label={label}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _patch_dot(patch: CosetPatch, name: str) -> str:
-    spec = patch.spec
-    group = group_for(spec)
-    ball = patch.ball
-    lines: List[str] = [f"digraph {name} {{"]
-    order = sorted(range(patch.n_cosets), key=lambda c: patch.keys[c])
-    for cid in order:
-        witness = group.render(ball.elements[patch.witness[cid]])
-        trust = "true" if patch.trusted[cid] else "false"
-        lines.append(
-            f"  c{cid} [label={_quote(witness)}, dist={patch.dist[cid]}, "
-            f"trusted={trust}];"
-        )
-    edges = []
-    for cid in range(patch.n_cosets):
-        for letter, targets in patch.adj[cid].items():
-            for target in targets:
-                edges.append((patch.keys[cid], letter, patch.keys[target], cid, target))
-    for _, letter, _, cid, target in sorted(edges):
-        label = render_word(spec, (letter,))
-        lines.append(f"  c{cid} -> c{target} [label={_quote(label)}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def write_dot(graph: Union[Ball, CosetPatch], path: str, name: str = None) -> None:
-    with open(path, "w") as fh:
-        fh.write(export_dot(graph, name))

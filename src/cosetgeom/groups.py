@@ -536,24 +536,8 @@ def group_for(spec: GroupSpec) -> Group:
     return AscendingHNNGroup(spec)
 
 
-def identity(spec: GroupSpec) -> Element:
-    return group_for(spec).identity()
-
-
-def multiply(spec: GroupSpec, a: Element, b: Element) -> Element:
-    return group_for(spec).multiply(a, b)
-
-
-def invert(spec: GroupSpec, a: Element) -> Element:
-    return group_for(spec).invert(a)
-
-
 def evaluate_word(spec: GroupSpec, word: Iterable[Letter], start: Element = None) -> Element:
     return group_for(spec).evaluate_word(word, start)
-
-
-def canonical_key(spec: GroupSpec, a: Element) -> bytes:
-    return group_for(spec).canonical_key(a)
 
 
 def inverse_word(word: Iterable[Letter]) -> Word:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from .cayley import Ball, UNREACHED, bfs_layers
+from .cayley import Ball, bfs_distances
 from .cosetgraph import CosetPatch, graph_view
 from .errors import (
     ConfigError,
@@ -54,13 +54,8 @@ def build_ray_system(graph: Union[Ball, CosetPatch], base: int = 0) -> RaySystem
     n = len(dist)
     if not (0 <= base < n):
         raise ConfigError(f"base vertex {base} not in graph")
-    if base == 0:
-        shell = list(dist)  # the graph's own distances are from vertex 0
-    else:
-        shell = [UNREACHED] * n
-        for d, layer in enumerate(bfs_layers(neighbors, n, [base])):
-            for v in layer:
-                shell[v] = d
+    # the graph's own distances are from vertex 0
+    shell = list(dist) if base == 0 else bfs_distances(neighbors, n, [base])
     horizon = max(shell)
 
     rays: List[Tuple[int, ...]] = []
@@ -116,7 +111,6 @@ class LadderReport:
 @dataclass(frozen=True)
 class Ladder:
     constants: LiftConstants
-    base: int
     prefix: Tuple[int, ...]
     crossing: int
     target_key: bytes
@@ -157,9 +151,8 @@ def build_ladder(
     prefix: Sequence[int],
     crossing: int,
     constants: LiftConstants,
-    base: int = 0,
 ) -> Ladder:
-    """Build and check a homotopy ladder along a Q-letter prefix."""
+    """Build and check a homotopy ladder along a Q-letter prefix from the identity."""
     if q.mode != VERTEX:
         raise ConfigError("ladders need exact coset keys (vertex mode)")
     if constants.confidence != STABLE:
@@ -171,10 +164,8 @@ def build_ladder(
     for e in prefix:
         if e not in qlets:
             raise ConfigError(f"prefix letter {e} must lie in Q")
-    if not (0 <= base < ball.n_vertices):
-        raise ConfigError(f"base vertex {base} not in ball")
 
-    vids = [base]
+    vids = [0]
     for i, e in enumerate(prefix):
         nb = ball.neighbor(vids[-1], e)
         if nb is None:
@@ -245,7 +236,6 @@ def build_ladder(
 
     ladder = Ladder(
         constants=constants,
-        base=base,
         prefix=prefix,
         crossing=crossing,
         target_key=target_key,

@@ -7,7 +7,6 @@ keeps the cubic and quintic algorithms comfortably cheap.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence, Tuple
 
 IntMatrix = Tuple[Tuple[int, ...], ...]
@@ -143,12 +142,3 @@ def reduce_mod_lattice(H: IntMatrix, v: Sequence[int]) -> IntVector:
             for row in range(i, k):
                 r[row] -= c * H[row][i]
     return tuple(r)
-
-
-def mat_inverse_fraction(A: IntMatrix):
-    """Exact rational inverse, used only by test oracles and sanity checks."""
-    det = determinant(A)
-    if det == 0:
-        raise ValueError("matrix is singular")
-    adj = adjugate(A)
-    return tuple(tuple(Fraction(x, det) for x in row) for row in adj)

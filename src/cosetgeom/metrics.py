@@ -62,10 +62,10 @@ class HausdorffProfile:
         return self.values[-1].k
 
 
-def _profile_verdict(values: Sequence[RadiusValue], window: int) -> str:
-    if len(values) < window:
+def _profile_verdict(values: Sequence[RadiusValue]) -> str:
+    if len(values) < STABILIZATION_WINDOW:
         return INCONCLUSIVE
-    tail = values[-window:]
+    tail = values[-STABILIZATION_WINDOW:]
     ks = [v.k for v in tail]
     if len(set(ks)) == 1 and all(v.exact for v in tail):
         return COMMENSURATED
@@ -78,7 +78,6 @@ def hausdorff_profile(
     patch: CosetPatch,
     g: Element,
     radii: Sequence[int],
-    window: int = STABILIZATION_WINDOW,
 ) -> HausdorffProfile:
     """Measure the two one-sided coset distances at each requested radius.
 
@@ -128,8 +127,8 @@ def hausdorff_profile(
         g=g,
         g_text=group_for(patch.spec).render(g),
         values=tuple(values),
-        verdict=_profile_verdict(values, window),
-        window=window,
+        verdict=_profile_verdict(values),
+        window=STABILIZATION_WINDOW,
         margin=SAFETY_MARGIN,
     )
 
@@ -172,9 +171,9 @@ def default_test_elements(spec: GroupSpec) -> List[Tuple[str, Element]]:
     return out
 
 
-def default_radii(ball_radius: int, window: int = STABILIZATION_WINDOW) -> List[int]:
+def default_radii(ball_radius: int) -> List[int]:
     """A reasonable profile schedule: every radius from 2 up to R - 3."""
-    top = ball_radius - window
+    top = ball_radius - STABILIZATION_WINDOW
     if top < 2:
         raise ConfigError(f"ball radius {ball_radius} too small for a profile")
     return list(range(2, top + 1))
@@ -194,9 +193,6 @@ class IntersectionEvidence:
     g: Element
     g_text: str
     per_radius: Tuple[Tuple[int, int, int], ...]
-
-    def final_coset_count(self) -> int:
-        return self.per_radius[-1][2]
 
     def coset_counts(self) -> Tuple[int, ...]:
         return tuple(row[2] for row in self.per_radius)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import hypothesis
 import pytest
 
@@ -17,7 +19,7 @@ from cosetgeom.subgroups import vertex_subgroup
 hypothesis.settings.register_profile("fast", max_examples=25)
 hypothesis.settings.register_profile("default", max_examples=75)
 hypothesis.settings.register_profile("thorough", max_examples=400)
-hypothesis.settings.load_profile("default")
+hypothesis.settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

@@ -378,12 +378,16 @@ class TestSerialization:
             lambda p: {**p, "dist": [300] + p["dist"][1:]},
             lambda p: {**p, "dist": [-1] + p["dist"][1:]},
             lambda p: {**p, "dist": [p["radius"] + 1] + p["dist"][1:]},
+            # vertices[1] set to vertices[2]: one key twice, one index entry short
+            lambda p: {
+                **p, "vertices": p["vertices"][:1] + p["vertices"][2:3] + p["vertices"][2:]
+            },
         ],
         ids=[
             "list", "string", "vertices-null", "vertex-int", "bad-group",
             "radius-text", "short-dist", "long-adj", "adj-row-int",
             "unknown-letter", "vertex-id-past-end", "dist-300", "dist-negative",
-            "dist-past-radius",
+            "dist-past-radius", "repeated-vertex",
         ],
     )
     def test_wrong_shape_cache_file_is_rebuilt(self, tmp_path, reshape):

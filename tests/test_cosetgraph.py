@@ -95,6 +95,9 @@ def test_patch_labelling_matches_a_coset_key_sweep(text):
         assert list(patch.keys) == keys, radius
         assert list(patch.coset_of) == coset_of, radius
         assert [patch.coset_id(key) for key in keys] == list(range(len(keys)))
+        for c in range(patch.n_cosets):
+            flat = [(l, t) for l, targets in patch.adj[c].items() for t in targets]
+            assert list(patch.edges(c)) == flat, (radius, c)
 
 
 class TestPartitionSoundness:
