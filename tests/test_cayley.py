@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import random
 from array import array
@@ -424,6 +425,21 @@ class TestSerialization:
             save_ball(build_ball(AB2, 4), str(path))
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize(
+        "group,radius,digest",
+        [
+            ("free:2", 3,
+             "c7e63c829145c1aa053fa6442ea5cbfe43084a10f9a1a56b2fe4c7414ad5a7ca"),
+            ("bs:1,2", 5,
+             "b3942b515fde93e1a48317f42c597411664969c22127bfcfd9bd39dd87d57eca"),
+        ],
+    )
+    def test_cache_file_bytes_are_pinned(self, tmp_path, group, radius, digest):
+        spec = parse_group_spec(group)
+        cached_ball(spec, radius, str(tmp_path))
+        data = (tmp_path / ball_cache_name(spec, radius)).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
 
     def test_save_load_bytes_stable(self, tmp_path):
         ball = build_ball(AB2, 5)
