@@ -20,7 +20,6 @@ from cosetgeom import (
     LambdaPath,
     PathInBall,
     approximate_lift,
-    build_ball,
     build_coset_patch,
     cached_ball,
     lift_constants,
@@ -34,12 +33,7 @@ def random_walk(patch, rng, max_len):
     length = rng.randint(0, max_len)
     cosets, letters = [0], []
     for _ in range(length):
-        options = [
-            (letter, target)
-            for letter, targets in sorted(patch.adj[cosets[-1]].items())
-            for target in targets
-        ]
-        letter, target = rng.choice(options)
+        letter, target = rng.choice(list(patch.edges(cosets[-1])))
         letters.append(letter)
         cosets.append(target)
     return LambdaPath(tuple(cosets), tuple(letters))
@@ -57,12 +51,9 @@ def main(argv=None):
 
     spec = parse_group_spec(args.group)
     q = vertex_subgroup()
-    if args.cache_dir:
-        ball = cached_ball(spec, args.radius, args.cache_dir)
-    else:
-        ball = build_ball(spec, args.radius)
-    patch = build_coset_patch(spec, q, ball)
-    constants = lift_constants(spec, q, ball)
+    ball = cached_ball(spec, args.radius, args.cache_dir)
+    patch = build_coset_patch(q, ball)
+    constants = lift_constants(q, ball)
     print(
         f"{spec.describe()} radius {args.radius}: |B|={ball.n_vertices}, "
         f"{patch.n_cosets} cosets, F={constants.f} M={constants.m} "

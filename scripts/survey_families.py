@@ -17,7 +17,6 @@ import sys
 from cosetgeom import (
     NotStabilizedError,
     baumslag_solitar,
-    build_ball,
     build_coset_patch,
     cached_ball,
     commensuration_verdict,
@@ -43,11 +42,8 @@ INSTANCES = (
 
 def survey_instance(spec, radius, cache_dir):
     q = vertex_subgroup()
-    if cache_dir:
-        ball = cached_ball(spec, radius, cache_dir)
-    else:
-        ball = build_ball(spec, radius)
-    patch = build_coset_patch(spec, q, ball)
+    ball = cached_ball(spec, radius, cache_dir)
+    patch = build_coset_patch(q, ball)
 
     radii = default_radii(ball.radius)
     profiles = [
@@ -57,7 +53,7 @@ def survey_instance(spec, radius, cache_dir):
     verdict = commensuration_verdict(profiles)
 
     try:
-        constants = lift_constants(spec, q, ball)
+        constants = lift_constants(q, ball)
         constants_row = {
             "confidence": constants.confidence,
             "f_per_letter": [

@@ -362,7 +362,9 @@ def save_ball(ball: Ball, path: str) -> None:
     tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
         with open(tmp, "w") as fh, _collector_paused():
-            json.dump(ball_to_payload(ball), fh, sort_keys=True, separators=(",", ":"))
+            fh.write(
+                json.dumps(ball_to_payload(ball), sort_keys=True, separators=(",", ":"))
+            )
             fh.write("\n")
         os.replace(tmp, path)
     except BaseException:

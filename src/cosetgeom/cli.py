@@ -29,7 +29,7 @@ from .cosetgraph import (
     project_path,
 )
 from .dot import export_dot
-from .ends import INCONCLUSIVE, ends_report
+from .ends import ends_report
 from .errors import ConfigError, CosetGeomError, NotStabilizedError
 from .groups import (
     GroupSpec,
@@ -42,6 +42,7 @@ from .groups import (
 from .homotopy import build_ladder, build_ray_system, verify_ladder
 from .lifting import approximate_lift, certify_constants, compute_f, lift_constants
 from .metrics import (
+    INCONCLUSIVE,
     commensuration_verdict,
     default_radii,
     default_test_elements,
@@ -118,7 +119,8 @@ def load_config(path: str) -> Dict[str, Dict[str, str]]:
 
 class Settings:
     """Resolved options: flags override the config file, which overrides
-    built-in defaults; the [<command>] section overrides [scenario]."""
+    built-in defaults; the [<command>] section overrides [scenario].  The
+    config file sets only options that the subcommand declares."""
 
     def __init__(self, args: argparse.Namespace, config: Dict[str, Dict[str, str]]):
         self.command = args.command
@@ -126,7 +128,9 @@ class Settings:
         self._config = config
 
     def get(self, key: str, default=None):
-        value = self._args.get(key)
+        if key not in self._args:
+            return default
+        value = self._args[key]
         if value is not None:
             return value
         for section in (self.command, "scenario"):
@@ -183,6 +187,7 @@ class Scenario:
         self.trust_margin = settings.get_int("trust_margin", DEFAULT_TRUST_MARGIN)
         self._ball: Optional[Ball] = None
         self._patch: Optional[CosetPatch] = None
+        self.last_block: Optional[dict] = None
 
     @property
     def ball(self) -> Ball:
@@ -198,20 +203,20 @@ class Scenario:
     @property
     def patch(self) -> CosetPatch:
         if self._patch is None:
-            self._patch = build_coset_patch(
-                self.spec, self.q, self.ball, self.trust_margin
-            )
+            self._patch = build_coset_patch(self.q, self.ball, self.trust_margin)
         return self._patch
 
     def block(self, **extras) -> dict:
-        base = {
+        """The report's scenario block, kept as last_block for main's report
+        on a constant that fails to stabilize."""
+        self.last_block = {
             "group": self.spec.describe(),
             "subgroup": render_subgroup_spec(self.spec, self.q),
             "radius": self.radius,
             "max_vertices": self.max_vertices,
+            **extras,
         }
-        base.update(extras)
-        return base
+        return self.last_block
 
     def word(self, key: str) -> Tuple[int, ...]:
         return parse_word(self.spec, self.settings.require(key))
@@ -368,7 +373,7 @@ def _scan_payload(scan) -> dict:
 def cmd_constants(sc: Scenario):
     radii_text = sc.settings.get("radii")
     radii = parse_int_list(radii_text) if radii_text else None
-    scans = compute_f(sc.spec, sc.q, sc.ball, radii)
+    scans = compute_f(sc.q, sc.ball, radii)
     f_payload = [_scan_payload(scans[s]) for s in sc.spec.letters]
     scenario = sc.block(scan_radii=list(scans[sc.spec.letters[0]].radii))
     unstable = [scan.name for scan in scans.values() if not scan.stable]
@@ -379,7 +384,7 @@ def cmd_constants(sc: Scenario):
             "unstable": sorted(unstable),
         }
         return scenario, result, STATUS_INCONCLUSIVE, None
-    constants, m_scan = certify_constants(sc.spec, sc.q, sc.ball, scans, radii)
+    constants, m_scan = certify_constants(sc.q, sc.ball, scans)
     result = {
         "confidence": constants.confidence,
         "f_per_letter": [
@@ -397,20 +402,12 @@ def cmd_constants(sc: Scenario):
 def cmd_lift(sc: Scenario):
     word = sc.word("path")
     base_text = sc.settings.get("base", "1")
+    scenario = sc.block(path=render_word(sc.spec, word), base=base_text)
     base_el = evaluate_word(sc.spec, parse_word(sc.spec, base_text))
     base = sc.ball.vertex(base_el)
     if base is None:
         raise ConfigError(f"base element {base_text!r} lies outside the ball")
-    try:
-        constants = lift_constants(sc.spec, sc.q, sc.ball)
-    except NotStabilizedError as exc:
-        scenario = sc.block(path=render_word(sc.spec, word), base=base_text)
-        result = {
-            "confidence": "NotStabilized",
-            "constant": exc.name,
-            "values": list(exc.values),
-        }
-        return scenario, result, STATUS_INCONCLUSIVE, None
+    constants = lift_constants(sc.q, sc.ball)
     lpath = project_path(sc.patch, PathInBall(base, word))
     lift = approximate_lift(sc.patch, lpath, base, constants)
     replay = project_path(sc.patch, PathInBall(base, lift.word))
@@ -429,7 +426,6 @@ def cmd_lift(sc: Scenario):
         "end_element": group.render(sc.ball.elements[lift.end]),
         "projects_back": replay == lpath,
     }
-    scenario = sc.block(path=render_word(sc.spec, word), base=base_text)
     return scenario, result, STATUS_OK, None
 
 
@@ -467,16 +463,8 @@ def cmd_ladder(sc: Scenario):
         prefix=render_word(sc.spec, prefix),
         crossing=sc.letter_name(crossing),
     )
-    try:
-        constants = lift_constants(sc.spec, sc.q, sc.ball)
-    except NotStabilizedError as exc:
-        result = {
-            "confidence": "NotStabilized",
-            "constant": exc.name,
-            "values": list(exc.values),
-        }
-        return scenario, result, STATUS_INCONCLUSIVE, None
-    ladder = build_ladder(sc.spec, sc.q, sc.ball, prefix, crossing, constants)
+    constants = lift_constants(sc.q, sc.ball)
+    ladder = build_ladder(sc.q, sc.ball, prefix, crossing, constants)
     report = verify_ladder(sc.spec, ladder)
     loops = [
         {
@@ -628,7 +616,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         settings = Settings(args, config)
         scenario = Scenario(settings)
         handler = HANDLERS[args.command]
-        block, result, status, dot_text = handler(scenario)
+        try:
+            block, result, status, dot_text = handler(scenario)
+        except NotStabilizedError as exc:
+            block, status, dot_text = scenario.last_block, STATUS_INCONCLUSIVE, None
+            result = {
+                "confidence": "NotStabilized",
+                "constant": exc.name,
+                "values": list(exc.values),
+            }
         payload = {
             "schema": SCHEMA,
             "command": args.command,

@@ -172,7 +172,6 @@ def _coset_labels_words(ball: Ball, subgroup: SubgroupSpec) -> List[int]:
 
 
 def build_coset_patch(
-    spec: GroupSpec,
     q: SubgroupSpec,
     ball: Ball,
     trust_margin: int = DEFAULT_TRUST_MARGIN,
@@ -183,11 +182,10 @@ def build_coset_patch(
     stable for a fixed (group, subgroup, radius).  A coset is trusted when
     that earliest witness lies at distance <= radius - trust_margin.
     """
-    if spec != ball.spec:
-        raise ConfigError("ball was built for a different group")
     if trust_margin < 1:
         raise ConfigError("trust_margin must be >= 1")
 
+    spec = ball.spec
     group = group_for(spec)
     n = ball.n_vertices
     if q.mode == VERTEX:

@@ -31,9 +31,10 @@ from .errors import (
     NotStabilizedError,
     ScheduleExceedsBallError,
 )
-from .groups import Element, GroupSpec, group_for
+from .groups import Element, group_for
 from .metrics import (
     COMMENSURATED,
+    INCONCLUSIVE,
     default_radii,
     default_test_elements,
     hausdorff_profile,
@@ -43,7 +44,6 @@ from .subgroups import SubgroupSpec, VERTEX, coset_key
 ZERO_ENDS = "ZeroEnds"
 STABLE_COUNT = "StableCount"
 GROWING = "Growing"
-INCONCLUSIVE = "Inconclusive"
 
 Schedule = Sequence[Tuple[int, int]]
 
@@ -136,7 +136,6 @@ def ends_report(
 
 
 def filtered_ends_report(
-    spec: GroupSpec,
     q: SubgroupSpec,
     ball: Ball,
     schedule: Optional[Schedule] = None,
@@ -144,7 +143,7 @@ def filtered_ends_report(
     """Ends of the coset-graph patch: the filtered-end count evidence."""
     from .cosetgraph import build_coset_patch
 
-    patch = build_coset_patch(spec, q, ball)
+    patch = build_coset_patch(q, ball)
     return ends_report(patch, schedule)
 
 
@@ -285,7 +284,6 @@ def escape_route(
 
 
 def verify_escape_route(
-    spec: GroupSpec,
     q: SubgroupSpec,
     ball: Ball,
     c_vertices: Iterable[int],
@@ -299,6 +297,7 @@ def verify_escape_route(
         return False, "path does not start at the requested vertex"
     if not (0 <= v < ball.n_vertices):
         return False, "start vertex not in ball"
+    spec = ball.spec
     group = group_for(spec)
     a = ball.elements[v]
     vid: Optional[int] = v

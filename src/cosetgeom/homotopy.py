@@ -145,7 +145,6 @@ class Ladder:
 
 
 def build_ladder(
-    spec: GroupSpec,
     q: SubgroupSpec,
     ball: Ball,
     prefix: Sequence[int],
@@ -157,6 +156,7 @@ def build_ladder(
         raise ConfigError("ladders need exact coset keys (vertex mode)")
     if constants.confidence != STABLE:
         raise ConfigError("ladder constants must be certified Stable")
+    spec = ball.spec
     qlets = q_letters(spec, q)
     if crossing not in k_letters(spec, q):
         raise ConfigError(f"crossing letter {crossing} must lie outside Q")

@@ -29,7 +29,7 @@ from .errors import (
     NotStabilizedError,
     NoTransferVertexError,
 )
-from .groups import GroupSpec, group_for, render_word
+from .groups import group_for, render_word
 from .subgroups import SubgroupSpec, VERTEX, is_member, q_letters
 
 STABLE = "Stable"
@@ -56,17 +56,22 @@ class ConstantScan:
 @dataclass(frozen=True)
 class LiftConstants:
     f_per_letter: Tuple[Tuple[int, int], ...]
-    f: int
     m: int
-    l: int
-    radii: Tuple[int, ...]
     confidence: str
 
     def __post_init__(self):
         if self.f < 1 or self.m < 1:
             raise ConfigError("transfer constants must be positive")
-        if self.l != 2 * self.f + self.m + 1:
-            raise ConfigError("loop bound must equal 2F + M + 1")
+
+    @property
+    def f(self) -> int:
+        """The largest per-letter transfer constant, 0 when there is none."""
+        return max((value for _, value in self.f_per_letter), default=0)
+
+    @property
+    def l(self) -> int:
+        """The loop bound L = 2F + M + 1."""
+        return 2 * self.f + self.m + 1
 
     def f_for(self, letter: int) -> int:
         for l, value in self.f_per_letter:
@@ -117,8 +122,8 @@ def _default_radii(ball: Ball, radii: Optional[Sequence[int]]) -> Tuple[int, ...
     return radii
 
 
-def _q_vertex_ids(spec: GroupSpec, q: SubgroupSpec, ball: Ball) -> List[int]:
-    return [vid for vid, a in enumerate(ball.elements) if is_member(spec, q, a)]
+def _q_vertex_ids(q: SubgroupSpec, ball: Ball) -> List[int]:
+    return [vid for vid, a in enumerate(ball.elements) if is_member(ball.spec, q, a)]
 
 
 def _q_steps(ball: Ball, qlets: Sequence[int], radius: int) -> Callable[[int], List[int]]:
@@ -136,7 +141,6 @@ def _q_steps(ball: Ball, qlets: Sequence[int], radius: int) -> Callable[[int], L
 
 
 def compute_f(
-    spec: GroupSpec,
     q: SubgroupSpec,
     ball: Ball,
     radii: Optional[Sequence[int]] = None,
@@ -144,8 +148,9 @@ def compute_f(
     """Per-letter transfer constants, evaluated at each radius."""
     _require_vertex_mode(q)
     radii = _default_radii(ball, radii)
+    spec = ball.spec
     group = group_for(spec)
-    q_ids = _q_vertex_ids(spec, q, ball)
+    q_ids = _q_vertex_ids(q, ball)
     qlets = q_letters(spec, q)
     q_within = {r: sum(1 for vid in q_ids if ball.dist[vid] <= r) for r in radii}
 
@@ -182,7 +187,6 @@ def compute_f(
 
 
 def compute_m(
-    spec: GroupSpec,
     q: SubgroupSpec,
     ball: Ball,
     f: int,
@@ -196,6 +200,7 @@ def compute_m(
         raise ConfigError(
             f"pair distance bound {bound} exceeds the smallest radius {radii[0]}"
         )
+    spec = ball.spec
     qlets = q_letters(spec, q)
     identity_vid = 0
     # vertex ids follow BFS order, so the vertices within the bound come first
@@ -222,26 +227,24 @@ def compute_m(
 
 
 def lift_constants(
-    spec: GroupSpec,
     q: SubgroupSpec,
     ball: Ball,
     radii: Optional[Sequence[int]] = None,
     strict: bool = True,
 ) -> LiftConstants:
     """Compute and certify F (per letter), M, and the loop bound L."""
-    scans = compute_f(spec, q, ball, radii)
-    return certify_constants(spec, q, ball, scans, radii, strict)[0]
+    scans = compute_f(q, ball, radii)
+    return certify_constants(q, ball, scans, strict)[0]
 
 
 def certify_constants(
-    spec: GroupSpec,
     q: SubgroupSpec,
     ball: Ball,
     scans: Dict[int, ConstantScan],
-    radii: Optional[Sequence[int]] = None,
     strict: bool = True,
 ) -> Tuple[LiftConstants, ConstantScan]:
-    """Certify the F scans of compute_f, then scan M; returns the M scan too."""
+    """Certify compute_f's scans, then scan M at their radii; returns the M scan too."""
+    letters = ball.spec.letters
     stable = True
     for s in sorted(scans, key=lambda l: (abs(l), -l)):
         scan = scans[s]
@@ -250,19 +253,15 @@ def certify_constants(
                 raise NotStabilizedError(scan.name, scan.values)
             stable = False
     f = max(scan.final for scan in scans.values())
-    m_scan = compute_m(spec, q, ball, f, radii)
+    # compute_f scans every letter at the same radii
+    m_scan = compute_m(q, ball, f, scans[letters[0]].radii)
     if not m_scan.stable:
         if strict:
             raise NotStabilizedError(m_scan.name, m_scan.values)
         stable = False
-    m = m_scan.final
-    per_letter = tuple((s, scans[s].final) for s in spec.letters)
     constants = LiftConstants(
-        f_per_letter=per_letter,
-        f=f,
-        m=m,
-        l=2 * f + m + 1,
-        radii=_default_radii(ball, radii),
+        f_per_letter=tuple((s, scans[s].final) for s in letters),
+        m=m_scan.final,
         confidence=STABLE if stable else BALL_LIMITED,
     )
     return constants, m_scan
@@ -336,7 +335,7 @@ def approximate_lift(
         if not (0 <= cid < patch.n_cosets):
             raise ConfigError(f"coset id {cid} not in patch")
     if constants is None:
-        constants = lift_constants(spec, q, ball)
+        constants = lift_constants(q, ball)
 
     qlets = q_letters(spec, q)
     coset_of = patch.coset_of

@@ -199,15 +199,13 @@ class IntersectionEvidence:
 
 
 def intersection_index_evidence(
-    spec: GroupSpec,
     q: SubgroupSpec,
     g: Element,
     ball: Ball,
 ) -> IntersectionEvidence:
     if q.mode != VERTEX:
         raise ConfigError("intersection evidence needs exact membership (vertex mode)")
-    if spec != ball.spec:
-        raise ConfigError("ball was built for a different group")
+    spec = ball.spec
     group = group_for(spec)
     g_inv = group.invert(g)
 

@@ -43,7 +43,7 @@ def ball_ab2_r12():
 
 
 def _vertex_patch(ball):
-    return build_coset_patch(ball.spec, vertex_subgroup(), ball)
+    return build_coset_patch(vertex_subgroup(), ball)
 
 
 @pytest.fixture(scope="session")

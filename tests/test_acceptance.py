@@ -178,7 +178,7 @@ def test_criterion_3_commensuration_verdicts(
         assert profile.verdict == COMMENSURATED
         assert set(profile.k_values()) == {b}
 
-    patch_free2_r9 = build_coset_patch(FREE2, Q, build_ball(FREE2, 9))
+    patch_free2_r9 = build_coset_patch(Q, build_ball(FREE2, 9))
     profile = hausdorff_profile(patch_free2_r9, element(FREE2, "x2"), [4, 5, 6, 7, 8])
     assert profile.verdict == NOT_COMMENSURATED
     for radius, k in zip([4, 5, 6, 7, 8], profile.k_values()):
@@ -196,7 +196,7 @@ def test_criterion_4_local_finiteness_audit():
     degrees = {spec.describe(): [] for spec in (BS12, BS23, FREE2)}
     for radius in range(4, 9):
         for spec in (BS12, BS23, FREE2):
-            patch = build_coset_patch(spec, Q, build_ball(spec, radius))
+            patch = build_coset_patch(Q, build_ball(spec, radius))
             degrees[spec.describe()].append(degree_profile(patch).max_degree)
     assert degrees["bs:1,2"] == [3] * 5
     assert degrees["bs:2,3"] == [5] * 5
@@ -222,10 +222,10 @@ def test_criterion_5_end_classifications(
     assert ends_report(ball_bs12_r10).label() == "StableCount(1)"
     assert ends_report(ball_bs23_r10).label() == "StableCount(1)"
 
-    plane_patch = build_coset_patch(AB2, Q, ball_ab2_r12)
+    plane_patch = build_coset_patch(Q, ball_ab2_r12)
     assert ends_report(plane_patch).label() == "StableCount(2)"
 
-    bs12_patch = build_coset_patch(BS12, Q, ball_bs12_r10)
+    bs12_patch = build_coset_patch(Q, ball_bs12_r10)
     bs12_report = ends_report(bs12_patch, [(1, 8), (2, 8), (3, 8)])
     assert bs12_report.classification == GROWING
     assert bs12_report.counts == (3, 6, 12)
@@ -238,12 +238,12 @@ def test_criterion_5_end_classifications(
 def test_criterion_6_approximate_lifting(ball_bs12_r15, ball_bs23_r13):
     outcomes = {}
     for spec, ball, f_t in ((BS12, ball_bs12_r15, 1), (BS23, ball_bs23_r13, 2)):
-        scans = compute_f(spec, Q, ball)
+        scans = compute_f(Q, ball)
         assert scans[2].stable and scans[2].final == f_t
         assert len(scans[2].values) == 2
 
-        patch = build_coset_patch(spec, Q, ball)
-        constants = lift_constants(spec, Q, ball)
+        patch = build_coset_patch(Q, ball)
+        constants = lift_constants(Q, ball)
         assert constants.f_for(2) == f_t
 
         rng = random.Random(42)
@@ -277,8 +277,8 @@ def test_criterion_6_approximate_lifting(ball_bs12_r15, ball_bs23_r13):
 
 def test_criterion_7_homotopy_ladders(ball_bs23_r13):
     t0 = time.monotonic()
-    constants = lift_constants(BS23, Q, ball_bs23_r13)
-    ladder = build_ladder(BS23, Q, ball_bs23_r13, (1,) * 12, 2, constants)
+    constants = lift_constants(Q, ball_bs23_r13)
+    ladder = build_ladder(Q, ball_bs23_r13, (1,) * 12, 2, constants)
     assert ladder.n_loops == 12
 
     g = group_for(BS23)
@@ -338,7 +338,7 @@ def test_criterion_8_escape_paths(patch_bs12_r10, patch_bs23_r10, patch_ab2_r12)
                 assert exc.required_radius > ball.radius
                 refused += 1
                 continue
-            ok, _ = verify_escape_route(spec, Q, ball, excluded, v, g, path)
+            ok, _ = verify_escape_route(Q, ball, excluded, v, g, path)
             if not ok:
                 invalid += 1
             verified += 1

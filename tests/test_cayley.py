@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import os
 import random
 from array import array
 from collections import deque
@@ -415,16 +416,20 @@ class TestSerialization:
         path = tmp_path / "ball.json"
         save_ball(build_ball(AB2, 3), str(path))
         before = path.read_bytes()
+        bigger = build_ball(AB2, 4)
 
-        def dump_half(obj, fh, **kwargs):
-            fh.write(json.dumps(obj, **kwargs)[:100])
+        def interrupt(*args, **kwargs):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(json, "dump", dump_half)
-        with pytest.raises(KeyboardInterrupt):
-            save_ball(build_ball(AB2, 4), str(path))
-        assert path.read_bytes() == before
-        assert list(tmp_path.iterdir()) == [path]
+        # interrupted while encoding, and with the temp file whole but not
+        # yet renamed into place
+        for module, name in ((json, "dumps"), (os, "replace")):
+            with monkeypatch.context() as patched:
+                patched.setattr(module, name, interrupt)
+                with pytest.raises(KeyboardInterrupt):
+                    save_ball(bigger, str(path))
+            assert path.read_bytes() == before
+            assert list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize(
         "group,radius,digest",

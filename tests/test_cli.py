@@ -193,6 +193,26 @@ class TestScenarioResolution:
         assert code == 0
         assert report["scenario"]["radius"] == 3
 
+    def test_config_sets_only_options_the_subcommand_declares(self, cache_dir, tmp_path):
+        # export has no --trust-margin, so a config value must not shape its DOT
+        cfg = tmp_path / "margin.ini"
+        cfg.write_text("[scenario]\ntrust_margin = 3\n")
+        scenario = ["--group", "bs:1,2", "--radius", "5"]
+        dots = []
+        for extra in ([], ["--config", str(cfg)]):
+            dot_path = tmp_path / f"patch{len(dots)}.dot"
+            code, _ = run_cli(
+                ["export", *scenario, "--dot", str(dot_path), *extra], cache_dir, tmp_path
+            )
+            assert code == 0
+            dots.append(dot_path.read_text())
+        assert dots[0] == dots[1]
+        code, report = run_cli(
+            ["coset-graph", *scenario, "--config", str(cfg)], cache_dir, tmp_path
+        )
+        assert code == 0
+        assert report["scenario"]["trust_margin"] == 3
+
     def test_malformed_config_exits_one(self, cache_dir, tmp_path, capsys):
         cfg = tmp_path / "broken.ini"
         cfg.write_text("group = free:2\n")
@@ -433,7 +453,7 @@ class TestDotExport:
         spec = parse_group_spec(group)
         graph = build_ball(spec, radius)
         if subgroup is not None:
-            graph = build_coset_patch(spec, parse_subgroup_spec(spec, subgroup), graph)
+            graph = build_coset_patch(parse_subgroup_spec(spec, subgroup), graph)
         assert hashlib.sha256(export_dot(graph).encode()).hexdigest() == digest
 
     def test_ball_subcommand_writes_dot_too(self, cache_dir, tmp_path):

@@ -30,7 +30,7 @@ Q = vertex_subgroup()
 class TestBaumslagSolitarPatches:
     def test_bs12_every_trusted_coset_has_three_neighbors_at_margin_two(self):
         ball = build_ball(baumslag_solitar(1, 2), 6)
-        patch = build_coset_patch(ball.spec, Q, ball, trust_margin=2)
+        patch = build_coset_patch(Q, ball, trust_margin=2)
         for cid in range(patch.n_cosets):
             if patch.trusted[cid]:
                 assert patch.degree(cid) == 3
@@ -42,14 +42,14 @@ class TestBaumslagSolitarPatches:
 
     def test_bs12_default_margin_never_exceeds_three(self):
         ball = build_ball(baumslag_solitar(1, 2), 6)
-        patch = build_coset_patch(ball.spec, Q, ball)
+        patch = build_coset_patch(Q, ball)
         prof = degree_profile(patch)
         assert prof.max_degree == 3
         assert prof.per_label == ((-2, 2), (2, 1))
 
     def test_bs23_max_trusted_degree_is_five(self):
         ball = build_ball(baumslag_solitar(2, 3), 5)
-        patch = build_coset_patch(ball.spec, Q, ball)
+        patch = build_coset_patch(Q, ball)
         prof = degree_profile(patch)
         assert prof.max_degree == 5
         assert prof.per_label == ((-2, 3), (2, 2))
@@ -57,7 +57,7 @@ class TestBaumslagSolitarPatches:
 
     def test_x_letters_never_leave_a_coset(self):
         ball = build_ball(baumslag_solitar(2, 3), 5)
-        patch = build_coset_patch(ball.spec, Q, ball)
+        patch = build_coset_patch(Q, ball)
         for cid in range(patch.n_cosets):
             assert 1 not in patch.adj[cid]
             assert -1 not in patch.adj[cid]
@@ -66,7 +66,7 @@ class TestBaumslagSolitarPatches:
 class TestAbelianAndFreePatches:
     def test_z2_patch_is_a_path_graph(self):
         ball = build_ball(free_abelian_group(2), 5)
-        patch = build_coset_patch(ball.spec, Q, ball)
+        patch = build_coset_patch(Q, ball)
         assert patch.n_cosets == 11
         for cid in range(patch.n_cosets):
             assert patch.degree(cid) <= 2
@@ -79,7 +79,7 @@ class TestAbelianAndFreePatches:
         maxima = []
         for radius in (3, 4, 5):
             ball = build_ball(free_group(2), radius)
-            patch = build_coset_patch(ball.spec, Q, ball)
+            patch = build_coset_patch(Q, ball)
             assert patch.degree(patch.base) == 2 * (2 * radius - 1)
             maxima.append(degree_profile(patch).max_degree)
         assert maxima[0] < maxima[1] < maxima[2]
@@ -90,7 +90,7 @@ def test_patch_labelling_matches_a_coset_key_sweep(text):
     spec = parse_group_spec(text)
     for radius in range(7):
         ball = build_ball(spec, radius)
-        patch = build_coset_patch(spec, Q, ball)
+        patch = build_coset_patch(Q, ball)
         keys, coset_of = coset_sweep([coset_key(spec, Q, a) for a in ball.elements])
         assert list(patch.keys) == keys, radius
         assert list(patch.coset_of) == coset_of, radius
@@ -105,7 +105,7 @@ class TestPartitionSoundness:
         spec = baumslag_solitar(2, 3)
         group = group_for(spec)
         ball = build_ball(spec, 4)
-        patch = build_coset_patch(spec, Q, ball)
+        patch = build_coset_patch(Q, ball)
         for u in range(ball.n_vertices):
             au_inv = group.invert(ball.elements[u])
             for v in range(u, ball.n_vertices):
@@ -116,8 +116,8 @@ class TestPartitionSoundness:
     def test_words_mode_agrees_with_vertex_mode_on_z2(self):
         spec = free_abelian_group(2)
         ball = build_ball(spec, 5)
-        by_vertex = build_coset_patch(spec, Q, ball)
-        by_words = build_coset_patch(spec, word_subgroup(((1,),)), ball)
+        by_vertex = build_coset_patch(Q, ball)
+        by_words = build_coset_patch(word_subgroup(((1,),)), ball)
         assert by_words.coset_of == by_vertex.coset_of
         assert by_words.adj == by_vertex.adj
         assert by_words.trusted == by_vertex.trusted
@@ -125,14 +125,14 @@ class TestPartitionSoundness:
 
 class TestProjection:
     def test_q_letter_paths_project_to_a_point(self, ball_bs12_r10):
-        patch = build_coset_patch(ball_bs12_r10.spec, Q, ball_bs12_r10)
+        patch = build_coset_patch(Q, ball_bs12_r10)
         lam = project_path(patch, PathInBall(0, (1, 1, -1, 1)))
         assert len(lam) == 0
         assert lam.cosets == (patch.base,)
 
     def test_projection_end_matches_coset_of_endpoint(self, ball_bs12_r10):
         ball = ball_bs12_r10
-        patch = build_coset_patch(ball.spec, Q, ball)
+        patch = build_coset_patch(Q, ball)
         word = (2, 1, -2, -2, 1, 2)
         lam = project_path(patch, PathInBall(0, word))
         end_vertex = walk_path(ball, PathInBall(0, word))[-1]
@@ -140,7 +140,7 @@ class TestProjection:
 
     def test_projected_steps_are_patch_edges(self, ball_bs23_r10):
         ball = ball_bs23_r10
-        patch = build_coset_patch(ball.spec, Q, ball)
+        patch = build_coset_patch(Q, ball)
         word = (1, 2, 1, -2, 1, -2, 1, 1)
         lam = project_path(patch, PathInBall(0, word))
         for i, letter in enumerate(lam.letters):
@@ -152,7 +152,7 @@ class TestProjection:
     )
     def test_projection_is_functorial(self, ball_bs12_r10, w1, w2):
         ball = ball_bs12_r10
-        patch = build_coset_patch(ball.spec, Q, ball)
+        patch = build_coset_patch(Q, ball)
         mid = walk_path(ball, PathInBall(0, tuple(w1)))[-1]
         lam1 = project_path(patch, PathInBall(0, tuple(w1)))
         lam2 = project_path(patch, PathInBall(mid, tuple(w2)))
@@ -162,15 +162,15 @@ class TestProjection:
 
 class TestPatchStructure:
     def test_patch_keys_are_distinct(self, ball_bs23_r10):
-        patch = build_coset_patch(ball_bs23_r10.spec, Q, ball_bs23_r10)
+        patch = build_coset_patch(Q, ball_bs23_r10)
         assert len(set(patch.keys)) == patch.n_cosets
         for cid, key in enumerate(patch.keys):
             assert patch.coset_id(key) == cid
 
     def test_patch_monotone_under_radius_growth(self):
         spec = baumslag_solitar(2, 3)
-        small = build_coset_patch(spec, Q, build_ball(spec, 4))
-        large = build_coset_patch(spec, Q, build_ball(spec, 5))
+        small = build_coset_patch(Q, build_ball(spec, 4))
+        large = build_coset_patch(Q, build_ball(spec, 5))
         for cid, key in enumerate(small.keys):
             big_id = large.coset_id(key)
             assert big_id is not None
@@ -184,7 +184,7 @@ class TestPatchStructure:
 
     def test_base_coset_contains_exactly_the_members(self, ball_bs23_r10):
         ball = ball_bs23_r10
-        patch = build_coset_patch(ball.spec, Q, ball)
+        patch = build_coset_patch(Q, ball)
         spec = ball.spec
         for v in range(ball.n_vertices):
             in_base = patch.coset_of[v] == patch.base
@@ -200,6 +200,4 @@ class TestPatchStructure:
 
     def test_build_rejects_bad_inputs(self, ball_bs23_r10):
         with pytest.raises(ConfigError):
-            build_coset_patch(baumslag_solitar(1, 2), Q, ball_bs23_r10)
-        with pytest.raises(ConfigError):
-            build_coset_patch(ball_bs23_r10.spec, Q, ball_bs23_r10, trust_margin=0)
+            build_coset_patch(Q, ball_bs23_r10, trust_margin=0)

@@ -87,27 +87,23 @@ class TestGroupEndCounts:
 
 class TestCosetGraphEndCounts:
     def test_plane_mod_axis_is_a_two_ended_line(self, ball_ab2_r12):
-        spec = free_abelian_group(2)
-        report = filtered_ends_report(spec, Q, ball_ab2_r12)
+        report = filtered_ends_report(Q, ball_ab2_r12)
         assert report.graph_kind == "patch"
         assert set(report.counts) == {2}
         assert report.label() == "StableCount(2)"
 
     def test_bs12_patch_counts_double(self, ball_bs12_r10):
-        spec = baumslag_solitar(1, 2)
-        report = filtered_ends_report(spec, Q, ball_bs12_r10, [(1, 5), (2, 5), (3, 5)])
+        report = filtered_ends_report(Q, ball_bs12_r10, [(1, 5), (2, 5), (3, 5)])
         assert report.counts == (3, 6, 12)
         assert report.classification == GROWING
 
     def test_bs12_patch_default_schedule_grows(self, ball_bs12_r10):
-        spec = baumslag_solitar(1, 2)
-        report = filtered_ends_report(spec, Q, ball_bs12_r10)
+        report = filtered_ends_report(Q, ball_bs12_r10)
         assert report.counts == (6, 12, 24)
         assert report.classification == GROWING
 
     def test_bs23_patch_counts_grow_fourfold(self, ball_bs23_r10):
-        spec = baumslag_solitar(2, 3)
-        report = filtered_ends_report(spec, Q, ball_bs23_r10, [(1, 5), (2, 5), (3, 5)])
+        report = filtered_ends_report(Q, ball_bs23_r10, [(1, 5), (2, 5), (3, 5)])
         assert report.counts == (5, 20, 80)
         assert report.classification == GROWING
 
@@ -173,9 +169,7 @@ class TestEscapeRoutes:
         v = ball_bs23_r10.vertex(element(spec, "x^5"))
         g = element(spec, "t^3")
         path = escape_route(patch_bs23_r10, excluded, v, g, k=2)
-        ok, reason = verify_escape_route(
-            spec, Q, ball_bs23_r10, excluded, v, g, path
-        )
+        ok, reason = verify_escape_route(Q, ball_bs23_r10, excluded, v, g, path)
         assert ok, reason
 
     def test_plane_route_goes_straight_up(self, ball_ab2_r12, patch_ab2_r12):
@@ -185,7 +179,7 @@ class TestEscapeRoutes:
         g = element(spec, "x2^5")
         path = escape_route(patch_ab2_r12, excluded, v, g, k=1)
         assert path.word == (2, 2)
-        ok, reason = verify_escape_route(spec, Q, ball_ab2_r12, excluded, v, g, path)
+        ok, reason = verify_escape_route(Q, ball_ab2_r12, excluded, v, g, path)
         assert ok, reason
 
     def test_empty_exclusion_accepts_geodesic(self, ball_ab2_r12, patch_ab2_r12):
@@ -194,7 +188,7 @@ class TestEscapeRoutes:
         g = element(spec, "x2^5")
         path = escape_route(patch_ab2_r12, [], v, g, k=1)
         assert len(path.word) == 2
-        ok, reason = verify_escape_route(spec, Q, ball_ab2_r12, [], v, g, path)
+        ok, reason = verify_escape_route(Q, ball_ab2_r12, [], v, g, path)
         assert ok, reason
 
     def test_start_inside_excluded_set_is_blocked(self, ball_ab2_r12, patch_ab2_r12):
@@ -247,7 +241,7 @@ class TestEscapeRoutes:
         v = ball_ab2_r12.vertex(element(spec, "x2^3"))
         with pytest.raises(ConfigError):
             escape_route(
-                build_coset_patch(spec, wq, ball_ab2_r12), [], v, element(spec, "x2^5"), k=1
+                build_coset_patch(wq, ball_ab2_r12), [], v, element(spec, "x2^5"), k=1
             )
 
     def test_route_is_deterministic(self, ball_bs23_r10, patch_bs23_r10):
@@ -267,7 +261,7 @@ class TestEscapeVerifierIndependence:
         other = ball_ab2_r12.vertex(element(spec, "x2^2"))
         bad = PathInBall(other, (2, 2))
         ok, reason = verify_escape_route(
-            spec, Q, ball_ab2_r12, [], v, element(spec, "x2^5"), bad
+            Q, ball_ab2_r12, [], v, element(spec, "x2^5"), bad
         )
         assert not ok and "start" in reason
 
@@ -277,7 +271,7 @@ class TestEscapeVerifierIndependence:
         v = ball_ab2_r12.vertex(element(spec, "x2^3"))
         g = element(spec, "x2^5")
         bad = PathInBall(v, (-2, -2, -2, 2, 2, 2, 2, 2))
-        ok, reason = verify_escape_route(spec, Q, ball_ab2_r12, excluded, v, g, bad)
+        ok, reason = verify_escape_route(Q, ball_ab2_r12, excluded, v, g, bad)
         assert not ok and "excluded" in reason
 
     def test_verifier_rejects_wrong_terminal_coset(self, ball_ab2_r12):
@@ -285,7 +279,7 @@ class TestEscapeVerifierIndependence:
         v = ball_ab2_r12.vertex(element(spec, "x2^3"))
         short = PathInBall(v, (2,))
         ok, reason = verify_escape_route(
-            spec, Q, ball_ab2_r12, [], v, element(spec, "x2^5"), short
+            Q, ball_ab2_r12, [], v, element(spec, "x2^5"), short
         )
         assert not ok and "terminal" in reason
 
@@ -294,7 +288,7 @@ class TestEscapeVerifierIndependence:
         rim = ball_ab2_r12.vertex(element(spec, "x2^12"))
         bad = PathInBall(rim, (2,))
         ok, reason = verify_escape_route(
-            spec, Q, ball_ab2_r12, [], rim, element(spec, "x2^13"), bad
+            Q, ball_ab2_r12, [], rim, element(spec, "x2^13"), bad
         )
         assert not ok and "ball" in reason
 
@@ -306,7 +300,7 @@ class TestEscapeVerifierIndependence:
         last = ball.n_vertices - 1
         base = -1 if where == "before" else ball.n_vertices
         ok, reason = verify_escape_route(
-            spec, Q, ball, [last], base, ball.elements[last], PathInBall(base, ())
+            Q, ball, [last], base, ball.elements[last], PathInBall(base, ())
         )
         assert (ok, reason) == (False, "start vertex not in ball")
 
@@ -463,7 +457,7 @@ class TestRandomEscapeScenarios:
                 path = escape_route(patch, excluded, v, g, k=k)
             except (NoRouteWithinBallError, EscapeBlockedError):
                 continue
-            ok, reason = verify_escape_route(spec, Q, ball, excluded, v, g, path)
+            ok, reason = verify_escape_route(Q, ball, excluded, v, g, path)
             assert ok, reason
             solved += 1
         return solved

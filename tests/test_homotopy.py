@@ -42,24 +42,22 @@ def ball_neighbor_sets(ball):
 
 @pytest.fixture(scope="module")
 def constants_bs12(ball_bs12_r10):
-    return lift_constants(baumslag_solitar(1, 2), Q, ball_bs12_r10)
+    return lift_constants(Q, ball_bs12_r10)
 
 
 @pytest.fixture(scope="module")
 def constants_bs23(ball_bs23_r10):
-    return lift_constants(baumslag_solitar(2, 3), Q, ball_bs23_r10)
+    return lift_constants(Q, ball_bs23_r10)
 
 
 @pytest.fixture(scope="module")
 def constants_ab2(ball_ab2_r12):
-    return lift_constants(free_abelian_group(2), Q, ball_ab2_r12)
+    return lift_constants(Q, ball_ab2_r12)
 
 
 @pytest.fixture(scope="module")
 def ladder_bs23(ball_bs23_r10, constants_bs23):
-    return build_ladder(
-        baumslag_solitar(2, 3), Q, ball_bs23_r10, (1,) * 6, 2, constants_bs23
-    )
+    return build_ladder(Q, ball_bs23_r10, (1,) * 6, 2, constants_bs23)
 
 
 class TestRaySystems:
@@ -92,7 +90,7 @@ class TestRaySystems:
         self.check_invariants(system, ball_neighbor_sets(ball_bs12_r10))
 
     def test_patch_rays(self, ball_bs23_r10):
-        patch = build_coset_patch(baumslag_solitar(2, 3), Q, ball_bs23_r10)
+        patch = build_coset_patch(Q, ball_bs23_r10)
         system = build_ray_system(patch)
         assert system.graph_kind == "patch"
         neighbor_sets = [patch.neighbors(c) for c in range(patch.n_cosets)]
@@ -170,7 +168,7 @@ class TestRaySystems:
 class TestLadderConstruction:
     def test_ab2_ladders_are_commutator_squares(self, ball_ab2_r12, constants_ab2):
         spec = free_abelian_group(2)
-        ladder = build_ladder(spec, Q, ball_ab2_r12, (1, 1, 1), 2, constants_ab2)
+        ladder = build_ladder(Q, ball_ab2_r12, (1, 1, 1), 2, constants_ab2)
         assert ladder.n_loops == 3
         assert ladder.alphas == ((), (), (), ())
         assert ladder.rungs == ((1,), (1,), (1,))
@@ -179,7 +177,7 @@ class TestLadderConstruction:
 
     def test_bs12_rungs_double_the_prefix(self, ball_bs12_r10, constants_bs12):
         spec = baumslag_solitar(1, 2)
-        ladder = build_ladder(spec, Q, ball_bs12_r10, (1,) * 4, 2, constants_bs12)
+        ladder = build_ladder(Q, ball_bs12_r10, (1,) * 4, 2, constants_bs12)
         assert ladder.alphas == ((),) * 5
         assert ladder.rungs == ((1, 1),) * 4
         assert ladder.output_word() == (2,) + (1,) * 8
@@ -216,45 +214,37 @@ class TestLadderConstruction:
     def test_unstable_constants_rejected(self, ball_bs12_r10, constants_bs12):
         shaky = replace(constants_bs12, confidence=BALL_LIMITED)
         with pytest.raises(ConfigError):
-            build_ladder(baumslag_solitar(1, 2), Q, ball_bs12_r10, (1,), 2, shaky)
+            build_ladder(Q, ball_bs12_r10, (1,), 2, shaky)
 
     def test_crossing_letter_must_leave_q(self, ball_bs12_r10, constants_bs12):
         with pytest.raises(ConfigError):
-            build_ladder(baumslag_solitar(1, 2), Q, ball_bs12_r10, (1,), 1, constants_bs12)
+            build_ladder(Q, ball_bs12_r10, (1,), 1, constants_bs12)
 
     def test_prefix_letters_must_stay_in_q(self, ball_bs12_r10, constants_bs12):
         with pytest.raises(ConfigError):
-            build_ladder(baumslag_solitar(1, 2), Q, ball_bs12_r10, (2,), 2, constants_bs12)
+            build_ladder(Q, ball_bs12_r10, (2,), 2, constants_bs12)
 
     def test_prefix_leaving_the_ball(self, ball_ab2_r12, constants_ab2):
         with pytest.raises(InsufficientRadiusError):
-            build_ladder(
-                free_abelian_group(2), Q, ball_ab2_r12, (1,) * 13, 2, constants_ab2
-            )
+            build_ladder(Q, ball_ab2_r12, (1,) * 13, 2, constants_ab2)
 
     def test_starved_f_is_flagged(self, ball_bs23_r10):
         starved = LiftConstants(
             f_per_letter=((1, 1), (-1, 1), (2, 1), (-2, 2)),
-            f=2,
             m=5,
-            l=10,
-            radii=(9, 10),
             confidence=STABLE,
         )
         with pytest.raises(ConstantViolationError, match="F appears underestimated"):
-            build_ladder(baumslag_solitar(2, 3), Q, ball_bs23_r10, (1,), 2, starved)
+            build_ladder(Q, ball_bs23_r10, (1,), 2, starved)
 
     def test_starved_m_is_flagged(self, ball_bs12_r10):
         starved = LiftConstants(
             f_per_letter=((1, 1), (-1, 1), (2, 1), (-2, 2)),
-            f=2,
             m=1,
-            l=6,
-            radii=(9, 10),
             confidence=STABLE,
         )
         with pytest.raises(ConstantViolationError, match="M appears underestimated"):
-            build_ladder(baumslag_solitar(1, 2), Q, ball_bs12_r10, (1, 1), 2, starved)
+            build_ladder(Q, ball_bs12_r10, (1, 1), 2, starved)
 
 
 class TestLadderVerifier:
@@ -278,7 +268,7 @@ class TestLadderVerifier:
 
     def test_oversize_rung_is_flagged(self, ball_bs12_r10, constants_bs12):
         spec = baumslag_solitar(1, 2)
-        ladder = build_ladder(spec, Q, ball_bs12_r10, (1,) * 4, 2, constants_bs12)
+        ladder = build_ladder(Q, ball_bs12_r10, (1,) * 4, 2, constants_bs12)
         rungs = list(ladder.rungs)
         rungs[2] = rungs[2] + (1, -1) * 3
         report = verify_ladder(spec, replace(ladder, rungs=tuple(rungs)))

@@ -17,8 +17,6 @@ from cosetgeom.errors import (
 from cosetgeom.groups import (
     baumslag_solitar,
     evaluate_word,
-    free_abelian_group,
-    free_group,
     group_for,
     parse_group_spec,
     parse_word,
@@ -72,12 +70,12 @@ def random_lambda_walk(patch, rng, length):
 
 @pytest.fixture(scope="module")
 def constants_bs12(ball_bs12_r10):
-    return lift_constants(baumslag_solitar(1, 2), Q, ball_bs12_r10)
+    return lift_constants(Q, ball_bs12_r10)
 
 
 @pytest.fixture(scope="module")
 def constants_bs23(ball_bs23_r10):
-    return lift_constants(baumslag_solitar(2, 3), Q, ball_bs23_r10)
+    return lift_constants(Q, ball_bs23_r10)
 
 
 class TestTransferConstants:
@@ -94,7 +92,7 @@ class TestTransferConstants:
         assert c.confidence == STABLE
 
     def test_abelian_values(self, ball_ab2_r12):
-        c = lift_constants(free_abelian_group(2), Q, ball_ab2_r12)
+        c = lift_constants(Q, ball_ab2_r12)
         assert all(value == 1 for _, value in c.f_per_letter)
         assert (c.f, c.m, c.l) == (1, 3, 6)
         assert c.confidence == STABLE
@@ -112,28 +110,28 @@ class TestTransferConstants:
     )
     def test_hnn_values(self, text, f_per_letter, fml):
         spec = parse_group_spec(text)
-        c = lift_constants(spec, Q, build_ball(spec, 8))
+        c = lift_constants(Q, build_ball(spec, 8))
         assert c.f_per_letter == f_per_letter
         assert (c.f, c.m, c.l) == fml
         assert c.confidence == STABLE
 
     def test_free_group_does_not_stabilize(self, ball_free2_r8):
         with pytest.raises(NotStabilizedError):
-            lift_constants(free_group(2), Q, ball_free2_r8)
+            lift_constants(Q, ball_free2_r8)
 
     def test_lenient_free_group_fails_on_pair_bound(self, ball_free2_r8):
         with pytest.raises(ConfigError, match="pair distance bound"):
-            lift_constants(free_group(2), Q, ball_free2_r8, strict=False)
+            lift_constants(Q, ball_free2_r8, strict=False)
 
     def test_scans_track_radii(self, ball_bs12_r10):
-        scans = compute_f(baumslag_solitar(1, 2), Q, ball_bs12_r10)
+        scans = compute_f(Q, ball_bs12_r10)
         assert scans[-2].radii == (9, 10)
         assert scans[-2].values == (2, 2)
         assert scans[-2].stable
         assert scans[2].values == (1, 1)
 
     def test_smaller_pair_bound_shrinks_m(self, ball_bs12_r10):
-        scan = compute_m(baumslag_solitar(1, 2), Q, ball_bs12_r10, 1)
+        scan = compute_m(Q, ball_bs12_r10, 1)
         assert scan.final == 3
 
     def test_m_scan_walks_only_inside_each_radius(self):
@@ -141,33 +139,28 @@ class TestTransferConstants:
         # x^8 at distance 6, so the scan at radius 5 cannot reach it
         spec = baumslag_solitar(1, 3)
         with pytest.raises(NoTransferVertexError, match="inside radius 5"):
-            compute_m(spec, Q, build_ball(spec, 6), 2, radii=(5, 6))
+            compute_m(Q, build_ball(spec, 6), 2, radii=(5, 6))
 
     def test_radii_validation(self, ball_bs12_r10):
-        spec = baumslag_solitar(1, 2)
         with pytest.raises(ConfigError):
-            compute_f(spec, Q, ball_bs12_r10, radii=(10,))
+            compute_f(Q, ball_bs12_r10, radii=(10,))
         with pytest.raises(ConfigError):
-            compute_f(spec, Q, ball_bs12_r10, radii=(10, 9))
+            compute_f(Q, ball_bs12_r10, radii=(10, 9))
         with pytest.raises(ConfigError):
-            compute_f(spec, Q, ball_bs12_r10, radii=(9, 11))
+            compute_f(Q, ball_bs12_r10, radii=(9, 11))
         with pytest.raises(ConfigError):
-            compute_m(spec, Q, ball_bs12_r10, 5, radii=(9, 10))
+            compute_m(Q, ball_bs12_r10, 5, radii=(9, 10))
 
     def test_words_mode_rejected(self, ball_ab2_r12):
         with pytest.raises(ConfigError):
-            lift_constants(free_abelian_group(2), word_subgroup(((1,),)), ball_ab2_r12)
+            lift_constants(word_subgroup(((1,),)), ball_ab2_r12)
 
     def test_constants_shape_validation(self):
         with pytest.raises(ConfigError):
-            LiftConstants(
-                f_per_letter=((1, 1),),
-                f=1,
-                m=3,
-                l=5,
-                radii=(9, 10),
-                confidence=STABLE,
-            )
+            LiftConstants(f_per_letter=((1, 1),), m=0, confidence=STABLE)
+        # with no letter F is 0, so the positivity rule rejects it too
+        with pytest.raises(ConfigError):
+            LiftConstants(f_per_letter=(), m=1, confidence=STABLE)
 
 
 def x_walk_distances(ball, start, radius):
@@ -241,17 +234,17 @@ class TestBruteForceConstants:
                 want = {s: (f_at[s, r1], f_at[s, r2]) for s in spec.letters}
                 if any(None in values for values in want.values()):
                     with pytest.raises(NoTransferVertexError):
-                        compute_f(spec, Q, ball, (r1, r2))
+                        compute_f(Q, ball, (r1, r2))
                 else:
-                    scans = compute_f(spec, Q, ball, (r1, r2))
+                    scans = compute_f(Q, ball, (r1, r2))
                     assert {s: scan.values for s, scan in scans.items()} == want
                 for f in range(1, (r1 - 1) // 2 + 1):
                     values = (m_at[f, r1], m_at[f, r2])
                     if None in values:
                         with pytest.raises(NoTransferVertexError):
-                            compute_m(spec, Q, ball, f, (r1, r2))
+                            compute_m(Q, ball, f, (r1, r2))
                     else:
-                        assert compute_m(spec, Q, ball, f, (r1, r2)).values == values
+                        assert compute_m(Q, ball, f, (r1, r2)).values == values
 
 
 class TestQWalkOracle:
@@ -356,10 +349,7 @@ class TestApproximateLift:
         spec = baumslag_solitar(2, 3)
         starved = LiftConstants(
             f_per_letter=((1, 1), (-1, 1), (2, 1), (-2, 1)),
-            f=1,
             m=3,
-            l=6,
-            radii=(9, 10),
             confidence=STABLE,
         )
         t_children = patch_bs23_r10.adj[0][2]
@@ -369,8 +359,7 @@ class TestApproximateLift:
             approximate_lift(patch_bs23_r10, lp, 0, starved)
 
     def test_words_mode_rejected(self, ball_ab2_r12):
-        spec = free_abelian_group(2)
         wq = word_subgroup(((1,),))
-        patch = build_coset_patch(spec, wq, ball_ab2_r12)
+        patch = build_coset_patch(wq, ball_ab2_r12)
         with pytest.raises(ConfigError):
             approximate_lift(patch, LambdaPath((0,), ()), 0, None)

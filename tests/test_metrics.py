@@ -105,7 +105,7 @@ class TestHausdorffProfiles:
         with pytest.raises(ConfigError):
             hausdorff_profile(patch_ab2_r12, g, [12])
         with pytest.raises(ConfigError):
-            words = build_coset_patch(spec, word_subgroup(((1,),)), ball_ab2_r12)
+            words = build_coset_patch(word_subgroup(((1,),)), ball_ab2_r12)
             hausdorff_profile(words, g, [4, 5])
         with pytest.raises(EmptyCosetInBallError):
             hausdorff_profile(patch_ab2_r12, element(spec, "x2^12"), [4, 5])
@@ -125,7 +125,7 @@ def test_profile_matches_brute_force_distances(group, radius, word):
     spec = parse_group_spec(group)
     model = {"abelian:2": Z2, "free:2": F2}[group]
     letters = parse_word(spec, word)
-    patch = build_coset_patch(spec, Q, build_ball(spec, radius))
+    patch = build_coset_patch(Q, build_ball(spec, radius))
     radii = list(range(2, radius))
     profile = hausdorff_profile(patch, evaluate_word(spec, letters), radii)
     assert any(v.exact for v in profile.values)
@@ -168,8 +168,8 @@ class TestIntersectionEvidence:
     def test_bs23_counts_differ_by_conjugation_side(self):
         spec = baumslag_solitar(2, 3)
         ball = build_ball(spec, 8)
-        by_t = intersection_index_evidence(spec, Q, element(spec, "t"), ball)
-        by_t_inv = intersection_index_evidence(spec, Q, element(spec, "t^-1"), ball)
+        by_t = intersection_index_evidence(Q, element(spec, "t"), ball)
+        by_t_inv = intersection_index_evidence(Q, element(spec, "t^-1"), ball)
         assert by_t.coset_counts()[-3:] == (2, 2, 2)
         assert by_t_inv.coset_counts()[-3:] == (3, 3, 3)
         # membership inside Q grows with the radius on both sides
@@ -178,14 +178,14 @@ class TestIntersectionEvidence:
 
     def test_z2_intersection_is_everything(self, ball_ab2_r12):
         spec = ball_ab2_r12.spec
-        ev = intersection_index_evidence(spec, Q, element(spec, "x2^5"), ball_ab2_r12)
+        ev = intersection_index_evidence(Q, element(spec, "x2^5"), ball_ab2_r12)
         assert set(ev.coset_counts()) == {1}
         members = [row[1] for row in ev.per_radius]
         assert members == [2 * r + 1 for r in range(ball_ab2_r12.radius + 1)]
 
     def test_free2_witness_count_grows(self, ball_free2_r8):
         spec = ball_free2_r8.spec
-        ev = intersection_index_evidence(spec, Q, element(spec, "x2"), ball_free2_r8)
+        ev = intersection_index_evidence(Q, element(spec, "x2"), ball_free2_r8)
         assert ev.coset_counts() == tuple(2 * r + 1 for r in range(9))
         assert all(row[1] == 1 for row in ev.per_radius)
 
