@@ -57,7 +57,7 @@ def main(argv=None):
     print(
         f"{spec.describe()} radius {args.radius}: |B|={ball.n_vertices}, "
         f"{patch.n_cosets} cosets, F={constants.f} M={constants.m} "
-        f"L={constants.l} ({constants.confidence})"
+        f"L={constants.l}"
     )
 
     rng = random.Random(args.seed)

@@ -4,7 +4,8 @@
 For each group with its distinguished cyclic subgroup, the survey builds
 one Cayley ball and reports: end counts of the group and of the coset
 graph, the commensuration verdict with its stable K values, the trusted
-maximum coset degree, and the transfer constants when they stabilize.
+maximum coset degree, and the exact transfer constants when Q is
+commensurated.
 
 Example:
     python3 scripts/survey_families.py --radius 9 --json survey.json
@@ -15,7 +16,7 @@ import json
 import sys
 
 from cosetgeom import (
-    NotStabilizedError,
+    NotCommensuratedError,
     baumslag_solitar,
     build_coset_patch,
     cached_ball,
@@ -55,7 +56,7 @@ def survey_instance(spec, radius, cache_dir):
     try:
         constants = lift_constants(q, ball)
         constants_row = {
-            "confidence": constants.confidence,
+            "confidence": "Stable",
             "f_per_letter": [
                 [render_word(spec, (letter,)), value]
                 for letter, value in constants.f_per_letter
@@ -64,12 +65,8 @@ def survey_instance(spec, radius, cache_dir):
             "m": constants.m,
             "l": constants.l,
         }
-    except NotStabilizedError as exc:
-        constants_row = {
-            "confidence": "NotStabilized",
-            "constant": exc.name,
-            "values": list(exc.values),
-        }
+    except NotCommensuratedError as exc:
+        constants_row = {"confidence": "NotCommensurated", "letters": list(exc.letters)}
 
     return {
         "group": spec.describe(),
@@ -100,10 +97,8 @@ def main(argv=None):
         row = survey_instance(spec, args.radius, args.cache_dir)
         rows.append(row)
         constants = row["constants"]
-        if constants["confidence"] == "NotStabilized":
-            constant_text = (
-                f"NotStabilized ({constants['constant']} = {constants['values']})"
-            )
+        if constants["confidence"] == "NotCommensurated":
+            constant_text = f"NotCommensurated ({', '.join(constants['letters'])})"
         else:
             constant_text = (
                 f"F={constants['f']} M={constants['m']} L={constants['l']}"

@@ -5,8 +5,9 @@ scenario block pins all inputs that influence the numbers (group, subgroup,
 radius, schedules, margins).  The cache location never changes a report
 byte: the cache stores exactly what a cold build produces.
 
-Exit codes: 0 for a conclusive run, 2 when the result is Inconclusive or a
-constant failed to stabilize, 1 for configuration or computation errors.
+Exit codes: 0 for a conclusive run, 2 when the result is Inconclusive or Q
+is not commensurated (so no finite F exists), 1 for configuration or
+computation errors.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .cosetgraph import (
 )
 from .dot import export_dot
 from .ends import ends_report
-from .errors import ConfigError, CosetGeomError, NotStabilizedError
+from .errors import ConfigError, CosetGeomError, NotCommensuratedError
 from .groups import (
     GroupSpec,
     evaluate_word,
@@ -40,7 +41,7 @@ from .groups import (
     render_word,
 )
 from .homotopy import build_ladder, build_ray_system, verify_ladder
-from .lifting import approximate_lift, certify_constants, compute_f, lift_constants
+from .lifting import approximate_lift, lift_constants
 from .metrics import (
     INCONCLUSIVE,
     commensuration_verdict,
@@ -48,7 +49,14 @@ from .metrics import (
     default_test_elements,
     hausdorff_profile,
 )
-from .subgroups import SubgroupSpec, VERTEX, vertex_subgroup, word_subgroup
+from .subgroups import (
+    SubgroupSpec,
+    VERTEX,
+    q_element,
+    transfer_basis,
+    vertex_subgroup,
+    word_subgroup,
+)
 
 SCHEMA = "cosetgeom.report.v1"
 CACHE_ENV = "COSETGEOM_CACHE"
@@ -208,7 +216,7 @@ class Scenario:
 
     def block(self, **extras) -> dict:
         """The report's scenario block, kept as last_block for main's report
-        on a constant that fails to stabilize."""
+        on a subgroup that is not commensurated."""
         self.last_block = {
             "group": self.spec.describe(),
             "subgroup": render_subgroup_spec(self.spec, self.q),
@@ -357,44 +365,36 @@ def cmd_ends(sc: Scenario):
 
 def cmd_filtered_ends(sc: Scenario):
     scenario, result, status = _run_ends(sc, sc.patch)
-    scenario["trust_margin"] = sc.trust_margin
     return scenario, result, status, None
 
 
-def _scan_payload(scan) -> dict:
-    return {
-        "name": scan.name,
-        "radii": list(scan.radii),
-        "values": list(scan.values),
-        "stable": scan.stable,
-    }
+def _witness_payload(sc: Scenario) -> list:
+    """Per letter s, each generator w of T_s = Q ∩ sQs^-1 beside s^-1 w s."""
+    group = group_for(sc.spec)
+    rows = []
+    for s in sc.spec.letters:
+        s_inv = group.evaluate_word((-s,))
+        pairs = []
+        for v in transfer_basis(sc.spec, sc.q, s):
+            w = q_element(sc.spec, v)
+            image = group.evaluate_word((s,), group.multiply(s_inv, w))
+            pairs.append([group.render(w), group.render(image)])
+        rows.append([sc.letter_name(s), pairs])
+    return rows
 
 
 def cmd_constants(sc: Scenario):
-    radii_text = sc.settings.get("radii")
-    radii = parse_int_list(radii_text) if radii_text else None
-    scans = compute_f(sc.q, sc.ball, radii)
-    f_payload = [_scan_payload(scans[s]) for s in sc.spec.letters]
-    scenario = sc.block(scan_radii=list(scans[sc.spec.letters[0]].radii))
-    unstable = [scan.name for scan in scans.values() if not scan.stable]
-    if unstable:
-        result = {
-            "confidence": "NotStabilized",
-            "f_scans": f_payload,
-            "unstable": sorted(unstable),
-        }
-        return scenario, result, STATUS_INCONCLUSIVE, None
-    constants, m_scan = certify_constants(sc.q, sc.ball, scans)
+    scenario = sc.block()
+    constants = lift_constants(sc.q, sc.ball)
     result = {
-        "confidence": constants.confidence,
+        "confidence": "Stable",
         "f_per_letter": [
             [sc.letter_name(letter), value] for letter, value in constants.f_per_letter
         ],
         "f": constants.f,
         "m": constants.m,
         "l": constants.l,
-        "f_scans": f_payload,
-        "m_scan": _scan_payload(m_scan),
+        "witnesses": _witness_payload(sc),
     }
     return scenario, result, STATUS_OK, None
 
@@ -479,7 +479,7 @@ def cmd_ladder(sc: Scenario):
             "f": constants.f,
             "m": constants.m,
             "l": constants.l,
-            "confidence": constants.confidence,
+            "confidence": "Stable",
         },
         "n_loops": ladder.n_loops,
         "loops": loops,
@@ -576,10 +576,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("filtered-ends", "count annulus components of the coset graph")
     p.add_argument("--schedule", help="annuli as r:R,r:R,...")
-    p.add_argument("--trust-margin", dest="trust_margin", type=int)
 
-    p = add("constants", "compute and certify the transfer constants F, M, L")
-    p.add_argument("--radii", help="two or more scan radii, comma-separated")
+    add("constants", "compute the exact transfer constants F, M, L and witnesses")
 
     p = add("lift", "project a word to the coset graph and lift it back")
     p.add_argument("--path", help="word to project and re-lift, e.g. x^2.t")
@@ -618,13 +616,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         handler = HANDLERS[args.command]
         try:
             block, result, status, dot_text = handler(scenario)
-        except NotStabilizedError as exc:
+        except NotCommensuratedError as exc:
             block, status, dot_text = scenario.last_block, STATUS_INCONCLUSIVE, None
-            result = {
-                "confidence": "NotStabilized",
-                "constant": exc.name,
-                "values": list(exc.values),
-            }
+            result = {"confidence": "NotCommensurated", "letters": list(exc.letters)}
         payload = {
             "schema": SCHEMA,
             "command": args.command,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Optional
+
 
 class CosetGeomError(Exception):
     """Base class for all package-specific errors."""
@@ -45,8 +47,25 @@ class NotStabilizedError(CosetGeomError):
         super().__init__(f"{name} did not stabilize: {self.values}")
 
 
+class NotCommensuratedError(CosetGeomError):
+    """Q meets some s Q s^-1 in a subgroup of lower rank than Q itself."""
+
+    def __init__(self, letters):
+        self.letters = tuple(letters)
+        super().__init__(
+            "Q is not commensurated: its transfer subgroup has lower rank "
+            f"than Q for letters {', '.join(self.letters)}"
+        )
+
+
 class InsufficientRadiusError(CosetGeomError):
     """A requested in-ball construction does not fit inside the ball."""
+
+    def __init__(self, message: str, required_radius: Optional[int] = None):
+        self.required_radius = required_radius
+        if required_radius is not None:
+            message = f"{message} (suggest radius >= {required_radius})"
+        super().__init__(message)
 
 
 class NoTransferVertexError(CosetGeomError):

@@ -28,7 +28,7 @@ from .errors import (
     InsufficientRadiusError,
 )
 from .groups import Element, GroupSpec, group_for, inverse_word
-from .lifting import STABLE, LiftConstants, _crossing, _q_walk
+from .lifting import LiftConstants, _crossing, _q_walk
 from .subgroups import SubgroupSpec, VERTEX, coset_key, k_letters, q_letters
 
 
@@ -154,8 +154,6 @@ def build_ladder(
     """Build and check a homotopy ladder along a Q-letter prefix from the identity."""
     if q.mode != VERTEX:
         raise ConfigError("ladders need exact coset keys (vertex mode)")
-    if constants.confidence != STABLE:
-        raise ConfigError("ladder constants must be certified Stable")
     spec = ball.spec
     qlets = q_letters(spec, q)
     if crossing not in k_letters(spec, q):

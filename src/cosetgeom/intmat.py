@@ -7,7 +7,7 @@ keeps the cubic and quintic algorithms comfortably cheap.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 IntMatrix = Tuple[Tuple[int, ...], ...]
 IntVector = Tuple[int, ...]
@@ -142,3 +142,34 @@ def reduce_mod_lattice(H: IntMatrix, v: Sequence[int]) -> IntVector:
             for row in range(i, k):
                 r[row] -= c * H[row][i]
     return tuple(r)
+
+
+def _l1_shell(k: int, radius: int) -> List[IntVector]:
+    """Every integer vector of length k with l1 norm exactly radius."""
+    if k == 1:
+        return [(radius,), (-radius,)] if radius else [(0,)]
+    return [
+        (head,) + tail
+        for head in range(-radius, radius + 1)
+        for tail in _l1_shell(k - 1, radius - abs(head))
+    ]
+
+
+def l1_covering_radius(H: IntMatrix) -> int:
+    """Largest l1 distance from a point of Z^k to the lattice of H's columns.
+
+    H must be a lower-triangular column Hermite form, so the lattice has
+    |det H| residue classes.  Shells of growing l1 norm are walked until
+    every class has appeared; the shell that shows the last class is the
+    largest minimal norm of a class, which is the covering radius.
+    """
+    index = 1
+    for i in range(len(H)):
+        index *= H[i][i]
+    seen = set()
+    radius = 0
+    while True:
+        seen.update(reduce_mod_lattice(H, v) for v in _l1_shell(len(H), radius))
+        if len(seen) == index:
+            return radius
+        radius += 1

@@ -3,10 +3,13 @@
 For a letter s, the constant F_s bounds how far an element of Q must walk
 inside Q (in Q's own word metric) before the s-edge at its position lands
 in a prescribed neighboring coset: every such walk has length < F_s.  The
-companion constant M bounds the Q-word distance between any two Q-elements
-whose ambient distance is at most 2F+1.  Both are suprema over the whole
-group; a ball computation reports the maximum over the ball at each of the
-two largest radii and certifies the value only when the radii agree.
+walk ends in the transfer subgroup T_s = Q ∩ sQs^-1, so F_s is 1 + the
+covering radius of T_s in Q = Z^k, exact from the lattice T_s alone.  A
+T_s of lower rank than Q has no finite covering radius: Q is then not
+commensurated.  The companion constant M bounds the Q-word distance between
+any two Q-elements whose ambient distance is at most 2F+1; it is the largest
+Q-length among the Q-elements of the ball of radius 2F+1, which any Cayley
+ball at least that large holds in full.
 
 Lifting turns a path in the coset graph into an actual path in the group:
 alternating blocks (alpha_0, e_1, alpha_1, e_2, ...) where each alpha_i is
@@ -26,38 +29,25 @@ from .cosetgraph import CosetPatch, LambdaPath
 from .errors import (
     ConfigError,
     InsufficientRadiusError,
-    NotStabilizedError,
+    NotCommensuratedError,
     NoTransferVertexError,
 )
-from .groups import group_for, render_word
-from .subgroups import SubgroupSpec, VERTEX, is_member, q_letters
-
-STABLE = "Stable"
-BALL_LIMITED = "BallLimited"
-
-
-@dataclass(frozen=True)
-class ConstantScan:
-    """One constant evaluated at several radii of the same ball."""
-
-    name: str
-    radii: Tuple[int, ...]
-    values: Tuple[int, ...]
-
-    @property
-    def stable(self) -> bool:
-        return len(self.values) >= 2 and self.values[-1] == self.values[-2]
-
-    @property
-    def final(self) -> int:
-        return self.values[-1]
+from .groups import GroupSpec, render_word
+from .intmat import column_hnf, l1_covering_radius
+from .subgroups import (
+    SubgroupSpec,
+    VERTEX,
+    is_member,
+    q_letters,
+    q_norm,
+    transfer_basis,
+)
 
 
 @dataclass(frozen=True)
 class LiftConstants:
     f_per_letter: Tuple[Tuple[int, int], ...]
     m: int
-    confidence: str
 
     def __post_init__(self):
         if self.f < 1 or self.m < 1:
@@ -109,162 +99,51 @@ def _require_vertex_mode(q: SubgroupSpec) -> None:
         raise ConfigError("transfer constants need exact membership (vertex mode)")
 
 
-def _default_radii(ball: Ball, radii: Optional[Sequence[int]]) -> Tuple[int, ...]:
-    if radii is None:
-        radii = (ball.radius - 1, ball.radius)
-    radii = tuple(int(r) for r in radii)
-    if len(radii) < 2:
-        raise ConfigError("stabilization needs at least two radii")
-    if list(radii) != sorted(radii):
-        raise ConfigError("radii must be nondecreasing")
-    if radii[0] < 1 or radii[-1] > ball.radius:
-        raise ConfigError("radii must lie inside the ball")
-    return radii
+def compute_f(q: SubgroupSpec, spec: GroupSpec) -> Dict[int, int]:
+    """Per-letter transfer constants F_s = 1 + the l1 covering radius of T_s.
 
-
-def _q_vertex_ids(q: SubgroupSpec, ball: Ball) -> List[int]:
-    return [vid for vid, a in enumerate(ball.elements) if is_member(ball.spec, q, a)]
-
-
-def _q_steps(ball: Ball, qlets: Sequence[int], radius: int) -> Callable[[int], List[int]]:
-    """Neighbours of a vertex across Q-letters, restricted to dist <= radius.
-
-    A Q-letter step from a Q-vertex lands in Q again, so a search from
-    Q-vertices never leaves Q and needs no membership test.
+    Raises NotCommensuratedError, naming the letters, when some T_s has
+    lower rank than Q.
     """
-
-    def steps(v: int) -> List[int]:
-        across = (ball.neighbor(v, letter) for letter in qlets)
-        return [w for w in across if w is not None and ball.dist[w] <= radius]
-
-    return steps
-
-
-def compute_f(
-    q: SubgroupSpec,
-    ball: Ball,
-    radii: Optional[Sequence[int]] = None,
-) -> Dict[int, ConstantScan]:
-    """Per-letter transfer constants, evaluated at each radius."""
     _require_vertex_mode(q)
-    radii = _default_radii(ball, radii)
-    spec = ball.spec
-    group = group_for(spec)
-    q_ids = _q_vertex_ids(q, ball)
-    qlets = q_letters(spec, q)
-    q_within = {r: sum(1 for vid in q_ids if ball.dist[vid] <= r) for r in radii}
-
-    out: Dict[int, ConstantScan] = {}
+    k = len(q_letters(spec, q)) // 2
+    out: Dict[int, int] = {}
     for s in spec.letters:
-        s_el = group.evaluate_word((s,))
-        s_inv = group.evaluate_word((-s,))
-        transfer = [
-            vid
-            for vid in q_ids
-            if is_member(
-                spec, q, group.multiply(group.multiply(s_inv, ball.elements[vid]), s_el)
-            )
-        ]
-        values = []
-        for r in radii:
-            sources = [vid for vid in transfer if ball.dist[vid] <= r]
-            search = bfs_layers(_q_steps(ball, qlets, r), ball.n_vertices, sources)
-            sizes = [len(layer) for layer in search]
-            # the search stays among the Q-vertices within r, so it reached
-            # them all when the counts agree, the last ones len(sizes) - 1 away
-            if sum(sizes) != q_within[r]:
-                raise NoTransferVertexError(
-                    f"letter {render_word(spec, (s,))} has unreachable Q-vertices "
-                    f"at radius {r}"
-                )
-            values.append(len(sizes))
-        out[s] = ConstantScan(
-            name=f"F[{render_word(spec, (s,))}]",
-            radii=radii,
-            values=tuple(values),
-        )
+        basis = transfer_basis(spec, q, s)
+        if len(basis) == k:
+            out[s] = 1 + l1_covering_radius(column_hnf(tuple(zip(*basis))))
+    short = [render_word(spec, (s,)) for s in spec.letters if s not in out]
+    if short:
+        raise NotCommensuratedError(short)
     return out
 
 
-def compute_m(
-    q: SubgroupSpec,
-    ball: Ball,
-    f: int,
-    radii: Optional[Sequence[int]] = None,
-) -> ConstantScan:
-    """Q-word diameter of ambient-metric balls of radius 2F+1 inside Q."""
+def compute_m(q: SubgroupSpec, ball: Ball, f: int) -> int:
+    """Largest Q-length of a Q-element at ambient distance at most 2F+1."""
     _require_vertex_mode(q)
-    radii = _default_radii(ball, radii)
     bound = 2 * f + 1
-    if bound > radii[0]:
-        raise ConfigError(
-            f"pair distance bound {bound} exceeds the smallest radius {radii[0]}"
+    if ball.radius < bound:
+        raise InsufficientRadiusError(
+            f"M needs every Q-element within distance {bound}, beyond radius "
+            f"{ball.radius}",
+            required_radius=bound,
         )
     spec = ball.spec
-    qlets = q_letters(spec, q)
-    identity_vid = 0
     # vertex ids follow BFS order, so the vertices within the bound come first
-    deltas = [
-        vid
-        for vid in range(1, bisect_right(ball.dist, bound))
-        if is_member(spec, q, ball.elements[vid])
-    ]
-
-    values = []
-    for r in radii:
-        layers = bfs_layers(_q_steps(ball, qlets, r), ball.n_vertices, [identity_vid])
-        dist = {vid: d for d, layer in enumerate(layers) for vid in layer}
-        worst = 0
-        for vid in deltas:
-            if vid not in dist:
-                raise NoTransferVertexError(
-                    f"Q-vertex at ambient distance {ball.dist[vid]} unreachable "
-                    f"inside radius {r}"
-                )
-            worst = max(worst, dist[vid])
-        values.append(worst)
-    return ConstantScan(name="M", radii=radii, values=tuple(values))
-
-
-def lift_constants(
-    q: SubgroupSpec,
-    ball: Ball,
-    radii: Optional[Sequence[int]] = None,
-    strict: bool = True,
-) -> LiftConstants:
-    """Compute and certify F (per letter), M, and the loop bound L."""
-    scans = compute_f(q, ball, radii)
-    return certify_constants(q, ball, scans, strict)[0]
-
-
-def certify_constants(
-    q: SubgroupSpec,
-    ball: Ball,
-    scans: Dict[int, ConstantScan],
-    strict: bool = True,
-) -> Tuple[LiftConstants, ConstantScan]:
-    """Certify compute_f's scans, then scan M at their radii; returns the M scan too."""
-    letters = ball.spec.letters
-    stable = True
-    for s in sorted(scans, key=lambda l: (abs(l), -l)):
-        scan = scans[s]
-        if not scan.stable:
-            if strict:
-                raise NotStabilizedError(scan.name, scan.values)
-            stable = False
-    f = max(scan.final for scan in scans.values())
-    # compute_f scans every letter at the same radii
-    m_scan = compute_m(q, ball, f, scans[letters[0]].radii)
-    if not m_scan.stable:
-        if strict:
-            raise NotStabilizedError(m_scan.name, m_scan.values)
-        stable = False
-    constants = LiftConstants(
-        f_per_letter=tuple((s, scans[s].final) for s in letters),
-        m=m_scan.final,
-        confidence=STABLE if stable else BALL_LIMITED,
+    return max(
+        q_norm(spec, a)
+        for a in islice(ball.elements, bisect_right(ball.dist, bound))
+        if is_member(spec, q, a)
     )
-    return constants, m_scan
+
+
+def lift_constants(q: SubgroupSpec, ball: Ball) -> LiftConstants:
+    """F (per letter), M, and with them the loop bound L, all exact."""
+    f_per_letter = compute_f(q, ball.spec)
+    return LiftConstants(
+        f_per_letter=tuple(f_per_letter.items()),
+        m=compute_m(q, ball, max(f_per_letter.values())),
+    )
 
 
 def _q_walk(

@@ -19,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .cayley import Ball, UNREACHED, multi_source_distance
+from .cayley import UNREACHED, multi_source_distance
 from .cosetgraph import CosetPatch
 from .errors import ConfigError, EmptyCosetInBallError
 from .groups import Element, GroupSpec, group_for, render_word
-from .subgroups import SubgroupSpec, VERTEX, coset_key, is_member
+from .subgroups import VERTEX, coset_key
 
 COMMENSURATED = "CommensuratedEvidence"
 NOT_COMMENSURATED = "NotCommensuratedEvidence"
@@ -177,67 +177,3 @@ def default_radii(ball_radius: int) -> List[int]:
     if top < 2:
         raise ConfigError(f"ball radius {ball_radius} too small for a profile")
     return list(range(2, top + 1))
-
-
-@dataclass(frozen=True)
-class IntersectionEvidence:
-    """Witnessed finite-index evidence for Q meeting its g-conjugate.
-
-    Each row is (radius, members, cosets): how many elements of Q within
-    the radius land in the conjugate subgroup, and how many distinct right
-    cosets of the intersection are witnessed among Q-elements seen so far.
-    A bounded coset count alongside growing membership is exactly the
-    finite-index picture; a coset count growing with the radius is not.
-    """
-
-    g: Element
-    g_text: str
-    per_radius: Tuple[Tuple[int, int, int], ...]
-
-    def coset_counts(self) -> Tuple[int, ...]:
-        return tuple(row[2] for row in self.per_radius)
-
-
-def intersection_index_evidence(
-    q: SubgroupSpec,
-    g: Element,
-    ball: Ball,
-) -> IntersectionEvidence:
-    if q.mode != VERTEX:
-        raise ConfigError("intersection evidence needs exact membership (vertex mode)")
-    spec = ball.spec
-    group = group_for(spec)
-    g_inv = group.invert(g)
-
-    def in_conjugate(a: Element) -> bool:
-        return is_member(spec, q, group.multiply(group.multiply(g_inv, a), g))
-
-    q_elements: List[Tuple[int, Element]] = []
-    for vid, a in enumerate(ball.elements):
-        if is_member(spec, q, a):
-            q_elements.append((ball.dist[vid], a))
-    q_elements.sort(key=lambda pair: pair[0])
-
-    per_radius: List[Tuple[int, int, int]] = []
-    reps: List[Element] = []
-    members = 0
-    idx = 0
-    for r in range(ball.radius + 1):
-        while idx < len(q_elements) and q_elements[idx][0] <= r:
-            _, w = q_elements[idx]
-            idx += 1
-            if in_conjugate(w):
-                members += 1
-            w_inv = group.invert(w)
-            for rep in reps:
-                if in_conjugate(group.multiply(rep, w_inv)):
-                    break
-            else:
-                reps.append(w)
-        per_radius.append((r, members, len(reps)))
-
-    return IntersectionEvidence(
-        g=g,
-        g_text=group.render(g),
-        per_radius=tuple(per_radius),
-    )

@@ -26,6 +26,7 @@ from .groups import (
     Word,
     group_for,
 )
+from .intmat import IntVector, identity_matrix
 
 VERTEX = "vertex"
 WORDS = "words"
@@ -85,6 +86,51 @@ def is_member(spec: GroupSpec, q: SubgroupSpec, a: Element) -> bool:
     if spec.family == FAMILY_ABELIAN:
         return not any(a[1:])
     return all(abs(l) == 1 for l in a)
+
+
+def q_norm(spec: GroupSpec, a: Element) -> int:
+    """Length of a in Q's own word metric, for a in the vertex subgroup Q."""
+    if spec.family in (FAMILY_BS, FAMILY_ABELIAN):
+        return abs(a[0])
+    if spec.family == FAMILY_HNN:
+        return sum(map(abs, a[1]))
+    return len(a)
+
+
+def q_element(spec: GroupSpec, v: IntVector) -> Element:
+    """The element of the vertex subgroup Q = Z^k with coordinates v."""
+    word = tuple(
+        letter
+        for i, c in enumerate(v)
+        for letter in ((i + 1) if c > 0 else -(i + 1),) * abs(c)
+    )
+    return group_for(spec).evaluate_word(word)
+
+
+def transfer_basis(
+    spec: GroupSpec, q: SubgroupSpec, letter: int
+) -> Tuple[IntVector, ...]:
+    """Generators of T_s = Q ∩ sQs^-1 for the letter s, in Q's coordinates.
+
+    Q = Z^k (k the rank for hnn, else 1) and T_s holds the q in Q with
+    s^-1 q s in Q again.  For s in Q or Q normal it is all of Q.  For bs:m,n,
+    t^-1 x^m t = x^n gives T_t = <x^|m|> and T_{t^-1} = <x^|n|>; for hnn,
+    t^-1 x^v t = x^(M v) gives T_t = Z^k and T_{t^-1} = M Z^k.  In a free
+    group T_s is trivial for s outside Q.  (Vertex mode only.)
+    """
+    if q.mode != VERTEX:
+        raise SubgroupModeError("transfer_basis requires a vertex subgroup")
+    qlets = q_letters(spec, q)
+    whole = identity_matrix(len(qlets) // 2)
+    if letter in qlets or spec.family == FAMILY_ABELIAN:
+        return whole
+    if spec.family == FAMILY_BS:
+        return ((abs(spec.m if letter > 0 else spec.n),),)
+    if spec.family == FAMILY_HNN:
+        if letter > 0:
+            return whole
+        return tuple(zip(*group_for(spec).lattice_hnf(1)))
+    return ()
 
 
 def coset_key(spec: GroupSpec, q: SubgroupSpec, a: Element) -> bytes:

@@ -238,9 +238,7 @@ def test_criterion_5_end_classifications(
 def test_criterion_6_approximate_lifting(ball_bs12_r15, ball_bs23_r13):
     outcomes = {}
     for spec, ball, f_t in ((BS12, ball_bs12_r15, 1), (BS23, ball_bs23_r13, 2)):
-        scans = compute_f(Q, ball)
-        assert scans[2].stable and scans[2].final == f_t
-        assert len(scans[2].values) == 2
+        assert compute_f(Q, ball.spec)[2] == f_t
 
         patch = build_coset_patch(Q, ball)
         constants = lift_constants(Q, ball)

@@ -27,6 +27,9 @@ def run_cli(args, cache_dir, tmp_path, name="report.json"):
     return code, report
 
 
+NOT_COMMENSURATED_FREE2 = {"confidence": "NotCommensurated", "letters": ["x2", "x2^-1"]}
+
+
 class TestReportsAndExitCodes:
     def test_ball_census_free_group(self, cache_dir, tmp_path):
         code, report = run_cli(
@@ -91,9 +94,17 @@ class TestReportsAndExitCodes:
         assert result["f_per_letter"] == [
             ["x", 1], ["x^-1", 1], ["t", 1], ["t^-1", 2]
         ]
-        assert all(scan["stable"] for scan in result["f_scans"])
+        # each generator w of Q ∩ sQs^-1 beside s^-1 w s, which lies in Q
+        assert result["witnesses"] == [
+            ["x", [["x", "x"]]],
+            ["x^-1", [["x", "x"]]],
+            ["t", [["x", "x^2"]]],
+            ["t^-1", [["x^2", "x"]]],
+        ]
+        assert "scan_radii" not in report["scenario"]
 
     def test_constants_unstable_family_exits_two(self, cache_dir, tmp_path):
+        # free:2 has no finite F: T_s is trivial for s = x2 and x2^-1
         code, report = run_cli(
             ["constants", "--group", "free:2", "--radius", "8"],
             cache_dir,
@@ -101,8 +112,57 @@ class TestReportsAndExitCodes:
         )
         assert code == 2
         assert report["status"] == "inconclusive"
-        assert report["result"]["confidence"] == "NotStabilized"
-        assert report["result"]["unstable"]
+        assert report["result"] == NOT_COMMENSURATED_FREE2
+
+    def test_lift_on_unstable_family_exits_two(self, cache_dir, tmp_path):
+        code, report = run_cli(
+            ["lift", "--group", "free:2", "--radius", "8", "--path", "x2"],
+            cache_dir,
+            tmp_path,
+        )
+        assert code == 2
+        assert report["result"] == NOT_COMMENSURATED_FREE2
+
+    @pytest.mark.parametrize(
+        "group, radius, f_per_letter, m",
+        [
+            ("bs:2,3", 11, [["x", 1], ["x^-1", 1], ["t", 2], ["t^-1", 2]], 5),
+            ("bs:1,3", 6, [["x", 1], ["x^-1", 1], ["t", 1], ["t^-1", 2]], 9),
+            ("bs:2,5", 8, [["x", 1], ["x^-1", 1], ["t", 2], ["t^-1", 3]], 15),
+            ("bs:2,5", 9, [["x", 1], ["x^-1", 1], ["t", 2], ["t^-1", 3]], 15),
+            (
+                "hnn:2,2 1;0 2",
+                7,
+                [["x1", 1], ["x1^-1", 1], ["x2", 1], ["x2^-1", 1],
+                 ["t", 1], ["t^-1", 2]],
+                9,
+            ),
+        ],
+    )
+    def test_constants_need_no_q_walk_inside_the_ball(
+        self, group, radius, f_per_letter, m, cache_dir, tmp_path
+    ):
+        # each of these exited 1 while F and M were scanned by Q-walks in
+        # the ball, which BS distortion pushes outside it
+        code, report = run_cli(
+            ["constants", "--group", group, "--radius", str(radius)], cache_dir, tmp_path
+        )
+        assert code == 0
+        result = report["result"]
+        assert result["confidence"] == "Stable"
+        assert result["f_per_letter"] == f_per_letter
+        f = max(value for _, value in f_per_letter)
+        assert (result["f"], result["m"], result["l"]) == (f, m, 2 * f + m + 1)
+
+    def test_constants_below_radius_2f_plus_1_exits_one(
+        self, cache_dir, tmp_path, capsys
+    ):
+        code, report = run_cli(
+            ["constants", "--group", "bs:2,3", "--radius", "4"], cache_dir, tmp_path
+        )
+        assert code == 1
+        assert report is None
+        assert "suggest radius >= 5" in capsys.readouterr().err
 
     def test_unknown_group_exits_one(self, cache_dir, tmp_path, capsys):
         code, report = run_cli(
@@ -145,8 +205,17 @@ class TestReportsAndExitCodes:
             ["ball", "--group", "free:2", "--radius", "2", "--no-such-flag"],
             ["ball", "--group", "free:2", "--radius", "x"],
             ["ball", "--group", "free:2", "--radius", "2", "--workers", "4"],
+            ["constants", "--group", "bs:1,2", "--radius", "8", "--radii", "7,8"],
+            ["filtered-ends", "--group", "bs:1,2", "--radius", "8",
+             "--trust-margin", "2"],
         ],
-        ids=["unknown-flag", "non-integer-radius", "removed-workers-flag"],
+        ids=[
+            "unknown-flag",
+            "non-integer-radius",
+            "removed-workers-flag",
+            "removed-radii-flag",
+            "removed-trust-margin-flag",
+        ],
     )
     def test_malformed_command_line_exits_one(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -344,6 +413,16 @@ class TestGeometrySubcommands:
         assert result["n_reaching_horizon"] == result["n_vertices"] == 85
         assert result["longest_ray_edges"] == 6
 
+    def test_ladder_on_unstable_family_exits_two(self, cache_dir, tmp_path):
+        code, report = run_cli(
+            ["ladder", "--group", "free:2", "--radius", "8",
+             "--prefix", "x1^2", "--crossing", "x2"],
+            cache_dir,
+            tmp_path,
+        )
+        assert code == 2
+        assert report["result"] == NOT_COMMENSURATED_FREE2
+
     def test_ladder_certificate_on_abelian(self, cache_dir, tmp_path):
         code, report = run_cli(
             ["ladder", "--group", "abelian:2", "--radius", "8",
@@ -361,15 +440,6 @@ class TestGeometrySubcommands:
         }
         assert result["max_loop_length"] <= result["constants"]["l"]
 
-    def test_ladder_on_unstable_family_exits_two(self, cache_dir, tmp_path):
-        code, report = run_cli(
-            ["ladder", "--group", "free:2", "--radius", "8",
-             "--prefix", "x1^2", "--crossing", "x2"],
-            cache_dir,
-            tmp_path,
-        )
-        assert code == 2
-        assert report["result"]["confidence"] == "NotStabilized"
 
 
 class TestDotExport:

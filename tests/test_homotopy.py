@@ -26,7 +26,7 @@ from cosetgeom.homotopy import (
     rays_meeting,
     verify_ladder,
 )
-from cosetgeom.lifting import BALL_LIMITED, LiftConstants, STABLE, lift_constants
+from cosetgeom.lifting import LiftConstants, lift_constants
 from cosetgeom.subgroups import coset_key, vertex_subgroup
 
 Q = vertex_subgroup()
@@ -211,11 +211,6 @@ class TestLadderConstruction:
         assert report.n_loops == 6
         assert report.failed_loops() == ()
 
-    def test_unstable_constants_rejected(self, ball_bs12_r10, constants_bs12):
-        shaky = replace(constants_bs12, confidence=BALL_LIMITED)
-        with pytest.raises(ConfigError):
-            build_ladder(Q, ball_bs12_r10, (1,), 2, shaky)
-
     def test_crossing_letter_must_leave_q(self, ball_bs12_r10, constants_bs12):
         with pytest.raises(ConfigError):
             build_ladder(Q, ball_bs12_r10, (1,), 1, constants_bs12)
@@ -232,7 +227,6 @@ class TestLadderConstruction:
         starved = LiftConstants(
             f_per_letter=((1, 1), (-1, 1), (2, 1), (-2, 2)),
             m=5,
-            confidence=STABLE,
         )
         with pytest.raises(ConstantViolationError, match="F appears underestimated"):
             build_ladder(Q, ball_bs23_r10, (1,), 2, starved)
@@ -241,7 +235,6 @@ class TestLadderConstruction:
         starved = LiftConstants(
             f_per_letter=((1, 1), (-1, 1), (2, 1), (-2, 2)),
             m=1,
-            confidence=STABLE,
         )
         with pytest.raises(ConstantViolationError, match="M appears underestimated"):
             build_ladder(Q, ball_bs12_r10, (1, 1), 2, starved)

@@ -11,7 +11,7 @@ from cosetgeom.cosetgraph import LambdaPath, build_coset_patch, project_path
 from cosetgeom.errors import (
     ConfigError,
     InsufficientRadiusError,
-    NotStabilizedError,
+    NotCommensuratedError,
     NoTransferVertexError,
 )
 from cosetgeom.groups import (
@@ -22,7 +22,6 @@ from cosetgeom.groups import (
     parse_word,
 )
 from cosetgeom.lifting import (
-    STABLE,
     LiftConstants,
     _crossing,
     _q_walk,
@@ -39,6 +38,8 @@ from cosetgeom.subgroups import (
     vertex_subgroup,
     word_subgroup,
 )
+
+from cosetgeom.metrics import default_radii, hausdorff_profile
 
 from .oracles import REFERENCE_GROUPS, reference_q_walk
 
@@ -83,19 +84,16 @@ class TestTransferConstants:
         c = constants_bs12
         assert c.f_per_letter == ((1, 1), (-1, 1), (2, 1), (-2, 2))
         assert (c.f, c.m, c.l) == (2, 6, 11)
-        assert c.confidence == STABLE
 
     def test_bs23_values(self, constants_bs23):
         c = constants_bs23
         assert c.f_per_letter == ((1, 1), (-1, 1), (2, 2), (-2, 2))
         assert (c.f, c.m, c.l) == (2, 5, 10)
-        assert c.confidence == STABLE
 
     def test_abelian_values(self, ball_ab2_r12):
         c = lift_constants(Q, ball_ab2_r12)
         assert all(value == 1 for _, value in c.f_per_letter)
         assert (c.f, c.m, c.l) == (1, 3, 6)
-        assert c.confidence == STABLE
 
     @pytest.mark.parametrize(
         "text, f_per_letter, fml",
@@ -113,43 +111,21 @@ class TestTransferConstants:
         c = lift_constants(Q, build_ball(spec, 8))
         assert c.f_per_letter == f_per_letter
         assert (c.f, c.m, c.l) == fml
-        assert c.confidence == STABLE
 
     def test_free_group_does_not_stabilize(self, ball_free2_r8):
-        with pytest.raises(NotStabilizedError):
+        # T_s is trivial for s = x2, so no finite F exists
+        with pytest.raises(NotCommensuratedError) as info:
             lift_constants(Q, ball_free2_r8)
-
-    def test_lenient_free_group_fails_on_pair_bound(self, ball_free2_r8):
-        with pytest.raises(ConfigError, match="pair distance bound"):
-            lift_constants(Q, ball_free2_r8, strict=False)
-
-    def test_scans_track_radii(self, ball_bs12_r10):
-        scans = compute_f(Q, ball_bs12_r10)
-        assert scans[-2].radii == (9, 10)
-        assert scans[-2].values == (2, 2)
-        assert scans[-2].stable
-        assert scans[2].values == (1, 1)
+        assert info.value.letters == ("x2", "x2^-1")
 
     def test_smaller_pair_bound_shrinks_m(self, ball_bs12_r10):
-        scan = compute_m(Q, ball_bs12_r10, 1)
-        assert scan.final == 3
+        assert compute_m(Q, ball_bs12_r10, 1) == 3
 
-    def test_m_scan_walks_only_inside_each_radius(self):
-        # x^9 = t^2.x.t^-2 sits at distance 5, but the x-walk to it passes
-        # x^8 at distance 6, so the scan at radius 5 cannot reach it
+    def test_m_shortfall_names_the_radius_it_needs(self):
         spec = baumslag_solitar(1, 3)
-        with pytest.raises(NoTransferVertexError, match="inside radius 5"):
-            compute_m(Q, build_ball(spec, 6), 2, radii=(5, 6))
-
-    def test_radii_validation(self, ball_bs12_r10):
-        with pytest.raises(ConfigError):
-            compute_f(Q, ball_bs12_r10, radii=(10,))
-        with pytest.raises(ConfigError):
-            compute_f(Q, ball_bs12_r10, radii=(10, 9))
-        with pytest.raises(ConfigError):
-            compute_f(Q, ball_bs12_r10, radii=(9, 11))
-        with pytest.raises(ConfigError):
-            compute_m(Q, ball_bs12_r10, 5, radii=(9, 10))
+        with pytest.raises(InsufficientRadiusError, match="radius >= 5") as info:
+            compute_m(Q, build_ball(spec, 4), 2)
+        assert info.value.required_radius == 5
 
     def test_words_mode_rejected(self, ball_ab2_r12):
         with pytest.raises(ConfigError):
@@ -157,21 +133,22 @@ class TestTransferConstants:
 
     def test_constants_shape_validation(self):
         with pytest.raises(ConfigError):
-            LiftConstants(f_per_letter=((1, 1),), m=0, confidence=STABLE)
+            LiftConstants(f_per_letter=((1, 1),), m=0)
         # with no letter F is 0, so the positivity rule rejects it too
         with pytest.raises(ConfigError):
-            LiftConstants(f_per_letter=(), m=1, confidence=STABLE)
+            LiftConstants(f_per_letter=(), m=1)
 
 
-def x_walk_distances(ball, start, radius):
-    """Length of the shortest walk along x and x^-1 from start to each vertex
+def q_walk_distances(ball, start, radius):
+    """Length of the shortest walk along Q-letters from start to each vertex
     it reaches without leaving the given radius."""
+    qlets = q_letters(ball.spec, Q)
     depth = {start: 0}
     frontier = [start]
     while frontier:
         nxt = []
         for u in frontier:
-            for letter in (1, -1):
+            for letter in qlets:
                 w = ball.neighbor(u, letter)
                 if w is not None and ball.dist[w] <= radius and w not in depth:
                     depth[w] = depth[u] + 1
@@ -181,7 +158,7 @@ def x_walk_distances(ball, start, radius):
 
 
 def brute_f(spec, ball, q_vertices, s, r):
-    """1 + the longest x-walk any Q-vertex within r needs to a vertex whose
+    """1 + the longest Q-walk any Q-vertex within r needs to a vertex whose
     s-edge lands in the coset sQ, or None when some Q-vertex reaches none."""
     group = group_for(spec)
     s_el = group.evaluate_word((s,))
@@ -192,7 +169,7 @@ def brute_f(spec, ball, q_vertices, s, r):
             continue
         gaps = [
             d
-            for b, d in x_walk_distances(ball, a, r).items()
+            for b, d in q_walk_distances(ball, a, r).items()
             if coset_key(spec, Q, group.multiply(ball.elements[b], s_el)) == goal
         ]
         if not gaps:
@@ -202,49 +179,74 @@ def brute_f(spec, ball, q_vertices, s, r):
 
 
 def brute_m(ball, q_vertices, f, r):
-    """The longest x-walk within r from the identity to a Q-vertex at ambient
+    """The longest Q-walk within r from the identity to a Q-vertex at ambient
     distance at most 2f + 1, or None when one is out of reach."""
-    reach = x_walk_distances(ball, 0, r)
+    reach = q_walk_distances(ball, 0, r)
     near = [v for v in q_vertices if ball.dist[v] <= 2 * f + 1]
     if any(v not in reach for v in near):
         return None
     return max(reach[v] for v in near)
 
 
-class TestBruteForceConstants:
-    """compute_f and compute_m against their definitions, at every radius pair."""
+# Every reference group with a finite F (free:2 has none)
+FINITE_F_GROUPS = [text for text in REFERENCE_GROUPS if text != "free:2"]
 
-    # bs:2,5 cuts Q-vertices off from every transfer vertex at radii 7 and 8,
-    # and bs:1,3 cuts x^9 off from the identity at radius 5
-    @pytest.mark.parametrize("text", ["free:2", "abelian:2", "bs:1,2", "bs:1,3", "bs:2,5"])
+
+class TestBruteForceConstants:
+    """compute_f and compute_m against definition scans in a ball of radius 8.
+
+    The scans only see walks inside the ball, so at smaller radii they can
+    settle on a wrong value: on hnn:2,2 1;0 2 they read F = 3 for t^-1 at
+    every radius pair from (2, 3) to (6, 7), where the exact F is 2.  bs:1,3
+    joins for its M-witness x^9, whose x-walk passes radius 6.  bs:2,5 is
+    scanned at radius 9: at 8 some of its Q-vertices reach no transfer
+    vertex inside the ball.  On free:2 the scans grow with the radius.
+    """
+
+    @pytest.mark.parametrize(
+        "text", FINITE_F_GROUPS + ["bs:1,3", "abelian:2", "bs:2,5", "free:2"]
+    )
     def test_scans_match_the_definitions(self, text):
         spec = parse_group_spec(text)
-        ball = build_ball(spec, 8)
+        r = 9 if text == "bs:2,5" else 8
+        ball = build_ball(spec, r)
         q_vertices = [v for v, a in enumerate(ball.elements) if is_member(spec, Q, a)]
-        f_at = {
-            (s, r): brute_f(spec, ball, q_vertices, s, r)
-            for s in spec.letters
-            for r in range(1, 9)
-        }
-        m_at = {
-            (f, r): brute_m(ball, q_vertices, f, r) for f in (1, 2, 3) for r in range(1, 9)
-        }
-        for r1 in range(1, 9):
-            for r2 in range(r1, 9):
-                want = {s: (f_at[s, r1], f_at[s, r2]) for s in spec.letters}
-                if any(None in values for values in want.values()):
-                    with pytest.raises(NoTransferVertexError):
-                        compute_f(Q, ball, (r1, r2))
-                else:
-                    scans = compute_f(Q, ball, (r1, r2))
-                    assert {s: scan.values for s, scan in scans.items()} == want
-                for f in range(1, (r1 - 1) // 2 + 1):
-                    values = (m_at[f, r1], m_at[f, r2])
-                    if None in values:
-                        with pytest.raises(NoTransferVertexError):
-                            compute_m(Q, ball, f, (r1, r2))
-                    else:
-                        assert compute_m(Q, ball, f, (r1, r2)).values == values
+        if text == "free:2":
+            # no finite F: the scan for x2 reads radius + 1 at every radius
+            growth = [brute_f(spec, ball, q_vertices, 2, i) for i in range(1, r + 1)]
+            assert growth == list(range(2, r + 2))
+            with pytest.raises(NotCommensuratedError):
+                compute_f(Q, spec)
+            return
+        f = compute_f(Q, spec)
+        assert f == {s: brute_f(spec, ball, q_vertices, s, r) for s in spec.letters}
+        top = max(f.values())
+        assert compute_m(Q, ball, top) == brute_m(ball, q_vertices, top, r)
+
+
+class TestHausdorffBound:
+    """d(Q, sQ) <= max(F_s, F_{s^-1}): write q = (s y s^-1) r with s y s^-1 in
+    T_s and |r|_Q < F_s, so q is within F_s of s y in sQ, and symmetrically
+    s y is within F_{s^-1} of Q.  Every exact profile value must obey it,
+    and on these groups every letter outside Q attains it."""
+
+    @pytest.mark.parametrize("radius", [7, 9])
+    @pytest.mark.parametrize("text", FINITE_F_GROUPS)
+    def test_exact_profile_values_obey_the_bound(self, text, radius):
+        spec = parse_group_spec(text)
+        patch = build_coset_patch(Q, build_ball(spec, radius))
+        f = compute_f(Q, spec)
+        group = group_for(spec)
+        outside = k_letters(spec, Q)
+        for s in spec.letters:
+            profile = hausdorff_profile(
+                patch, group.evaluate_word((s,)), default_radii(radius)
+            )
+            exact = [v.k for v in profile.values if v.exact]
+            bound = max(f[s], f[-s])
+            assert exact and max(exact) <= bound, s
+            if s in outside:
+                assert set(exact) == {bound}, s
 
 
 class TestQWalkOracle:
@@ -350,7 +352,6 @@ class TestApproximateLift:
         starved = LiftConstants(
             f_per_letter=((1, 1), (-1, 1), (2, 1), (-2, 1)),
             m=3,
-            confidence=STABLE,
         )
         t_children = patch_bs23_r10.adj[0][2]
         assert len(t_children) == 2

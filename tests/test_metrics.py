@@ -1,4 +1,4 @@
-"""Hausdorff profiles, commensuration verdicts, intersection evidence."""
+"""Hausdorff profiles and commensuration verdicts."""
 
 from __future__ import annotations
 
@@ -24,7 +24,6 @@ from cosetgeom.metrics import (
     default_radii,
     default_test_elements,
     hausdorff_profile,
-    intersection_index_evidence,
 )
 from cosetgeom.subgroups import vertex_subgroup, word_subgroup
 
@@ -162,32 +161,6 @@ class TestCommensurationVerdicts:
     def test_empty_profile_list_rejected(self):
         with pytest.raises(ConfigError):
             commensuration_verdict([])
-
-
-class TestIntersectionEvidence:
-    def test_bs23_counts_differ_by_conjugation_side(self):
-        spec = baumslag_solitar(2, 3)
-        ball = build_ball(spec, 8)
-        by_t = intersection_index_evidence(Q, element(spec, "t"), ball)
-        by_t_inv = intersection_index_evidence(Q, element(spec, "t^-1"), ball)
-        assert by_t.coset_counts()[-3:] == (2, 2, 2)
-        assert by_t_inv.coset_counts()[-3:] == (3, 3, 3)
-        # membership inside Q grows with the radius on both sides
-        members_t = [row[1] for row in by_t.per_radius]
-        assert members_t[-1] > members_t[2] > 0
-
-    def test_z2_intersection_is_everything(self, ball_ab2_r12):
-        spec = ball_ab2_r12.spec
-        ev = intersection_index_evidence(Q, element(spec, "x2^5"), ball_ab2_r12)
-        assert set(ev.coset_counts()) == {1}
-        members = [row[1] for row in ev.per_radius]
-        assert members == [2 * r + 1 for r in range(ball_ab2_r12.radius + 1)]
-
-    def test_free2_witness_count_grows(self, ball_free2_r8):
-        spec = ball_free2_r8.spec
-        ev = intersection_index_evidence(Q, element(spec, "x2"), ball_free2_r8)
-        assert ev.coset_counts() == tuple(2 * r + 1 for r in range(9))
-        assert all(row[1] == 1 for row in ev.per_radius)
 
 
 class TestDefaults:

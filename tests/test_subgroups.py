@@ -1,11 +1,13 @@
-"""Membership and coset-key tests."""
+"""Membership, coset-key and transfer-subgroup tests."""
 
 from __future__ import annotations
+
+from itertools import product
 
 import pytest
 
 from cosetgeom.cayley import build_ball
-from cosetgeom.errors import SubgroupModeError
+from cosetgeom.errors import NotCommensuratedError, SubgroupModeError
 from cosetgeom.groups import (
     ascending_hnn,
     baumslag_solitar,
@@ -15,12 +17,16 @@ from cosetgeom.groups import (
     parse_group_spec,
     parse_word,
 )
+from cosetgeom.lifting import compute_f
 from cosetgeom.subgroups import (
     base_coset_key,
     coset_key,
     is_member,
     k_letters,
+    q_element,
     q_letters,
+    q_norm,
+    transfer_basis,
     vertex_subgroup,
     word_subgroup,
 )
@@ -122,7 +128,7 @@ class TestCosetKeys:
 
 @pytest.mark.parametrize("text", REFERENCE_GROUPS)
 def test_q_letter_edges_stay_in_their_coset(text):
-    # Q-walks and the F/M scans skip coset tests on the strength of this:
+    # Q-walks skip coset tests on the strength of this:
     # a Q-letter edge never changes the coset, a K-letter edge always does
     spec = parse_group_spec(text)
     qlets, klets = set(q_letters(spec, Q)), set(k_letters(spec, Q))
@@ -142,3 +148,64 @@ class TestLetterSplit:
         assert q_letters(HNN2, Q) == (1, -1, 2, -2)
         assert k_letters(HNN2, Q) == (3, -3)
         assert k_letters(FREE2, Q) == (2, -2)
+
+
+def conjugate_in_q(spec, s, v):
+    """Whether s^-1 x^v s lies in Q, by group arithmetic alone."""
+    group = group_for(spec)
+    s_el = group.evaluate_word((s,))
+    conjugate = group.multiply(group.invert(s_el), q_element(spec, v))
+    return is_member(spec, Q, group.multiply(conjugate, s_el))
+
+
+class TestTransferWitnesses:
+    """transfer_basis against membership tests on the normal forms."""
+
+    @pytest.mark.parametrize("text", REFERENCE_GROUPS)
+    def test_every_witness_conjugates_into_q(self, text):
+        spec = parse_group_spec(text)
+        for s in spec.letters:
+            for v in transfer_basis(spec, Q, s):
+                w = q_element(spec, v)
+                assert is_member(spec, Q, w)
+                assert q_norm(spec, w) == sum(map(abs, v))
+                assert conjugate_in_q(spec, s, v), (s, v)
+
+    @pytest.mark.parametrize(
+        "text", ["bs:1,2", "bs:2,3", "bs:-2,3", "bs:3,-2", "bs:2,5"]
+    )
+    def test_bs_search_finds_the_smallest_exponents(self, text):
+        spec = parse_group_spec(text)
+        for s, step in ((2, abs(spec.m)), (-2, abs(spec.n))):
+            found = [a for a in range(1, 65) if conjugate_in_q(spec, s, (a,))]
+            assert found == list(range(step, 65, step))
+            assert transfer_basis(spec, Q, s) == ((step,),)
+
+    def test_free_letters_outside_q_have_no_witness(self):
+        assert not any(
+            conjugate_in_q(FREE2, s, (a,)) for s in (2, -2) for a in range(1, 65)
+        )
+        assert transfer_basis(FREE2, Q, 2) == transfer_basis(FREE2, Q, -2) == ()
+        with pytest.raises(NotCommensuratedError, match="x2, x2\\^-1"):
+            compute_f(Q, FREE2)
+
+    @pytest.mark.parametrize(
+        "text", ["hnn:1,3", "hnn:2,0 1;2 1", "hnn:2,2 1;0 2", "hnn:2,2 1;0 3"]
+    )
+    def test_hnn_index_and_covering_radius_by_counting(self, text):
+        # classes of Z^k / T_s found in l1 order inside a box that holds the
+        # l1 ball of radius 4; each class's first vector is its shortest
+        spec = parse_group_spec(text)
+        t = spec.stable_letter
+        f = compute_f(Q, spec)
+        box = sorted(
+            product(range(-4, 5), repeat=spec.rank), key=lambda v: sum(map(abs, v))
+        )
+        for s, index in ((t, 1), (-t, abs(group_for(spec).det))):
+            reps = []
+            for v in box:
+                diffs = (tuple(a - b for a, b in zip(v, r)) for r in reps)
+                if not any(conjugate_in_q(spec, s, d) for d in diffs):
+                    reps.append(v)
+            assert len(reps) == index
+            assert max(sum(map(abs, r)) for r in reps) == f[s] - 1
