@@ -237,14 +237,6 @@ def bfs_distances(
     return out
 
 
-def multi_source_distance(ball: Ball, sources: Iterable[int]) -> List[int]:
-    """Edge distance from a vertex set, inside the ball; UNREACHED if cut off."""
-    # Whole-ball passes read the adjacency slots directly: a generator of
-    # (letter, vertex) pairs per vertex would cost several times more.
-    adj, k = ball.adj, len(ball.letters)
-    return bfs_distances(lambda v: adj[v * k : v * k + k], ball.n_vertices, sources)
-
-
 @dataclass(frozen=True)
 class StarResult:
     vertices: frozenset

@@ -15,13 +15,17 @@ to the boundary that their recorded degree is likely clipped.
 
 from __future__ import annotations
 
+from array import array
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .cayley import Ball, PathInBall, bfs_distances
+from .cayley import NO_EDGE, Ball, PathInBall, bfs_distances
 from .errors import ConfigError, InsufficientRadiusError
 from .groups import GroupSpec, group_for
-from .subgroups import VERTEX, WORDS, SubgroupSpec, coset_key
+from .subgroups import VERTEX, WORDS, SubgroupSpec, coset_key, coset_label, q_letters
 
 DEFAULT_TRUST_MARGIN = 1
 
@@ -61,7 +65,13 @@ class LambdaPath:
 
 @dataclass
 class CosetPatch:
-    """The part of the coset graph witnessed by one ball."""
+    """The part of the coset graph witnessed by one ball.
+
+    The labelling is built with the patch: each ball vertex's coset, and the
+    members of every coset as one CSR list.  The coset graph itself (``adj``,
+    ``links`` and ``dist``) is built on first use, since Hausdorff profiles
+    and lifts read only the labelling.
+    """
 
     spec: GroupSpec
     subgroup: SubgroupSpec
@@ -71,10 +81,9 @@ class CosetPatch:
     keys: Tuple[bytes, ...]
     witness: Tuple[int, ...]
     coset_of: Tuple[int, ...]
-    dist: Tuple[int, ...]
     trusted: Tuple[bool, ...]
-    adj: Tuple[Dict[int, Tuple[int, ...]], ...]
-    links: Tuple[Tuple[int, ...], ...]  # each coset's neighbours, sorted, once each
+    members: array  # ball vertices grouped by coset, ascending within a coset
+    offsets: array  # coset c holds members[offsets[c]:offsets[c + 1]]
     _id_of_key: Dict[bytes, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -88,6 +97,52 @@ class CosetPatch:
     @property
     def base(self) -> int:
         return self.coset_of[0]
+
+    @cached_property
+    def _graph(self):
+        """(adj, links, dist) of the coset graph, read off the ball's slots.
+
+        Q-letter slots are skipped: those edges never leave a coset, in
+        vertex mode because the letter lies in Q and in words mode because
+        a one-letter generator word merges its two ends.
+        """
+        ball, coset_of, n = self.ball, self.coset_of, self.n_cosets
+        slots, k = ball.adj, len(ball.letters)
+        inside = set(q_letters(self.spec, self.subgroup))
+        buckets: List[Dict[int, List[int]]] = [{} for _ in range(n)]
+        for letter, i in sorted((l, i) for i, l in enumerate(ball.letters)):
+            if letter in inside:
+                continue
+            # one code cv * n + cu per coset pair; sorted, they come by
+            # source coset, then target coset
+            codes = {
+                cv * n + coset_of[u]
+                for cv, u in zip(coset_of, slots[i::k])
+                if u != NO_EDGE
+            }
+            for code in sorted(codes):
+                cv, cu = divmod(code, n)
+                if cv != cu:
+                    buckets[cv].setdefault(letter, []).append(cu)
+        adj = tuple({l: tuple(t) for l, t in b.items()} for b in buckets)
+        links = tuple(tuple(sorted({c for t in b.values() for c in t})) for b in adj)
+        dist = bfs_distances(links.__getitem__, n, [self.base])
+        return adj, links, tuple(dist)
+
+    @property
+    def adj(self) -> Tuple[Dict[int, Tuple[int, ...]], ...]:
+        """Per coset, each leaving letter's target cosets, by letter then coset."""
+        return self._graph[0]
+
+    @property
+    def links(self) -> Tuple[Tuple[int, ...], ...]:
+        """Each coset's neighbours, sorted, once each."""
+        return self._graph[1]
+
+    @property
+    def dist(self) -> Tuple[int, ...]:
+        """Coset-graph distance of each coset from the base coset Q."""
+        return self._graph[2]
 
     def coset_id(self, key: bytes) -> Optional[int]:
         return self._id_of_key.get(key)
@@ -104,8 +159,9 @@ class CosetPatch:
             for target in targets:
                 yield letter, target
 
-    def vertices_in_coset(self, cid: int) -> Tuple[int, ...]:
-        return tuple(v for v, c in enumerate(self.coset_of) if c == cid)
+    def vertices_in_coset(self, cid: int) -> array:
+        """The coset's ball vertices, ascending."""
+        return self.members[self.offsets[cid] : self.offsets[cid + 1]]
 
 
 def graph_view(graph: Union[Ball, CosetPatch]):
@@ -116,7 +172,7 @@ def graph_view(graph: Union[Ball, CosetPatch]):
     if isinstance(graph, Ball):
         return "ball", graph.dist, graph.neighbors, graph.radius
     if isinstance(graph, CosetPatch):
-        return "patch", graph.dist, graph.neighbors, max(graph.dist)
+        return "patch", graph.dist, graph.links.__getitem__, max(graph.dist)
     raise ConfigError(f"expected a ball or a coset patch, got {type(graph).__name__}")
 
 
@@ -137,11 +193,6 @@ class _UnionFind:
         ri, rj = self.find(i), self.find(j)
         if ri != rj:
             self.parent[max(ri, rj)] = min(ri, rj)
-
-
-def _coset_labels_vertex(ball: Ball, subgroup: SubgroupSpec) -> List[bytes]:
-    spec = ball.spec
-    return [coset_key(spec, subgroup, a) for a in ball.elements]
 
 
 def _coset_labels_words(ball: Ball, subgroup: SubgroupSpec) -> List[int]:
@@ -186,48 +237,29 @@ def build_coset_patch(
         raise ConfigError("trust_margin must be >= 1")
 
     spec = ball.spec
-    group = group_for(spec)
     n = ball.n_vertices
     if q.mode == VERTEX:
-        labels: Sequence = _coset_labels_vertex(ball, q)
+        labels: Sequence = [coset_label(spec, q, a) for a in ball.elements]
     elif q.mode == WORDS:
         labels = _coset_labels_words(ball, q)
     else:
         raise ConfigError(f"unknown subgroup mode {q.mode!r}")
 
-    coset_of: List[int] = [0] * n
-    witness: List[int] = []
-    id_by_label: Dict = {}
-    for v in range(n):
-        label = labels[v]
-        cid = id_by_label.get(label)
-        if cid is None:
-            cid = len(witness)
-            id_by_label[label] = cid
-            witness.append(v)
-        coset_of[v] = cid
-    n_cosets = len(witness)
+    ids: Dict = {}
+    coset_of = [ids.setdefault(label, len(ids)) for label in labels]
+    n_cosets = len(ids)
+    # a stable sort keeps each coset's vertices ascending, so a coset's
+    # first member is its earliest vertex, the witness
+    members = array("i", sorted(range(n), key=coset_of.__getitem__))
+    sizes = Counter(coset_of)
+    offsets = array("i", accumulate((sizes[c] for c in range(n_cosets)), initial=0))
+    witness = tuple(members[start] for start in offsets[:-1])
 
     if q.mode == VERTEX:
-        keys = tuple(labels[w] for w in witness)
+        keys = tuple(coset_key(spec, q, ball.elements[w]) for w in witness)
     else:
+        group = group_for(spec)
         keys = tuple(group.canonical_key(ball.elements[w]) for w in witness)
-
-    edge_sets: List[Dict[int, set]] = [dict() for _ in range(n_cosets)]
-    for v in range(n):
-        cv = coset_of[v]
-        for letter, u in ball.edges(v):
-            cu = coset_of[u]
-            if cu == cv:
-                continue
-            edge_sets[cv].setdefault(letter, set()).add(cu)
-    adj = tuple(
-        {letter: tuple(sorted(targets)) for letter, targets in sorted(bucket.items())}
-        for bucket in edge_sets
-    )
-    links = tuple(tuple(sorted(set().union(*bucket.values()))) for bucket in edge_sets)
-
-    dist = bfs_distances(links.__getitem__, n_cosets, [coset_of[0]])
 
     trusted = tuple(
         ball.dist[w] + trust_margin <= ball.radius for w in witness
@@ -240,12 +272,11 @@ def build_coset_patch(
         trust_margin=trust_margin,
         ball=ball,
         keys=keys,
-        witness=tuple(witness),
+        witness=witness,
         coset_of=tuple(coset_of),
-        dist=tuple(dist),
         trusted=trusted,
-        adj=adj,
-        links=links,
+        members=members,
+        offsets=offsets,
     )
 
 

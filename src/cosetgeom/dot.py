@@ -54,8 +54,8 @@ def export_dot(graph: Union[Ball, CosetPatch]) -> str:
         for v in range(n)
         for letter, w in graph.edges(v)
     )
+    label = {l: _quote(render_word(graph.spec, (l,))) for l in graph.spec.letters}
     for _, letter, _, v, w in edges:
-        label = _quote(render_word(graph.spec, (letter,)))
-        lines.append(f"  {prefix}{v} -> {prefix}{w} [label={label}];")
+        lines.append(f"  {prefix}{v} -> {prefix}{w} [label={label[letter]}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -194,7 +194,7 @@ def _blocked_region(patch: CosetPatch, excluded: FrozenSet[int]) -> Set[int]:
     """
     ball, coset_of = patch.ball, patch.coset_of
     hit = {coset_of[v] for v in excluded}
-    members = {v for v in range(ball.n_vertices) if coset_of[v] in hit} - excluded
+    members = {v for c in hit for v in patch.vertices_in_coset(c)} - excluded
     rim = [v for v in members if ball.dist[v] == ball.radius]
 
     def in_coset(v: int) -> List[int]:
@@ -233,7 +233,8 @@ def escape_route(
         raise EscapeBlockedError("start vertex lies in the excluded set")
 
     g_coset = patch.coset_id(coset_key(patch.spec, patch.subgroup, g))
-    targets = [w for w in range(n) if coset_of[w] == g_coset and w not in excluded]
+    g_vertices = () if g_coset is None else patch.vertices_in_coset(g_coset)
+    targets = set(g_vertices) - excluded
     if not targets:
         raise EmptyCosetInBallError(
             "target coset has no usable vertex inside the ball"
@@ -268,12 +269,11 @@ def escape_route(
     for letter in alpha:
         mid = ball.neighbor(mid, letter)
 
-    target_set = set(targets)
     beta = _bfs_route(
         ball,
         mid,
         allowed=lambda u: u not in excluded,
-        is_target=lambda u: u in target_set,
+        is_target=lambda u: u in targets,
     )
     if beta is None:
         raise NoRouteWithinBallError(

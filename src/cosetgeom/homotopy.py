@@ -18,7 +18,7 @@ group arithmetic alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .cayley import Ball, bfs_distances
 from .cosetgraph import CosetPatch, graph_view
@@ -75,16 +75,6 @@ def build_ray_system(graph: Union[Ball, CosetPatch], base: int = 0) -> RaySystem
         horizon=horizon,
         shell=tuple(shell),
         rays=tuple(rays),
-    )
-
-
-def rays_meeting(system: RaySystem, targets: Iterable[int]) -> Tuple[int, ...]:
-    """Vertices whose ray intersects the target set."""
-    targets = set(targets)
-    return tuple(
-        v
-        for v, path in enumerate(system.rays)
-        if any(u in targets for u in path)
     )
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .cayley import UNREACHED, multi_source_distance
+from .cayley import UNREACHED, Ball, bfs_layers
 from .cosetgraph import CosetPatch
 from .errors import ConfigError, EmptyCosetInBallError
 from .groups import Element, GroupSpec, group_for, render_word
@@ -74,6 +74,32 @@ def _profile_verdict(values: Sequence[RadiusValue]) -> str:
     return INCONCLUSIVE
 
 
+def _distances_to(
+    ball: Ball, sources: Iterable[int], targets: Iterable[int]
+) -> Dict[int, int]:
+    """Ball distance from the sources to each target it reaches.
+
+    The search stops at the layer that reaches the last target; a target
+    the whole ball search never reaches is left out.
+    """
+    left = set(targets)
+    found: Dict[int, int] = {}
+    if not left:
+        return found
+    # read the adjacency slots directly: a (letter, vertex) generator per
+    # vertex would cost several times more
+    adj, k = ball.adj, len(ball.letters)
+    layers = bfs_layers(lambda v: adj[v * k : v * k + k], ball.n_vertices, sources)
+    for d, layer in enumerate(layers):
+        hits = left.intersection(layer)
+        if hits:
+            found.update(dict.fromkeys(hits, d))
+            left -= hits
+            if not left:
+                break
+    return found
+
+
 def hausdorff_profile(
     patch: CosetPatch,
     g: Element,
@@ -83,9 +109,10 @@ def hausdorff_profile(
 
     Forward: how far elements of Q within radius r can sit from gQ.
     Backward: how far elements of gQ within radius r can sit from Q.
-    Both cosets are read off the patch's labelling, and the distances come
-    from full-ball BFS layers, so each call costs two traversals regardless
-    of how many radii are requested.
+    Both cosets are read off the patch's labelling.  The distances come
+    from two ball searches, one from each coset, and each stops once it has
+    reached every vertex of the other coset within the largest radius, so
+    a call costs about K layers per coset, whatever the radii.
     """
     if patch.subgroup.mode != VERTEX:
         raise ConfigError("hausdorff_profile needs exact coset keys (vertex mode)")
@@ -106,13 +133,15 @@ def hausdorff_profile(
             "gQ does not meet the trusted part of the ball"
         )
 
-    dist_to_gq = multi_source_distance(ball, g_vertices)
-    dist_to_q = multi_source_distance(ball, q_vertices)
+    near_q = [v for v in q_vertices if ball.dist[v] <= radii[-1]]
+    near_g = [v for v in g_vertices if ball.dist[v] <= radii[-1]]
+    dist_to_gq = _distances_to(ball, g_vertices, near_q)
+    dist_to_q = _distances_to(ball, q_vertices, near_g)
 
     values: List[RadiusValue] = []
     for r in radii:
-        fwd_pool = [dist_to_gq[v] for v in q_vertices if ball.dist[v] <= r]
-        bwd_pool = [dist_to_q[v] for v in g_vertices if ball.dist[v] <= r]
+        fwd_pool = [dist_to_gq.get(v, UNREACHED) for v in near_q if ball.dist[v] <= r]
+        bwd_pool = [dist_to_q.get(v, UNREACHED) for v in near_g if ball.dist[v] <= r]
         if not bwd_pool:
             raise EmptyCosetInBallError(f"gQ does not meet the ball of radius {r}")
         if UNREACHED in fwd_pool or UNREACHED in bwd_pool:

@@ -133,47 +133,56 @@ def transfer_basis(
     return ()
 
 
+def coset_label(spec: GroupSpec, q: SubgroupSpec, a: Element) -> Tuple:
+    """Hashable label of the left coset a*Q, read off the normal form.
+
+    Labels agree exactly when the cosets agree, and Q itself gets ().  A
+    label is the part of the normal form that right multiplication by Q
+    leaves alone: for bs the head, every syllable but the last and the last
+    t-sign; for hnn (p, v mod M^q Z^k, q); for free the word stripped of its
+    trailing x1-letters; for abelian the coordinates after the first.
+    (Vertex mode only.)
+    """
+    if q.mode != VERTEX:
+        raise SubgroupModeError("coset_label requires a vertex subgroup")
+    family = spec.family
+    if family == FAMILY_BS:
+        head, sylls = a
+        return (head, sylls[:-1], sylls[-1][0]) if sylls else ()
+    if family == FAMILY_HNN:
+        p, v, qq = a
+        if p == 0 and qq == 0:
+            return ()
+        return (p, group_for(spec).reduce_mod_image(v, qq), qq)
+    if family == FAMILY_ABELIAN:
+        rest = a[1:]
+        return rest if any(rest) else ()
+    end = len(a)
+    while end and abs(a[end - 1]) == 1:
+        end -= 1
+    return a[:end]
+
+
 def coset_key(spec: GroupSpec, q: SubgroupSpec, a: Element) -> bytes:
     """Canonical byte key of the left coset a*Q (vertex mode only).
 
-    Keys agree exactly when the cosets agree; the base coset Q maps to the
-    identity key.
+    The byte encoding of coset_label: keys agree exactly when the cosets
+    agree, and the base coset Q maps to the identity key.
     """
-    if q.mode != VERTEX:
-        raise SubgroupModeError("coset_key requires a vertex subgroup")
-    if spec.family == FAMILY_FREE:
-        end = len(a)
-        while end and abs(a[end - 1]) == 1:
-            end -= 1
-        stripped = a[:end]
-        if not stripped:
-            return IDENTITY_KEY
-        return ",".join(str(l) for l in stripped).encode()
-    if spec.family == FAMILY_ABELIAN:
-        rest = a[1:]
-        if not any(rest):
-            return IDENTITY_KEY
-        return ",".join(str(x) for x in rest).encode()
-    if spec.family == FAMILY_BS:
-        head, sylls = a
-        if not sylls:
-            return IDENTITY_KEY
-        parts = [str(head)]
-        for i, (sign, exp) in enumerate(sylls):
-            mark = "+" if sign > 0 else "-"
-            if i < len(sylls) - 1:
-                parts.append(f"{mark}{exp}")
-            else:
-                parts.append(mark)
-        return "|".join(parts).encode()
-    # ascending HNN: cancel the q-side base coordinates modulo M^q Z^k
-    g = group_for(spec)
-    p, v, qq = a
-    residue = g.reduce_mod_image(v, qq)
-    if p == 0 and qq == 0:
+    label = coset_label(spec, q, a)
+    if not label:
         return IDENTITY_KEY
-    vec = ",".join(str(x) for x in residue)
-    return f"{p}|{vec}|{qq}".encode()
+    if spec.family == FAMILY_BS:
+        head, body, sign = label
+        parts = [str(head)]
+        parts.extend(f"{'+' if s > 0 else '-'}{exp}" for s, exp in body)
+        parts.append("+" if sign > 0 else "-")
+        return "|".join(parts).encode()
+    if spec.family == FAMILY_HNN:
+        p, residue, qq = label
+        vec = ",".join(str(x) for x in residue)
+        return f"{p}|{vec}|{qq}".encode()
+    return ",".join(str(x) for x in label).encode()
 
 
 def base_coset_key(spec: GroupSpec, q: SubgroupSpec) -> bytes:

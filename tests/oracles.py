@@ -7,16 +7,20 @@ only when |m| = 1), the other is a purely syntactic rewriting closure
 (available for any bs:m,n but only at bounded word length).  The ascending
 HNN groups get an affine representation too, faithful on all of them.  The reference ball
 builder pins the production builder's numbering and adjacency using only Group.multiply.
-The coset sweep pins a patch's labelling, and the brute-force Hausdorff
-distances in Z^2 and F_2 use arithmetic of their own.  The parent-map route
-search pins the letters of escape routes, and the walk-carrying Q-walk those
-of lifts and ladders, which the package reads off BFS layers instead.  The
-set-based star pins the one the package takes from the first BFS layers.
+The coset sweep pins a patch's labelling, and the key formatter pins the
+bytes of every coset key, written straight from the normal form.  The
+brute-force Hausdorff distances in Z^2 and F_2 use arithmetic of their own,
+and the whole-ball profile pins the searches that stop at their targets.
+The parent-map route search pins the letters of escape routes, and the
+walk-carrying Q-walk those of lifts and ladders, which the package reads
+off BFS layers instead.  The set-based star pins the one the package takes
+from the first BFS layers.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -330,6 +334,93 @@ def coset_sweep(keys: Sequence) -> Tuple[List, List[int]]:
     ids: Dict = {}
     coset_of = [ids.setdefault(key, len(ids)) for key in keys]
     return list(ids), coset_of
+
+
+# ---------------------------------------------------------------------------
+# Coset keys formatted from the normal form
+# ---------------------------------------------------------------------------
+#
+# The byte key of a*Q written family by family from a's normal form, with no
+# intermediate label: a free word loses its trailing x1-letters, an abelian
+# vector its first coordinate; a bs form keeps its head, every syllable but
+# the last and the last t-sign; an hnn triple (p, v, q) keeps v modulo
+# M^q Z^k, for which the caller passes the reducer.  Q gets the empty key.
+
+
+def formatted_coset_key(family: str, a, reduce_mod_image=None) -> bytes:
+    if family == "free":
+        end = len(a)
+        while end and abs(a[end - 1]) == 1:
+            end -= 1
+        return ",".join(str(letter) for letter in a[:end]).encode()
+    if family == "abelian":
+        rest = a[1:]
+        return ",".join(str(x) for x in rest).encode() if any(rest) else b""
+    if family == "bs":
+        head, sylls = a
+        if not sylls:
+            return b""
+        parts = [str(head)]
+        for i, (sign, exp) in enumerate(sylls):
+            mark = "+" if sign > 0 else "-"
+            parts.append(f"{mark}{exp}" if i < len(sylls) - 1 else mark)
+        return "|".join(parts).encode()
+    p, v, q = a
+    if p == 0 and q == 0:
+        return b""
+    residue = ",".join(str(x) for x in reduce_mod_image(v, q))
+    return f"{p}|{residue}|{q}".encode()
+
+
+# ---------------------------------------------------------------------------
+# Hausdorff profiles from whole-ball searches
+# ---------------------------------------------------------------------------
+#
+# A queue search over the ball's edges from every vertex of one coset, run
+# until the ball is exhausted, gives each vertex's distance from that coset
+# inside the ball.  The value at radius r is the largest such distance over
+# the other coset's vertices within r.  The two cosets come from the caller
+# as vertex lists, so no coset labelling is trusted here.
+
+
+def queue_distances(ball, sources: Iterable[int]) -> Dict[int, int]:
+    """Distance inside the ball from the sources to every vertex reached."""
+    depth: Dict[int, int] = {}
+    queue = deque()
+    for s in sources:
+        if s not in depth:
+            depth[s] = 0
+            queue.append(s)
+    while queue:
+        v = queue.popleft()
+        for _, w in ball.edges(v):
+            if w not in depth:
+                depth[w] = depth[v] + 1
+                queue.append(w)
+    return depth
+
+
+def reference_profile(ball, q_members, g_members, radii):
+    """[(r, k_forward, k_backward)] per radius, or the reason there is none.
+
+    The reason is "trusted" when gQ has no vertex off the rim, "radius r"
+    when it has none within r, and "disconnected" when a search misses a
+    vertex it should measure.
+    """
+    if not g_members or min(ball.dist[v] for v in g_members) > ball.radius - 1:
+        return "trusted"
+    to_g = queue_distances(ball, g_members)
+    to_q = queue_distances(ball, q_members)
+    values = []
+    for r in radii:
+        forward = [to_g.get(v) for v in q_members if ball.dist[v] <= r]
+        backward = [to_q.get(v) for v in g_members if ball.dist[v] <= r]
+        if not backward:
+            return f"radius {r}"
+        if None in forward or None in backward:
+            return "disconnected"
+        values.append((r, max(forward), max(backward)))
+    return values
 
 
 # ---------------------------------------------------------------------------

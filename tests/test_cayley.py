@@ -21,11 +21,11 @@ from cosetgeom.cayley import (
     ball_from_payload,
     ball_cache_name,
     ball_to_payload,
+    bfs_distances,
     bfs_layers,
     build_ball,
     cached_ball,
     load_ball,
-    multi_source_distance,
     save_ball,
     star,
     walk_path,
@@ -178,30 +178,36 @@ class TestReferenceBuilder:
                 assert got.value.budget == budget
 
 
+def slot_distances(ball, sources):
+    """bfs_distances over the ball's adjacency slots, read as stored."""
+    adj, k = ball.adj, len(ball.letters)
+    return bfs_distances(lambda v: adj[v * k : v * k + k], ball.n_vertices, sources)
+
+
 class TestDistances:
     def test_single_source_reproduces_dist(self):
         ball = build_ball(BS12, 6)
-        assert multi_source_distance(ball, [0]) == list(ball.dist)
+        assert slot_distances(ball, [0]) == list(ball.dist)
 
     def test_axis_distance_in_grid(self):
         # distance to the x1-axis is |second coordinate|
         ball = build_ball(AB2, 8)
         axis = [vid for vid, a in enumerate(ball.elements) if a[1] == 0]
-        got = multi_source_distance(ball, axis)
+        got = slot_distances(ball, axis)
         for vid, a in enumerate(ball.elements):
             assert got[vid] == abs(a[1])
 
     def test_tree_distance(self):
         ball = build_ball(FREE2, 4)
         b = ball.index[(2,)]
-        got = multi_source_distance(ball, [b])
+        got = slot_distances(ball, [b])
         assert got[ball.index[(1, 1)]] == 3  # x2 -> 1 -> x1 -> x1^2
 
     def test_unreached_sentinel(self):
         # distances restricted to the ball: a source on the boundary
         ball = build_ball(FREE2, 2)
         far = ball.index[(1, 1)]
-        got = multi_source_distance(ball, [far])
+        got = slot_distances(ball, [far])
         assert got[ball.index[(2, 2)]] == 4 or got[ball.index[(2, 2)]] == UNREACHED
 
 

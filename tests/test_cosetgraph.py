@@ -13,6 +13,7 @@ from cosetgeom.cosetgraph import (
     project_path,
 )
 from cosetgeom.errors import ConfigError
+from cosetgeom.metrics import hausdorff_profile
 from cosetgeom.groups import (
     baumslag_solitar,
     free_abelian_group,
@@ -22,7 +23,7 @@ from cosetgeom.groups import (
 )
 from cosetgeom.subgroups import coset_key, is_member, vertex_subgroup, word_subgroup
 
-from .oracles import REFERENCE_GROUPS, coset_sweep
+from .oracles import REFERENCE_GROUPS, coset_sweep, formatted_coset_key
 
 Q = vertex_subgroup()
 
@@ -98,6 +99,35 @@ def test_patch_labelling_matches_a_coset_key_sweep(text):
         for c in range(patch.n_cosets):
             flat = [(l, t) for l, targets in patch.adj[c].items() for t in targets]
             assert list(patch.edges(c)) == flat, (radius, c)
+
+
+@pytest.mark.parametrize("text", REFERENCE_GROUPS)
+def test_patch_cosets_are_the_membership_classes(text):
+    """a and b share a coset exactly when a^-1 b is in Q, keys byte for byte.
+
+    Every vertex differs from its coset's witness by an element of Q and no
+    two witnesses do, which together say exactly that.
+    """
+    spec = parse_group_spec(text)
+    group = group_for(spec)
+    reduce = getattr(group, "reduce_mod_image", None)
+    for radius in range(7):
+        ball = build_ball(spec, radius)
+        patch = build_coset_patch(Q, ball)
+        witnesses = [ball.elements[w] for w in patch.witness]
+        inverses = [group.invert(w) for w in witnesses]
+        for v, a in enumerate(ball.elements):
+            assert is_member(spec, Q, group.multiply(inverses[patch.coset_of[v]], a))
+            assert coset_key(spec, Q, a) == formatted_coset_key(spec.family, a, reduce)
+        for c, inverse in enumerate(inverses):
+            for w in witnesses[c + 1 :]:
+                assert not is_member(spec, Q, group.multiply(inverse, w)), (radius, c)
+        assert list(patch.keys) == [
+            formatted_coset_key(spec.family, w, reduce) for w in witnesses
+        ]
+        for c in range(patch.n_cosets):
+            swept = [v for v, cv in enumerate(patch.coset_of) if cv == c]
+            assert list(patch.vertices_in_coset(c)) == swept, (radius, c)
 
 
 class TestPartitionSoundness:
@@ -189,6 +219,14 @@ class TestPatchStructure:
         for v in range(ball.n_vertices):
             in_base = patch.coset_of[v] == patch.base
             assert in_base == is_member(spec, Q, ball.elements[v])
+
+    def test_coset_graph_waits_for_first_use(self, ball_bs23_r10):
+        patch = build_coset_patch(Q, ball_bs23_r10)
+        t = group_for(patch.spec).evaluate_word((2,))
+        hausdorff_profile(patch, t, [2, 3, 4])
+        assert "_graph" not in vars(patch)
+        assert patch.dist[patch.base] == 0
+        assert "_graph" in vars(patch)
 
     def test_lambda_path_validation(self):
         with pytest.raises(ValueError):

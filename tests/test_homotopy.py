@@ -23,7 +23,6 @@ from cosetgeom.groups import (
 from cosetgeom.homotopy import (
     build_ladder,
     build_ray_system,
-    rays_meeting,
     verify_ladder,
 )
 from cosetgeom.lifting import LiftConstants, lift_constants
@@ -97,28 +96,6 @@ class TestRaySystems:
         self.check_invariants(system, neighbor_sets)
         star = [c for c in range(patch.n_cosets) if patch.dist[c] <= 1]
         assert len(star) == 6
-        meeters = rays_meeting(system, star)
-        assert set(meeters) == set(star)
-
-    def test_ab2_star_meeters(self, ball_ab2_r12):
-        system = build_ray_system(ball_ab2_r12)
-        star = [v for v in range(ball_ab2_r12.n_vertices) if ball_ab2_r12.dist[v] <= 1]
-        meeters = rays_meeting(system, star)
-        assert len(meeters) == 5
-        assert set(meeters) == set(star)
-
-    def test_meeters_are_no_deeper_than_the_obstacle(self, ball_ab2_r12):
-        ball = ball_ab2_r12
-        system = build_ray_system(ball)
-        neighbor_sets = ball_neighbor_sets(ball)
-        rng = random.Random(20)
-        interior = [v for v in range(ball.n_vertices) if ball.dist[v] <= 8]
-        for _ in range(20):
-            center = rng.choice(interior)
-            obstacle = {center, *neighbor_sets[center]}
-            depth = max(ball.dist[v] for v in obstacle)
-            for v in rays_meeting(system, obstacle):
-                assert ball.dist[v] <= depth
 
     def test_rebased_shells(self, ball_ab2_r12):
         ball = ball_ab2_r12
@@ -151,10 +128,6 @@ class TestRaySystems:
             self.check_invariants(
                 system, [patch.neighbors(c) for c in range(patch.n_cosets)]
             )
-
-    def test_no_targets_means_no_meeters(self, ball_free2_r8):
-        system = build_ray_system(ball_free2_r8)
-        assert rays_meeting(system, ()) == ()
 
     def test_bad_inputs(self, ball_free2_r8):
         with pytest.raises(ConfigError):

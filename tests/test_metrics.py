@@ -25,9 +25,9 @@ from cosetgeom.metrics import (
     default_test_elements,
     hausdorff_profile,
 )
-from cosetgeom.subgroups import vertex_subgroup, word_subgroup
+from cosetgeom.subgroups import is_member, vertex_subgroup, word_subgroup
 
-from .oracles import F2, Z2, brute_hausdorff
+from .oracles import F2, REFERENCE_GROUPS, Z2, brute_hausdorff, reference_profile
 
 Q = vertex_subgroup()
 
@@ -134,6 +134,45 @@ def test_profile_matches_brute_force_distances(group, radius, word):
             assert (v.k_forward, v.k_backward) == truth, v
         else:
             assert v.k_forward >= truth[0] and v.k_backward >= truth[1], v
+
+
+def test_profiles_match_whole_ball_searches():
+    """Every family: the stopped searches give the whole-ball values and errors.
+
+    The elements are the letters, x^2, t^2 and t.x.t^-1, with x the first
+    generator and t the last, and t^R, whose coset lies on the rim.
+    """
+    reasons = set()
+    for text in REFERENCE_GROUPS:
+        spec = parse_group_spec(text)
+        group = group_for(spec)
+        x, t = 1, len(spec.generators)
+        for radius in (5, 7):
+            ball = build_ball(spec, radius)
+            patch = build_coset_patch(Q, ball)
+            radii = default_radii(radius)
+            elements = ball.elements
+            q_members = [v for v, a in enumerate(elements) if is_member(spec, Q, a)]
+            words = [(letter,) for letter in spec.letters]
+            words += [(x, x), (t, t), (t, x, -t), (t,) * radius]
+            for word in words:
+                g = group.evaluate_word(word)
+                g_inv = group.invert(g)
+                g_members = [
+                    v
+                    for v, a in enumerate(elements)
+                    if is_member(spec, Q, group.multiply(g_inv, a))
+                ]
+                expected = reference_profile(ball, q_members, g_members, radii)
+                if isinstance(expected, str):
+                    reasons.add(expected.split()[0])
+                    with pytest.raises(EmptyCosetInBallError, match=expected):
+                        hausdorff_profile(patch, g, radii)
+                    continue
+                profile = hausdorff_profile(patch, g, radii)
+                got = [(v.radius, v.k_forward, v.k_backward) for v in profile.values]
+                assert got == expected, (text, radius, word)
+    assert reasons == {"trusted", "radius"}
 
 
 class TestCommensurationVerdicts:
