@@ -21,7 +21,7 @@ import sys
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .cayley import DEFAULT_VERTEX_BUDGET, Ball, PathInBall, cached_ball
+from .cayley import DEFAULT_VERTEX_BUDGET, Ball, PathInBall, _collector_paused, cached_ball
 from .cosetgraph import (
     DEFAULT_TRUST_MARGIN,
     CosetPatch,
@@ -200,12 +200,14 @@ class Scenario:
     @property
     def ball(self) -> Ball:
         if self._ball is None:
-            self._ball = cached_ball(
-                self.spec, self.radius, self.cache_dir, self.max_vertices
-            )
-            # The ball lives until this one-shot process exits, so the cyclic
-            # collector need never scan it again.
-            gc.freeze()
+            # The ball lives until this one-shot process exits, so it is frozen
+            # before the collector comes back on: no collection scans it, not
+            # even the first one after the build or load.
+            with _collector_paused():
+                self._ball = cached_ball(
+                    self.spec, self.radius, self.cache_dir, self.max_vertices
+                )
+                gc.freeze()
         return self._ball
 
     @property

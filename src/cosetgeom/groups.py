@@ -10,16 +10,16 @@ hnn:k,M     ascending extension of Z^k by an injective integer matrix M,
             with relation t^-1 x^v t = x^(M v); elements are reduced
             triples (p, v, q) meaning t^p * x^v * t^-q
 
-Elements are immutable nested tuples of arbitrary-precision ints, so byte
-equality of canonical keys coincides with equality in the group.  Words are
-tuples of signed 1-based generator indices (+i for the generator, -i for
-its inverse).
+Elements are immutable tuples of arbitrary-precision ints: flat for free,
+abelian and bs, and the nested triple (p, v, q) for hnn.  Byte equality of
+canonical keys coincides with equality in the group.  Words are tuples of
+signed 1-based generator indices (+i for the generator, -i for its inverse).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import add
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -75,9 +75,9 @@ class GroupSpec:
         else:
             raise ConfigError(f"unknown family {self.family!r}")
 
-    @property
+    @cached_property
     def generators(self) -> Tuple[str, ...]:
-        """Generator names in canonical order."""
+        """Generator names in canonical order, built once per spec."""
         if self.family == FAMILY_BS:
             return ("x", "t")
         base = tuple(f"x{i + 1}" for i in range(self.rank))
@@ -281,7 +281,8 @@ class FreeAbelianGroup(Group):
 class BaumslagSolitarGroup(Group):
     """Reduced syllable forms for <x, t | t^-1 x^m t = x^n>.
 
-    An element is a pair (head, syllables) encoding
+    An element is one flat int tuple (head, s1, e1, ..., sj, ej), with each
+    sign si = +-1, encoding
 
         x^head * t^s1 x^e1 * t^s2 x^e2 * ... * t^sj x^ej.
 
@@ -290,114 +291,95 @@ class BaumslagSolitarGroup(Group):
     the quotient across the stable letter via x^(m c) t = t x^(n c) and
     x^(n c) t^-1 = t^-1 x^(m c).  No pinch t^-1 x^(m c) t or t x^(n c) t^-1
     survives, so two elements are equal in the group iff their forms are
-    byte-identical.  The trailing exponent is unconstrained, which is what
-    makes right cosets of <x> legible directly from the form.
+    byte-identical.  The trailing exponent, always the last entry, is
+    unconstrained, which is what makes right cosets of <x> legible directly
+    from the form.
     """
 
     def __init__(self, spec: GroupSpec):
         super().__init__(spec)
-        # stable letter -> (div, mul, |div|) with x^(div c) t^(+-1) = t^(+-1) x^(mul c)
+        # stable letter -> (div, mul, |div|, sign) with
+        # x^(div c) t^sign = t^sign x^(mul c)
         self._t_rules = {
-            2: (spec.m, spec.n, abs(spec.m)),
-            -2: (spec.n, spec.m, abs(spec.n)),
+            2: (spec.m, spec.n, abs(spec.m), 1),
+            -2: (spec.n, spec.m, abs(spec.n), -1),
         }
 
     def identity(self) -> Element:
-        return (0, ())
+        return (0,)
 
     def _x_power(self, a: Element, c: int) -> Element:
         """Right-multiply a by x^c: only the trailing exponent changes."""
-        head, sylls = a
-        if c == 0:
-            return a
-        if sylls:
-            s, e = sylls[-1]
-            return (head, sylls[:-1] + ((s, e + c),))
-        return (head + c, ())
+        return a[:-1] + (a[-1] + c,) if c else a
 
     def _t_step(self, a: Element, letter: Letter) -> Element:
         """Right-multiply a by t^(+-1); only the last syllable is rewritten."""
-        head, sylls = a
-        div, mul, mod = self._t_rules[letter]
-        sign = 1 if letter > 0 else -1
-        if not sylls:
-            r = head % mod
-            return (r, ((sign, mul * ((head - r) // div)),))
-        s, e = sylls[-1]
-        if s == -sign and e % mod == 0:
+        div, mul, mod, sign = self._t_rules[letter]
+        e = a[-1]
+        if len(a) > 1 and a[-2] == -sign and e % mod == 0:
             # pinch: t^-1 x^(m c) t = x^(n c) or t x^(n c) t^-1 = x^(m c)
-            return self._x_power((head, sylls[:-1]), mul * (e // div))
+            return self._x_power(a[:-2], mul * (e // div))
         r = e % mod
-        return (head, sylls[:-1] + ((s, r), (sign, mul * ((e - r) // div))))
+        return a[:-1] + (r, sign, mul * ((e - r) // div))
 
     def multiply(self, a: Element, b: Element) -> Element:
-        head_b, sylls_b = b
-        a = self._x_power(a, head_b)
-        for sign, exp in sylls_b:
-            a = self._x_power(self._t_step(a, 2 * sign), exp)
+        a = self._x_power(a, b[0])
+        for i in range(1, len(b), 2):
+            a = self._x_power(self._t_step(a, 2 * b[i]), b[i + 1])
         return a
 
     def invert(self, a: Element) -> Element:
         # x^h t^s1 x^e1 ... t^sj x^ej inverts to x^-ej t^-sj ... t^-s1 x^-h
-        head, sylls = a
-        if not sylls:
-            return (-head, ())
-        exps = (head,) + tuple(e for _, e in sylls)
-        b = (-exps[-1], ())
-        for i in range(len(sylls) - 1, -1, -1):
-            b = self._x_power(self._t_step(b, -2 * sylls[i][0]), -exps[i])
+        b = (-a[-1],)
+        for i in range(len(a) - 2, 0, -2):
+            b = self._x_power(self._t_step(b, -2 * a[i]), -a[i - 1])
         return b
 
     def apply_letter(self, a: Element, letter: Letter) -> Element:
         # The x-step of _x_power, inlined: the ball builder's hot path.
         if letter == 1 or letter == -1:
-            head, sylls = a
-            if sylls:
-                s, e = sylls[-1]
-                return (head, sylls[:-1] + ((s, e + letter),))
-            return (head + letter, ())
+            return a[:-1] + (a[-1] + letter,)
         return self._t_step(a, letter)
 
     def canonical_key(self, a: Element) -> bytes:
-        head, sylls = a
-        if not sylls and head == 0:
+        if a == (0,):
             return IDENTITY_KEY
-        parts = [str(head)]
-        for sign, exp in sylls:
-            parts.append(f"{'+' if sign > 0 else '-'}{exp}")
-        return "|".join(parts).encode()
+        text = str(a[0])
+        for i in range(1, len(a), 2):
+            text += ("|+" if a[i] > 0 else "|-") + str(a[i + 1])
+        return text.encode()
 
     def decode_key(self, key: bytes) -> Element:
         if not key:
-            return (0, ())
+            return (0,)
         parts = key.decode().split("|")
-        head = int(parts[0])
-        sylls = tuple(
-            (1 if p[0] == "+" else -1, int(p[1:])) for p in parts[1:]
-        )
-        return (head, sylls)
+        out = [int(parts[0])]
+        for p in parts[1:]:
+            out.extend((1 if p[0] == "+" else -1, int(p[1:])))
+        return tuple(out)
 
     def render(self, a: Element) -> str:
-        head, sylls = a
         parts: List[str] = []
-        if head:
-            parts.append(f"x^{head}" if head != 1 else "x")
-        for sign, exp in sylls:
-            parts.append("t" if sign > 0 else "t^-1")
+        if a[0]:
+            parts.append(f"x^{a[0]}" if a[0] != 1 else "x")
+        for i in range(1, len(a), 2):
+            parts.append("t" if a[i] > 0 else "t^-1")
+            exp = a[i + 1]
             if exp:
                 parts.append(f"x^{exp}" if exp != 1 else "x")
         return ".".join(parts) if parts else "1"
 
     def is_canonical(self, a: Element) -> bool:
-        head, sylls = a
+        exps, signs = a[0::2], a[1::2]
+        if len(a) % 2 == 0 or any(s not in (1, -1) for s in signs):
+            return False
         m, n = self.spec.m, self.spec.n
-        exps = [head] + [e for _, e in sylls]
-        for i, (sign, _) in enumerate(sylls):
+        for i, sign in enumerate(signs):
             bound = abs(m) if sign > 0 else abs(n)
             if not 0 <= exps[i] < bound:
                 return False
-        for i in range(len(sylls) - 1):
-            if sylls[i][0] == -sylls[i + 1][0] and sylls[i][1] == 0:
+        for i in range(len(signs) - 1):
+            if signs[i] == -signs[i + 1] and exps[i + 1] == 0:
                 return False
         return True
 

@@ -80,7 +80,7 @@ def is_member(spec: GroupSpec, q: SubgroupSpec, a: Element) -> bool:
     if q.mode != VERTEX:
         raise SubgroupModeError("is_member requires a vertex subgroup")
     if spec.family == FAMILY_BS:
-        return not a[1]
+        return len(a) == 1
     if spec.family == FAMILY_HNN:
         return a[0] == 0 and a[2] == 0
     if spec.family == FAMILY_ABELIAN:
@@ -138,17 +138,17 @@ def coset_label(spec: GroupSpec, q: SubgroupSpec, a: Element) -> Tuple:
 
     Labels agree exactly when the cosets agree, and Q itself gets ().  A
     label is the part of the normal form that right multiplication by Q
-    leaves alone: for bs the head, every syllable but the last and the last
-    t-sign; for hnn (p, v mod M^q Z^k, q); for free the word stripped of its
-    trailing x1-letters; for abelian the coordinates after the first.
+    leaves alone: for bs the flat form without its trailing exponent, so
+    (head, s1, e1, ..., sj); for hnn (p, v mod M^q Z^k, q); for free the
+    word stripped of its trailing x1-letters; for abelian the coordinates
+    after the first.
     (Vertex mode only.)
     """
     if q.mode != VERTEX:
         raise SubgroupModeError("coset_label requires a vertex subgroup")
     family = spec.family
     if family == FAMILY_BS:
-        head, sylls = a
-        return (head, sylls[:-1], sylls[-1][0]) if sylls else ()
+        return a[:-1]
     if family == FAMILY_HNN:
         p, v, qq = a
         if p == 0 and qq == 0:
@@ -173,11 +173,10 @@ def coset_key(spec: GroupSpec, q: SubgroupSpec, a: Element) -> bytes:
     if not label:
         return IDENTITY_KEY
     if spec.family == FAMILY_BS:
-        head, body, sign = label
-        parts = [str(head)]
-        parts.extend(f"{'+' if s > 0 else '-'}{exp}" for s, exp in body)
-        parts.append("+" if sign > 0 else "-")
-        return "|".join(parts).encode()
+        text = str(label[0])
+        for i in range(1, len(label) - 1, 2):
+            text += ("|+" if label[i] > 0 else "|-") + str(label[i + 1])
+        return (text + ("|+" if label[-1] > 0 else "|-")).encode()
     if spec.family == FAMILY_HNN:
         p, residue, qq = label
         vec = ",".join(str(x) for x in residue)

@@ -357,13 +357,13 @@ def formatted_coset_key(family: str, a, reduce_mod_image=None) -> bytes:
         rest = a[1:]
         return ",".join(str(x) for x in rest).encode() if any(rest) else b""
     if family == "bs":
-        head, sylls = a
-        if not sylls:
+        # a = (head, s1, e1, ..., sj, ej); Q is the forms with no syllable
+        if len(a) == 1:
             return b""
-        parts = [str(head)]
-        for i, (sign, exp) in enumerate(sylls):
-            mark = "+" if sign > 0 else "-"
-            parts.append(f"{mark}{exp}" if i < len(sylls) - 1 else mark)
+        parts = [str(a[0])]
+        for i in range(1, len(a), 2):
+            mark = "+" if a[i] > 0 else "-"
+            parts.append(f"{mark}{a[i + 1]}" if i < len(a) - 2 else mark)
         return "|".join(parts).encode()
     p, v, q = a
     if p == 0 and q == 0:

@@ -5,6 +5,7 @@ and checks the exit code contract: 0 conclusive, 2 inconclusive, 1 error.
 A module-scoped cache directory keeps repeated ball builds cheap.
 """
 
+import gc
 import hashlib
 import json
 
@@ -356,6 +357,50 @@ class TestDeterminismAndCache:
         args = ["ball", "--group", "free:2", "--radius", "2", "--out", str(out)]
         assert main(args) == 0
         assert frozen == [1]
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["build", "load"])
+    def test_ball_is_frozen_before_the_collector_comes_back(self, tmp_path, monkeypatch, warm):
+        # A ball of many times the youngest generation's threshold: were the
+        # collector on before gc.freeze, its next allocation would start a
+        # collection that scans every vertex.
+        cache = str(tmp_path / "cache")
+        args = ["ball", "--group", "bs:1,2", "--radius", "12", "--cache-dir", cache]
+        if warm:
+            assert main([*args, "--out", str(tmp_path / "cold.json")]) == 0
+        events, built = [], []
+        freeze, fget = gc.freeze, cli_module.Scenario.ball.fget
+
+        def record(phase, info):
+            if phase == "start":
+                events.append("collect")
+
+        def frozen():
+            events.append("freeze")
+            freeze()
+
+        def ball(scenario):
+            if scenario._ball is not None:
+                return fget(scenario)
+            events.append("enter")
+            result = fget(scenario)
+            events.append("exit")
+            built.append((result.n_vertices, gc.isenabled()))
+            return result
+
+        monkeypatch.setattr(cli_module.gc, "freeze", frozen)
+        monkeypatch.setattr(cli_module.Scenario, "ball", property(ball))
+        gc.callbacks.append(record)
+        try:
+            code = main([*args, "--out", str(tmp_path / "report.json")])
+        finally:
+            gc.callbacks.remove(record)
+        assert code == 0 and gc.isenabled()
+        # one build or load, with no collection in it, then one freeze
+        start = events.index("enter")
+        assert events[start : start + 3] == ["enter", "freeze", "exit"], events
+        assert events.count("freeze") == 1
+        [(n_vertices, enabled)] = built
+        assert enabled and n_vertices > 10 * gc.get_threshold()[0]
 
 
 class TestGeometrySubcommands:

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cosetgeom.cayley import build_ball
 from cosetgeom.groups import (
     IDENTITY_KEY,
     ascending_hnn,
@@ -21,7 +23,14 @@ from cosetgeom.groups import (
     render_word,
 )
 
-from .oracles import HNNAffine, affine_evaluate, digits_to_letters, RelatorClosure, all_words
+from .oracles import (
+    INVERSE_DIGIT,
+    HNNAffine,
+    RelatorClosure,
+    affine_evaluate,
+    all_words,
+    digits_to_letters,
+)
 
 BS23 = baumslag_solitar(2, 3)
 BS12 = baumslag_solitar(1, 2)
@@ -41,7 +50,7 @@ class TestIdentityAndKeys:
     def test_identity_forms(self):
         assert group_for(FREE2).identity() == ()
         assert group_for(AB2).identity() == (0, 0)
-        assert group_for(BS23).identity() == (0, ())
+        assert group_for(BS23).identity() == (0,)
         assert group_for(HNN_DOUBLE).identity() == (0, (0,), 0)
 
     def test_identity_key_is_empty_constant(self):
@@ -378,6 +387,80 @@ class TestSmallClosureOracle:
             if key in root_of_key:
                 assert root_of_key[key] == root, digits
             root_of_key[key] = root
+
+
+#: SHA-256, per group, of every ball vertex's canonical key and render in id
+#: order over radii 0..8, taken from the nested (head, ((s1, e1), ...)) forms
+#: that the flat forms replaced: it pins the numbering and both byte formats.
+BS_BALL_DIGESTS = {
+    "bs:1,2": "ee90146cdd4311c35ef72ceb1d40cecd8fa73660e531266119a763b45ef287c6",
+    "bs:2,3": "d58600eee2551373dd4077bf584c39b6a0f891a6db7a3ce2a9eb6bfa7ecb3c27",
+    "bs:-2,3": "4590297938e829235998aa7c79225ce2b3ec9fd5e6455a72ab274a879341ada6",
+    "bs:3,-2": "be36fef8f3f1a6a11b33203fbea6b95d0f53636f0d1ade9153dbd2b24fbb25eb",
+}
+
+
+class TestFlatBSKernel:
+    """The flat (head, s1, e1, ..., sj, ej) forms against fixed bytes and oracles."""
+
+    @pytest.mark.parametrize("text", sorted(BS_BALL_DIGESTS))
+    def test_ball_vertices_keep_their_keys_renders_and_ids(self, text):
+        spec = parse_group_spec(text)
+        g = group_for(spec)
+        digest = hashlib.sha256()
+        for radius in range(9):
+            for a in build_ball(spec, radius).elements:
+                assert g.is_canonical(a), a
+                key = g.canonical_key(a)
+                assert g.decode_key(key) == a, a
+                digest.update(key + b" " + g.render(a).encode() + b"\n")
+            digest.update(b"\n")
+        assert digest.hexdigest() == BS_BALL_DIGESTS[text]
+
+    @pytest.mark.parametrize("text", sorted(BS_BALL_DIGESTS))
+    def test_random_products_and_inverses_keep_the_affine_image(self, text):
+        # faithful on bs:1,2; on the others a homomorphism, so a necessary check
+        spec = parse_group_spec(text)
+        g = group_for(spec)
+        rng = random.Random(41)
+
+        def image(word):
+            return affine_evaluate(word, spec.n, spec.m)
+
+        for _ in range(300):
+            u, v = bs_words(rng, spec, tokens=10), bs_words(rng, spec, tokens=10)
+            a, b = g.evaluate_word(u), g.evaluate_word(v)
+            ab, a_inv = g.multiply(a, b), g.invert(a)
+            for c in (ab, a_inv):
+                assert g.is_canonical(c) and g.decode_key(g.canonical_key(c)) == c
+            assert image(parse_word(spec, g.render(ab))) == image(u + v), (u, v)
+            assert image(parse_word(spec, g.render(a_inv))) == image(inverse_word(u)), u
+            assert g.multiply(ab, g.invert(b)) == a
+            assert g.multiply(a, a_inv) == g.identity()
+
+    @pytest.mark.parametrize("text", ["bs:2,3", "bs:-2,3", "bs:3,-2"])
+    def test_short_products_and_inverses_match_the_relator_closure(self, text):
+        # Every product u*v with |u| + |v| <= 4 and every inverse of a word of
+        # length <= 4 gets the key of its closure class, one key per class.
+        spec = parse_group_spec(text)
+        g = group_for(spec)
+        closure = RelatorClosure(spec.m, spec.n, 8)
+        short = list(all_words(4))
+        value = {w: g.evaluate_word(digits_to_letters(w)) for w in short}
+        cases = [
+            (u + v, g.multiply(value[u], value[v]))
+            for u in short
+            for v in short
+            if len(u) + len(v) <= 4
+        ]
+        for w in short:
+            inverse = tuple(INVERSE_DIGIT[d] for d in reversed(w))
+            cases.append((inverse, g.invert(value[w])))
+        key_of_root, root_of_key = {}, {}
+        for word, c in cases:
+            root, key = closure.find(closure.index(word)), g.canonical_key(c)
+            assert key_of_root.setdefault(root, key) == key, word
+            assert root_of_key.setdefault(key, root) == root, word
 
 
 class TestWordSyntax:
