@@ -12,6 +12,7 @@ Example:
 """
 
 import argparse
+import gc
 import random
 import sys
 
@@ -51,7 +52,12 @@ def main(argv=None):
 
     spec = parse_group_spec(args.group)
     q = vertex_subgroup()
+    # The ball lives until the script exits, so it is frozen before the
+    # collector comes back on: no collection ever scans its vertices.
+    gc.disable()
     ball = cached_ball(spec, args.radius, args.cache_dir)
+    gc.freeze()
+    gc.enable()
     patch = build_coset_patch(q, ball)
     constants = lift_constants(q, ball)
     print(

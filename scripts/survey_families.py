@@ -12,6 +12,7 @@ Example:
 """
 
 import argparse
+import gc
 import json
 import sys
 
@@ -43,7 +44,12 @@ INSTANCES = (
 
 def survey_instance(spec, radius, cache_dir):
     q = vertex_subgroup()
+    # Reference counting frees the ball once its row is done, so no
+    # collection need scan it: it is frozen before the collector comes back.
+    gc.disable()
     ball = cached_ball(spec, radius, cache_dir)
+    gc.freeze()
+    gc.enable()
     patch = build_coset_patch(q, ball)
 
     radii = default_radii(ball.radius)

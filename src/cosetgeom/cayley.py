@@ -19,7 +19,9 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import marshal
 import os
+import sys
 import threading
 from array import array
 from contextlib import contextmanager
@@ -38,7 +40,7 @@ NO_EDGE = -1
 
 DEFAULT_VERTEX_BUDGET = 5_000_000
 
-BALL_FORMAT = "cosetgeom.ball.v1"
+BALL_FORMAT = "cosetgeom.ball.v2"
 
 
 def _dist_array(radius: int) -> array:
@@ -293,71 +295,33 @@ def walk_path(ball: Ball, path: PathInBall) -> List[int]:
 # ---------------------------------------------------------------------------
 
 
-def ball_to_payload(ball: Ball) -> dict:
-    g = group_for(ball.spec)
-    return {
-        "format": BALL_FORMAT,
-        "group": ball.spec.describe(),
-        "radius": ball.radius,
-        "vertices": [g.canonical_key(a).decode() for a in ball.elements],
-        "dist": ball.dist.tolist(),
-        "adj": [[[l, v] for l, v in ball.edges(vid)] for vid in range(ball.n_vertices)],
-    }
-
-
-def ball_from_payload(payload) -> Ball:
-    """Rebuild a ball; raises ValueError for a payload of the wrong shape."""
-    if not isinstance(payload, dict) or payload.get("format") != BALL_FORMAT:
-        raise ValueError("not a ball payload of format " + BALL_FORMAT)
-    try:
-        radius = payload["radius"]
-        if not isinstance(radius, int):
-            raise ValueError("ball payload radius is not an integer")
-        spec = parse_group_spec(payload["group"])
-        g = group_for(spec)
-        elements = [g.decode_key(key.encode()) for key in payload["vertices"]]
-        index = {a: i for i, a in enumerate(elements)}
-        dist = _dist_array(radius)
-        dist.extend(payload["dist"])
-        slot = {letter: i for i, letter in enumerate(spec.letters)}
-        k = len(slot)
-        rows = payload["adj"]
-        adj = array("i", [NO_EDGE]) * (len(rows) * k)
-        for start, row in zip(range(0, len(adj), k), rows):
-            for l, v in row:
-                adj[start + slot[l]] = v
-    except (
-        AttributeError, ConfigError, IndexError, KeyError, OverflowError, TypeError
-    ) as exc:
-        raise ValueError(f"malformed ball payload: {exc!r}") from None
-    n = len(elements)
-    if not n == len(index) == len(dist) == len(rows):
-        raise ValueError("ball payload fields disagree or repeat a vertex")
-    if min(dist) < 0 or max(dist) > radius or min(adj) < NO_EDGE or max(adj) >= n:
-        raise ValueError("ball payload distance or vertex id out of range")
-    return Ball(
-        spec=spec,
-        radius=radius,
-        elements=elements,
-        index=index,
-        dist=dist,
-        adj=adj,
-    )
-
-
 def save_ball(ball: Ball, path: str) -> None:
     """Write the ball to a temp file beside path, then rename it into place.
 
-    A reader sees either the old file or the whole new one, never a
-    half-written ball, even when runs race or one is interrupted.
+    The file is one ASCII JSON header line, then the body
+    ``marshal.dumps((elements, dist bytes, adj bytes), 2)``: version 2 has no
+    shared-object references, whose placement in later versions depends on
+    reference counts, so a ball always gives the same bytes.  A reader sees
+    either the old file or the whole new one, never a half-written ball,
+    even when runs race or one is interrupted.
     """
     tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
-        with open(tmp, "w") as fh, _collector_paused():
-            fh.write(
-                json.dumps(ball_to_payload(ball), sort_keys=True, separators=(",", ":"))
+        with open(tmp, "wb") as fh, _collector_paused():
+            body = marshal.dumps(
+                (ball.elements, ball.dist.tobytes(), ball.adj.tobytes()), 2
             )
-            fh.write("\n")
+            header = {
+                "byteorder": sys.byteorder,
+                "format": BALL_FORMAT,
+                "group": ball.spec.describe(),
+                "n": ball.n_vertices,
+                "radius": ball.radius,
+                "sha256": hashlib.sha256(body).hexdigest(),
+            }
+            fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode())
+            fh.write(b"\n")
+            fh.write(body)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -366,15 +330,47 @@ def save_ball(ball: Ball, path: str) -> None:
 
 
 def load_ball(path: str) -> Ball:
-    with open(path) as fh, _collector_paused():
-        return ball_from_payload(json.load(fh))
+    """Read a ball file; raises ValueError for a file of the wrong shape.
+
+    The body is hashed before it is unmarshalled, so a truncated or corrupt
+    file never reaches marshal.
+    """
+    with open(path, "rb") as fh, _collector_paused():
+        header = json.loads(fh.readline())
+        body = fh.read()
+        if not isinstance(header, dict) or header.get("format") != BALL_FORMAT:
+            raise ValueError("not a ball file of format " + BALL_FORMAT)
+        if header.get("byteorder") != sys.byteorder:
+            raise ValueError("ball file written in another byte order")
+        if header.get("sha256") != hashlib.sha256(body).hexdigest():
+            raise ValueError("ball file body does not match its digest")
+        radius, n = header.get("radius"), header.get("n")
+        if not (isinstance(radius, int) and isinstance(n, int)):
+            raise ValueError("ball file radius or size is not an integer")
+        try:
+            spec = parse_group_spec(header.get("group"))
+            elements, dist_bytes, adj_bytes = marshal.loads(body)
+            dist, adj = _dist_array(radius), array("i")
+            dist.frombytes(dist_bytes)
+            adj.frombytes(adj_bytes)
+            index = dict(zip(elements, range(n)))
+        except (ConfigError, EOFError, TypeError) as exc:
+            raise ValueError(f"malformed ball file: {exc!r}") from None
+        if type(elements) is not list or set(map(type, elements)) != {tuple}:
+            raise ValueError("ball file elements are not a list of tuples")
+        k = len(spec.letters)
+        if not n == len(elements) == len(index) == len(dist) or len(adj) != n * k:
+            raise ValueError("ball file fields disagree or repeat a vertex")
+        if min(dist) < 0 or max(dist) > radius or min(adj) < NO_EDGE or max(adj) >= n:
+            raise ValueError("ball file distance or vertex id out of range")
+    return Ball(spec=spec, radius=radius, elements=elements, index=index, dist=dist, adj=adj)
 
 
 def ball_cache_name(spec: GroupSpec, radius: int) -> str:
     digest = hashlib.sha256(
         f"{BALL_FORMAT}|{spec.describe()}|{radius}".encode()
     ).hexdigest()[:16]
-    return f"ball-{digest}-r{radius}.json"
+    return f"ball-{digest}-r{radius}.ball"
 
 
 def cached_ball(
@@ -404,7 +400,7 @@ def cached_ball(
                         ball.dist[max_vertices], max_vertices + 1, max_vertices
                     )
                 return ball
-        except ValueError:  # JSONDecodeError is one too
+        except ValueError:
             pass  # fall through and rebuild a corrupt or stale file
     ball = build_ball(spec, radius, max_vertices)
     save_ball(ball, path)

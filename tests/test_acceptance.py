@@ -377,7 +377,7 @@ def test_criterion_9_reports_identical_cold_and_warm(tmp_path):
             reports[run] = out.read_bytes()
             if argv[0] == "export":
                 reports[run] += (tmp_path / "patch.dot").read_bytes()
-        assert len(list(cache.glob("ball-*.json"))) == 1, argv
+        assert len(list(cache.glob("ball-*.ball"))) == 1, argv
         assert reports["cold"] == reports["warm"], argv
     print(
         f"criterion 9 (determinism): PASS; {len(matrix)} subcommand "

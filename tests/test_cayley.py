@@ -5,8 +5,10 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import marshal
 import os
 import random
+import sys
 from array import array
 from collections import deque
 
@@ -18,9 +20,7 @@ from cosetgeom.cayley import (
     UNREACHED,
     Ball,
     PathInBall,
-    ball_from_payload,
     ball_cache_name,
-    ball_to_payload,
     bfs_distances,
     bfs_layers,
     build_ball,
@@ -32,6 +32,7 @@ from cosetgeom.cayley import (
 )
 from cosetgeom.errors import BallOverflowError, InsufficientRadiusError
 from cosetgeom.groups import (
+    Group,
     baumslag_solitar,
     free_abelian_group,
     free_group,
@@ -49,8 +50,25 @@ BS12 = baumslag_solitar(1, 2)
 REFERENCE_SPECS = [parse_group_spec(text) for text in REFERENCE_GROUPS]
 
 
-def payload_bytes(ball):
-    return json.dumps(ball_to_payload(ball), sort_keys=True, separators=(",", ":"))
+def same_ball(a, b):
+    """Equal group, radius, elements, distances and slots, typecodes included."""
+    return (
+        (a.spec, a.radius, a.elements, a.dist, a.dist.typecode, a.adj, a.adj.typecode)
+        == (b.spec, b.radius, b.elements, b.dist, b.dist.typecode, b.adj, b.adj.typecode)
+    )
+
+
+def round_trip(ball, path):
+    save_ball(ball, str(path))
+    return load_ball(str(path))
+
+
+def ball_file(header, body):
+    """Ball file bytes for a header and a body tuple, stamped with the body's digest."""
+    data = marshal.dumps(body, 2)
+    if isinstance(header, dict):
+        header = {**header, "sha256": hashlib.sha256(data).hexdigest()}
+    return json.dumps(header).encode() + b"\n" + data
 
 
 def flat_adjacency(letters, rows):
@@ -78,13 +96,13 @@ class TestCensus:
         ball = build_ball(BS12, 1)
         assert ball.n_vertices == 5  # identity, x, x^-1, t, t^-1
 
-    def test_radius_past_one_byte(self):
+    def test_radius_past_one_byte(self, tmp_path):
         # distances outgrow array("B") at radius 256 and still round-trip
         ball = build_ball(free_abelian_group(1), 300)
         assert ball.sphere_sizes() == [1] + [2] * 300
         assert [ball.dist[ball.index[(n,)]] for n in (-300, 0, 299)] == [300, 0, 299]
-        clone = ball_from_payload(json.loads(payload_bytes(ball)))
-        assert clone.dist == ball.dist and clone.adj == ball.adj
+        clone = round_trip(ball, tmp_path / "ball")
+        assert clone.dist.typecode == "i" and same_ball(clone, ball)
 
     def test_monotone_in_radius(self):
         small, large = build_ball(BS12, 4), build_ball(BS12, 5)
@@ -138,9 +156,9 @@ class TestReferenceBuilder:
                 dist=array("B", dist),
                 adj=flat_adjacency(letters, adj),
             )
-            assert payload_bytes(ball) == payload_bytes(reference)
+            assert same_ball(ball, reference)
 
-    def test_flat_layout_matches_reference_rows(self, spec):
+    def test_flat_layout_matches_reference_rows(self, spec, tmp_path):
         # slot vid * n_letters + i is the neighbour across letters[i], or
         # NO_EDGE; neighbor, neighbors and edges read it back as the
         # reference rows
@@ -158,7 +176,7 @@ class TestReferenceBuilder:
                 for i, letter in enumerate(letters):
                     assert ball.neighbor(vid, letter) == targets.get(letter)
                     assert ball.adj[vid * len(letters) + i] == targets.get(letter, NO_EDGE)
-            clone = ball_from_payload(ball_to_payload(ball))
+            clone = round_trip(ball, tmp_path / "ball")
             assert (clone.adj.typecode, clone.dist.typecode) == ("i", "B")
             assert clone.adj == ball.adj
             assert clone.dist == ball.dist
@@ -342,12 +360,11 @@ class TestPaths:
 
 
 class TestSerialization:
-    def test_payload_round_trip(self):
+    def test_payload_round_trip(self, tmp_path):
         ball = build_ball(BS12, 5)
-        clone = ball_from_payload(json.loads(json.dumps(ball_to_payload(ball))))
-        assert clone.elements == ball.elements
-        assert clone.adj == ball.adj
-        assert clone.dist == ball.dist
+        clone = round_trip(ball, tmp_path / "ball")
+        assert same_ball(clone, ball)
+        assert clone.index == ball.index
 
     def test_cache_reuse(self, tmp_path):
         d = str(tmp_path)
@@ -358,44 +375,82 @@ class TestSerialization:
         assert b1.elements == b2.elements
         assert list(tmp_path.iterdir()) == files
 
-    def test_truncated_cache_file_is_rebuilt(self, tmp_path):
+    @pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=lambda s: s.describe())
+    def test_cache_hit_decodes_no_key_and_applies_no_letter(self, tmp_path, monkeypatch, spec):
+        # a load rebuilds elements, distances and slots from the file alone
+        cold = build_ball(spec, 5)
+        cached_ball(spec, 5, str(tmp_path))
+
+        def refuse(*args):
+            raise AssertionError("a cache hit reached the group arithmetic")
+
+        for cls in (Group, *Group.__subclasses__()):
+            monkeypatch.setattr(cls, "decode_key", refuse)
+            monkeypatch.setattr(cls, "apply_letter", refuse)
+        warm = cached_ball(spec, 5, str(tmp_path))
+        assert same_ball(warm, cold)
+        assert warm.index == cold.index
+
+    def test_truncated_cache_file_is_rebuilt(self, tmp_path, monkeypatch):
         d = str(tmp_path)
         cached_ball(BS12, 4, d)
         path = tmp_path / ball_cache_name(BS12, 4)
         whole = path.read_bytes()
         path.write_bytes(whole[: len(whole) // 2])
+
+        def refuse(data):
+            raise AssertionError("a body that fails its digest was unmarshalled")
+
+        # the digest refuses the half body before marshal reads it
+        monkeypatch.setattr(marshal, "loads", refuse)
         ball = cached_ball(BS12, 4, d)
-        assert payload_bytes(ball) == payload_bytes(build_ball(BS12, 4))
+        assert same_ball(ball, build_ball(BS12, 4))
         assert path.read_bytes() == whole
         assert list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize(
         "reshape",
         [
-            lambda p: [],
-            lambda p: "x",
-            lambda p: {**p, "vertices": None},
-            lambda p: {**p, "vertices": [1]},
-            lambda p: {**p, "group": "bs:x"},
-            lambda p: {**p, "radius": "4"},
-            lambda p: {**p, "dist": p["dist"][:-1]},
-            lambda p: {**p, "adj": p["adj"] + [[]]},
-            lambda p: {**p, "adj": [7] * len(p["adj"])},
-            lambda p: {**p, "adj": [[[9, 1]]] + p["adj"][1:]},
-            lambda p: {**p, "adj": [[[1, len(p["vertices"])]]] + p["adj"][1:]},
-            lambda p: {**p, "dist": [300] + p["dist"][1:]},
-            lambda p: {**p, "dist": [-1] + p["dist"][1:]},
-            lambda p: {**p, "dist": [p["radius"] + 1] + p["dist"][1:]},
-            # vertices[1] set to vertices[2]: one key twice, one index entry short
-            lambda p: {
-                **p, "vertices": p["vertices"][:1] + p["vertices"][2:3] + p["vertices"][2:]
-            },
+            # header or transport damage
+            lambda h, b: ball_file([], b),
+            lambda h, b: ball_file("x", b),
+            lambda h, b: ball_file(h, b)[:-100],
+            # elements reversed under the old digest: only the digest tells
+            lambda h, b: (
+                json.dumps(h).encode() + b"\n" + marshal.dumps((b[0][::-1], b[1], b[2]), 2)
+            ),
+            lambda h, b: ball_file({**h, "format": "cosetgeom.ball.v1"}, b),
+            lambda h, b: ball_file(
+                {**h, "byteorder": "big" if sys.byteorder == "little" else "little"}, b
+            ),
+            lambda h, b: ball_file({**h, "group": "bs:x"}, b),
+            lambda h, b: ball_file({**h, "radius": "4"}, b),
+            # a body with a valid digest but bad content
+            lambda h, b: ball_file(h, (None, b[1], b[2])),
+            lambda h, b: ball_file(h, ([1] + b[0][1:], b[1], b[2])),
+            lambda h, b: ball_file(h, (b[0], b[1][:-1], b[2])),
+            lambda h, b: ball_file(h, (b[0], b[1], b[2] + b[2][:16])),
+            lambda h, b: ball_file(h, (b[0], b[1], 7)),
+            # rows of four letters read as the six of free:3
+            lambda h, b: ball_file({**h, "group": "free:3"}, b),
+            lambda h, b: ball_file(
+                h, (b[0], b[1], array("i", [len(b[0])]).tobytes() + b[2][4:])
+            ),
+            # four-byte distances under a radius that stores one byte each
+            lambda h, b: ball_file(h, (b[0], array("i", [300, *b[1][1:]]).tobytes(), b[2])),
+            lambda h, b: ball_file(
+                {**h, "radius": 300}, (b[0], array("i", [-1, *b[1][1:]]).tobytes(), b[2])
+            ),
+            lambda h, b: ball_file(h, (b[0], bytes([h["radius"] + 1]) + b[1][1:], b[2])),
+            # vertices[1] set to vertices[2]: one vertex twice, one index entry short
+            lambda h, b: ball_file(h, (b[0][:1] + b[0][2:3] + b[0][2:], b[1], b[2])),
         ],
         ids=[
-            "list", "string", "vertices-null", "vertex-int", "bad-group",
-            "radius-text", "short-dist", "long-adj", "adj-row-int",
-            "unknown-letter", "vertex-id-past-end", "dist-300", "dist-negative",
-            "dist-past-radius", "repeated-vertex",
+            "list", "string", "truncated-body", "digest-mismatch", "wrong-format",
+            "other-byteorder", "bad-group", "radius-text", "vertices-null",
+            "vertex-int", "short-dist", "long-adj", "adj-row-int", "unknown-letter",
+            "vertex-id-past-end", "dist-300", "dist-negative", "dist-past-radius",
+            "repeated-vertex",
         ],
     )
     def test_wrong_shape_cache_file_is_rebuilt(self, tmp_path, reshape):
@@ -403,12 +458,12 @@ class TestSerialization:
         cached_ball(BS12, 4, d)
         path = tmp_path / ball_cache_name(BS12, 4)
         whole = path.read_bytes()
-        bad = reshape(json.loads(whole))
+        header, body = whole.split(b"\n", 1)
+        path.write_bytes(reshape(json.loads(header), marshal.loads(body)))
         with pytest.raises(ValueError):
-            ball_from_payload(bad)
-        path.write_text(json.dumps(bad))
+            load_ball(str(path))
         ball = cached_ball(BS12, 4, d)
-        assert payload_bytes(ball) == payload_bytes(build_ball(BS12, 4))
+        assert same_ball(ball, build_ball(BS12, 4))
         assert path.read_bytes() == whole
 
     def test_save_replaces_without_leaving_temp_files(self, tmp_path):
@@ -429,7 +484,7 @@ class TestSerialization:
 
         # interrupted while encoding, and with the temp file whole but not
         # yet renamed into place
-        for module, name in ((json, "dumps"), (os, "replace")):
+        for module, name in ((marshal, "dumps"), (os, "replace")):
             with monkeypatch.context() as patched:
                 patched.setattr(module, name, interrupt)
                 with pytest.raises(KeyboardInterrupt):
@@ -441,9 +496,9 @@ class TestSerialization:
         "group,radius,digest",
         [
             ("free:2", 3,
-             "c7e63c829145c1aa053fa6442ea5cbfe43084a10f9a1a56b2fe4c7414ad5a7ca"),
+             "751ba3775e2a702be8cddf32e1377237cf6c77e4f24b45d94c055f8dd59f983c"),
             ("bs:1,2", 5,
-             "b3942b515fde93e1a48317f42c597411664969c22127bfcfd9bd39dd87d57eca"),
+             "11ba94b4e6aa29623416a3ecafa305b968005507de69c81795ed1e4692fcdb11"),
         ],
     )
     def test_cache_file_bytes_are_pinned(self, tmp_path, group, radius, digest):

@@ -307,7 +307,7 @@ class TestDeterminismAndCache:
     def test_cache_hit_reproduces_report(self, cache_dir, tmp_path):
         args = ["ends", "--group", "bs:1,2", "--radius", "8"]
         code1, _ = run_cli(args, cache_dir, tmp_path, "cold.json")
-        cached = list(cache_dir.glob("ball-*-r8.json"))
+        cached = list(cache_dir.glob("ball-*-r8.ball"))
         assert code1 == 0 and cached
         code2, _ = run_cli(args, cache_dir, tmp_path, "warm.json")
         assert code2 == 0
