@@ -350,9 +350,11 @@ def load_ball(path: str) -> Ball:
         try:
             spec = parse_group_spec(header.get("group"))
             elements, dist_bytes, adj_bytes = marshal.loads(body)
+            del body  # each copy is dropped once read, to lower the peak
             dist, adj = _dist_array(radius), array("i")
             dist.frombytes(dist_bytes)
             adj.frombytes(adj_bytes)
+            del dist_bytes, adj_bytes
             index = dict(zip(elements, range(n)))
         except (ConfigError, EOFError, TypeError) as exc:
             raise ValueError(f"malformed ball file: {exc!r}") from None

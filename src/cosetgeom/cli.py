@@ -41,7 +41,7 @@ from .groups import (
     render_word,
 )
 from .homotopy import build_ladder, build_ray_system, verify_ladder
-from .lifting import approximate_lift, lift_constants
+from .lifting import LiftConstants, approximate_lift, compute_f, lift_constants
 from .metrics import (
     INCONCLUSIVE,
     commensuration_verdict,
@@ -197,18 +197,28 @@ class Scenario:
         self._patch: Optional[CosetPatch] = None
         self.last_block: Optional[dict] = None
 
+    def ball_of(self, radius: int) -> Ball:
+        """The ball of the given radius, built or read from the cache."""
+        # The ball lives until this one-shot process exits, so it is frozen
+        # before the collector comes back on: no collection scans it, not
+        # even the first one after the build or load.
+        with _collector_paused():
+            ball = cached_ball(self.spec, radius, self.cache_dir, self.max_vertices)
+            gc.freeze()
+        return ball
+
     @property
     def ball(self) -> Ball:
         if self._ball is None:
-            # The ball lives until this one-shot process exits, so it is frozen
-            # before the collector comes back on: no collection scans it, not
-            # even the first one after the build or load.
-            with _collector_paused():
-                self._ball = cached_ball(
-                    self.spec, self.radius, self.cache_dir, self.max_vertices
-                )
-                gc.freeze()
+            self._ball = self.ball_of(self.radius)
         return self._ball
+
+    def constants(self) -> LiftConstants:
+        """lift_constants on B(min(radius, 2F + 1)), the smallest ball that
+        holds M (a smaller radius fails in compute_m).  F takes well under a
+        millisecond, so lift_constants simply computes it again."""
+        f = max(compute_f(self.q, self.spec).values())
+        return lift_constants(self.q, self.ball_of(min(self.radius, 2 * f + 1)))
 
     @property
     def patch(self) -> CosetPatch:
@@ -387,7 +397,7 @@ def _witness_payload(sc: Scenario) -> list:
 
 def cmd_constants(sc: Scenario):
     scenario = sc.block()
-    constants = lift_constants(sc.q, sc.ball)
+    constants = sc.constants()
     result = {
         "confidence": "Stable",
         "f_per_letter": [
@@ -465,8 +475,8 @@ def cmd_ladder(sc: Scenario):
         prefix=render_word(sc.spec, prefix),
         crossing=sc.letter_name(crossing),
     )
-    constants = lift_constants(sc.q, sc.ball)
-    ladder = build_ladder(sc.q, sc.ball, prefix, crossing, constants)
+    constants = sc.constants()
+    ladder = build_ladder(sc.q, sc.spec, prefix, crossing, constants)
     report = verify_ladder(sc.spec, ladder)
     loops = [
         {

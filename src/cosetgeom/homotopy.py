@@ -22,13 +22,9 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .cayley import Ball, bfs_distances
 from .cosetgraph import CosetPatch, graph_view
-from .errors import (
-    ConfigError,
-    ConstantViolationError,
-    InsufficientRadiusError,
-)
+from .errors import ConfigError, ConstantViolationError
 from .groups import Element, GroupSpec, group_for, inverse_word
-from .lifting import LiftConstants, _crossing, _q_walk
+from .lifting import LiftConstants, _q_walk
 from .subgroups import SubgroupSpec, VERTEX, coset_key, k_letters, q_letters
 
 
@@ -136,15 +132,15 @@ class Ladder:
 
 def build_ladder(
     q: SubgroupSpec,
-    ball: Ball,
+    spec: GroupSpec,
     prefix: Sequence[int],
     crossing: int,
     constants: LiftConstants,
 ) -> Ladder:
-    """Build and check a homotopy ladder along a Q-letter prefix from the identity."""
+    """Build and check a homotopy ladder along a Q-letter prefix from the
+    identity, stepping on normal forms: no ball bounds its walks."""
     if q.mode != VERTEX:
         raise ConfigError("ladders need exact coset keys (vertex mode)")
-    spec = ball.spec
     qlets = q_letters(spec, q)
     if crossing not in k_letters(spec, q):
         raise ConfigError(f"crossing letter {crossing} must lie outside Q")
@@ -153,68 +149,51 @@ def build_ladder(
         if e not in qlets:
             raise ConfigError(f"prefix letter {e} must lie in Q")
 
-    vids = [0]
-    for i, e in enumerate(prefix):
-        nb = ball.neighbor(vids[-1], e)
-        if nb is None:
-            raise InsufficientRadiusError(
-                f"prefix step {i} leaves the ball (radius {ball.radius})"
-            )
-        vids.append(nb)
+    group = group_for(spec)
+    apply_letter = group.apply_letter
+    ordered = sorted(qlets)
 
-    elements = ball.elements
+    def steps(a: Element) -> List[Tuple[int, Element]]:
+        return [(letter, apply_letter(a, letter)) for letter in ordered]
+
+    prefix_elements = [group.identity()]
+    for e in prefix:
+        prefix_elements.append(apply_letter(prefix_elements[-1], e))
+
     f_bound = constants.f_for(crossing)
     alphas: List[Tuple[int, ...]] = []
-    transfer_vids: List[int] = []
-    landing_vids: List[int] = []
+    transfer_ends: List[Element] = []
+    rung_ends: List[Element] = []
     target_key: Optional[bytes] = None
 
-    def lands(w: int) -> bool:
+    def crosses(w: Element) -> Optional[Element]:
         # the first crossing fixes the target coset; later ones must match it
-        return target_key is None or coset_key(spec, q, elements[w]) == target_key
+        b = apply_letter(w, crossing)
+        if target_key is None or coset_key(spec, q, b) == target_key:
+            return b
+        return None
 
-    for i, v in enumerate(vids):
-        found, saw_rim = _q_walk(
-            ball,
-            qlets,
-            v,
-            hit=_crossing(ball, crossing, lands),
-            max_len=f_bound - 1,
-        )
+    for i, v in enumerate(prefix_elements):
+        found, _ = _q_walk(v, steps, crosses, f_bound - 1)
         if found is None:
-            if saw_rim:
-                raise InsufficientRadiusError(
-                    f"transfer search at rung {i} reached the ball boundary"
-                )
             raise ConstantViolationError(
                 f"no transfer within {f_bound - 1} Q-steps at rung {i}; "
                 "F appears underestimated"
             )
         alpha, landing = found
         if target_key is None:
-            target_key = coset_key(spec, q, elements[landing])
+            target_key = coset_key(spec, q, landing)
         alphas.append(alpha)
-        landing_vids.append(landing)
-        walked = v
-        for letter in alpha:
-            walked = ball.neighbor(walked, letter)
-        transfer_vids.append(walked)
+        rung_ends.append(landing)
+        transfer_ends.append(group.evaluate_word(alpha, v))
 
     rungs: List[Tuple[int, ...]] = []
     for i in range(len(prefix)):
-        goal = landing_vids[i + 1]
-        found, saw_rim = _q_walk(
-            ball,
-            qlets,
-            landing_vids[i],
-            hit=lambda w: w if w == goal else None,
-            max_len=constants.m,
+        goal = rung_ends[i + 1]
+        found, _ = _q_walk(
+            rung_ends[i], steps, lambda w: w if w == goal else None, constants.m
         )
         if found is None:
-            if saw_rim:
-                raise InsufficientRadiusError(
-                    f"rung search {i} reached the ball boundary"
-                )
             raise ConstantViolationError(
                 f"no Q-walk of length <= {constants.m} between rung ends "
                 f"{i} and {i + 1}; M appears underestimated"
@@ -227,9 +206,9 @@ def build_ladder(
         prefix=prefix,
         crossing=crossing,
         target_key=target_key,
-        prefix_elements=tuple(elements[v] for v in vids),
-        transfer_ends=tuple(elements[v] for v in transfer_vids),
-        rung_ends=tuple(elements[v] for v in landing_vids),
+        prefix_elements=tuple(prefix_elements),
+        transfer_ends=tuple(transfer_ends),
+        rung_ends=tuple(rung_ends),
         alphas=tuple(alphas),
         rungs=tuple(rungs),
     )

@@ -22,9 +22,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from .cayley import Ball, bfs_layers, walk_back
+from .cayley import Ball, walk_back
 from .cosetgraph import CosetPatch, LambdaPath
 from .errors import (
     ConfigError,
@@ -147,54 +147,51 @@ def lift_constants(q: SubgroupSpec, ball: Ball) -> LiftConstants:
 
 
 def _q_walk(
-    ball: Ball,
-    qlets: Sequence[int],
-    start: int,
-    hit: Callable[[int], Optional[int]],
+    start: Hashable,
+    steps: Callable[[Hashable], Sequence[Tuple[int, Hashable]]],
+    hit: Callable[[Hashable], Optional[Hashable]],
     max_len: int,
-) -> Tuple[Optional[Tuple[Tuple[int, ...], int]], bool]:
+) -> Tuple[Optional[Tuple[Tuple[int, ...], Hashable]], List[list]]:
     """Shortest Q-walk from start (lexicographic tie-break) to a hit.
 
-    The walk steps along Q-letters and has length at most max_len.  Right
-    multiplication by an element of Q fixes the left coset, so the walk
-    never leaves start's coset and needs no coset test.  hit(w) names the
-    walk's result vertex at w (w itself for a goal, the landing vertex
-    across a crossing edge) or None.  Returns ((walk, result vertex),
-    saw_rim); saw_rim reports whether the search touched the ball boundary,
-    which tells truncation from genuine absence.
+    Vertices are ball ids or group elements, and steps(u) gives u's
+    Q-letter steps as (letter, vertex) in sorted letter order.  The walk has
+    length at most max_len.  Right multiplication by an element of Q fixes
+    the left coset, so the walk never leaves start's coset and needs no
+    coset test.  hit(w) names the walk's result vertex at w (w itself for a
+    goal, the landing vertex across a crossing edge) or None.  Returns
+    ((walk, result vertex) or None, the layers searched).
     """
+    seen = {start}
+    layers = [[start]]
+    while True:
+        for w in layers[-1]:
+            end = hit(w)
+            if end is not None:
+                return (walk_back(layers, w, steps), end), layers
+        if len(layers) > max_len:
+            return None, layers
+        nxt = []
+        for u in layers[-1]:
+            for _, w in steps(u):
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        if not nxt:
+            return None, layers
+        layers.append(nxt)
+
+
+def _ball_steps(ball: Ball, qlets: Sequence[int]) -> Callable[[int], list]:
+    """Q-walk steps between ball ids; a rim vertex is tested but never expanded."""
     ordered = sorted(qlets)
 
     def steps(u: int) -> List[Tuple[int, int]]:
-        # rim vertices are tested for hits but never expanded
         if not ball.complete(u):
             return []
         return [(letter, ball.neighbor(u, letter)) for letter in ordered]
 
-    layers: List[List[int]] = []
-    saw_rim = False
-    search = bfs_layers(lambda u: [w for _, w in steps(u)], ball.n_vertices, [start])
-    for layer in islice(search, max_len + 1):
-        layers.append(layer)
-        for w in layer:
-            if not ball.complete(w):
-                saw_rim = True
-            end = hit(w)
-            if end is not None:
-                return (walk_back(layers, w, steps), end), saw_rim
-    return None, saw_rim
-
-
-def _crossing(
-    ball: Ball, letter: int, lands: Callable[[int], bool]
-) -> Callable[[int], Optional[int]]:
-    """A hit test: the letter's edge at w exists and lands where wanted."""
-
-    def hit(w: int) -> Optional[int]:
-        nb = ball.neighbor(w, letter)
-        return nb if nb is not None and lands(nb) else None
-
-    return hit
+    return steps
 
 
 def approximate_lift(
@@ -216,7 +213,7 @@ def approximate_lift(
     if constants is None:
         constants = lift_constants(q, ball)
 
-    qlets = q_letters(spec, q)
+    steps = _ball_steps(ball, q_letters(spec, q))
     coset_of = patch.coset_of
     u = base
     blocks: List[Tuple[int, ...]] = []
@@ -224,15 +221,15 @@ def approximate_lift(
     for i, s in enumerate(lpath.letters):
         bound = constants.f_for(s)
         target = lpath.cosets[i + 1]
-        found, saw_rim = _q_walk(
-            ball,
-            qlets,
-            u,
-            hit=_crossing(ball, s, lambda v: coset_of[v] == target),
-            max_len=bound - 1,
-        )
+
+        def hit(w: int) -> Optional[int]:
+            nb = ball.neighbor(w, s)
+            return nb if nb is not None and coset_of[nb] == target else None
+
+        found, layers = _q_walk(u, steps, hit, bound - 1)
         if found is None:
-            if saw_rim:
+            # a rim vertex in the search may have had the missing transfer
+            if any(not ball.complete(w) for layer in layers for w in layer):
                 raise InsufficientRadiusError(
                     f"lift step {i} reached the ball boundary "
                     f"(radius {ball.radius})"

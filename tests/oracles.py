@@ -13,7 +13,9 @@ brute-force Hausdorff distances in Z^2 and F_2 use arithmetic of their own,
 and the whole-ball profile pins the searches that stop at their targets.
 The parent-map route search pins the letters of escape routes, and the
 walk-carrying Q-walk those of lifts and ladders, which the package reads
-off BFS layers instead.  The set-based star pins the one the package takes
+off BFS layers instead; a ladder built from it on ball slots pins the
+package's ladders, which walk on normal forms, wherever its searches stay
+clear of the rim.  The set-based star pins the one the package takes
 from the first BFS layers.
 """
 
@@ -556,8 +558,8 @@ def reference_route(
 #
 # The Q-walk extends each vertex's walk by one letter as it discovers a
 # neighbour, trying Q-letters in sorted order from each vertex of a layer in
-# turn, and never expands a rim vertex.  The star grows a vertex set one
-# frontier at a time.
+# turn, and never expands a rim vertex.  The ladder strings such walks
+# together on ball slots.  The star grows a vertex set one frontier at a time.
 
 
 def reference_q_walk(
@@ -596,6 +598,75 @@ def reference_q_walk(
         if not nxt:
             return None, saw_rim
         layer = nxt
+
+
+def reference_ladder(
+    ball,
+    qlets: Sequence[int],
+    prefix: Sequence[int],
+    crossing: int,
+    f_bound: int,
+    m: int,
+    key: Callable,
+) -> Tuple[Optional[Dict[str, tuple]], bool]:
+    """(the ladder's fields, or None where the ball refuses; touched_rim).
+
+    The ladder is walked on ball slots: the prefix from vertex 0, from each
+    of its vertices a transfer Q-walk of length < f_bound to a crossing edge
+    whose far end shares the first landing's coset key (key maps an element
+    to its key), and between consecutive landings a Q-walk of length <= m.
+    touched_rim says the prefix left the ball or some search tested a rim
+    vertex, which may change its walk.
+    """
+    vids = [0]
+    for letter in prefix:
+        nb = ball.neighbor(vids[-1], letter)
+        if nb is None:
+            return None, True
+        vids.append(nb)
+    elements = ball.elements
+    target = None
+
+    def crosses(w: int) -> Optional[int]:
+        nb = ball.neighbor(w, crossing)
+        if nb is None or (target is not None and key(elements[nb]) != target):
+            return None
+        return nb
+
+    touched = False
+    alphas, transfer_ends, rung_ends = [], [], []
+    for v in vids:
+        found, rim = reference_q_walk(ball, qlets, v, crosses, f_bound - 1)
+        touched |= rim
+        if found is None:
+            return None, touched
+        alpha, landing = found
+        if target is None:
+            target = key(elements[landing])
+        w = v
+        for letter in alpha:
+            w = ball.neighbor(w, letter)
+        alphas.append(alpha)
+        transfer_ends.append(elements[w])
+        rung_ends.append(landing)
+    rungs = []
+    for here, goal in zip(rung_ends, rung_ends[1:]):
+        found, rim = reference_q_walk(
+            ball, qlets, here, lambda w: w if w == goal else None, m
+        )
+        touched |= rim
+        if found is None:
+            return None, touched
+        rungs.append(found[0])
+    fields = {
+        "target_key": target,
+        "prefix_elements": tuple(elements[v] for v in vids),
+        "transfer_ends": tuple(transfer_ends),
+        "rung_ends": tuple(elements[v] for v in rung_ends),
+        "alphas": tuple(alphas),
+        "rungs": tuple(rungs),
+    }
+    return fields, touched
 
 
 def reference_star(ball, seeds: Iterable[int], n: int) -> Tuple[frozenset, bool]:

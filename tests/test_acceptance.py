@@ -276,7 +276,7 @@ def test_criterion_6_approximate_lifting(ball_bs12_r15, ball_bs23_r13):
 def test_criterion_7_homotopy_ladders(ball_bs23_r13):
     t0 = time.monotonic()
     constants = lift_constants(Q, ball_bs23_r13)
-    ladder = build_ladder(Q, ball_bs23_r13, (1,) * 12, 2, constants)
+    ladder = build_ladder(Q, BS23, (1,) * 12, 2, constants)
     assert ladder.n_loops == 12
 
     g = group_for(BS23)

@@ -13,6 +13,7 @@ import pytest
 
 from cosetgeom import build_ball, build_coset_patch, export_dot, parse_group_spec
 from cosetgeom import cli as cli_module
+from cosetgeom.cayley import ball_cache_name
 from cosetgeom.cli import main, parse_subgroup_spec
 
 
@@ -485,6 +486,54 @@ class TestGeometrySubcommands:
         }
         assert result["max_loop_length"] <= result["constants"]["l"]
 
+
+    @pytest.mark.parametrize("radius", [6, 9])
+    def test_ladder_prefix_past_the_radius(self, radius, cache_dir, tmp_path):
+        # the ladder walks on normal forms, so x^12 need not fit in the ball
+        code, report = run_cli(
+            ["ladder", "--group", "bs:2,3", "--radius", str(radius),
+             "--prefix", "x^12", "--crossing", "t"],
+            cache_dir,
+            tmp_path,
+        )
+        assert code == 0
+        assert report["result"]["verified"] is True
+        assert report["result"]["n_loops"] == 12
+
+    def test_ladder_does_not_depend_on_the_radius(self, cache_dir, tmp_path):
+        results = []
+        for radius in (6, 7, 8):
+            code, report = run_cli(
+                ["ladder", "--group", "bs:2,3", "--radius", str(radius),
+                 "--prefix", "x^-5", "--crossing", "t"],
+                cache_dir,
+                tmp_path,
+            )
+            assert code == 0
+            results.append(report["result"])
+        assert results[0] == results[1] == results[2]
+        assert results[0]["output_word"] == "t.x^-9"
+        assert results[0]["verified"] is True
+
+    @pytest.mark.parametrize("command", ["constants", "ladder"])
+    def test_constants_read_only_the_ball_of_radius_2f_plus_1(
+        self, command, tmp_path
+    ):
+        args = ["--group", "bs:2,3", "--radius", "13"]
+        if command == "ladder":
+            args += ["--prefix", "x^12", "--crossing", "t"]
+        cache = tmp_path / "cache"
+        code, report = run_cli([command, *args], cache, tmp_path)
+        assert code == 0
+        assert [p.name for p in cache.iterdir()] == [
+            ball_cache_name(parse_group_spec("bs:2,3"), 5)
+        ]
+        # the radius-13 ball has 663,799 vertices; radius 5 has 389
+        code, small = run_cli(
+            [command, *args, "--max-vertices", "1000"], tmp_path / "cold", tmp_path
+        )
+        assert code == 0
+        assert small["result"] == report["result"]
 
 
 class TestDotExport:

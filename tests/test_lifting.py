@@ -23,7 +23,7 @@ from cosetgeom.groups import (
 )
 from cosetgeom.lifting import (
     LiftConstants,
-    _crossing,
+    _ball_steps,
     _q_walk,
     approximate_lift,
     compute_f,
@@ -249,8 +249,19 @@ class TestHausdorffBound:
                 assert set(exact) == {bound}, s
 
 
+def rim_tested(ball, layers, hit):
+    """Whether the search tested a rim vertex before it stopped."""
+    tested = [w for layer in layers[:-1] for w in layer]
+    for w in layers[-1]:
+        tested.append(w)
+        if hit(w) is not None:
+            break
+    return any(not ball.complete(w) for w in tested)
+
+
 class TestQWalkOracle:
-    """_q_walk against the walk-carrying loop it replaced, hit for hit."""
+    """_q_walk on the lift's ball steps against the walk-carrying loop it
+    replaced, hit for hit and rim flag for rim flag."""
 
     @pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=REFERENCE_GROUPS)
     def test_matches_walk_carrying_search(self, spec):
@@ -259,6 +270,7 @@ class TestQWalkOracle:
         crossings = k_letters(spec, Q) or spec.letters
         for radius in range(1, 7):
             ball = build_ball(spec, radius)
+            steps = _ball_steps(ball, qlets)
             n = ball.n_vertices
             for _ in range(8):
                 start = rng.randrange(n)
@@ -268,14 +280,17 @@ class TestQWalkOracle:
                     step = ball.neighbor(goal, rng.choice(qlets))
                     goal = goal if step is None else step
                 lands = set(rng.sample(range(n), max(1, n // 4)))
-                hits = [
-                    lambda w: w if w == goal else None,
-                    _crossing(ball, rng.choice(crossings), lands.__contains__),
-                    lambda w: None,
-                ]
+                crossing = rng.choice(crossings)
+
+                def crosses(w):
+                    nb = ball.neighbor(w, crossing)
+                    return nb if nb in lands else None
+
+                hits = [lambda w: w if w == goal else None, crosses, lambda w: None]
                 for hit in hits:
                     for max_len in range(5):
-                        got = _q_walk(ball, qlets, start, hit, max_len)
+                        found, layers = _q_walk(start, steps, hit, max_len)
+                        got = found, rim_tested(ball, layers, hit)
                         want = reference_q_walk(ball, qlets, start, hit, max_len)
                         assert got == want, (radius, start, max_len)
 
