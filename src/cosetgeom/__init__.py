@@ -8,185 +8,128 @@ escape routes.  Every estimate comes with a stabilization or trust window
 so a truncated computation is reported as such instead of being guessed.
 The lifting constants F, M and L need no window: they are exact, read off
 the transfer lattices.
+
+Importing the package loads none of its modules: each public name is
+imported from its module when it is first read, so a CLI run compiles only
+the modules its subcommand uses.
 """
 
-from .cayley import (
-    DEFAULT_VERTEX_BUDGET,
-    Ball,
-    PathInBall,
-    StarResult,
-    build_ball,
-    cached_ball,
-    load_ball,
-    save_ball,
-    star,
-    walk_path,
-)
-from .cosetgraph import (
-    DEFAULT_TRUST_MARGIN,
-    CosetPatch,
-    DegreeProfile,
-    LambdaPath,
-    build_coset_patch,
-    degree_profile,
-    project_path,
-)
-from .dot import export_dot
-from .ends import (
-    EndsReport,
-    default_schedule,
-    ends_report,
-    escape_route,
-    filtered_ends_report,
-    stable_hausdorff_bound,
-    verify_escape_route,
-)
-from .errors import (
-    BallOverflowError,
-    ConfigError,
-    ConstantViolationError,
-    CosetGeomError,
-    EmptyCosetInBallError,
-    EscapeBlockedError,
-    InsufficientRadiusError,
-    NoRouteWithinBallError,
-    NoTransferVertexError,
-    NotCommensuratedError,
-    NotStabilizedError,
-    ScheduleExceedsBallError,
-)
-from .groups import (
-    GroupSpec,
-    ascending_hnn,
-    baumslag_solitar,
-    evaluate_word,
-    free_abelian_group,
-    free_group,
-    group_for,
-    inverse_word,
-    parse_group_spec,
-    parse_word,
-    render_word,
-)
-from .homotopy import (
-    Ladder,
-    LadderReport,
-    LadderViolation,
-    RaySystem,
-    build_ladder,
-    build_ray_system,
-    verify_ladder,
-)
-from .lifting import (
-    LiftConstants,
-    LiftResult,
-    approximate_lift,
-    compute_f,
-    compute_m,
-    lift_constants,
-)
-from .metrics import (
-    CommensurationReport,
-    HausdorffProfile,
-    RadiusValue,
-    commensuration_verdict,
-    default_radii,
-    default_test_elements,
-    hausdorff_profile,
-)
-from .subgroups import (
-    SubgroupSpec,
-    base_coset_key,
-    coset_key,
-    coset_label,
-    is_member,
-    k_letters,
-    q_letters,
-    transfer_basis,
-    vertex_subgroup,
-    word_subgroup,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Ball",
-    "BallOverflowError",
-    "CommensurationReport",
-    "ConfigError",
-    "ConstantViolationError",
-    "CosetGeomError",
-    "CosetPatch",
-    "DEFAULT_TRUST_MARGIN",
-    "DEFAULT_VERTEX_BUDGET",
-    "DegreeProfile",
-    "EmptyCosetInBallError",
-    "EndsReport",
-    "EscapeBlockedError",
-    "GroupSpec",
-    "HausdorffProfile",
-    "InsufficientRadiusError",
-    "Ladder",
-    "LadderReport",
-    "LadderViolation",
-    "LambdaPath",
-    "LiftConstants",
-    "LiftResult",
-    "NoRouteWithinBallError",
-    "NoTransferVertexError",
-    "NotCommensuratedError",
-    "NotStabilizedError",
-    "PathInBall",
-    "RadiusValue",
-    "RaySystem",
-    "ScheduleExceedsBallError",
-    "StarResult",
-    "SubgroupSpec",
-    "__version__",
-    "approximate_lift",
-    "ascending_hnn",
-    "base_coset_key",
-    "baumslag_solitar",
-    "build_ball",
-    "build_coset_patch",
-    "build_ladder",
-    "build_ray_system",
-    "cached_ball",
-    "commensuration_verdict",
-    "compute_f",
-    "compute_m",
-    "coset_key",
-    "coset_label",
-    "default_radii",
-    "default_schedule",
-    "default_test_elements",
-    "degree_profile",
-    "ends_report",
-    "escape_route",
-    "evaluate_word",
-    "export_dot",
-    "filtered_ends_report",
-    "free_abelian_group",
-    "free_group",
-    "group_for",
-    "hausdorff_profile",
-    "inverse_word",
-    "is_member",
-    "k_letters",
-    "lift_constants",
-    "load_ball",
-    "parse_group_spec",
-    "parse_word",
-    "project_path",
-    "q_letters",
-    "render_word",
-    "save_ball",
-    "stable_hausdorff_bound",
-    "star",
-    "transfer_basis",
-    "verify_escape_route",
-    "verify_ladder",
-    "vertex_subgroup",
-    "walk_path",
-    "word_subgroup",
-]
+# Each public name, by the module that defines it.
+_EXPORTS = {
+    "cayley": (
+        "DEFAULT_VERTEX_BUDGET",
+        "Ball",
+        "PathInBall",
+        "StarResult",
+        "build_ball",
+        "cached_ball",
+        "load_ball",
+        "save_ball",
+        "star",
+        "walk_path",
+    ),
+    "cosetgraph": (
+        "DEFAULT_TRUST_MARGIN",
+        "CosetPatch",
+        "DegreeProfile",
+        "LambdaPath",
+        "build_coset_patch",
+        "degree_profile",
+        "project_path",
+    ),
+    "dot": ("export_dot",),
+    "ends": (
+        "EndsReport",
+        "default_schedule",
+        "ends_report",
+        "escape_route",
+        "filtered_ends_report",
+        "stable_hausdorff_bound",
+        "verify_escape_route",
+    ),
+    "errors": (
+        "BallOverflowError",
+        "ConfigError",
+        "ConstantViolationError",
+        "CosetGeomError",
+        "EmptyCosetInBallError",
+        "EscapeBlockedError",
+        "InsufficientRadiusError",
+        "NoRouteWithinBallError",
+        "NoTransferVertexError",
+        "NotCommensuratedError",
+        "NotStabilizedError",
+        "ScheduleExceedsBallError",
+    ),
+    "groups": (
+        "GroupSpec",
+        "ascending_hnn",
+        "baumslag_solitar",
+        "evaluate_word",
+        "free_abelian_group",
+        "free_group",
+        "group_for",
+        "inverse_word",
+        "parse_group_spec",
+        "parse_word",
+        "render_word",
+    ),
+    "homotopy": (
+        "Ladder",
+        "LadderReport",
+        "LadderViolation",
+        "RaySystem",
+        "build_ladder",
+        "build_ray_system",
+        "verify_ladder",
+    ),
+    "lifting": (
+        "LiftConstants",
+        "LiftResult",
+        "approximate_lift",
+        "compute_f",
+        "compute_m",
+        "lift_constants",
+    ),
+    "metrics": (
+        "CommensurationReport",
+        "HausdorffProfile",
+        "RadiusValue",
+        "commensuration_verdict",
+        "default_radii",
+        "default_test_elements",
+        "hausdorff_profile",
+    ),
+    "subgroups": (
+        "SubgroupSpec",
+        "base_coset_key",
+        "coset_key",
+        "coset_label",
+        "is_member",
+        "k_letters",
+        "q_letters",
+        "transfer_basis",
+        "vertex_subgroup",
+        "word_subgroup",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted([*_MODULE_OF, "__version__"])
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -17,7 +17,6 @@ Distances are one byte each while the radius stays below 256.
 from __future__ import annotations
 
 import gc
-import hashlib
 import json
 import marshal
 import os
@@ -25,12 +24,14 @@ import sys
 import threading
 from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import BallOverflowError, ConfigError, InsufficientRadiusError
 from .groups import Element, GroupSpec, Word, group_for, parse_group_spec
+
+# hashlib is imported by the three cache-file functions only, so a run
+# without a cache directory never loads it.
 
 #: Sentinel distance for vertices a BFS never reached.
 UNREACHED = -1
@@ -47,19 +48,26 @@ def _dist_array(radius: int) -> array:
     return array("B" if radius < 256 else "i")
 
 
-@dataclass
 class Ball:
-    spec: GroupSpec
-    radius: int
-    elements: List[Element]
-    index: Dict[Element, int]
-    dist: array
-    adj: array
-    letters: Tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _slot: Dict[int, int] = field(init=False, repr=False, compare=False)
+    """The ball B(radius) of a group: elements in discovery order, their
+    ids in index, their distances in dist and the adjacency slots in adj."""
 
-    def __post_init__(self):
-        self.letters = self.spec.letters
+    def __init__(
+        self,
+        spec: GroupSpec,
+        radius: int,
+        elements: List[Element],
+        index: Dict[Element, int],
+        dist: array,
+        adj: array,
+    ):
+        self.spec = spec
+        self.radius = radius
+        self.elements = elements
+        self.index = index
+        self.dist = dist
+        self.adj = adj
+        self.letters: Tuple[int, ...] = spec.letters
         self._slot = {letter: i for i, letter in enumerate(self.letters)}
 
     @property
@@ -239,8 +247,7 @@ def bfs_distances(
     return out
 
 
-@dataclass(frozen=True)
-class StarResult:
+class StarResult(NamedTuple):
     vertices: frozenset
     clipped: bool
 
@@ -264,8 +271,7 @@ def star(ball: Ball, seeds: Iterable[int], n: int) -> StarResult:
     )
 
 
-@dataclass(frozen=True)
-class PathInBall:
+class PathInBall(NamedTuple):
     """An edge path given by a start vertex and a letter word."""
 
     base: int
@@ -305,6 +311,8 @@ def save_ball(ball: Ball, path: str) -> None:
     either the old file or the whole new one, never a half-written ball,
     even when runs race or one is interrupted.
     """
+    import hashlib
+
     tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
         with open(tmp, "wb") as fh, _collector_paused():
@@ -335,6 +343,8 @@ def load_ball(path: str) -> Ball:
     The body is hashed before it is unmarshalled, so a truncated or corrupt
     file never reaches marshal.
     """
+    import hashlib
+
     with open(path, "rb") as fh, _collector_paused():
         header = json.loads(fh.readline())
         body = fh.read()
@@ -369,6 +379,8 @@ def load_ball(path: str) -> Ball:
 
 
 def ball_cache_name(spec: GroupSpec, radius: int) -> str:
+    import hashlib
+
     digest = hashlib.sha256(
         f"{BALL_FORMAT}|{spec.describe()}|{radius}".encode()
     ).hexdigest()[:16]

@@ -8,29 +8,22 @@ byte: the cache stores exactly what a cold build produces.
 Exit codes: 0 for a conclusive run, 2 when the result is Inconclusive or Q
 is not commensurated (so no finite F exists), 1 for configuration or
 computation errors.
+
+Each handler imports the analysis modules it runs, and configparser is
+imported only for --config, so a run compiles no module it does not use.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
 import gc
 import json
 import os
 import sys
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .cayley import DEFAULT_VERTEX_BUDGET, Ball, PathInBall, _collector_paused, cached_ball
-from .cosetgraph import (
-    DEFAULT_TRUST_MARGIN,
-    CosetPatch,
-    build_coset_patch,
-    degree_profile,
-    project_path,
-)
-from .dot import export_dot
-from .ends import ends_report
 from .errors import ConfigError, CosetGeomError, NotCommensuratedError
 from .groups import (
     GroupSpec,
@@ -40,15 +33,6 @@ from .groups import (
     parse_word,
     render_word,
 )
-from .homotopy import build_ladder, build_ray_system, verify_ladder
-from .lifting import LiftConstants, approximate_lift, compute_f, lift_constants
-from .metrics import (
-    INCONCLUSIVE,
-    commensuration_verdict,
-    default_radii,
-    default_test_elements,
-    hausdorff_profile,
-)
 from .subgroups import (
     SubgroupSpec,
     VERTEX,
@@ -57,6 +41,10 @@ from .subgroups import (
     vertex_subgroup,
     word_subgroup,
 )
+
+if TYPE_CHECKING:
+    from .cosetgraph import CosetPatch
+    from .lifting import LiftConstants
 
 SCHEMA = "cosetgeom.report.v1"
 CACHE_ENV = "COSETGEOM_CACHE"
@@ -114,15 +102,18 @@ def parse_int_list(text: str) -> List[int]:
 
 
 def load_config(path: str) -> Dict[str, Dict[str, str]]:
+    import configparser
+
     parser = configparser.ConfigParser()
     try:
         with open(path) as fh:
             parser.read_file(fh)
+        # values are interpolated as they are read, so a stray % fails here
+        return {section: dict(parser[section]) for section in parser.sections()}
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from None
-    return {section: dict(parser[section]) for section in parser.sections()}
 
 
 class Settings:
@@ -192,7 +183,6 @@ class Scenario:
         self.max_vertices = settings.get_int("max_vertices", DEFAULT_VERTEX_BUDGET)
         if self.max_vertices < 1:
             raise ConfigError("max-vertices must be at least 1")
-        self.trust_margin = settings.get_int("trust_margin", DEFAULT_TRUST_MARGIN)
         self._ball: Optional[Ball] = None
         self._patch: Optional[CosetPatch] = None
         self.last_block: Optional[dict] = None
@@ -217,13 +207,24 @@ class Scenario:
         """lift_constants on B(min(radius, 2F + 1)), the smallest ball that
         holds M (a smaller radius fails in compute_m).  F takes well under a
         millisecond, so lift_constants simply computes it again."""
+        from .lifting import compute_f, lift_constants
+
         f = max(compute_f(self.q, self.spec).values())
         return lift_constants(self.q, self.ball_of(min(self.radius, 2 * f + 1)))
 
     @property
+    def trust_margin(self) -> int:
+        from .cosetgraph import DEFAULT_TRUST_MARGIN
+
+        return self.settings.get_int("trust_margin", DEFAULT_TRUST_MARGIN)
+
+    @property
     def patch(self) -> CosetPatch:
         if self._patch is None:
-            self._patch = build_coset_patch(self.q, self.ball, self.trust_margin)
+            from .cosetgraph import build_coset_patch
+
+            margin = self.trust_margin  # read first: a bad value fails before the build
+            self._patch = build_coset_patch(self.q, self.ball, margin)
         return self._patch
 
     def block(self, **extras) -> dict:
@@ -256,11 +257,18 @@ def cmd_ball(sc: Scenario):
         "n_vertices": ball.n_vertices,
         "sphere_sizes": ball.sphere_sizes(),
     }
-    dot = export_dot(ball) if sc.settings.get("dot") else None
+    dot = None
+    if sc.settings.get("dot"):
+        from .dot import export_dot
+
+        dot = export_dot(ball)
     return sc.block(), result, STATUS_OK, dot
 
 
 def cmd_coset_graph(sc: Scenario):
+    from .cosetgraph import degree_profile
+    from .dot import export_dot
+
     patch = sc.patch
     profile = degree_profile(patch)
     result = {
@@ -312,6 +320,8 @@ def _profile_payload(profile) -> dict:
 
 
 def cmd_hausdorff(sc: Scenario):
+    from .metrics import INCONCLUSIVE, default_radii, hausdorff_profile
+
     g = evaluate_word(sc.spec, sc.word("element"))
     radii_text = sc.settings.get("radii")
     radii = parse_int_list(radii_text) if radii_text else default_radii(sc.ball.radius)
@@ -327,6 +337,14 @@ def cmd_hausdorff(sc: Scenario):
 
 
 def cmd_commensurate(sc: Scenario):
+    from .metrics import (
+        INCONCLUSIVE,
+        commensuration_verdict,
+        default_radii,
+        default_test_elements,
+        hausdorff_profile,
+    )
+
     tests = default_test_elements(sc.spec)
     extra = sc.settings.get("elements")
     if extra:
@@ -360,6 +378,9 @@ def _ends_payload(report) -> dict:
 
 
 def _run_ends(sc: Scenario, graph):
+    from .ends import ends_report
+    from .metrics import INCONCLUSIVE
+
     schedule_text = sc.settings.get("schedule")
     schedule = parse_schedule(schedule_text) if schedule_text else None
     report = ends_report(graph, schedule)
@@ -412,6 +433,9 @@ def cmd_constants(sc: Scenario):
 
 
 def cmd_lift(sc: Scenario):
+    from .cosetgraph import project_path
+    from .lifting import approximate_lift, lift_constants
+
     word = sc.word("path")
     base_text = sc.settings.get("base", "1")
     scenario = sc.block(path=render_word(sc.spec, word), base=base_text)
@@ -442,6 +466,8 @@ def cmd_lift(sc: Scenario):
 
 
 def cmd_rays(sc: Scenario):
+    from .homotopy import build_ray_system
+
     kind = sc.settings.get("graph", "ball")
     if kind == "ball":
         graph = sc.ball
@@ -466,6 +492,8 @@ def cmd_rays(sc: Scenario):
 
 
 def cmd_ladder(sc: Scenario):
+    from .homotopy import build_ladder, verify_ladder
+
     prefix = sc.word("prefix")
     crossing_word = sc.word("crossing")
     if len(crossing_word) != 1:
@@ -509,6 +537,8 @@ def cmd_ladder(sc: Scenario):
 
 
 def cmd_export(sc: Scenario):
+    from .dot import export_dot
+
     what = sc.settings.get("what", "patch")
     if what not in ("ball", "patch"):
         raise ConfigError(f"unknown export target {what!r} (use ball or patch)")

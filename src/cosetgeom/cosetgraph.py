@@ -17,10 +17,9 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .cayley import NO_EDGE, Ball, PathInBall, bfs_distances
 from .errors import ConfigError, InsufficientRadiusError
@@ -30,21 +29,33 @@ from .subgroups import VERTEX, WORDS, SubgroupSpec, coset_key, coset_label, q_le
 DEFAULT_TRUST_MARGIN = 1
 
 
-@dataclass(frozen=True)
 class LambdaPath:
     """A walk in the coset graph: visited cosets plus the letter per step.
 
     Letters are the Cayley-graph letters whose projection produced each
     coset change; steps that stayed inside a coset are contracted away, so
     ``len(letters) == len(cosets) - 1`` and consecutive cosets differ.
+    Paths compare and hash by (cosets, letters).
     """
 
-    cosets: Tuple[int, ...]
-    letters: Tuple[int, ...]
+    __slots__ = ("cosets", "letters")
 
-    def __post_init__(self) -> None:
-        if len(self.cosets) != len(self.letters) + 1:
+    def __init__(self, cosets: Tuple[int, ...], letters: Tuple[int, ...]):
+        if len(cosets) != len(letters) + 1:
             raise ValueError("coset/letter length mismatch")
+        self.cosets = cosets
+        self.letters = letters
+
+    def __eq__(self, other):
+        if other.__class__ is not LambdaPath:
+            return NotImplemented
+        return self.cosets == other.cosets and self.letters == other.letters
+
+    def __hash__(self) -> int:
+        return hash((self.cosets, self.letters))
+
+    def __repr__(self) -> str:
+        return f"LambdaPath(cosets={self.cosets!r}, letters={self.letters!r})"
 
     @property
     def start(self) -> int:
@@ -63,7 +74,6 @@ class LambdaPath:
         return LambdaPath(self.cosets + other.cosets[1:], self.letters + other.letters)
 
 
-@dataclass
 class CosetPatch:
     """The part of the coset graph witnessed by one ball.
 
@@ -73,22 +83,32 @@ class CosetPatch:
     and lifts read only the labelling.
     """
 
-    spec: GroupSpec
-    subgroup: SubgroupSpec
-    radius: int
-    trust_margin: int
-    ball: Ball
-    keys: Tuple[bytes, ...]
-    witness: Tuple[int, ...]
-    coset_of: Tuple[int, ...]
-    trusted: Tuple[bool, ...]
-    members: array  # ball vertices grouped by coset, ascending within a coset
-    offsets: array  # coset c holds members[offsets[c]:offsets[c + 1]]
-    _id_of_key: Dict[bytes, int] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self) -> None:
-        if not self._id_of_key:
-            self._id_of_key = {key: cid for cid, key in enumerate(self.keys)}
+    def __init__(
+        self,
+        spec: GroupSpec,
+        subgroup: SubgroupSpec,
+        radius: int,
+        trust_margin: int,
+        ball: Ball,
+        keys: Tuple[bytes, ...],
+        witness: Tuple[int, ...],
+        coset_of: Tuple[int, ...],
+        trusted: Tuple[bool, ...],
+        members: array,  # ball vertices grouped by coset, ascending within a coset
+        offsets: array,  # coset c holds members[offsets[c]:offsets[c + 1]]
+    ):
+        self.spec = spec
+        self.subgroup = subgroup
+        self.radius = radius
+        self.trust_margin = trust_margin
+        self.ball = ball
+        self.keys = keys
+        self.witness = witness
+        self.coset_of = coset_of
+        self.trusted = trusted
+        self.members = members
+        self.offsets = offsets
+        self._id_of_key = {key: cid for cid, key in enumerate(keys)}
 
     @property
     def n_cosets(self) -> int:
@@ -302,8 +322,7 @@ def project_path(patch: CosetPatch, path: PathInBall) -> LambdaPath:
     return LambdaPath(tuple(cosets), tuple(letters))
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
+class DegreeProfile(NamedTuple):
     """Degree statistics over trusted cosets only."""
 
     max_degree: int

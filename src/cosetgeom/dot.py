@@ -8,12 +8,14 @@ graph are byte-identical and diffs stay readable.
 
 from __future__ import annotations
 
-from typing import List, Union
+from typing import TYPE_CHECKING, List, Union
 
 from .cayley import Ball
-from .cosetgraph import CosetPatch
 from .errors import ConfigError
 from .groups import group_for, render_word
+
+if TYPE_CHECKING:
+    from .cosetgraph import CosetPatch
 
 
 def _quote(text: str) -> str:
@@ -26,8 +28,11 @@ def export_dot(graph: Union[Ball, CosetPatch]) -> str:
     A ball and a patch differ only in their node names, sort keys and node
     attributes; both list their edges through ``graph.edges``.
     """
-    if not isinstance(graph, (Ball, CosetPatch)):
-        raise ConfigError(f"cannot export {type(graph).__name__} as DOT")
+    if not isinstance(graph, Ball):
+        from .cosetgraph import CosetPatch  # a ball export never loads it
+
+        if not isinstance(graph, CosetPatch):
+            raise ConfigError(f"cannot export {type(graph).__name__} as DOT")
     group = group_for(graph.spec)
     if isinstance(graph, Ball):
         name, prefix, n = "cayley_ball", "v", graph.n_vertices

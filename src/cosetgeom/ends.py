@@ -17,9 +17,20 @@ an independent verifier that uses only group arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from .cayley import Ball, PathInBall, bfs_layers, walk_back
 from .cosetgraph import CosetPatch, _UnionFind, graph_view
@@ -48,8 +59,7 @@ GROWING = "Growing"
 Schedule = Sequence[Tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class EndsReport:
+class EndsReport(NamedTuple):
     graph_kind: str
     horizon: int
     schedule: Tuple[Tuple[int, int], ...]
@@ -75,17 +85,34 @@ def default_schedule(horizon: int) -> List[Tuple[int, int]]:
     return [(r, outer) for r in inners]
 
 
-def _annulus_component_count(
-    dist: Sequence[int], neighbors: Callable[[int], Iterable[int]], r: int, R: int
-) -> int:
-    member = [r <= d <= R for d in dist]
-    uf = _UnionFind(len(dist))
-    for v, inside in enumerate(member):
-        if inside:
-            for w in neighbors(v):
-                if member[w]:
-                    uf.union(v, w)
-    return len({uf.find(v) for v, d in enumerate(dist) if d == R})
+def _annulus_counts(
+    dist: Sequence[int], neighbors: Callable[[int], Iterable[int]], schedule: Schedule
+) -> Tuple[int, ...]:
+    """Per annulus (r, R) of the schedule, its components that touch dist == R.
+
+    One union-find per outer radius R takes the shells R, R - 1, ... in
+    turn; once shell r is in, it holds exactly the annulus r <= dist <= R,
+    so every inner radius paired with R is read off the one sweep.
+    """
+    n = len(dist)
+    shells: List[List[int]] = [[] for _ in range(max(R for _, R in schedule) + 1)]
+    for v, d in enumerate(dist):
+        if 0 <= d < len(shells):
+            shells[d].append(v)
+    found: Dict[Tuple[int, int], int] = {}
+    for R in {R for _, R in schedule}:
+        inner = {r for r, outer in schedule if outer == R}
+        uf, member = _UnionFind(n), bytearray(n)
+        union = uf.union
+        for d in range(R, min(inner) - 1, -1):
+            for v in shells[d]:
+                member[v] = 1
+                for w in neighbors(v):
+                    if member[w]:
+                        union(v, w)
+            if d in inner:
+                found[d, R] = len(set(map(uf.find, shells[R])))
+    return tuple(found[annulus] for annulus in schedule)
 
 
 def _classify(counts: Sequence[int]) -> Tuple[str, Optional[int]]:
@@ -121,9 +148,7 @@ def ends_report(
     if sorted(rs) != rs:
         raise ConfigError("schedule must have nondecreasing inner radii")
 
-    counts = tuple(
-        _annulus_component_count(dist, neighbors, r, R) for r, R in schedule
-    )
+    counts = _annulus_counts(dist, neighbors, schedule)
     classification, count = _classify(counts)
     return EndsReport(
         graph_kind=kind,

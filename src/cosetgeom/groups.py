@@ -18,7 +18,7 @@ signed 1-based generator indices (+i for the generator, -i for its inverse).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from operator import add
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -48,17 +48,15 @@ FAMILY_HNN = "hnn"
 IDENTITY_KEY = b""
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    """Immutable description of one group instance."""
+class GroupSpec(namedtuple("GroupSpec", "family rank m n matrix", defaults=(1, 0, 0, ()))):
+    """Immutable description of one group instance.
 
-    family: str
-    rank: int = 1
-    m: int = 0
-    n: int = 0
-    matrix: IntMatrix = ()
+    Fields: family (str), rank (int), the bs exponents m and n (int), and
+    the hnn matrix (IntMatrix).  Specs compare and hash by their fields.
+    """
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.family in (FAMILY_FREE, FAMILY_ABELIAN):
             if self.rank < 1:
                 raise ConfigError("rank must be >= 1")
@@ -74,6 +72,7 @@ class GroupSpec:
                 raise ConfigError("hnn matrix must have nonzero determinant")
         else:
             raise ConfigError(f"unknown family {self.family!r}")
+        return self
 
     @cached_property
     def generators(self) -> Tuple[str, ...]:

@@ -17,19 +17,19 @@ group arithmetic alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .cayley import Ball, bfs_distances
-from .cosetgraph import CosetPatch, graph_view
 from .errors import ConfigError, ConstantViolationError
 from .groups import Element, GroupSpec, group_for, inverse_word
 from .lifting import LiftConstants, _q_walk
 from .subgroups import SubgroupSpec, VERTEX, coset_key, k_letters, q_letters
 
+if TYPE_CHECKING:
+    from .cosetgraph import CosetPatch
 
-@dataclass(frozen=True)
-class RaySystem:
+
+class RaySystem(NamedTuple):
     graph_kind: str
     base: int
     horizon: int
@@ -46,6 +46,8 @@ class RaySystem:
 
 def build_ray_system(graph: Union[Ball, CosetPatch], base: int = 0) -> RaySystem:
     """Outward rays: from each vertex, greedily step to deeper shells."""
+    from .cosetgraph import graph_view
+
     kind, dist, neighbors, _ = graph_view(graph)
     n = len(dist)
     if not (0 <= base < n):
@@ -74,15 +76,13 @@ def build_ray_system(graph: Union[Ball, CosetPatch], base: int = 0) -> RaySystem
     )
 
 
-@dataclass(frozen=True)
-class LadderViolation:
+class LadderViolation(NamedTuple):
     loop: int
     kind: str
     detail: str
 
 
-@dataclass(frozen=True)
-class LadderReport:
+class LadderReport(NamedTuple):
     n_loops: int
     violations: Tuple[LadderViolation, ...]
 
@@ -94,8 +94,7 @@ class LadderReport:
         return tuple(sorted({v.loop for v in self.violations}))
 
 
-@dataclass(frozen=True)
-class Ladder:
+class Ladder(NamedTuple):
     constants: LiftConstants
     prefix: Tuple[int, ...]
     crossing: int

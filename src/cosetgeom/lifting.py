@@ -20,12 +20,11 @@ Projecting the lift back to the coset graph returns the input exactly.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import islice
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .cayley import Ball, walk_back
-from .cosetgraph import CosetPatch, LambdaPath
 from .errors import (
     ConfigError,
     InsufficientRadiusError,
@@ -43,15 +42,20 @@ from .subgroups import (
     transfer_basis,
 )
 
+if TYPE_CHECKING:
+    from .cosetgraph import CosetPatch, LambdaPath
 
-@dataclass(frozen=True)
-class LiftConstants:
-    f_per_letter: Tuple[Tuple[int, int], ...]
-    m: int
 
-    def __post_init__(self):
+class LiftConstants(namedtuple("LiftConstants", "f_per_letter m")):
+    """F per letter as ((letter, F_s), ...) and M; F and L are read off them."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.f < 1 or self.m < 1:
             raise ConfigError("transfer constants must be positive")
+        return self
 
     @property
     def f(self) -> int:
@@ -70,17 +74,17 @@ class LiftConstants:
         raise ConfigError(f"no transfer constant for letter {letter}")
 
 
-@dataclass(frozen=True)
-class LiftResult:
-    input_path: LambdaPath
-    base: int
-    blocks: Tuple[Tuple[int, ...], ...]
-    letters: Tuple[int, ...]
-    end: int
+class LiftResult(namedtuple("LiftResult", "input_path base blocks letters end")):
+    """A lift of input_path (a LambdaPath) from the ball vertex base: a
+    Q-block before each crossing letter, ending at the ball vertex end."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.blocks) != len(self.letters):
             raise ValueError("one Q-block per crossing letter")
+        return self
 
     @property
     def word(self) -> Tuple[int, ...]:

@@ -16,14 +16,15 @@ have to leave the ball, which its own length forbids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .cayley import UNREACHED, Ball, bfs_layers
-from .cosetgraph import CosetPatch
 from .errors import ConfigError, EmptyCosetInBallError
 from .groups import Element, GroupSpec, group_for, render_word
 from .subgroups import VERTEX, coset_key
+
+if TYPE_CHECKING:
+    from .cosetgraph import CosetPatch
 
 COMMENSURATED = "CommensuratedEvidence"
 NOT_COMMENSURATED = "NotCommensuratedEvidence"
@@ -33,8 +34,7 @@ STABILIZATION_WINDOW = 3
 SAFETY_MARGIN = 1
 
 
-@dataclass(frozen=True)
-class RadiusValue:
+class RadiusValue(NamedTuple):
     """Hausdorff data measured at one profile radius."""
 
     radius: int
@@ -44,8 +44,7 @@ class RadiusValue:
     exact: bool
 
 
-@dataclass(frozen=True)
-class HausdorffProfile:
+class HausdorffProfile(NamedTuple):
     """Per-radius Hausdorff distance between Q and gQ, with a verdict."""
 
     g: Element
@@ -162,8 +161,7 @@ def hausdorff_profile(
     )
 
 
-@dataclass(frozen=True)
-class CommensurationReport:
+class CommensurationReport(NamedTuple):
     """Aggregated verdict over a set of test elements."""
 
     verdict: str

@@ -11,7 +11,7 @@ inside the ball, so it under-merges near the rim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Tuple
 
 from .errors import SubgroupModeError
@@ -23,7 +23,6 @@ from .groups import (
     IDENTITY_KEY,
     Element,
     GroupSpec,
-    Word,
     group_for,
 )
 from .intmat import IntVector, identity_matrix
@@ -32,16 +31,18 @@ VERTEX = "vertex"
 WORDS = "words"
 
 
-@dataclass(frozen=True)
-class SubgroupSpec:
-    mode: str
-    words: Tuple[Word, ...] = ()
+class SubgroupSpec(namedtuple("SubgroupSpec", "mode words", defaults=((),))):
+    """Q as a mode (VERTEX or WORDS) and, in words mode, its generator words."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.mode not in (VERTEX, WORDS):
             raise SubgroupModeError(f"unknown subgroup mode {self.mode!r}")
         if self.mode == WORDS and not self.words:
             raise SubgroupModeError("word-generated subgroup needs generator words")
+        return self
 
 
 def vertex_subgroup() -> SubgroupSpec:

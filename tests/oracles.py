@@ -687,3 +687,38 @@ def reference_star(ball, seeds: Iterable[int], n: int) -> Tuple[frozenset, bool]
         if not frontier:
             break
     return frozenset(current), clipped
+
+
+# ---------------------------------------------------------------------------
+# Annulus components by one search per annulus
+# ---------------------------------------------------------------------------
+#
+# The end counts as the package first took them: for each annulus
+# r <= dist <= R on its own, the components reached by a queue search that
+# stays inside the annulus, counted when they hold a vertex at dist == R.
+# The package instead grows one union-find per outer radius inward.
+
+
+def reference_annulus_counts(
+    dist: Sequence[int], neighbors: Callable[[int], Iterable[int]], schedule
+) -> Tuple[int, ...]:
+    counts = []
+    for r, R in schedule:
+        seen = set()
+        touching = 0
+        for start, d in enumerate(dist):
+            if not r <= d <= R or start in seen:
+                continue
+            seen.add(start)
+            queue = deque([start])
+            on_sphere = False
+            while queue:
+                v = queue.popleft()
+                on_sphere = on_sphere or dist[v] == R
+                for w in neighbors(v):
+                    if w not in seen and r <= dist[w] <= R:
+                        seen.add(w)
+                        queue.append(w)
+            touching += on_sphere
+        counts.append(touching)
+    return tuple(counts)

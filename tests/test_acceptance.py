@@ -14,7 +14,6 @@ that fails its independent verifier) is never tolerated.
 import random
 import time
 from collections import deque
-from dataclasses import replace
 from itertools import accumulate
 
 import pytest
@@ -287,14 +286,13 @@ def test_criterion_7_homotopy_ladders(ball_bs23_r13):
         assert len(loop) <= bound
     assert verify_ladder(BS23, ladder).ok
 
-    corrupted = replace(
-        ladder, rungs=ladder.rungs[:5] + ((1,) + ladder.rungs[5],) + ladder.rungs[6:]
+    corrupted = ladder._replace(
+        rungs=ladder.rungs[:5] + ((1,) + ladder.rungs[5],) + ladder.rungs[6:]
     )
     report = verify_ladder(BS23, corrupted)
     assert not report.ok and report.failed_loops()
 
-    oversize = replace(
-        ladder,
+    oversize = ladder._replace(
         rungs=ladder.rungs[:3] + (ladder.rungs[3] + (1, -1) * 3,) + ladder.rungs[4:],
     )
     report = verify_ladder(BS23, oversize)

@@ -293,6 +293,19 @@ class TestScenarioResolution:
         assert code == 1
         assert "config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "value", ["5%", "%(nope)s"], ids=["bad-percent", "missing-reference"]
+    )
+    def test_percent_in_a_config_value_exits_one(self, value, cache_dir, tmp_path, capsys):
+        # configparser interpolates a value when it is read, not when it is parsed
+        cfg = tmp_path / "percent.ini"
+        cfg.write_text(f"[scenario]\ngroup = free:2\nradius = {value}\n")
+        code, report = run_cli(["ball", "--config", str(cfg)], cache_dir, tmp_path)
+        captured = capsys.readouterr()
+        assert code == 1 and report is None and captured.out == ""
+        assert captured.err.startswith("error: config parse error: ")
+        assert captured.err.count("\n") == 1
+
     def test_word_subgroup_round_trip(self, cache_dir, tmp_path):
         code, report = run_cli(
             ["coset-graph", "--group", "free:2", "--radius", "5",

@@ -30,16 +30,18 @@ from cosetgeom.errors import (
     NotStabilizedError,
     ScheduleExceedsBallError,
 )
+from cosetgeom.cosetgraph import graph_view
 from cosetgeom.groups import (
     baumslag_solitar,
     evaluate_word,
     free_abelian_group,
     free_group,
+    parse_group_spec,
     parse_word,
 )
 from cosetgeom.subgroups import coset_key, vertex_subgroup, word_subgroup
 
-from .oracles import reference_route
+from .oracles import REFERENCE_GROUPS, reference_annulus_counts, reference_route
 
 Q = vertex_subgroup()
 
@@ -106,6 +108,41 @@ class TestCosetGraphEndCounts:
         report = filtered_ends_report(Q, ball_bs23_r10, [(1, 5), (2, 5), (3, 5)])
         assert report.counts == (5, 20, 80)
         assert report.classification == GROWING
+
+
+class TestAnnulusCountOracle:
+    """One union-find sweep per outer radius counts what one search per
+    annulus counts, on every schedule the graph's horizon allows."""
+
+    @staticmethod
+    def schedules(horizon):
+        try:
+            yield default_schedule(horizon)
+        except ConfigError:
+            pass  # too shallow for the default
+        usable = range(2, horizon)  # outer radii up to horizon - 1
+        # every annulus at once: all outer radii mixed, inner radii ascending
+        every = sorted(((r, R) for R in usable for r in range(1, R)))
+        if every:
+            yield every
+        if horizon >= 8:
+            yield [(2, 6), (3, 6), (3, 7), (4, 7)]
+
+    @pytest.mark.parametrize("text", REFERENCE_GROUPS)
+    def test_counts_match_one_search_per_annulus(self, text):
+        spec = parse_group_spec(text)
+        checked = 0
+        for radius in range(4, 9):
+            ball = build_ball(spec, radius)
+            for graph in (ball, build_coset_patch(Q, ball)):
+                _, dist, neighbors, horizon = graph_view(graph)
+                for schedule in self.schedules(horizon):
+                    expected = reference_annulus_counts(dist, neighbors, schedule)
+                    assert ends_report(graph, schedule).counts == expected, (
+                        radius, graph_view(graph)[0], schedule
+                    )
+                    checked += 1
+        assert checked >= 5  # at least the every-annulus schedule of each ball
 
 
 class TestSchedulesAndClassification:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -282,7 +281,7 @@ class TestLadderVerifier:
         group = group_for(spec)
         ends = list(ladder_bs23.rung_ends)
         ends[3] = group.evaluate_word((1,), ends[3])
-        report = verify_ladder(spec, replace(ladder_bs23, rung_ends=tuple(ends)))
+        report = verify_ladder(spec, ladder_bs23._replace(rung_ends=tuple(ends)))
         assert not report.ok
         assert report.failed_loops() == (2, 3)
         assert all(v.kind == "identity" for v in report.violations)
@@ -292,7 +291,7 @@ class TestLadderVerifier:
         group = group_for(spec)
         ends = list(ladder_bs23.rung_ends)
         ends[0] = group.evaluate_word((1,), ends[0])
-        report = verify_ladder(spec, replace(ladder_bs23, rung_ends=tuple(ends)))
+        report = verify_ladder(spec, ladder_bs23._replace(rung_ends=tuple(ends)))
         assert report.failed_loops() == (0,)
 
     def test_oversize_rung_is_flagged(self, constants_bs12):
@@ -300,7 +299,7 @@ class TestLadderVerifier:
         ladder = build_ladder(Q, spec, (1,) * 4, 2, constants_bs12)
         rungs = list(ladder.rungs)
         rungs[2] = rungs[2] + (1, -1) * 3
-        report = verify_ladder(spec, replace(ladder, rungs=tuple(rungs)))
+        report = verify_ladder(spec, ladder._replace(rungs=tuple(rungs)))
         assert not report.ok
         assert report.failed_loops() == (2,)
         assert {v.kind for v in report.violations} == {"length"}
@@ -309,7 +308,7 @@ class TestLadderVerifier:
         spec = baumslag_solitar(2, 3)
         rungs = list(ladder_bs23.rungs)
         rungs[1] = rungs[1] + (1,)
-        report = verify_ladder(spec, replace(ladder_bs23, rungs=tuple(rungs)))
+        report = verify_ladder(spec, ladder_bs23._replace(rungs=tuple(rungs)))
         assert report.failed_loops() == (1,)
         assert {v.kind for v in report.violations} == {"word", "identity"}
 
@@ -317,7 +316,7 @@ class TestLadderVerifier:
         spec = baumslag_solitar(2, 3)
         alphas = list(ladder_bs23.alphas)
         alphas[1] = (-1, 1, -1)
-        report = verify_ladder(spec, replace(ladder_bs23, alphas=tuple(alphas)))
+        report = verify_ladder(spec, ladder_bs23._replace(alphas=tuple(alphas)))
         assert not report.ok
         assert set(report.failed_loops()) == {0, 1}
         kinds = {v.kind for v in report.violations}
@@ -325,7 +324,7 @@ class TestLadderVerifier:
 
     def test_dropped_rung_is_a_structure_error(self, ladder_bs23):
         spec = baumslag_solitar(2, 3)
-        report = verify_ladder(spec, replace(ladder_bs23, rungs=ladder_bs23.rungs[:-1]))
+        report = verify_ladder(spec, ladder_bs23._replace(rungs=ladder_bs23.rungs[:-1]))
         assert not report.ok
         assert report.violations[0].kind == "structure"
         assert report.violations[0].loop == -1
