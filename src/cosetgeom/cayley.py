@@ -25,7 +25,18 @@ import threading
 from array import array
 from contextlib import contextmanager
 from itertools import islice
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .errors import BallOverflowError, ConfigError, InsufficientRadiusError
 from .groups import Element, GroupSpec, Word, group_for, parse_group_spec
@@ -184,40 +195,38 @@ def _bfs_ball(spec: GroupSpec, radius: int, max_vertices: int) -> Ball:
 
 
 def bfs_layers(
-    neighbors: Callable[[int], Iterable[int]], n: int, sources: Iterable[int]
-) -> Iterator[List[int]]:
+    neighbors: Callable[[Hashable], Iterable[Hashable]], sources: Iterable[Hashable]
+) -> Iterator[list]:
     """Vertices reached from the sources, one list per edge distance.
 
+    Vertices are any hashable values: ball ids, coset ids or normal forms.
     Layer 0 holds the sources in the order given, and each later layer its
     vertices in discovery order.  Each layer is yielded before the next is
-    searched, so a caller that stops asking stops the search.  Vertex ids
-    lie in 0..n-1; neighbors may yield NO_EDGE, which is skipped, so a
-    ball's adjacency slots can be passed as stored.  Callers restrict the
-    search inside neighbors.
+    searched, so a caller that stops asking stops the search.  neighbors
+    may yield NO_EDGE, which is skipped, so a ball's adjacency slots can be
+    passed as stored.  Callers restrict the search inside neighbors.
     """
-    seen = bytearray(n)
+    seen = {NO_EDGE}
     layer = []
     for v in sources:
-        if not seen[v]:
-            seen[v] = 1
+        if v not in seen:
+            seen.add(v)
             layer.append(v)
     while layer:
         yield layer
         nxt = []
         for v in layer:
             for w in neighbors(v):
-                # NO_EDGE reads the last byte of the mask, so it is tested
-                # only when that byte says unseen: most edges stop at seen[w]
-                if not seen[w] and w != NO_EDGE:
-                    seen[w] = 1
+                if w not in seen:
+                    seen.add(w)
                     nxt.append(w)
         layer = nxt
 
 
 def walk_back(
-    layers: Sequence[List[int]],
-    w: int,
-    edges: Callable[[int], Iterable[Tuple[int, int]]],
+    layers: Sequence[list],
+    w: Hashable,
+    edges: Callable[[Hashable], Iterable[Tuple[int, Hashable]]],
 ) -> Tuple[int, ...]:
     """Letters of the search walk from layer 0 to w, a vertex of the last layer.
 
@@ -233,15 +242,41 @@ def walk_back(
     return tuple(reversed(letters))
 
 
+def first_hit(
+    start: Hashable,
+    steps: Callable[[Hashable], Sequence[Tuple[int, Hashable]]],
+    hit: Callable[[Hashable], Optional[Hashable]],
+    max_len: int,
+) -> Tuple[Optional[Tuple[Tuple[int, ...], Hashable]], List[list]]:
+    """The first hit in discovery order of a search from start, with its walk.
+
+    steps(u) gives u's search edges as (letter, vertex) in search order, so
+    the walk is a shortest one with the earliest letters first.  hit(w)
+    names the result vertex at w (w itself for a goal, the landing vertex
+    across a crossing edge) or None.  The walk has length at most max_len.
+    Returns ((walk, result vertex) or None, the layers searched).
+    """
+    layers: List[list] = []
+    for layer in bfs_layers(lambda u: [w for _, w in steps(u)], [start]):
+        layers.append(layer)
+        for w in layer:
+            end = hit(w)
+            if end is not None:
+                return (walk_back(layers, w, steps), end), layers
+        if len(layers) > max_len:
+            break
+    return None, layers
+
+
 def bfs_distances(
     neighbors: Callable[[int], Iterable[int]], n: int, sources: Iterable[int]
 ) -> List[int]:
     """Edge distance from the sources of each vertex, UNREACHED if never reached.
 
-    neighbors, n and sources are as for bfs_layers.
+    Vertex ids lie in 0..n-1; neighbors and sources are as for bfs_layers.
     """
     out = [UNREACHED] * n
-    for d, layer in enumerate(bfs_layers(neighbors, n, sources)):
+    for d, layer in enumerate(bfs_layers(neighbors, sources)):
         for v in layer:
             out[v] = d
     return out
@@ -264,7 +299,7 @@ def star(ball: Ball, seeds: Iterable[int], n: int) -> StarResult:
     for v in seeds:
         if not (0 <= v < ball.n_vertices):
             raise InsufficientRadiusError(f"seed vertex {v} not in ball")
-    layers = list(islice(bfs_layers(ball.neighbors, ball.n_vertices, seeds), n + 1))
+    layers = list(islice(bfs_layers(ball.neighbors, seeds), n + 1))
     return StarResult(
         vertices=frozenset(v for layer in layers for v in layer),
         clipped=any(not ball.complete(v) for layer in layers[:n] for v in layer),

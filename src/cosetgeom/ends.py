@@ -32,7 +32,7 @@ from typing import (
     Union,
 )
 
-from .cayley import Ball, PathInBall, bfs_layers, walk_back
+from .cayley import Ball, PathInBall, bfs_layers, first_hit
 from .cosetgraph import CosetPatch, _UnionFind, graph_view
 from .errors import (
     ConfigError,
@@ -188,28 +188,6 @@ def stable_hausdorff_bound(patch: CosetPatch) -> int:
     return k
 
 
-def _bfs_route(
-    ball: Ball,
-    start: int,
-    allowed: Callable[[int], bool],
-    is_target: Callable[[int], bool],
-) -> Optional[Tuple[int, ...]]:
-    """Letters of a shortest allowed path from start to a target, or None.
-
-    The path ends at the first target in discovery order, and the search
-    stops at the layer that holds it.
-    """
-    layers: List[List[int]] = []
-    for layer in bfs_layers(
-        lambda u: [w for w in ball.neighbors(u) if allowed(w)], ball.n_vertices, [start]
-    ):
-        layers.append(layer)
-        for u in layer:
-            if is_target(u):
-                return walk_back(layers, u, ball.edges)
-    return None
-
-
 def _blocked_region(patch: CosetPatch, excluded: FrozenSet[int]) -> Set[int]:
     """The excluded set plus bounded in-coset pockets it cuts off.
 
@@ -226,7 +204,7 @@ def _blocked_region(patch: CosetPatch, excluded: FrozenSet[int]) -> Set[int]:
         cid = coset_of[v]
         return [w for w in ball.neighbors(v) if w in members and coset_of[w] == cid]
 
-    joined = {v for layer in bfs_layers(in_coset, ball.n_vertices, rim) for v in layer}
+    joined = {v for layer in bfs_layers(in_coset, rim) for v in layer}
     return (members - joined).union(excluded)
 
 
@@ -274,37 +252,38 @@ def escape_route(
             "start vertex is trapped in a bounded pocket of its coset"
         )
 
-    search = bfs_layers(ball.neighbors, n, excluded)
+    search = bfs_layers(ball.neighbors, excluded)
     near = {u for layer in islice(search, max(k + 1, 0)) for u in layer}  # within K
 
     home = coset_of[v]
-    alpha = _bfs_route(
-        ball,
+    found, _ = first_hit(
         v,
-        allowed=lambda u: coset_of[u] == home and u not in blocked,
-        is_target=lambda u: u not in near,
+        lambda u: [
+            (l, w) for l, w in ball.edges(u) if coset_of[w] == home and w not in blocked
+        ],
+        lambda u: None if u in near else u,
+        n,
     )
-    if alpha is None:
+    if found is None:
         max_c = max((ball.dist[u] for u in excluded), default=0)
         raise NoRouteWithinBallError(
             "no in-coset vertex clears the excluded neighborhood",
             required_radius=max(ball.radius + 1, max_c + k + 1),
         )
-    mid = v
-    for letter in alpha:
-        mid = ball.neighbor(mid, letter)
+    alpha, mid = found
 
-    beta = _bfs_route(
-        ball,
+    found, _ = first_hit(
         mid,
-        allowed=lambda u: u not in excluded,
-        is_target=lambda u: u in targets,
+        lambda u: [(l, w) for l, w in ball.edges(u) if w not in excluded],
+        lambda u: u if u in targets else None,
+        n,
     )
-    if beta is None:
+    if found is None:
         raise NoRouteWithinBallError(
             "target coset unreachable without entering the excluded set",
             required_radius=ball.radius + k + 1,
         )
+    beta, _ = found
     return PathInBall(v, alpha + beta)
 
 

@@ -72,12 +72,8 @@ class NoTransferVertexError(CosetGeomError):
     """No transfer vertex within the promised search depth."""
 
 
-class NoRouteWithinBallError(CosetGeomError):
+class NoRouteWithinBallError(InsufficientRadiusError):
     """No escape route exists inside the ball; retry with a larger one."""
-
-    def __init__(self, message: str, required_radius: int):
-        self.required_radius = required_radius
-        super().__init__(f"{message} (suggest radius >= {required_radius})")
 
 
 class EscapeBlockedError(CosetGeomError):

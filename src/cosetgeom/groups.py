@@ -189,9 +189,6 @@ class Group:
     def canonical_key(self, a: Element) -> bytes:
         raise NotImplementedError
 
-    def decode_key(self, key: bytes) -> Element:
-        raise NotImplementedError
-
     def render(self, a: Element) -> str:
         raise NotImplementedError
 
@@ -225,11 +222,6 @@ class FreeGroup(Group):
     def canonical_key(self, a: Element) -> bytes:
         return ",".join(str(x) for x in a).encode()
 
-    def decode_key(self, key: bytes) -> Element:
-        if not key:
-            return ()
-        return tuple(int(x) for x in key.decode().split(","))
-
     def render(self, a: Element) -> str:
         return render_word(self.spec, a)
 
@@ -259,11 +251,6 @@ class FreeAbelianGroup(Group):
         if not any(a):
             return IDENTITY_KEY
         return ",".join(str(x) for x in a).encode()
-
-    def decode_key(self, key: bytes) -> Element:
-        if not key:
-            return self.identity()
-        return tuple(int(x) for x in key.decode().split(","))
 
     def render(self, a: Element) -> str:
         parts = [
@@ -347,15 +334,6 @@ class BaumslagSolitarGroup(Group):
         for i in range(1, len(a), 2):
             text += ("|+" if a[i] > 0 else "|-") + str(a[i + 1])
         return text.encode()
-
-    def decode_key(self, key: bytes) -> Element:
-        if not key:
-            return (0,)
-        parts = key.decode().split("|")
-        out = [int(parts[0])]
-        for p in parts[1:]:
-            out.extend((1 if p[0] == "+" else -1, int(p[1:])))
-        return tuple(out)
 
     def render(self, a: Element) -> str:
         parts: List[str] = []
@@ -475,12 +453,6 @@ class AscendingHNNGroup(Group):
             return IDENTITY_KEY
         vec = ",".join(str(x) for x in v)
         return f"{p}|{vec}|{q}".encode()
-
-    def decode_key(self, key: bytes) -> Element:
-        if not key:
-            return self.identity()
-        p_text, vec, q_text = key.decode().split("|")
-        return (int(p_text), tuple(int(x) for x in vec.split(",")), int(q_text))
 
     def render(self, a: Element) -> str:
         p, v, q = a

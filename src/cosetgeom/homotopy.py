@@ -19,14 +19,14 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .cayley import Ball, bfs_distances
+from .cayley import Ball, bfs_distances, first_hit
 from .errors import ConfigError, ConstantViolationError
 from .groups import Element, GroupSpec, group_for, inverse_word
-from .lifting import LiftConstants, _q_walk
 from .subgroups import SubgroupSpec, VERTEX, coset_key, k_letters, q_letters
 
 if TYPE_CHECKING:
     from .cosetgraph import CosetPatch
+    from .lifting import LiftConstants
 
 
 class RaySystem(NamedTuple):
@@ -173,7 +173,7 @@ def build_ladder(
         return None
 
     for i, v in enumerate(prefix_elements):
-        found, _ = _q_walk(v, steps, crosses, f_bound - 1)
+        found, _ = first_hit(v, steps, crosses, f_bound - 1)
         if found is None:
             raise ConstantViolationError(
                 f"no transfer within {f_bound - 1} Q-steps at rung {i}; "
@@ -189,7 +189,7 @@ def build_ladder(
     rungs: List[Tuple[int, ...]] = []
     for i in range(len(prefix)):
         goal = rung_ends[i + 1]
-        found, _ = _q_walk(
+        found, _ = first_hit(
             rung_ends[i], steps, lambda w: w if w == goal else None, constants.m
         )
         if found is None:

@@ -22,9 +22,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import namedtuple
 from itertools import islice
-from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .cayley import Ball, walk_back
+from .cayley import Ball, first_hit
 from .errors import (
     ConfigError,
     InsufficientRadiusError,
@@ -150,44 +150,12 @@ def lift_constants(q: SubgroupSpec, ball: Ball) -> LiftConstants:
     )
 
 
-def _q_walk(
-    start: Hashable,
-    steps: Callable[[Hashable], Sequence[Tuple[int, Hashable]]],
-    hit: Callable[[Hashable], Optional[Hashable]],
-    max_len: int,
-) -> Tuple[Optional[Tuple[Tuple[int, ...], Hashable]], List[list]]:
-    """Shortest Q-walk from start (lexicographic tie-break) to a hit.
-
-    Vertices are ball ids or group elements, and steps(u) gives u's
-    Q-letter steps as (letter, vertex) in sorted letter order.  The walk has
-    length at most max_len.  Right multiplication by an element of Q fixes
-    the left coset, so the walk never leaves start's coset and needs no
-    coset test.  hit(w) names the walk's result vertex at w (w itself for a
-    goal, the landing vertex across a crossing edge) or None.  Returns
-    ((walk, result vertex) or None, the layers searched).
-    """
-    seen = {start}
-    layers = [[start]]
-    while True:
-        for w in layers[-1]:
-            end = hit(w)
-            if end is not None:
-                return (walk_back(layers, w, steps), end), layers
-        if len(layers) > max_len:
-            return None, layers
-        nxt = []
-        for u in layers[-1]:
-            for _, w in steps(u):
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        if not nxt:
-            return None, layers
-        layers.append(nxt)
-
-
 def _ball_steps(ball: Ball, qlets: Sequence[int]) -> Callable[[int], list]:
-    """Q-walk steps between ball ids; a rim vertex is tested but never expanded."""
+    """Q-walk steps between ball ids; a rim vertex is tested but never expanded.
+
+    Right multiplication by an element of Q fixes the left coset, so a
+    Q-walk never leaves its start's coset and needs no coset test.
+    """
     ordered = sorted(qlets)
 
     def steps(u: int) -> List[Tuple[int, int]]:
@@ -230,7 +198,7 @@ def approximate_lift(
             nb = ball.neighbor(w, s)
             return nb if nb is not None and coset_of[nb] == target else None
 
-        found, layers = _q_walk(u, steps, hit, bound - 1)
+        found, layers = first_hit(u, steps, hit, bound - 1)
         if found is None:
             # a rim vertex in the search may have had the missing transfer
             if any(not ball.complete(w) for layer in layers for w in layer):

@@ -88,7 +88,7 @@ def _distances_to(
     # read the adjacency slots directly: a (letter, vertex) generator per
     # vertex would cost several times more
     adj, k = ball.adj, len(ball.letters)
-    layers = bfs_layers(lambda v: adj[v * k : v * k + k], ball.n_vertices, sources)
+    layers = bfs_layers(lambda v: adj[v * k : v * k + k], sources)
     for d, layer in enumerate(layers):
         hits = left.intersection(layer)
         if hits:

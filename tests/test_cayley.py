@@ -25,6 +25,7 @@ from cosetgeom.cayley import (
     bfs_layers,
     build_ball,
     cached_ball,
+    first_hit,
     load_ball,
     save_ball,
     star,
@@ -268,16 +269,34 @@ class TestBfsLayers:
             adj = build_ball(spec, radius).adj
             for sources in ([0], axis, rng.sample(range(n), min(n, 5))):
                 want = queue_layers(sub, sources)
-                got = list(bfs_layers(lambda v: [w for _, w in sub[v]], n, sources))
+                got = list(bfs_layers(lambda v: [w for _, w in sub[v]], sources))
                 assert got == want, (radius, sources)
                 # stored slots, NO_EDGE included, give the same layers
-                slots = bfs_layers(lambda v: adj[v * k : v * k + k], n, sources)
+                slots = bfs_layers(lambda v: adj[v * k : v * k + k], sources)
                 assert list(slots) == want
+
+    @pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=REFERENCE_GROUPS)
+    def test_group_elements_as_vertices(self, spec):
+        # the same searches with each vertex id replaced by its element
+        rng = random.Random(spec.describe())
+        elements, dist, rows = reference_ball(group_for(spec), spec.letters, 5)
+        index = {a: v for v, a in enumerate(elements)}
+        for radius in range(6):
+            n = sum(1 for d in dist if d <= radius)
+            sub = [[(l, w) for l, w in rows[v] if w < n] for v in range(n)]
+
+            def neighbors(a):
+                return [elements[w] for _, w in sub[index[a]]]
+
+            for sources in ([0], rng.sample(range(n), min(n, 5))):
+                want = [[elements[v] for v in layer] for layer in queue_layers(sub, sources)]
+                got = bfs_layers(neighbors, [elements[v] for v in sources])
+                assert list(got) == want, (radius, sources)
 
     def test_no_sources_and_repeated_sources(self):
         ball = build_ball(AB2, 2)
-        assert list(bfs_layers(ball.neighbors, ball.n_vertices, [])) == []
-        layers = list(bfs_layers(ball.neighbors, ball.n_vertices, [3, 0, 3]))
+        assert list(bfs_layers(ball.neighbors, [])) == []
+        layers = list(bfs_layers(ball.neighbors, [3, 0, 3]))
         assert layers[0] == [3, 0]
         assert sorted(v for layer in layers for v in layer) == list(range(ball.n_vertices))
 
@@ -285,7 +304,20 @@ class TestBfsLayers:
         def refuse(v):
             raise AssertionError(f"searched from vertex {v}")
 
-        assert next(bfs_layers(refuse, 3, [2, 0])) == [2, 0]
+        assert next(bfs_layers(refuse, [2, 0])) == [2, 0]
+
+
+class TestFirstHit:
+    def test_hit_at_the_start_and_a_zero_length_search(self):
+        ball = build_ball(AB2, 3)
+        steps = lambda v: list(ball.edges(v))
+        x1 = ball.index[(1, 0)]
+        assert first_hit(x1, steps, lambda w: w, 0) == (((), x1), [[x1]])
+        # max_len=0 tests the start only, though a neighbour would hit
+        goal = lambda w: w if w == 0 else None
+        assert first_hit(x1, steps, goal, 0) == (None, [[x1]])
+        found, layers = first_hit(x1, steps, goal, 1)
+        assert found == ((-1,), 0) and len(layers) == 2
 
 
 class TestStar:
@@ -385,7 +417,6 @@ class TestSerialization:
             raise AssertionError("a cache hit reached the group arithmetic")
 
         for cls in (Group, *Group.__subclasses__()):
-            monkeypatch.setattr(cls, "decode_key", refuse)
             monkeypatch.setattr(cls, "apply_letter", refuse)
         warm = cached_ball(spec, 5, str(tmp_path))
         assert same_ball(warm, cold)

@@ -26,6 +26,7 @@ from cosetgeom.errors import (
     ConfigError,
     EmptyCosetInBallError,
     EscapeBlockedError,
+    InsufficientRadiusError,
     NoRouteWithinBallError,
     NotStabilizedError,
     ScheduleExceedsBallError,
@@ -271,6 +272,9 @@ class TestEscapeRoutes:
         with pytest.raises(NoRouteWithinBallError) as info:
             escape_route(patch_ab2_r12, excluded, v, g, k=1)
         assert info.value.required_radius > ball_ab2_r12.radius
+
+    def test_no_route_is_a_radius_shortfall(self):
+        assert issubclass(NoRouteWithinBallError, InsufficientRadiusError)
 
     def test_word_mode_subgroup_rejected(self, ball_ab2_r12):
         spec = free_abelian_group(2)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from cosetgeom.cayley import PathInBall, build_ball
+from cosetgeom.cayley import PathInBall, build_ball, first_hit
 from cosetgeom.cosetgraph import LambdaPath, build_coset_patch, project_path
 from cosetgeom.errors import (
     ConfigError,
@@ -24,7 +24,6 @@ from cosetgeom.groups import (
 from cosetgeom.lifting import (
     LiftConstants,
     _ball_steps,
-    _q_walk,
     approximate_lift,
     compute_f,
     compute_m,
@@ -260,7 +259,7 @@ def rim_tested(ball, layers, hit):
 
 
 class TestQWalkOracle:
-    """_q_walk on the lift's ball steps against the walk-carrying loop it
+    """first_hit on the lift's ball steps against the walk-carrying loop it
     replaced, hit for hit and rim flag for rim flag."""
 
     @pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=REFERENCE_GROUPS)
@@ -289,7 +288,7 @@ class TestQWalkOracle:
                 hits = [lambda w: w if w == goal else None, crosses, lambda w: None]
                 for hit in hits:
                     for max_len in range(5):
-                        found, layers = _q_walk(start, steps, hit, max_len)
+                        found, layers = first_hit(start, steps, hit, max_len)
                         got = found, rim_tested(ball, layers, hit)
                         want = reference_q_walk(ball, qlets, start, hit, max_len)
                         assert got == want, (radius, start, max_len)

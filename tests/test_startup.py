@@ -44,6 +44,7 @@ RUNS = {
     "ladder": [
         "ladder", "--group", "bs:1,2", "--radius", "6", "--prefix", "x^4", "--crossing", "t",
     ],
+    "rays": ["rays", "--group", "bs:1,2", "--radius", "6", "--graph", "patch"],
     "commensurate": ["commensurate", "--group", "bs:1,2", "--radius", "7"],
     "filtered-ends": ["filtered-ends", "--group", "bs:1,2", "--radius", "8"],
 }
@@ -89,6 +90,13 @@ def test_ball_loads_no_lifting_or_homotopy(imports):
     _, names = imports["ball"]
     assert "cosetgeom.cayley" in names
     assert names.isdisjoint({"cosetgeom.lifting", "cosetgeom.homotopy"})
+
+
+def test_rays_load_homotopy_but_no_lifting(imports):
+    # homotopy names LiftConstants in annotations only
+    _, names = imports["rays"]
+    assert "cosetgeom.homotopy" in names
+    assert "cosetgeom.lifting" not in names
 
 
 def test_analyses_load_their_modules(imports):
