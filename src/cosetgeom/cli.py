@@ -9,8 +9,10 @@ Exit codes: 0 for a conclusive run, 2 when the result is Inconclusive or Q
 is not commensurated (so no finite F exists), 1 for configuration or
 computation errors.
 
-Each handler imports the analysis modules it runs, and configparser is
-imported only for --config, so a run compiles no module it does not use.
+Each handler imports the modules it runs, the group, subgroup and ball
+modules included, and configparser is imported only for --config, so a run
+compiles no module it does not use: ``--help`` loads only ``cli`` and
+``errors``.
 """
 
 from __future__ import annotations
@@ -23,28 +25,14 @@ import sys
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .cayley import DEFAULT_VERTEX_BUDGET, Ball, PathInBall, _collector_paused, cached_ball
 from .errors import ConfigError, CosetGeomError, NotCommensuratedError
-from .groups import (
-    GroupSpec,
-    evaluate_word,
-    group_for,
-    parse_group_spec,
-    parse_word,
-    render_word,
-)
-from .subgroups import (
-    SubgroupSpec,
-    VERTEX,
-    q_element,
-    transfer_basis,
-    vertex_subgroup,
-    word_subgroup,
-)
 
 if TYPE_CHECKING:
+    from .cayley import Ball
     from .cosetgraph import CosetPatch
+    from .groups import GroupSpec
     from .lifting import LiftConstants
+    from .subgroups import SubgroupSpec
 
 SCHEMA = "cosetgeom.report.v1"
 CACHE_ENV = "COSETGEOM_CACHE"
@@ -58,6 +46,9 @@ STATUS_INCONCLUSIVE = "inconclusive"
 
 def parse_subgroup_spec(spec: GroupSpec, text: str) -> SubgroupSpec:
     """Parse ``vertex`` or ``words:w1,w2,...`` (comma-separated words)."""
+    from .groups import parse_word
+    from .subgroups import vertex_subgroup, word_subgroup
+
     text = text.strip()
     if text == "vertex":
         return vertex_subgroup()
@@ -71,6 +62,9 @@ def parse_subgroup_spec(spec: GroupSpec, text: str) -> SubgroupSpec:
 
 
 def render_subgroup_spec(spec: GroupSpec, q: SubgroupSpec) -> str:
+    from .groups import render_word
+    from .subgroups import VERTEX
+
     if q.mode == VERTEX:
         return "vertex"
     return "words:" + ",".join(render_word(spec, w) for w in q.words)
@@ -171,6 +165,9 @@ class Scenario:
     """Everything a handler needs, resolved once."""
 
     def __init__(self, settings: Settings):
+        from .cayley import DEFAULT_VERTEX_BUDGET
+        from .groups import parse_group_spec
+
         self.settings = settings
         self.spec = parse_group_spec(settings.require("group"))
         self.q = parse_subgroup_spec(self.spec, settings.get("subgroup", "vertex"))
@@ -189,6 +186,8 @@ class Scenario:
 
     def ball_of(self, radius: int) -> Ball:
         """The ball of the given radius, built or read from the cache."""
+        from .cayley import _collector_paused, cached_ball
+
         # The ball lives until this one-shot process exits, so it is frozen
         # before the collector comes back on: no collection scans it, not
         # even the first one after the build or load.
@@ -240,9 +239,13 @@ class Scenario:
         return self.last_block
 
     def word(self, key: str) -> Tuple[int, ...]:
+        from .groups import parse_word
+
         return parse_word(self.spec, self.settings.require(key))
 
     def letter_name(self, letter: int) -> str:
+        from .groups import render_word
+
         return render_word(self.spec, (letter,))
 
 
@@ -268,6 +271,7 @@ def cmd_ball(sc: Scenario):
 def cmd_coset_graph(sc: Scenario):
     from .cosetgraph import degree_profile
     from .dot import export_dot
+    from .groups import group_for
 
     patch = sc.patch
     profile = degree_profile(patch)
@@ -320,6 +324,7 @@ def _profile_payload(profile) -> dict:
 
 
 def cmd_hausdorff(sc: Scenario):
+    from .groups import evaluate_word
     from .metrics import INCONCLUSIVE, default_radii, hausdorff_profile
 
     g = evaluate_word(sc.spec, sc.word("element"))
@@ -337,6 +342,7 @@ def cmd_hausdorff(sc: Scenario):
 
 
 def cmd_commensurate(sc: Scenario):
+    from .groups import evaluate_word, parse_word
     from .metrics import (
         INCONCLUSIVE,
         commensuration_verdict,
@@ -403,6 +409,9 @@ def cmd_filtered_ends(sc: Scenario):
 
 def _witness_payload(sc: Scenario) -> list:
     """Per letter s, each generator w of T_s = Q ∩ sQs^-1 beside s^-1 w s."""
+    from .groups import group_for
+    from .subgroups import q_element, transfer_basis
+
     group = group_for(sc.spec)
     rows = []
     for s in sc.spec.letters:
@@ -433,7 +442,9 @@ def cmd_constants(sc: Scenario):
 
 
 def cmd_lift(sc: Scenario):
+    from .cayley import PathInBall
     from .cosetgraph import project_path
+    from .groups import evaluate_word, group_for, parse_word, render_word
     from .lifting import approximate_lift, lift_constants
 
     word = sc.word("path")
@@ -492,6 +503,7 @@ def cmd_rays(sc: Scenario):
 
 
 def cmd_ladder(sc: Scenario):
+    from .groups import render_word
     from .homotopy import build_ladder, verify_ladder
 
     prefix = sc.word("prefix")

@@ -16,10 +16,11 @@ to the boundary that their recorded degree is likely clipped.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from functools import cached_property
-from itertools import accumulate
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from itertools import accumulate, repeat
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .cayley import NO_EDGE, Ball, PathInBall, bfs_distances
 from .errors import ConfigError, InsufficientRadiusError
@@ -77,38 +78,39 @@ class LambdaPath:
 class CosetPatch:
     """The part of the coset graph witnessed by one ball.
 
-    The labelling is built with the patch: each ball vertex's coset, and the
-    members of every coset as one CSR list.  The coset graph itself (``adj``,
-    ``links`` and ``dist``) is built on first use, since Hausdorff profiles
-    and lifts read only the labelling.
+    The labelling is built with the patch: each ball vertex's coset and each
+    coset's key, witness and trust flag.  The members of every coset (one
+    CSR list) and the coset graph (flat ``array('i')`` edge and neighbour
+    lists, and ``dist``) are built on first use, since lifts read neither
+    and Hausdorff profiles read only the members.
     """
 
     def __init__(
         self,
-        spec: GroupSpec,
         subgroup: SubgroupSpec,
-        radius: int,
         trust_margin: int,
         ball: Ball,
         keys: Tuple[bytes, ...],
-        witness: Tuple[int, ...],
-        coset_of: Tuple[int, ...],
+        witness: array,  # each coset's earliest ball vertex
+        coset_of: List[int],
         trusted: Tuple[bool, ...],
-        members: array,  # ball vertices grouped by coset, ascending within a coset
-        offsets: array,  # coset c holds members[offsets[c]:offsets[c + 1]]
     ):
-        self.spec = spec
         self.subgroup = subgroup
-        self.radius = radius
         self.trust_margin = trust_margin
         self.ball = ball
         self.keys = keys
         self.witness = witness
         self.coset_of = coset_of
         self.trusted = trusted
-        self.members = members
-        self.offsets = offsets
         self._id_of_key = {key: cid for cid, key in enumerate(keys)}
+
+    @property
+    def spec(self) -> GroupSpec:
+        return self.ball.spec
+
+    @property
+    def radius(self) -> int:
+        return self.ball.radius
 
     @property
     def n_cosets(self) -> int:
@@ -119,69 +121,88 @@ class CosetPatch:
         return self.coset_of[0]
 
     @cached_property
-    def _graph(self):
-        """(adj, links, dist) of the coset graph, read off the ball's slots.
+    def _members(self) -> Tuple[array, array]:
+        """(members, offsets): coset c holds members[offsets[c]:offsets[c + 1]]."""
+        coset_of = self.coset_of
+        # a stable sort keeps each coset's vertices ascending
+        members = array("i", sorted(range(len(coset_of)), key=coset_of.__getitem__))
+        sizes = map(Counter(coset_of).__getitem__, range(self.n_cosets))
+        return members, array("i", accumulate(sizes, initial=0))
 
-        Q-letter slots are skipped: those edges never leave a coset, in
-        vertex mode because the letter lies in Q and in words mode because
-        a one-letter generator word merges its two ends.
+    @cached_property
+    def _graph(self) -> Tuple[array, array, array, array, array]:
+        """(targets, letters, offsets, link_targets, link_offsets) of the coset graph.
+
+        Coset c's edges are letters[i] to targets[i] for offsets[c] <= i <
+        offsets[c + 1], by letter then target; its neighbours, sorted and
+        once each, are the same slice of link_targets under link_offsets.
+        Both are read off the ball's slots.  Q-letter slots are skipped:
+        those edges never leave a coset, in vertex mode because the letter
+        lies in Q and in words mode because a one-letter generator word
+        merges its two ends.
         """
         ball, coset_of, n = self.ball, self.coset_of, self.n_cosets
         slots, k = ball.adj, len(ball.letters)
         inside = set(q_letters(self.spec, self.subgroup))
-        buckets: List[Dict[int, List[int]]] = [{} for _ in range(n)]
-        for letter, i in sorted((l, i) for i, l in enumerate(ball.letters)):
-            if letter in inside:
-                continue
-            # one code cv * n + cu per coset pair; sorted, they come by
-            # source coset, then target coset
-            codes = {
-                cv * n + coset_of[u]
+        ranked = sorted((l, i) for i, l in enumerate(ball.letters) if l not in inside)
+        n_ranks = len(ranked) or 1  # free:1 leaves no letter to rank
+        width = n_ranks * n
+        # one code (source * n_ranks + letter rank) * n + target per edge;
+        # sorted, they come by source coset, then letter, then target coset
+        codes = set()
+        for rank, (_, i) in enumerate(ranked):
+            codes.update(
+                (cv * n_ranks + rank) * n + cu
                 for cv, u in zip(coset_of, slots[i::k])
                 if u != NO_EDGE
-            }
-            for code in sorted(codes):
-                cv, cu = divmod(code, n)
-                if cv != cu:
-                    buckets[cv].setdefault(letter, []).append(cu)
-        adj = tuple({l: tuple(t) for l, t in b.items()} for b in buckets)
-        links = tuple(tuple(sorted({c for t in b.values() for c in t})) for b in adj)
-        dist = bfs_distances(links.__getitem__, n, [self.base])
-        return adj, links, tuple(dist)
+                for cu in (coset_of[u],)
+                if cu != cv
+            )
+        edges = sorted(codes)
+        del codes
+        letter_of = [l for l, _ in ranked]
+        targets = array("i", [e % n for e in edges])
+        letters = array("i", [letter_of[e // n % n_ranks] for e in edges])
+        offsets = _row_offsets(edges, width, n)
+        links = sorted({e // width * n + e % n for e in edges})
+        del edges
+        link_targets = array("i", [e % n for e in links])
+        return targets, letters, offsets, link_targets, _row_offsets(links, n, n)
 
-    @property
-    def adj(self) -> Tuple[Dict[int, Tuple[int, ...]], ...]:
-        """Per coset, each leaving letter's target cosets, by letter then coset."""
-        return self._graph[0]
-
-    @property
-    def links(self) -> Tuple[Tuple[int, ...], ...]:
-        """Each coset's neighbours, sorted, once each."""
-        return self._graph[1]
-
-    @property
-    def dist(self) -> Tuple[int, ...]:
+    @cached_property
+    def dist(self) -> array:
         """Coset-graph distance of each coset from the base coset Q."""
-        return self._graph[2]
+        return array("i", bfs_distances(self.neighbors, self.n_cosets, [self.base]))
 
     def coset_id(self, key: bytes) -> Optional[int]:
         return self._id_of_key.get(key)
 
-    def neighbors(self, cid: int) -> Tuple[int, ...]:
-        return self.links[cid]
+    def neighbors(self, cid: int) -> array:
+        """The coset's neighbours, sorted, once each."""
+        graph = self._graph
+        offsets = graph[4]
+        return graph[3][offsets[cid] : offsets[cid + 1]]
 
     def degree(self, cid: int) -> int:
-        return len(self.links[cid])
+        offsets = self._graph[4]
+        return offsets[cid + 1] - offsets[cid]
 
     def edges(self, cid: int) -> Iterator[Tuple[int, int]]:
         """(letter, coset) for each edge leaving the coset, by letter then coset."""
-        for letter, targets in self.adj[cid].items():
-            for target in targets:
-                yield letter, target
+        targets, letters, offsets = self._graph[:3]
+        start, stop = offsets[cid], offsets[cid + 1]
+        return zip(letters[start:stop], targets[start:stop])
 
     def vertices_in_coset(self, cid: int) -> array:
         """The coset's ball vertices, ascending."""
-        return self.members[self.offsets[cid] : self.offsets[cid + 1]]
+        members, offsets = self._members
+        return members[offsets[cid] : offsets[cid + 1]]
+
+
+def _row_offsets(codes: List[int], width: int, n: int) -> array:
+    """Where each row 0..n starts in sorted codes row * width + column."""
+    starts = range(0, (n + 1) * width, width)
+    return array("i", map(bisect_left, repeat(codes, n + 1), starts))
 
 
 def graph_view(graph: Union[Ball, CosetPatch]):
@@ -192,7 +213,7 @@ def graph_view(graph: Union[Ball, CosetPatch]):
     if isinstance(graph, Ball):
         return "ball", graph.dist, graph.neighbors, graph.radius
     if isinstance(graph, CosetPatch):
-        return "patch", graph.dist, graph.links.__getitem__, max(graph.dist)
+        return "patch", graph.dist, graph.neighbors, max(graph.dist)
     raise ConfigError(f"expected a ball or a coset patch, got {type(graph).__name__}")
 
 
@@ -215,7 +236,7 @@ class _UnionFind:
             self.parent[max(ri, rj)] = min(ri, rj)
 
 
-def _coset_labels_words(ball: Ball, subgroup: SubgroupSpec) -> List[int]:
+def _coset_labels_words(ball: Ball, subgroup: SubgroupSpec) -> Iterator[int]:
     """Merge ball vertices connected by generator words of the subgroup.
 
     Two vertices land in one class when some chain of generator-word
@@ -239,7 +260,7 @@ def _coset_labels_words(ball: Ball, subgroup: SubgroupSpec) -> List[int]:
                     break
             else:
                 uf.union(start, v)
-    return [uf.find(v) for v in range(ball.n_vertices)]
+    return map(uf.find, range(ball.n_vertices))
 
 
 def build_coset_patch(
@@ -257,23 +278,25 @@ def build_coset_patch(
         raise ConfigError("trust_margin must be >= 1")
 
     spec = ball.spec
-    n = ball.n_vertices
+    ids: Dict = {}
+    setdefault = ids.setdefault
+    # one pass: a label is kept only if it opens a coset
     if q.mode == VERTEX:
-        labels: Sequence = [coset_label(spec, q, a) for a in ball.elements]
+        coset_of = [setdefault(coset_label(spec, q, a), len(ids)) for a in ball.elements]
     elif q.mode == WORDS:
-        labels = _coset_labels_words(ball, q)
+        coset_of = [setdefault(root, len(ids)) for root in _coset_labels_words(ball, q)]
     else:
         raise ConfigError(f"unknown subgroup mode {q.mode!r}")
+    # the first label of every coset goes before the keys are built, and
+    # each transient below before the next, which keeps the build's peak low
+    del ids, setdefault
 
-    ids: Dict = {}
-    coset_of = [ids.setdefault(label, len(ids)) for label in labels]
-    n_cosets = len(ids)
-    # a stable sort keeps each coset's vertices ascending, so a coset's
-    # first member is its earliest vertex, the witness
-    members = array("i", sorted(range(n), key=coset_of.__getitem__))
-    sizes = Counter(coset_of)
-    offsets = array("i", accumulate((sizes[c] for c in range(n_cosets)), initial=0))
-    witness = tuple(members[start] for start in offsets[:-1])
+    # ids are numbered in order of first vertex, so the first vertices,
+    # ascending, are the witnesses of cosets 0, 1, ...
+    n = len(coset_of)
+    first = dict(zip(reversed(coset_of), range(n - 1, -1, -1)))
+    witness = array("i", sorted(first.values()))
+    del first
 
     if q.mode == VERTEX:
         keys = tuple(coset_key(spec, q, ball.elements[w]) for w in witness)
@@ -281,22 +304,17 @@ def build_coset_patch(
         group = group_for(spec)
         keys = tuple(group.canonical_key(ball.elements[w]) for w in witness)
 
-    trusted = tuple(
-        ball.dist[w] + trust_margin <= ball.radius for w in witness
-    )
+    dist, limit = ball.dist, ball.radius - trust_margin
+    trusted = tuple(dist[w] <= limit for w in witness)
 
     return CosetPatch(
-        spec=spec,
         subgroup=q,
-        radius=ball.radius,
         trust_margin=trust_margin,
         ball=ball,
         keys=keys,
         witness=witness,
-        coset_of=tuple(coset_of),
+        coset_of=coset_of,
         trusted=trusted,
-        members=members,
-        offsets=offsets,
     )
 
 
@@ -336,23 +354,17 @@ class DegreeProfile(NamedTuple):
 
 
 def degree_profile(patch: CosetPatch) -> DegreeProfile:
-    hist: Dict[int, int] = {}
+    trusted = [cid for cid in range(patch.n_cosets) if patch.trusted[cid]]
+    hist = Counter(map(patch.degree, trusted))
+    # one count per (coset, letter): that letter's targets from the coset
+    targets = Counter((cid, letter) for cid in trusted for letter, _ in patch.edges(cid))
     per_label: Dict[int, int] = {}
-    max_degree = 0
-    n_trusted = 0
-    for cid in range(patch.n_cosets):
-        if not patch.trusted[cid]:
-            continue
-        n_trusted += 1
-        deg = patch.degree(cid)
-        hist[deg] = hist.get(deg, 0) + 1
-        max_degree = max(max_degree, deg)
-        for letter, targets in patch.adj[cid].items():
-            per_label[letter] = max(per_label.get(letter, 0), len(targets))
+    for (_, letter), count in targets.items():
+        per_label[letter] = max(per_label.get(letter, 0), count)
     return DegreeProfile(
-        max_degree=max_degree,
+        max_degree=max(hist, default=0),
         histogram=tuple(sorted(hist.items())),
         per_label=tuple(sorted(per_label.items())),
-        n_trusted=n_trusted,
+        n_trusted=len(trusted),
         n_cosets=patch.n_cosets,
     )

@@ -339,6 +339,41 @@ def coset_sweep(keys: Sequence) -> Tuple[List, List[int]]:
 
 
 # ---------------------------------------------------------------------------
+# Coset graphs from a walk over every ball edge
+# ---------------------------------------------------------------------------
+#
+# Each ball edge (v, letter, w) whose letter is not a Q-letter and whose ends
+# lie in different cosets gives the coset edge (coset of v, letter, coset of
+# w); the coset graph is the set of these, each coset's row sorted by letter,
+# then coset.
+
+
+class ReferenceCosetGraph:
+    """Per coset, its (letter, coset) edges; ``edges`` as on a ball."""
+
+    def __init__(self, triples: Iterable[Tuple[int, int, int]]):
+        self.rows: Dict[int, List[Tuple[int, int]]] = {}
+        for c, letter, d in sorted(triples):
+            self.rows.setdefault(c, []).append((letter, d))
+
+    def edges(self, c: int) -> List[Tuple[int, int]]:
+        return self.rows.get(c, [])
+
+    def neighbors(self, c: int) -> List[int]:
+        return sorted({d for _, d in self.edges(c)})
+
+
+def reference_coset_graph(ball, coset_of: Sequence[int], q_letters) -> ReferenceCosetGraph:
+    inside = set(q_letters)
+    triples = set()
+    for v in range(ball.n_vertices):
+        for letter, w in ball.edges(v):
+            if letter not in inside and coset_of[v] != coset_of[w]:
+                triples.add((coset_of[v], letter, coset_of[w]))
+    return ReferenceCosetGraph(triples)
+
+
+# ---------------------------------------------------------------------------
 # Coset keys formatted from the normal form
 # ---------------------------------------------------------------------------
 #
@@ -386,7 +421,8 @@ def formatted_coset_key(family: str, a, reduce_mod_image=None) -> bytes:
 
 
 def queue_distances(ball, sources: Iterable[int]) -> Dict[int, int]:
-    """Distance inside the ball from the sources to every vertex reached."""
+    """Distance inside the ball (or any graph with ``edges``) from the
+    sources to every vertex reached."""
     depth: Dict[int, int] = {}
     queue = deque()
     for s in sources:

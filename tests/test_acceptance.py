@@ -72,11 +72,7 @@ def random_lambda_path(patch, rng, max_len):
     length = rng.randint(0, max_len)
     cosets, letters = [0], []
     for _ in range(length):
-        options = [
-            (letter, target)
-            for letter, targets in sorted(patch.adj[cosets[-1]].items())
-            for target in targets
-        ]
+        options = list(patch.edges(cosets[-1]))
         letter, target = rng.choice(options)
         letters.append(letter)
         cosets.append(target)

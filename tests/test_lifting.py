@@ -50,15 +50,17 @@ def element(spec, text):
     return evaluate_word(spec, parse_word(spec, text))
 
 
+def targets(patch, cid, letter):
+    """The cosets that one letter leads to from a coset, ascending."""
+    return [target for l, target in patch.edges(cid) if l == letter]
+
+
 def random_lambda_walk(patch, rng, length):
     cid = 0
     cosets = [cid]
     letters = []
     for _ in range(length):
-        options = []
-        for letter in sorted(patch.adj[cid]):
-            for target in patch.adj[cid][letter]:
-                options.append((letter, target))
+        options = list(patch.edges(cid))
         if not options:
             break
         letter, target = rng.choice(options)
@@ -306,7 +308,7 @@ class TestApproximateLift:
         c0 = 0
         cosets = [c0]
         for _ in range(3):
-            cosets.append(patch_bs12_r10.adj[cosets[-1]][2][0])
+            cosets.append(targets(patch_bs12_r10, cosets[-1], 2)[0])
         lp = LambdaPath(tuple(cosets), (2, 2, 2))
         lift = approximate_lift(patch_bs12_r10, lp, 0, constants_bs12)
         assert lift.word == (2, 2, 2)
@@ -317,7 +319,7 @@ class TestApproximateLift:
     ):
         spec = baumslag_solitar(2, 3)
         base = ball_bs23_r10.vertex(element(spec, "x^3"))
-        even_child = patch_bs23_r10.adj[0][2][0]
+        even_child = targets(patch_bs23_r10, 0, 2)[0]
         lp = LambdaPath((0, even_child), (2,))
         lift = approximate_lift(patch_bs23_r10, lp, base, constants_bs23)
         assert lift.blocks == ((-1,),)
@@ -367,7 +369,7 @@ class TestApproximateLift:
             f_per_letter=((1, 1), (-1, 1), (2, 1), (-2, 1)),
             m=3,
         )
-        t_children = patch_bs23_r10.adj[0][2]
+        t_children = targets(patch_bs23_r10, 0, 2)
         assert len(t_children) == 2
         lp = LambdaPath((0, t_children[1]), (2,))
         with pytest.raises(NoTransferVertexError):

@@ -86,6 +86,14 @@ def test_runs_without_a_patch_load_no_coset_layer(imports, run):
     assert names.isdisjoint(ANALYSES), sorted(names.intersection(ANALYSES))
 
 
+def test_help_loads_only_the_parser(imports):
+    # --help runs no group, subgroup or ball code, so it compiles none
+    _, names = imports["help"]
+    assert {n for n in names if n.startswith("cosetgeom")} == {
+        "cosetgeom", "cosetgeom.cli", "cosetgeom.errors",
+    }
+
+
 def test_ball_loads_no_lifting_or_homotopy(imports):
     _, names = imports["ball"]
     assert "cosetgeom.cayley" in names
