@@ -12,6 +12,10 @@ Adjacency is one flat int array with a slot per (vertex, letter): slot
 ``vid * n_letters + i`` holds the neighbour across the i-th letter of
 ``spec.letters``, or NO_EDGE where that neighbour lies outside the ball.
 Distances are one byte each while the radius stays below 256.
+
+A built ball keeps the dict its BFS filled as its vertex index; a ball
+loaded from a cache file builds that index on its first lookup, so a run
+that never looks an element up never pays for it.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import sys
 import threading
 from array import array
 from contextlib import contextmanager
+from functools import cached_property
 from itertools import islice
 from typing import (
     Callable,
@@ -61,25 +66,34 @@ def _dist_array(radius: int) -> array:
 
 class Ball:
     """The ball B(radius) of a group: elements in discovery order, their
-    ids in index, their distances in dist and the adjacency slots in adj."""
+    ids in index, their distances in dist and the adjacency slots in adj.
+
+    index may be passed in, as a build does; otherwise it is built from
+    elements on first read, as for a loaded ball.
+    """
 
     def __init__(
         self,
         spec: GroupSpec,
         radius: int,
         elements: List[Element],
-        index: Dict[Element, int],
         dist: array,
         adj: array,
+        index: Optional[Dict[Element, int]] = None,
     ):
         self.spec = spec
         self.radius = radius
         self.elements = elements
-        self.index = index
         self.dist = dist
         self.adj = adj
         self.letters: Tuple[int, ...] = spec.letters
         self._slot = {letter: i for i, letter in enumerate(self.letters)}
+        if index is not None:
+            self.index = index
+
+    @cached_property
+    def index(self) -> Dict[Element, int]:
+        return dict(zip(self.elements, range(len(self.elements))))
 
     @property
     def n_vertices(self) -> int:
@@ -322,7 +336,7 @@ def walk_path(ball: Ball, path: PathInBall) -> List[int]:
     a = ball.elements[path.base]
     for letter in path.word:
         a = g.apply_letter(a, letter)
-        vid = ball.index.get(a)
+        vid = ball.vertex(a)
         if vid is None:
             raise InsufficientRadiusError(
                 f"path leaves the radius-{ball.radius} ball"
@@ -376,41 +390,47 @@ def load_ball(path: str) -> Ball:
     """Read a ball file; raises ValueError for a file of the wrong shape.
 
     The body is hashed before it is unmarshalled, so a truncated or corrupt
-    file never reaches marshal.
+    file never reaches marshal.  It is read through a read-only mapping, not
+    copied onto the heap; save_ball only renames whole files into place, so
+    a mapped file never shrinks under its reader.  The vertex index is left
+    to the ball to build on its first lookup.
     """
     import hashlib
+    import mmap
 
     with open(path, "rb") as fh, _collector_paused():
         header = json.loads(fh.readline())
-        body = fh.read()
         if not isinstance(header, dict) or header.get("format") != BALL_FORMAT:
             raise ValueError("not a ball file of format " + BALL_FORMAT)
         if header.get("byteorder") != sys.byteorder:
             raise ValueError("ball file written in another byte order")
-        if header.get("sha256") != hashlib.sha256(body).hexdigest():
-            raise ValueError("ball file body does not match its digest")
         radius, n = header.get("radius"), header.get("n")
-        if not (isinstance(radius, int) and isinstance(n, int)):
+        # type, not isinstance: a JSON true or false is an int subclass
+        if not (type(radius) is int and type(n) is int):
             raise ValueError("ball file radius or size is not an integer")
         try:
+            with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
+                with memoryview(mapped)[fh.tell() :] as body:
+                    if header.get("sha256") != hashlib.sha256(body).hexdigest():
+                        raise ValueError("ball file body does not match its digest")
+                    elements, dist_bytes, adj_bytes = marshal.loads(body)
             spec = parse_group_spec(header.get("group"))
-            elements, dist_bytes, adj_bytes = marshal.loads(body)
-            del body  # each copy is dropped once read, to lower the peak
             dist, adj = _dist_array(radius), array("i")
             dist.frombytes(dist_bytes)
             adj.frombytes(adj_bytes)
-            del dist_bytes, adj_bytes
-            index = dict(zip(elements, range(n)))
+            del dist_bytes, adj_bytes  # dropped once copied, to lower the peak
+            # hashing inside the try: an unhashable vertex is a wrong shape
+            distinct = len(set(elements))
         except (ConfigError, EOFError, TypeError) as exc:
             raise ValueError(f"malformed ball file: {exc!r}") from None
         if type(elements) is not list or set(map(type, elements)) != {tuple}:
             raise ValueError("ball file elements are not a list of tuples")
         k = len(spec.letters)
-        if not n == len(elements) == len(index) == len(dist) or len(adj) != n * k:
+        if not n == len(elements) == distinct == len(dist) or len(adj) != n * k:
             raise ValueError("ball file fields disagree or repeat a vertex")
         if min(dist) < 0 or max(dist) > radius or min(adj) < NO_EDGE or max(adj) >= n:
             raise ValueError("ball file distance or vertex id out of range")
-    return Ball(spec=spec, radius=radius, elements=elements, index=index, dist=dist, adj=adj)
+    return Ball(spec=spec, radius=radius, elements=elements, dist=dist, adj=adj)
 
 
 def ball_cache_name(spec: GroupSpec, radius: int) -> str:

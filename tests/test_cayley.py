@@ -9,6 +9,7 @@ import marshal
 import os
 import random
 import sys
+import tracemalloc
 from array import array
 from collections import deque
 
@@ -475,13 +476,15 @@ class TestSerialization:
             lambda h, b: ball_file(h, (b[0], bytes([h["radius"] + 1]) + b[1][1:], b[2])),
             # vertices[1] set to vertices[2]: one vertex twice, one index entry short
             lambda h, b: ball_file(h, (b[0][:1] + b[0][2:3] + b[0][2:], b[1], b[2])),
+            # a tuple that cannot be hashed: the uniqueness check's TypeError
+            lambda h, b: ball_file(h, (b[0][:1] + [(0, [1])] + b[0][2:], b[1], b[2])),
         ],
         ids=[
             "list", "string", "truncated-body", "digest-mismatch", "wrong-format",
             "other-byteorder", "bad-group", "radius-text", "vertices-null",
             "vertex-int", "short-dist", "long-adj", "adj-row-int", "unknown-letter",
             "vertex-id-past-end", "dist-300", "dist-negative", "dist-past-radius",
-            "repeated-vertex",
+            "repeated-vertex", "vertex-unhashable",
         ],
     )
     def test_wrong_shape_cache_file_is_rebuilt(self, tmp_path, reshape):
@@ -496,6 +499,65 @@ class TestSerialization:
         ball = cached_ball(BS12, 4, d)
         assert same_ball(ball, build_ball(BS12, 4))
         assert path.read_bytes() == whole
+
+    @pytest.mark.parametrize(
+        "radius, fields",
+        [(1, {"radius": True}), (0, {"n": True, "radius": False})],
+        ids=["radius-true", "n-true-radius-false"],
+    )
+    def test_boolean_header_integers_are_rebuilt(self, tmp_path, radius, fields):
+        # JSON true and false are ints to isinstance, and equal 1 and 0
+        d = str(tmp_path)
+        cached_ball(FREE2, radius, d)
+        path = tmp_path / ball_cache_name(FREE2, radius)
+        whole = path.read_bytes()
+        header, body = whole.split(b"\n", 1)
+        path.write_bytes(json.dumps({**json.loads(header), **fields}).encode() + b"\n" + body)
+        with pytest.raises(ValueError):
+            load_ball(str(path))
+        ball = cached_ball(FREE2, radius, d)
+        assert type(ball.radius) is int
+        assert same_ball(ball, build_ball(FREE2, radius))
+        assert path.read_bytes() == whole
+
+    @pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=lambda s: s.describe())
+    def test_cache_hit_builds_the_index_on_first_lookup(self, tmp_path, spec):
+        cold = build_ball(spec, 5)
+        cached_ball(spec, 5, str(tmp_path))
+        warm = cached_ball(spec, 5, str(tmp_path))
+        assert "index" not in vars(warm)
+        g = group_for(spec)
+        # a rim vertex and a letter that lead out of the ball
+        rim, letter = next(
+            (vid, letter)
+            for vid in range(cold.n_vertices - 1, -1, -1)
+            for letter in spec.letters
+            if cold.vertex(g.apply_letter(cold.elements[vid], letter)) is None
+        )
+        outside = g.apply_letter(cold.elements[rim], letter)
+        assert [warm.vertex(a) for a in cold.elements] == list(range(cold.n_vertices))
+        assert warm.vertex(outside) is None
+        assert warm.index == cold.index
+        inside = PathInBall(base=0, word=spec.letters[:1] * 2 + spec.letters[-1:] * 3)
+        assert walk_path(warm, inside) == walk_path(cold, inside)
+        with pytest.raises(InsufficientRadiusError):
+            walk_path(warm, PathInBall(base=rim, word=(letter,)))
+
+    @pytest.mark.parametrize("text, radius, bound", [("bs:2,3", 8, 190), ("free:2", 7, 150)])
+    def test_load_retained_bytes_per_vertex(self, tmp_path, text, radius, bound):
+        """A load keeps elements, distances and slots but no vertex index:
+        building the index there retained 227 and 182 bytes per vertex on
+        these balls, against 153 and 119 without it."""
+        path = str(tmp_path / "ball")
+        save_ball(build_ball(parse_group_spec(text), radius), path)
+        gc.collect()  # empties the tuple free lists, whose reuse tracemalloc misses
+        tracemalloc.start()
+        try:
+            ball = load_ball(path)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained / ball.n_vertices < bound
 
     def test_save_replaces_without_leaving_temp_files(self, tmp_path):
         path = tmp_path / "ball.json"

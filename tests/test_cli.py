@@ -13,7 +13,7 @@ import pytest
 
 from cosetgeom import build_ball, build_coset_patch, export_dot, parse_group_spec
 from cosetgeom import cli as cli_module
-from cosetgeom.cayley import ball_cache_name
+from cosetgeom.cayley import Ball, ball_cache_name
 from cosetgeom.cli import main, parse_subgroup_spec
 
 
@@ -643,3 +643,27 @@ class TestDotExport:
         )
         assert code == 0
         assert dot_path.read_text().startswith("digraph cayley_ball {")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hausdorff", "--group", "bs:2,3", "--radius", "7", "--element", "t"],
+        ["commensurate", "--group", "bs:2,3", "--radius", "7"],
+        ["rays", "--group", "bs:2,3", "--radius", "7", "--graph", "patch"],
+        ["filtered-ends", "--group", "bs:1,2", "--radius", "8"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_warm_analysis_never_builds_the_vertex_index(argv, tmp_path, monkeypatch):
+    """A loaded ball builds its vertex index on first lookup, and these
+    analyses look no element up, so a warm run never builds it."""
+    cache = tmp_path / "cache"
+    cold = run_cli(argv, cache, tmp_path, "cold.json")
+
+    def refuse(ball):
+        raise AssertionError("a warm run built the vertex index")
+
+    monkeypatch.setattr(Ball, "index", property(refuse))
+    assert run_cli(argv, cache, tmp_path, "warm.json") == cold
+    assert cold[0] == 0
