@@ -5,14 +5,15 @@ Draws random walks in the coset graph from the base coset, lifts each one,
 and tallies three outcomes: lifts that project back exactly with all
 in-subgroup blocks below the F bound, honest insufficient-radius refusals,
 and violations (there should never be any).  Use it to pick the smallest
-ball radius at which a family instance lifts reliably.
+ball radius at which a family instance lifts reliably.  The ball, patch and
+constants come from the CLI's scenario, so balls come from --cache-dir,
+else from COSETGEOM_CACHE.
 
 Example:
     python3 scripts/lift_stress.py --group bs:2,3 --radius 13 --paths 1000
 """
 
 import argparse
-import gc
 import random
 import sys
 
@@ -21,13 +22,9 @@ from cosetgeom import (
     LambdaPath,
     PathInBall,
     approximate_lift,
-    build_coset_patch,
-    cached_ball,
-    lift_constants,
-    parse_group_spec,
     project_path,
-    vertex_subgroup,
 )
+from cosetgeom.cli import Scenario, Settings, build_parser
 
 
 def random_walk(patch, rng, max_len):
@@ -50,18 +47,13 @@ def main(argv=None):
     parser.add_argument("--cache-dir", help="reuse cached balls")
     args = parser.parse_args(argv)
 
-    spec = parse_group_spec(args.group)
-    q = vertex_subgroup()
-    # The ball lives until the script exits, so it is frozen before the
-    # collector comes back on: no collection ever scans its vertices.
-    gc.disable()
-    ball = cached_ball(spec, args.radius, args.cache_dir)
-    gc.freeze()
-    gc.enable()
-    patch = build_coset_patch(q, ball)
-    constants = lift_constants(q, ball)
+    argv = ["lift", "--group", args.group, "--radius", str(args.radius)]
+    if args.cache_dir:
+        argv += ["--cache-dir", args.cache_dir]
+    sc = Scenario(Settings(build_parser().parse_args(argv), {}))
+    ball, patch, constants = sc.ball, sc.patch, sc.constants()
     print(
-        f"{spec.describe()} radius {args.radius}: |B|={ball.n_vertices}, "
+        f"{sc.spec.describe()} radius {args.radius}: |B|={ball.n_vertices}, "
         f"{patch.n_cosets} cosets, F={constants.f} M={constants.m} "
         f"L={constants.l}"
     )

@@ -1,93 +1,51 @@
 #!/usr/bin/env python3
 """Survey the built-in family instances at a fixed ball radius.
 
-For each group with its distinguished cyclic subgroup, the survey builds
-one Cayley ball and reports: end counts of the group and of the coset
-graph, the commensuration verdict with its stable K values, the trusted
-maximum coset degree, and the exact transfer constants when Q is
-commensurated.
+For each group with its distinguished cyclic subgroup, the survey runs the
+CLI's ball, coset-graph, ends, filtered-ends, commensurate and constants
+subcommands on one scenario, so one Cayley ball and one coset patch serve
+them all.  It reports end counts of the group and of the coset graph, the
+commensuration verdict with its stable K values, the trusted maximum coset
+degree, and the exact transfer constants when Q is commensurated.  A cell
+whose run ran out of radius reads ``inconclusive``.  Balls come from
+--cache-dir, else from COSETGEOM_CACHE, as in the CLI.
 
 Example:
     python3 scripts/survey_families.py --radius 9 --json survey.json
 """
 
 import argparse
-import gc
 import json
 import sys
 
-from cosetgeom import (
-    NotCommensuratedError,
-    baumslag_solitar,
-    build_coset_patch,
-    cached_ball,
-    commensuration_verdict,
-    default_radii,
-    default_test_elements,
-    degree_profile,
-    ends_report,
-    free_abelian_group,
-    free_group,
-    hausdorff_profile,
-    lift_constants,
-    render_word,
-    vertex_subgroup,
-)
+from cosetgeom.cli import STATUS_INCONCLUSIVE, Scenario, Settings, build_parser, run
 
-INSTANCES = (
-    baumslag_solitar(1, 2),
-    baumslag_solitar(2, 3),
-    free_abelian_group(2),
-    free_group(2),
-)
+GROUPS = ("bs:1,2", "bs:2,3", "abelian:2", "free:2")
+COMMANDS = ("ball", "coset-graph", "ends", "filtered-ends", "commensurate", "constants")
 
 
-def survey_instance(spec, radius, cache_dir):
-    q = vertex_subgroup()
-    # Reference counting frees the ball once its row is done, so no
-    # collection need scan it: it is frozen before the collector comes back.
-    gc.disable()
-    ball = cached_ball(spec, radius, cache_dir)
-    gc.freeze()
-    gc.enable()
-    patch = build_coset_patch(q, ball)
-
-    radii = default_radii(ball.radius)
-    profiles = [
-        hausdorff_profile(patch, g, radii)
-        for _, g in default_test_elements(spec)
-    ]
-    verdict = commensuration_verdict(profiles)
-
-    try:
-        constants = lift_constants(q, ball)
-        constants_row = {
-            "confidence": "Stable",
-            "f_per_letter": [
-                [render_word(spec, (letter,)), value]
-                for letter, value in constants.f_per_letter
-            ],
-            "f": constants.f,
-            "m": constants.m,
-            "l": constants.l,
-        }
-    except NotCommensuratedError as exc:
-        constants_row = {"confidence": "NotCommensurated", "letters": list(exc.letters)}
-
+def survey_instance(group, radius, cache_dir):
+    argv = ["ball", "--group", group, "--radius", str(radius)]
+    if cache_dir:
+        argv += ["--cache-dir", cache_dir]
+    sc = Scenario(Settings(build_parser().parse_args(argv), {}))
+    ball, patch, ends, filtered, commensurate, constants = (
+        run(sc, command)[1] for command in COMMANDS
+    )
     return {
-        "group": spec.describe(),
+        "group": sc.spec.describe(),
         "subgroup": "vertex",
         "radius": radius,
-        "n_vertices": ball.n_vertices,
-        "n_cosets": patch.n_cosets,
-        "group_ends": ends_report(ball).label(),
-        "coset_ends": ends_report(patch).label(),
-        "commensuration": verdict.verdict,
+        "n_vertices": ball["n_vertices"],
+        "n_cosets": patch["n_cosets"],
+        "group_ends": ends.get("label", STATUS_INCONCLUSIVE),
+        "coset_ends": filtered.get("label", STATUS_INCONCLUSIVE),
+        "commensuration": commensurate.get("verdict", STATUS_INCONCLUSIVE),
         "k_profiles": {
-            p.g_text: list(p.k_values()) for p in verdict.profiles
+            p["element"]: p["k_values"] for p in commensurate.get("profiles", ())
         },
-        "max_trusted_degree": degree_profile(patch).max_degree,
-        "constants": constants_row,
+        "max_trusted_degree": patch["max_trusted_degree"],
+        "constants": constants,
     }
 
 
@@ -99,16 +57,18 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     rows = []
-    for spec in INSTANCES:
-        row = survey_instance(spec, args.radius, args.cache_dir)
+    for group in GROUPS:
+        row = survey_instance(group, args.radius, args.cache_dir)
         rows.append(row)
         constants = row["constants"]
-        if constants["confidence"] == "NotCommensurated":
+        if "letters" in constants:
             constant_text = f"NotCommensurated ({', '.join(constants['letters'])})"
-        else:
+        elif "f" in constants:
             constant_text = (
                 f"F={constants['f']} M={constants['m']} L={constants['l']}"
             )
+        else:
+            constant_text = STATUS_INCONCLUSIVE
         print(
             f"{row['group']:<10} |B|={row['n_vertices']:<7} "
             f"cosets={row['n_cosets']:<6} ends={row['group_ends']:<15} "

@@ -5,9 +5,10 @@ scenario block pins all inputs that influence the numbers (group, subgroup,
 radius, schedules, margins).  The cache location never changes a report
 byte: the cache stores exactly what a cold build produces.
 
-Exit codes: 0 for a conclusive run, 2 when the result is Inconclusive or Q
-is not commensurated (so no finite F exists), 1 for configuration or
-computation errors.
+Exit codes: 0 for a conclusive run, 2 when the result is Inconclusive, Q is
+not commensurated (so no finite F exists) or the ball ran out of radius, 1
+for malformed input and broken invariants.  run() is the one pipeline from
+a resolved scenario to a report's pieces; main and the scripts call it.
 
 Each handler imports the modules it runs, the group, subgroup and ball
 modules included, and configparser is imported only for --config, so a run
@@ -25,7 +26,12 @@ import sys
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .errors import ConfigError, CosetGeomError, NotCommensuratedError
+from .errors import (
+    ConfigError,
+    CosetGeomError,
+    InsufficientRadiusError,
+    NotCommensuratedError,
+)
 
 if TYPE_CHECKING:
     from .cayley import Ball
@@ -203,13 +209,17 @@ class Scenario:
         return self._ball
 
     def constants(self) -> LiftConstants:
-        """lift_constants on B(min(radius, 2F + 1)), the smallest ball that
-        holds M (a smaller radius fails in compute_m).  F takes well under a
-        millisecond, so lift_constants simply computes it again."""
+        """lift_constants read off B(2F + 1), the smallest ball that holds M,
+        whatever the radius: the scenario's own ball when it is built and
+        holds B(2F + 1), else that ball.  F takes well under a millisecond,
+        so lift_constants simply computes it again."""
         from .lifting import compute_f, lift_constants
 
-        f = max(compute_f(self.q, self.spec).values())
-        return lift_constants(self.q, self.ball_of(min(self.radius, 2 * f + 1)))
+        bound = 2 * max(compute_f(self.q, self.spec).values()) + 1
+        ball = self._ball
+        if ball is None or ball.radius < bound:
+            ball = self.ball_of(bound)
+        return lift_constants(self.q, ball)
 
     @property
     def trust_margin(self) -> int:
@@ -227,8 +237,8 @@ class Scenario:
         return self._patch
 
     def block(self, **extras) -> dict:
-        """The report's scenario block, kept as last_block for main's report
-        on a subgroup that is not commensurated."""
+        """The report's scenario block, kept as last_block for the report of
+        a run that raised after it."""
         self.last_block = {
             "group": self.spec.describe(),
             "subgroup": render_subgroup_spec(self.spec, self.q),
@@ -305,19 +315,16 @@ def cmd_coset_graph(sc: Scenario):
     return sc.block(trust_margin=sc.trust_margin), result, STATUS_OK, dot
 
 
+def _status(verdict: str) -> str:
+    from .metrics import INCONCLUSIVE
+
+    return STATUS_INCONCLUSIVE if verdict == INCONCLUSIVE else STATUS_OK
+
+
 def _profile_payload(profile) -> dict:
     return {
         "element": profile.g_text,
-        "values": [
-            {
-                "radius": v.radius,
-                "k_forward": v.k_forward,
-                "k_backward": v.k_backward,
-                "k": v.k,
-                "exact": v.exact,
-            }
-            for v in profile.values
-        ],
+        "values": [v._asdict() for v in profile.values],
         "k_values": list(profile.k_values()),
         "verdict": profile.verdict,
     }
@@ -325,26 +332,24 @@ def _profile_payload(profile) -> dict:
 
 def cmd_hausdorff(sc: Scenario):
     from .groups import evaluate_word
-    from .metrics import INCONCLUSIVE, default_radii, hausdorff_profile
+    from .metrics import default_radii, hausdorff_profile
 
     g = evaluate_word(sc.spec, sc.word("element"))
     radii_text = sc.settings.get("radii")
     radii = parse_int_list(radii_text) if radii_text else default_radii(sc.ball.radius)
     profile = hausdorff_profile(sc.patch, g, radii)
-    status = STATUS_INCONCLUSIVE if profile.verdict == INCONCLUSIVE else STATUS_OK
     scenario = sc.block(
         element=sc.settings.require("element"),
         profile_radii=list(radii),
         window=profile.window,
         margin=profile.margin,
     )
-    return scenario, _profile_payload(profile), status, None
+    return scenario, _profile_payload(profile), _status(profile.verdict), None
 
 
 def cmd_commensurate(sc: Scenario):
     from .groups import evaluate_word, parse_word
     from .metrics import (
-        INCONCLUSIVE,
         commensuration_verdict,
         default_radii,
         default_test_elements,
@@ -366,45 +371,28 @@ def cmd_commensurate(sc: Scenario):
         "verdict": overall.verdict,
         "profiles": [_profile_payload(p) for p in overall.profiles],
     }
-    status = STATUS_INCONCLUSIVE if overall.verdict == INCONCLUSIVE else STATUS_OK
     scenario = sc.block(profile_radii=list(radii), window=profiles[0].window)
-    return scenario, result, status, None
+    return scenario, result, _status(overall.verdict), None
 
 
-def _ends_payload(report) -> dict:
-    return {
+def cmd_ends(sc: Scenario, graph):
+    """ends on the ball, filtered-ends on the coset patch."""
+    from .ends import ends_report
+
+    schedule_text = sc.settings.get("schedule")
+    schedule = parse_schedule(schedule_text) if schedule_text else None
+    report = ends_report(graph, schedule)
+    schedule = [list(row) for row in report.schedule]
+    result = {
         "graph": report.graph_kind,
         "horizon": report.horizon,
-        "schedule": [list(row) for row in report.schedule],
+        "schedule": schedule,
         "counts": list(report.counts),
         "classification": report.classification,
         "count": report.count,
         "label": report.label(),
     }
-
-
-def _run_ends(sc: Scenario, graph):
-    from .ends import ends_report
-    from .metrics import INCONCLUSIVE
-
-    schedule_text = sc.settings.get("schedule")
-    schedule = parse_schedule(schedule_text) if schedule_text else None
-    report = ends_report(graph, schedule)
-    status = (
-        STATUS_INCONCLUSIVE if report.classification == INCONCLUSIVE else STATUS_OK
-    )
-    scenario = sc.block(schedule=[list(row) for row in report.schedule])
-    return scenario, _ends_payload(report), status
-
-
-def cmd_ends(sc: Scenario):
-    scenario, result, status = _run_ends(sc, sc.ball)
-    return scenario, result, status, None
-
-
-def cmd_filtered_ends(sc: Scenario):
-    scenario, result, status = _run_ends(sc, sc.patch)
-    return scenario, result, status, None
+    return sc.block(schedule=schedule), result, _status(report.classification), None
 
 
 def _witness_payload(sc: Scenario) -> list:
@@ -425,14 +413,16 @@ def _witness_payload(sc: Scenario) -> list:
     return rows
 
 
+def _f_rows(sc: Scenario, constants: LiftConstants) -> list:
+    return [[sc.letter_name(letter), value] for letter, value in constants.f_per_letter]
+
+
 def cmd_constants(sc: Scenario):
     scenario = sc.block()
     constants = sc.constants()
     result = {
         "confidence": "Stable",
-        "f_per_letter": [
-            [sc.letter_name(letter), value] for letter, value in constants.f_per_letter
-        ],
+        "f_per_letter": _f_rows(sc, constants),
         "f": constants.f,
         "m": constants.m,
         "l": constants.l,
@@ -450,10 +440,13 @@ def cmd_lift(sc: Scenario):
     word = sc.word("path")
     base_text = sc.settings.get("base", "1")
     scenario = sc.block(path=render_word(sc.spec, word), base=base_text)
-    base_el = evaluate_word(sc.spec, parse_word(sc.spec, base_text))
-    base = sc.ball.vertex(base_el)
+    base_word = parse_word(sc.spec, base_text)
+    base = sc.ball.vertex(evaluate_word(sc.spec, base_word))
     if base is None:
-        raise ConfigError(f"base element {base_text!r} lies outside the ball")
+        raise InsufficientRadiusError(
+            f"base element {base_text!r} lies outside the ball",
+            required_radius=len(base_word),
+        )
     constants = lift_constants(sc.q, sc.ball)
     lpath = project_path(sc.patch, PathInBall(base, word))
     lift = approximate_lift(sc.patch, lpath, base, constants)
@@ -467,9 +460,7 @@ def cmd_lift(sc: Scenario):
         "lift_word": render_word(sc.spec, lift.word),
         "blocks": [render_word(sc.spec, block) for block in lift.blocks],
         "block_lengths": list(lift.block_lengths()),
-        "f_per_letter": [
-            [sc.letter_name(letter), value] for letter, value in constants.f_per_letter
-        ],
+        "f_per_letter": _f_rows(sc, constants),
         "end_element": group.render(sc.ball.elements[lift.end]),
         "projects_back": replay == lpath,
     }
@@ -540,10 +531,7 @@ def cmd_ladder(sc: Scenario):
         "output_word": render_word(sc.spec, ladder.output_word()),
         "target_coset_key": ladder.target_key.hex(),
         "verified": report.ok,
-        "violations": [
-            {"loop": v.loop, "kind": v.kind, "detail": v.detail}
-            for v in report.violations
-        ],
+        "violations": [v._asdict() for v in report.violations],
     }
     return scenario, result, STATUS_OK, None
 
@@ -567,8 +555,8 @@ HANDLERS: Dict[str, Handler] = {
     "coset-graph": cmd_coset_graph,
     "hausdorff": cmd_hausdorff,
     "commensurate": cmd_commensurate,
-    "ends": cmd_ends,
-    "filtered-ends": cmd_filtered_ends,
+    "ends": lambda sc: cmd_ends(sc, sc.ball),
+    "filtered-ends": lambda sc: cmd_ends(sc, sc.patch),
     "constants": cmd_constants,
     "lift": cmd_lift,
     "rays": cmd_rays,
@@ -660,19 +648,29 @@ def emit(payload: dict, out_path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def run(sc: Scenario, command: str) -> Tuple[dict, dict, str, Optional[str]]:
+    """Run one subcommand on a resolved scenario: (block, result, status, dot).
+
+    A run that cannot conclude comes back as an inconclusive result, not an
+    exception: Q is not commensurated, or the ball ran out of radius.  The
+    latter's result gives the reason and the radius to retry with, None
+    where the code cannot name one.
+    """
+    sc.last_block = None
     try:
-        config = load_config(args.config) if args.config else {}
-        settings = Settings(args, config)
-        scenario = Scenario(settings)
-        handler = HANDLERS[args.command]
-        try:
-            block, result, status, dot_text = handler(scenario)
-        except NotCommensuratedError as exc:
-            block, status, dot_text = scenario.last_block, STATUS_INCONCLUSIVE, None
-            result = {"confidence": "NotCommensurated", "letters": list(exc.letters)}
+        return HANDLERS[command](sc)
+    except NotCommensuratedError as exc:
+        result = {"confidence": "NotCommensurated", "letters": list(exc.letters)}
+    except InsufficientRadiusError as exc:
+        result = {"reason": str(exc), "suggest_radius": exc.required_radius}
+    return sc.last_block or sc.block(), result, STATUS_INCONCLUSIVE, None
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        settings = Settings(args, load_config(args.config) if args.config else {})
+        block, result, status, dot_text = run(Scenario(settings), args.command)
         payload = {
             "schema": SCHEMA,
             "command": args.command,
@@ -685,10 +683,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             with open(dot_path, "w") as fh:
                 fh.write(dot_text)
         emit(payload, settings.get("out"))
-    except CosetGeomError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (CosetGeomError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0 if status == STATUS_OK else 2

@@ -38,6 +38,7 @@ from .errors import (
     ConfigError,
     EmptyCosetInBallError,
     EscapeBlockedError,
+    InsufficientRadiusError,
     NoRouteWithinBallError,
     NotStabilizedError,
     ScheduleExceedsBallError,
@@ -81,7 +82,11 @@ def default_schedule(horizon: int) -> List[Tuple[int, int]]:
     if len(inners) < 2:
         inners = list(range(1, inner_top + 1))
     if len(inners) < 2:
-        raise ConfigError(f"horizon {horizon} too small for an ends schedule")
+        # horizon 8 gives inner radii 1 and 2; a patch's horizon is at most
+        # its ball's radius, so a ball needs that radius at least
+        raise InsufficientRadiusError(
+            f"horizon {horizon} too small for an ends schedule", required_radius=8
+        )
     return [(r, outer) for r in inners]
 
 
@@ -142,7 +147,8 @@ def ends_report(
             raise ConfigError(f"bad annulus ({r}, {R})")
         if R > horizon - 1:
             raise ScheduleExceedsBallError(
-                f"annulus ({r}, {R}) reaches past usable horizon {horizon - 1}"
+                f"annulus ({r}, {R}) reaches past usable horizon {horizon - 1}",
+                required_radius=R + 1,
             )
     rs = [r for r, _ in schedule]
     if sorted(rs) != rs:

@@ -30,14 +30,6 @@ class BallOverflowError(CosetGeomError):
         )
 
 
-class ScheduleExceedsBallError(CosetGeomError):
-    """An ends schedule asks for annuli outside the reliable region."""
-
-
-class EmptyCosetInBallError(CosetGeomError):
-    """The translated coset has no representative inside the ball."""
-
-
 class NotStabilizedError(CosetGeomError):
     """A constant did not stabilize across the top radii."""
 
@@ -59,13 +51,24 @@ class NotCommensuratedError(CosetGeomError):
 
 
 class InsufficientRadiusError(CosetGeomError):
-    """A requested in-ball construction does not fit inside the ball."""
+    """A requested in-ball construction does not fit inside the ball.
+
+    required_radius, when known, is a ball radius the construction needs at
+    least; None where no radius can be named in advance."""
 
     def __init__(self, message: str, required_radius: Optional[int] = None):
         self.required_radius = required_radius
         if required_radius is not None:
             message = f"{message} (suggest radius >= {required_radius})"
         super().__init__(message)
+
+
+class ScheduleExceedsBallError(InsufficientRadiusError):
+    """An ends schedule asks for annuli outside the reliable region."""
+
+
+class EmptyCosetInBallError(InsufficientRadiusError):
+    """The translated coset has no representative inside the ball."""
 
 
 class NoTransferVertexError(CosetGeomError):

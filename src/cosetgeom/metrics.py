@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .cayley import UNREACHED, Ball, bfs_layers
-from .errors import ConfigError, EmptyCosetInBallError
+from .errors import ConfigError, EmptyCosetInBallError, InsufficientRadiusError
 from .groups import Element, GroupSpec, group_for, render_word
 from .subgroups import VERTEX, coset_key
 
@@ -120,8 +120,9 @@ def hausdorff_profile(
     if not radii or sorted(radii) != radii:
         raise ConfigError("radii must be a nondecreasing nonempty sequence")
     if radii[-1] > ball.radius - SAFETY_MARGIN:
-        raise ConfigError(
-            f"largest radius {radii[-1]} too close to ball radius {ball.radius}"
+        raise InsufficientRadiusError(
+            f"largest radius {radii[-1]} too close to ball radius {ball.radius}",
+            required_radius=radii[-1] + SAFETY_MARGIN,
         )
 
     q_vertices = patch.vertices_in_coset(patch.base)
@@ -202,5 +203,8 @@ def default_radii(ball_radius: int) -> List[int]:
     """A reasonable profile schedule: every radius from 2 up to R - 3."""
     top = ball_radius - STABILIZATION_WINDOW
     if top < 2:
-        raise ConfigError(f"ball radius {ball_radius} too small for a profile")
+        raise InsufficientRadiusError(
+            f"ball radius {ball_radius} too small for a profile",
+            required_radius=2 + STABILIZATION_WINDOW,
+        )
     return list(range(2, top + 1))

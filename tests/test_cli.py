@@ -156,15 +156,78 @@ class TestReportsAndExitCodes:
         f = max(value for _, value in f_per_letter)
         assert (result["f"], result["m"], result["l"]) == (f, m, 2 * f + m + 1)
 
-    def test_constants_below_radius_2f_plus_1_exits_one(
-        self, cache_dir, tmp_path, capsys
-    ):
-        code, report = run_cli(
-            ["constants", "--group", "bs:2,3", "--radius", "4"], cache_dir, tmp_path
-        )
-        assert code == 1
-        assert report is None
-        assert "suggest radius >= 5" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv, code, result",
+        [
+            pytest.param(
+                ["filtered-ends", "--group", "bs:1,2", "--radius", "6"],
+                2,
+                {"reason": "horizon 6 too small for an ends schedule "
+                 "(suggest radius >= 8)", "suggest_radius": 8},
+                id="filtered-ends bs:1,2 r6",
+            ),
+            pytest.param(
+                ["ends", "--group", "free:2", "--radius", "3"],
+                2,
+                {"reason": "horizon 3 too small for an ends schedule "
+                 "(suggest radius >= 8)", "suggest_radius": 8},
+                id="ends free:2 r3",
+            ),
+            pytest.param(
+                ["commensurate", "--group", "bs:2,3", "--radius", "2"],
+                2,
+                {"reason": "ball radius 2 too small for a profile "
+                 "(suggest radius >= 5)", "suggest_radius": 5},
+                id="commensurate bs:2,3 r2",
+            ),
+            pytest.param(
+                ["hausdorff", "--group", "free:2", "--radius", "1", "--element", "x2"],
+                2,
+                {"reason": "ball radius 1 too small for a profile "
+                 "(suggest radius >= 5)", "suggest_radius": 5},
+                id="hausdorff free:2 r1 x2",
+            ),
+            pytest.param(
+                # profiles start at radius 2 whatever g, and gQ starts later
+                ["hausdorff", "--group", "bs:1,2", "--radius", "13",
+                 "--element", "t.x.t^-1"],
+                2,
+                {"reason": "gQ does not meet the ball of radius 2",
+                 "suggest_radius": None},
+                id="hausdorff bs:1,2 r13 t.x.t^-1",
+            ),
+            pytest.param(
+                # M is read off B(2F + 1) whatever the radius
+                ["constants", "--group", "bs:2,3", "--radius", "4"],
+                0,
+                {"f": 2, "m": 5, "l": 10},
+                id="constants bs:2,3 r4",
+            ),
+            pytest.param(
+                ["lift", "--group", "bs:1,2", "--radius", "3", "--path", "t.t.x.t^-1"],
+                2,
+                {"reason": "M needs every Q-element within distance 5, beyond "
+                 "radius 3 (suggest radius >= 5)", "suggest_radius": 5},
+                id="lift bs:1,2 r3",
+            ),
+            pytest.param(
+                ["hausdorff", "--group", "bs:2,3", "--radius", "8", "--element", "t",
+                 "--radii", "7,8"],
+                2,
+                {"reason": "largest radius 8 too close to ball radius 8 "
+                 "(suggest radius >= 9)", "suggest_radius": 9},
+                id="hausdorff bs:2,3 r8 radii 7,8",
+            ),
+        ],
+    )
+    def test_radius_shortfall_exit_codes(self, argv, code, result, cache_dir, tmp_path):
+        # running out of radius exits 2 with a reason, never 1
+        got, report = run_cli(argv, cache_dir, tmp_path)
+        assert got == code
+        assert report["status"] == ("ok" if code == 0 else "inconclusive")
+        assert {key: report["result"][key] for key in result} == result
+        # the scenario block survives a handler that raised before writing it
+        assert report["scenario"]["radius"] == int(argv[4])
 
     def test_unknown_group_exits_one(self, cache_dir, tmp_path, capsys):
         code, report = run_cli(
@@ -667,3 +730,41 @@ def test_warm_analysis_never_builds_the_vertex_index(argv, tmp_path, monkeypatch
     monkeypatch.setattr(Ball, "index", property(refuse))
     assert run_cli(argv, cache, tmp_path, "warm.json") == cold
     assert cold[0] == 0
+
+
+# Each group's largest radius whose ball has about 5,000 vertices or fewer.
+SWEEP_RADII = {"free:2": 7, "abelian:2": 10, "bs:1,2": 10, "bs:2,3": 7, "hnn:2,2 1;0 2": 6}
+
+
+@pytest.mark.parametrize("group", list(SWEEP_RADII))
+def test_every_well_formed_run_exits_zero_or_two(group, cache_dir, tmp_path, capsys):
+    """The exit-code contract on every subcommand at every radius from 0 up:
+    a well-formed scenario is conclusive or inconclusive, never an error."""
+    if group.startswith("bs:"):
+        q, k = "x", "t"
+    else:
+        q, k = ("x1", "t") if group.startswith("hnn:") else ("x1", "x2")
+    extras = {
+        "ball": [],
+        "coset-graph": ["--dump"],
+        "hausdorff": ["--element", k],
+        "commensurate": [],
+        "ends": [],
+        "filtered-ends": [],
+        "constants": [],
+        "lift": ["--path", f"{k}.{q}.{k}^-1", "--base", f"{q}^2"],
+        "rays": ["--graph", "patch"],
+        "ladder": ["--prefix", f"{q}^3", "--crossing", k],
+        "export": ["--what", "patch", "--dot", str(tmp_path / "patch.dot")],
+    }
+    assert set(extras) == set(cli_module.HANDLERS)
+    codes = {}
+    for radius in range(SWEEP_RADII[group] + 1):
+        for command, extra in extras.items():
+            argv = [command, "--group", group, "--radius", str(radius), *extra]
+            code, report = run_cli(argv, cache_dir, tmp_path)
+            codes[command, radius] = code
+            if code == 2:
+                assert report["status"] == "inconclusive"
+    assert {key: code for key, code in codes.items() if code not in (0, 2)} == {}
+    assert capsys.readouterr().err == ""

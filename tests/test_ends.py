@@ -119,7 +119,7 @@ class TestAnnulusCountOracle:
     def schedules(horizon):
         try:
             yield default_schedule(horizon)
-        except ConfigError:
+        except InsufficientRadiusError:
             pass  # too shallow for the default
         usable = range(2, horizon)  # outer radii up to horizon - 1
         # every annulus at once: all outer radii mixed, inner radii ascending
@@ -153,12 +153,15 @@ class TestSchedulesAndClassification:
         assert default_schedule(8) == [(1, 6), (2, 6)]
 
     def test_default_schedule_needs_room(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InsufficientRadiusError) as exc:
             default_schedule(6)
+        assert exc.value.required_radius == 8
 
     def test_schedule_beyond_horizon_rejected(self, ball_bs12_r10):
-        with pytest.raises(ScheduleExceedsBallError):
+        with pytest.raises(ScheduleExceedsBallError) as exc:
             ends_report(ball_bs12_r10, [(2, 10)])
+        assert isinstance(exc.value, InsufficientRadiusError)
+        assert exc.value.required_radius == 11
 
     def test_degenerate_annuli_rejected(self, ball_bs12_r10):
         with pytest.raises(ConfigError):

@@ -6,7 +6,7 @@ import pytest
 
 from cosetgeom.cayley import build_ball
 from cosetgeom.cosetgraph import build_coset_patch
-from cosetgeom.errors import ConfigError, EmptyCosetInBallError
+from cosetgeom.errors import ConfigError, EmptyCosetInBallError, InsufficientRadiusError
 from cosetgeom.groups import (
     baumslag_solitar,
     evaluate_word,
@@ -101,8 +101,9 @@ class TestHausdorffProfiles:
         g = element(spec, "x2^3")
         with pytest.raises(ConfigError):
             hausdorff_profile(patch_ab2_r12, g, [5, 4])
-        with pytest.raises(ConfigError):
+        with pytest.raises(InsufficientRadiusError) as exc:
             hausdorff_profile(patch_ab2_r12, g, [12])
+        assert exc.value.required_radius == 13
         with pytest.raises(ConfigError):
             words = build_coset_patch(word_subgroup(((1,),)), ball_ab2_r12)
             hausdorff_profile(words, g, [4, 5])
@@ -210,5 +211,6 @@ class TestDefaults:
 
     def test_default_radii_leave_the_stabilization_window(self):
         assert default_radii(10) == [2, 3, 4, 5, 6, 7]
-        with pytest.raises(ConfigError):
+        with pytest.raises(InsufficientRadiusError) as exc:
             default_radii(4)
+        assert exc.value.required_radius == 5
