@@ -47,7 +47,6 @@ _EXPORTS = {
         "default_schedule",
         "ends_report",
         "escape_route",
-        "filtered_ends_report",
         "stable_hausdorff_bound",
         "verify_escape_route",
     ),
@@ -60,7 +59,6 @@ _EXPORTS = {
         "EscapeBlockedError",
         "InsufficientRadiusError",
         "NoRouteWithinBallError",
-        "NoTransferVertexError",
         "NotCommensuratedError",
         "NotStabilizedError",
         "ScheduleExceedsBallError",

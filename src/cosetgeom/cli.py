@@ -8,7 +8,7 @@ byte: the cache stores exactly what a cold build produces.
 Exit codes: 0 for a conclusive run, 2 when the result is Inconclusive, Q is
 not commensurated (so no finite F exists) or the ball ran out of radius, 1
 for malformed input and broken invariants.  run() is the one pipeline from
-a resolved scenario to a report's pieces; main and the scripts call it.
+a resolved scenario to a report's pieces; main and the survey script call it.
 
 Each handler imports the modules it runs, the group, subgroup and ball
 modules included, and configparser is imported only for --config, so a run
@@ -413,8 +413,8 @@ def _witness_payload(sc: Scenario) -> list:
     return rows
 
 
-def _f_rows(sc: Scenario, constants: LiftConstants) -> list:
-    return [[sc.letter_name(letter), value] for letter, value in constants.f_per_letter]
+def _f_rows(sc: Scenario, f_per_letter) -> list:
+    return [[sc.letter_name(letter), value] for letter, value in f_per_letter]
 
 
 def cmd_constants(sc: Scenario):
@@ -422,7 +422,7 @@ def cmd_constants(sc: Scenario):
     constants = sc.constants()
     result = {
         "confidence": "Stable",
-        "f_per_letter": _f_rows(sc, constants),
+        "f_per_letter": _f_rows(sc, constants.f_per_letter),
         "f": constants.f,
         "m": constants.m,
         "l": constants.l,
@@ -435,7 +435,7 @@ def cmd_lift(sc: Scenario):
     from .cayley import PathInBall
     from .cosetgraph import project_path
     from .groups import evaluate_word, group_for, parse_word, render_word
-    from .lifting import approximate_lift, lift_constants
+    from .lifting import approximate_lift, compute_f
 
     word = sc.word("path")
     base_text = sc.settings.get("base", "1")
@@ -447,11 +447,10 @@ def cmd_lift(sc: Scenario):
             f"base element {base_text!r} lies outside the ball",
             required_radius=len(base_word),
         )
-    constants = lift_constants(sc.q, sc.ball)
+    f_per_letter = compute_f(sc.q, sc.spec).items()
     lpath = project_path(sc.patch, PathInBall(base, word))
-    lift = approximate_lift(sc.patch, lpath, base, constants)
+    lift = approximate_lift(sc.patch, lpath, base)
     replay = project_path(sc.patch, PathInBall(base, lift.word))
-    group = group_for(sc.spec)
     result = {
         "lambda_path": {
             "cosets": list(lpath.cosets),
@@ -460,8 +459,8 @@ def cmd_lift(sc: Scenario):
         "lift_word": render_word(sc.spec, lift.word),
         "blocks": [render_word(sc.spec, block) for block in lift.blocks],
         "block_lengths": list(lift.block_lengths()),
-        "f_per_letter": _f_rows(sc, constants),
-        "end_element": group.render(sc.ball.elements[lift.end]),
+        "f_per_letter": _f_rows(sc, f_per_letter),
+        "end_element": group_for(sc.spec).render(lift.end),
         "projects_back": replay == lpath,
     }
     return scenario, result, STATUS_OK, None

@@ -319,21 +319,27 @@ def build_coset_patch(
 
 
 def project_path(patch: CosetPatch, path: PathInBall) -> LambdaPath:
-    """Project a ball path to the coset graph, contracting in-coset steps."""
-    ball = patch.ball
+    """Project a ball path to the coset graph, contracting in-coset steps.
+
+    The path steps on normal forms, so it may leave the ball; every coset
+    it visits must meet the ball (vertex mode only).
+    """
+    ball, spec, q = patch.ball, patch.spec, patch.subgroup
     v = path.base
     if v < 0 or v >= ball.n_vertices:
         raise InsufficientRadiusError(f"base vertex {v} not in ball")
+    apply_letter = group_for(spec).apply_letter
+    a = ball.elements[v]
     cosets = [patch.coset_of[v]]
     letters: List[int] = []
     for step, letter in enumerate(path.word):
-        nxt = ball.neighbor(v, letter)
-        if nxt is None:
+        a = apply_letter(a, letter)
+        cid = patch.coset_id(coset_key(spec, q, a))
+        if cid is None:
             raise InsufficientRadiusError(
-                f"path leaves the ball at step {step} (letter {letter})"
+                f"path leaves the patch at step {step} (letter {letter})",
+                required_radius=ball.dist[v] + step + 1,
             )
-        v = nxt
-        cid = patch.coset_of[v]
         if cid != cosets[-1]:
             cosets.append(cid)
             letters.append(letter)

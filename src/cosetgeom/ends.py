@@ -17,7 +17,6 @@ an independent verifier that uses only group arithmetic.
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import (
     Callable,
     Dict,
@@ -32,7 +31,7 @@ from typing import (
     Union,
 )
 
-from .cayley import Ball, PathInBall, bfs_layers, first_hit
+from .cayley import Ball, PathInBall, bfs_layers, first_hit, star
 from .cosetgraph import CosetPatch, _UnionFind, graph_view
 from .errors import (
     ConfigError,
@@ -166,18 +165,6 @@ def ends_report(
     )
 
 
-def filtered_ends_report(
-    q: SubgroupSpec,
-    ball: Ball,
-    schedule: Optional[Schedule] = None,
-) -> EndsReport:
-    """Ends of the coset-graph patch: the filtered-end count evidence."""
-    from .cosetgraph import build_coset_patch
-
-    patch = build_coset_patch(q, ball)
-    return ends_report(patch, schedule)
-
-
 def stable_hausdorff_bound(patch: CosetPatch) -> int:
     """The constant K: max stabilized Hausdorff distance over generator cosets.
 
@@ -258,8 +245,7 @@ def escape_route(
             "start vertex is trapped in a bounded pocket of its coset"
         )
 
-    search = bfs_layers(ball.neighbors, excluded)
-    near = {u for layer in islice(search, max(k + 1, 0)) for u in layer}  # within K
+    near = star(ball, excluded, k).vertices if k >= 0 else frozenset()  # within K
 
     home = coset_of[v]
     found, _ = first_hit(

@@ -71,10 +71,6 @@ class EmptyCosetInBallError(InsufficientRadiusError):
     """The translated coset has no representative inside the ball."""
 
 
-class NoTransferVertexError(CosetGeomError):
-    """No transfer vertex within the promised search depth."""
-
-
 class NoRouteWithinBallError(InsufficientRadiusError):
     """No escape route exists inside the ball; retry with a larger one."""
 
@@ -84,4 +80,5 @@ class EscapeBlockedError(CosetGeomError):
 
 
 class ConstantViolationError(CosetGeomError):
-    """A certified bound (F or M) failed during construction."""
+    """A certified bound (F or M) failed during construction: a lift or
+    ladder found no transfer walk shorter than F, or no rung within M."""

@@ -22,7 +22,16 @@ from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple, U
 from .cayley import Ball, bfs_distances, first_hit
 from .errors import ConfigError, ConstantViolationError
 from .groups import Element, GroupSpec, group_for, inverse_word
-from .subgroups import SubgroupSpec, VERTEX, coset_key, k_letters, q_letters
+from .subgroups import (
+    SubgroupSpec,
+    VERTEX,
+    coset_key,
+    coset_label,
+    k_letters,
+    q_letters,
+    q_steps,
+    transfer_walk,
+)
 
 if TYPE_CHECKING:
     from .cosetgraph import CosetPatch
@@ -149,43 +158,31 @@ def build_ladder(
             raise ConfigError(f"prefix letter {e} must lie in Q")
 
     group = group_for(spec)
-    apply_letter = group.apply_letter
-    ordered = sorted(qlets)
-
-    def steps(a: Element) -> List[Tuple[int, Element]]:
-        return [(letter, apply_letter(a, letter)) for letter in ordered]
-
     prefix_elements = [group.identity()]
     for e in prefix:
-        prefix_elements.append(apply_letter(prefix_elements[-1], e))
+        prefix_elements.append(group.apply_letter(prefix_elements[-1], e))
 
     f_bound = constants.f_for(crossing)
     alphas: List[Tuple[int, ...]] = []
     transfer_ends: List[Element] = []
     rung_ends: List[Element] = []
-    target_key: Optional[bytes] = None
-
-    def crosses(w: Element) -> Optional[Element]:
-        # the first crossing fixes the target coset; later ones must match it
-        b = apply_letter(w, crossing)
-        if target_key is None or coset_key(spec, q, b) == target_key:
-            return b
-        return None
-
+    # the first crossing fixes the target coset; later ones must match it
+    target: Optional[Tuple] = None
     for i, v in enumerate(prefix_elements):
-        found, _ = first_hit(v, steps, crosses, f_bound - 1)
+        found = transfer_walk(spec, q, v, crossing, target, f_bound - 1)
         if found is None:
             raise ConstantViolationError(
                 f"no transfer within {f_bound - 1} Q-steps at rung {i}; "
                 "F appears underestimated"
             )
         alpha, landing = found
-        if target_key is None:
-            target_key = coset_key(spec, q, landing)
+        if target is None:
+            target = coset_label(spec, q, landing)
         alphas.append(alpha)
         rung_ends.append(landing)
         transfer_ends.append(group.evaluate_word(alpha, v))
 
+    steps = q_steps(spec, q)
     rungs: List[Tuple[int, ...]] = []
     for i in range(len(prefix)):
         goal = rung_ends[i + 1]
@@ -204,7 +201,7 @@ def build_ladder(
         constants=constants,
         prefix=prefix,
         crossing=crossing,
-        target_key=target_key,
+        target_key=coset_key(spec, q, rung_ends[0]),
         prefix_elements=tuple(prefix_elements),
         transfer_ends=tuple(transfer_ends),
         rung_ends=tuple(rung_ends),

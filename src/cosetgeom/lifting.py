@@ -14,7 +14,8 @@ ball at least that large holds in full.
 Lifting turns a path in the coset graph into an actual path in the group:
 alternating blocks (alpha_0, e_1, alpha_1, e_2, ...) where each alpha_i is
 a Q-letter walk of length < F and each e_i realizes one coset-graph edge.
-Projecting the lift back to the coset graph returns the input exactly.
+Projecting the lift back to the coset graph returns the input exactly.  A
+lift steps on normal forms and reads only F, so no ball radius limits it.
 """
 
 from __future__ import annotations
@@ -22,24 +23,26 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import namedtuple
 from itertools import islice
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
-from .cayley import Ball, first_hit
+from .cayley import Ball
 from .errors import (
     ConfigError,
+    ConstantViolationError,
     InsufficientRadiusError,
     NotCommensuratedError,
-    NoTransferVertexError,
 )
 from .groups import GroupSpec, render_word
 from .intmat import column_hnf, l1_covering_radius
 from .subgroups import (
     SubgroupSpec,
     VERTEX,
+    coset_label,
     is_member,
     q_letters,
     q_norm,
     transfer_basis,
+    transfer_walk,
 )
 
 if TYPE_CHECKING:
@@ -76,7 +79,7 @@ class LiftConstants(namedtuple("LiftConstants", "f_per_letter m")):
 
 class LiftResult(namedtuple("LiftResult", "input_path base blocks letters end")):
     """A lift of input_path (a LambdaPath) from the ball vertex base: a
-    Q-block before each crossing letter, ending at the ball vertex end."""
+    Q-block before each crossing letter, ending at the element end."""
 
     __slots__ = ()
 
@@ -150,31 +153,14 @@ def lift_constants(q: SubgroupSpec, ball: Ball) -> LiftConstants:
     )
 
 
-def _ball_steps(ball: Ball, qlets: Sequence[int]) -> Callable[[int], list]:
-    """Q-walk steps between ball ids; a rim vertex is tested but never expanded.
+def approximate_lift(patch: CosetPatch, lpath: LambdaPath, base: int) -> LiftResult:
+    """Lift a coset-graph path to a group path through the given base vertex.
 
-    Right multiplication by an element of Q fixes the left coset, so a
-    Q-walk never leaves its start's coset and needs no coset test.
+    Each block is the first transfer walk (subgroups.transfer_walk) from
+    the last landing, on normal forms, so no ball bounds it; only F is read.
     """
-    ordered = sorted(qlets)
-
-    def steps(u: int) -> List[Tuple[int, int]]:
-        if not ball.complete(u):
-            return []
-        return [(letter, ball.neighbor(u, letter)) for letter in ordered]
-
-    return steps
-
-
-def approximate_lift(
-    patch: CosetPatch,
-    lpath: LambdaPath,
-    base: int,
-    constants: Optional[LiftConstants] = None,
-) -> LiftResult:
-    """Lift a coset-graph path to a group path through the given base vertex."""
     spec, q, ball = patch.spec, patch.subgroup, patch.ball
-    _require_vertex_mode(q)
+    f = compute_f(q, spec)
     if not (0 <= base < ball.n_vertices):
         raise ConfigError(f"base vertex {base} not in ball")
     if patch.coset_of[base] != lpath.start:
@@ -182,41 +168,24 @@ def approximate_lift(
     for cid in lpath.cosets:
         if not (0 <= cid < patch.n_cosets):
             raise ConfigError(f"coset id {cid} not in patch")
-    if constants is None:
-        constants = lift_constants(q, ball)
 
-    steps = _ball_steps(ball, q_letters(spec, q))
-    coset_of = patch.coset_of
-    u = base
+    elements, witness = ball.elements, patch.witness
+    u = elements[base]
     blocks: List[Tuple[int, ...]] = []
-    letters: List[int] = []
     for i, s in enumerate(lpath.letters):
-        bound = constants.f_for(s)
-        target = lpath.cosets[i + 1]
-
-        def hit(w: int) -> Optional[int]:
-            nb = ball.neighbor(w, s)
-            return nb if nb is not None and coset_of[nb] == target else None
-
-        found, layers = first_hit(u, steps, hit, bound - 1)
+        target = coset_label(spec, q, elements[witness[lpath.cosets[i + 1]]])
+        found = transfer_walk(spec, q, u, s, target, f[s] - 1)
         if found is None:
-            # a rim vertex in the search may have had the missing transfer
-            if any(not ball.complete(w) for layer in layers for w in layer):
-                raise InsufficientRadiusError(
-                    f"lift step {i} reached the ball boundary "
-                    f"(radius {ball.radius})"
-                )
-            raise NoTransferVertexError(
-                f"no transfer vertex within {bound - 1} Q-steps at lift step {i}"
+            raise ConstantViolationError(
+                f"no transfer within {f[s] - 1} Q-steps at lift step {i}; "
+                "F appears underestimated"
             )
-        alpha, landing = found
+        alpha, u = found
         blocks.append(alpha)
-        letters.append(s)
-        u = landing
     return LiftResult(
         input_path=lpath,
         base=base,
         blocks=tuple(blocks),
-        letters=tuple(letters),
+        letters=lpath.letters,
         end=u,
     )

@@ -200,11 +200,11 @@ def default_test_elements(spec: GroupSpec) -> List[Tuple[str, Element]]:
 
 
 def default_radii(ball_radius: int) -> List[int]:
-    """A reasonable profile schedule: every radius from 2 up to R - 3."""
-    top = ball_radius - STABILIZATION_WINDOW
-    if top < 2:
+    """Every radius from 2 up to R - 3, which must fill a stabilization window."""
+    radii = list(range(2, ball_radius - STABILIZATION_WINDOW + 1))
+    if len(radii) < STABILIZATION_WINDOW:
         raise InsufficientRadiusError(
             f"ball radius {ball_radius} too small for a profile",
-            required_radius=2 + STABILIZATION_WINDOW,
+            required_radius=1 + 2 * STABILIZATION_WINDOW,
         )
-    return list(range(2, top + 1))
+    return radii

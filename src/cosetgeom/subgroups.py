@@ -1,4 +1,4 @@
-"""Subgroup descriptions, membership tests, and left-coset keys.
+"""Subgroup descriptions, membership tests, left-coset keys and Q-walks.
 
 Two modes are supported.  A vertex subgroup is the distinguished base
 subgroup of the family (the x-generators; for free and free abelian
@@ -6,14 +6,17 @@ groups, <x1>), where membership and coset identity are exact and read
 directly off canonical forms.  A word-generated subgroup is given by
 arbitrary generator words; it has no membership test or coset key, and a
 coset patch built for it merges ball vertices joined by generator words
-inside the ball, so it under-merges near the rim.
+inside the ball, so it under-merges near the rim.  Q-letter walks step on
+normal forms; transfer_walk is the one search that lifts and ladders use
+to cross into a neighbouring coset.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Tuple
+from typing import Callable, List, Optional, Tuple
 
+from .cayley import first_hit
 from .errors import SubgroupModeError
 from .groups import (
     FAMILY_ABELIAN,
@@ -187,3 +190,38 @@ def coset_key(spec: GroupSpec, q: SubgroupSpec, a: Element) -> bytes:
 
 def base_coset_key(spec: GroupSpec, q: SubgroupSpec) -> bytes:
     return coset_key(spec, q, group_for(spec).identity())
+
+
+def q_steps(spec: GroupSpec, q: SubgroupSpec) -> Callable[[Element], List]:
+    """Search edges (letter, element) of Q-letter walks on normal forms,
+    letters ascending.  Right multiplication by Q fixes the left coset, so
+    a Q-walk never leaves its start's coset and no ball bounds it."""
+    apply_letter = group_for(spec).apply_letter
+    ordered = sorted(q_letters(spec, q))
+    return lambda a: [(letter, apply_letter(a, letter)) for letter in ordered]
+
+
+def transfer_walk(
+    spec: GroupSpec,
+    q: SubgroupSpec,
+    start: Element,
+    crossing: int,
+    target: Optional[Tuple],
+    max_len: int,
+) -> Optional[Tuple[Tuple[int, ...], Element]]:
+    """The first Q-walk from start, of length at most max_len, whose end's
+    crossing edge lands in the coset labelled target (any coset when target
+    is None): (walk, landing element), or None.
+
+    The walk is a shortest one with the earliest letters first.  F_s bounds
+    it: from any element, some Q-walk shorter than F_s reaches every coset
+    that the coset's s-edges lead to.  (Vertex mode only.)
+    """
+    apply_letter = group_for(spec).apply_letter
+
+    def crosses(w: Element) -> Optional[Element]:
+        b = apply_letter(w, crossing)
+        return b if target is None or coset_label(spec, q, b) == target else None
+
+    found, _ = first_hit(start, q_steps(spec, q), crosses, max_len)
+    return found

@@ -594,8 +594,8 @@ def reference_route(
 #
 # The Q-walk extends each vertex's walk by one letter as it discovers a
 # neighbour, trying Q-letters in sorted order from each vertex of a layer in
-# turn, and never expands a rim vertex.  The ladder strings such walks
-# together on ball slots.  The star grows a vertex set one frontier at a time.
+# turn, and never expands a rim vertex.  The ladder and the lift string such
+# walks together on ball slots.  The star grows a vertex set one frontier at a time.
 
 
 def reference_q_walk(
@@ -701,6 +701,45 @@ def reference_ladder(
         "rung_ends": tuple(elements[v] for v in rung_ends),
         "alphas": tuple(alphas),
         "rungs": tuple(rungs),
+    }
+    return fields, touched
+
+
+def reference_lift(
+    ball,
+    coset_of: Sequence[int],
+    qlets: Sequence[int],
+    lpath,
+    base: int,
+    f: Dict[int, int],
+) -> Tuple[Optional[Dict[str, tuple]], bool]:
+    """(the lift's fields, or None where the ball refuses; touched_rim).
+
+    The lift is walked on ball slots: from base, before each letter s of the
+    coset-graph path, a transfer Q-walk of length < f[s] to a vertex whose
+    s-edge lands in the path's next coset (coset_of maps a vertex to its
+    coset).  touched_rim says some search tested a rim vertex, which may
+    change its walk.
+    """
+    touched = False
+    u = base
+    blocks = []
+    for s, target in zip(lpath.letters, lpath.cosets[1:]):
+
+        def crosses(w: int) -> Optional[int]:
+            nb = ball.neighbor(w, s)
+            return nb if nb is not None and coset_of[nb] == target else None
+
+        found, rim = reference_q_walk(ball, qlets, u, crosses, f[s] - 1)
+        touched |= rim
+        if found is None:
+            return None, touched
+        alpha, u = found
+        blocks.append(alpha)
+    fields = {
+        "blocks": tuple(blocks),
+        "letters": tuple(lpath.letters),
+        "end": ball.elements[u],
     }
     return fields, touched
 

@@ -177,14 +177,14 @@ class TestReportsAndExitCodes:
                 ["commensurate", "--group", "bs:2,3", "--radius", "2"],
                 2,
                 {"reason": "ball radius 2 too small for a profile "
-                 "(suggest radius >= 5)", "suggest_radius": 5},
+                 "(suggest radius >= 7)", "suggest_radius": 7},
                 id="commensurate bs:2,3 r2",
             ),
             pytest.param(
                 ["hausdorff", "--group", "free:2", "--radius", "1", "--element", "x2"],
                 2,
                 {"reason": "ball radius 1 too small for a profile "
-                 "(suggest radius >= 5)", "suggest_radius": 5},
+                 "(suggest radius >= 7)", "suggest_radius": 7},
                 id="hausdorff free:2 r1 x2",
             ),
             pytest.param(
@@ -206,8 +206,9 @@ class TestReportsAndExitCodes:
             pytest.param(
                 ["lift", "--group", "bs:1,2", "--radius", "3", "--path", "t.t.x.t^-1"],
                 2,
-                {"reason": "M needs every Q-element within distance 5, beyond "
-                 "radius 3 (suggest radius >= 5)", "suggest_radius": 5},
+                # the path's last coset t^2.x.t^-1.Q has no vertex in B(3)
+                {"reason": "path leaves the patch at step 3 (letter -2) "
+                 "(suggest radius >= 4)", "suggest_radius": 4},
                 id="lift bs:1,2 r3",
             ),
             pytest.param(

@@ -14,7 +14,7 @@ from cosetgeom.cosetgraph import (
     degree_profile,
     project_path,
 )
-from cosetgeom.errors import ConfigError
+from cosetgeom.errors import ConfigError, InsufficientRadiusError
 from cosetgeom.metrics import hausdorff_profile
 from cosetgeom.groups import (
     baumslag_solitar,
@@ -233,6 +233,26 @@ class TestProjection:
         lam = project_path(patch, PathInBall(0, word))
         for i, letter in enumerate(lam.letters):
             assert (letter, lam.cosets[i + 1]) in list(patch.edges(lam.cosets[i]))
+
+    def test_paths_step_past_the_rim_inside_patch_cosets(self, ball_bs12_r10):
+        # x leaves the ball from the rim vertex t^10 but not its coset
+        ball = ball_bs12_r10
+        patch = build_coset_patch(Q, ball)
+        group = group_for(ball.spec)
+        rim = ball.vertex(group.evaluate_word((2,) * 10))
+        assert ball.vertex(group.evaluate_word((2,) * 10 + (1,))) is None
+        lam = project_path(patch, PathInBall(rim, (1, 1, -2)))
+        assert lam.cosets[0] == patch.coset_of[rim]
+        assert lam.letters == (-2,)
+
+    def test_a_coset_past_the_patch_names_the_radius(self, ball_bs12_r10):
+        # t^9.t^2 lies in t^11.Q, whose elements all have t-exponent sum 11
+        ball = ball_bs12_r10
+        patch = build_coset_patch(Q, ball)
+        v = ball.vertex(group_for(ball.spec).evaluate_word((2,) * 9))
+        with pytest.raises(InsufficientRadiusError, match="at step 1") as info:
+            project_path(patch, PathInBall(v, (2, 2)))
+        assert info.value.required_radius == 11
 
     @given(
         w1=st.lists(st.sampled_from([1, -1, 2, -2]), max_size=3),

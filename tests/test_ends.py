@@ -18,7 +18,6 @@ from cosetgeom.ends import (
     default_schedule,
     ends_report,
     escape_route,
-    filtered_ends_report,
     stable_hausdorff_bound,
     verify_escape_route,
 )
@@ -90,23 +89,23 @@ class TestGroupEndCounts:
 
 class TestCosetGraphEndCounts:
     def test_plane_mod_axis_is_a_two_ended_line(self, ball_ab2_r12):
-        report = filtered_ends_report(Q, ball_ab2_r12)
+        report = ends_report(build_coset_patch(Q, ball_ab2_r12))
         assert report.graph_kind == "patch"
         assert set(report.counts) == {2}
         assert report.label() == "StableCount(2)"
 
     def test_bs12_patch_counts_double(self, ball_bs12_r10):
-        report = filtered_ends_report(Q, ball_bs12_r10, [(1, 5), (2, 5), (3, 5)])
+        report = ends_report(build_coset_patch(Q, ball_bs12_r10), [(1, 5), (2, 5), (3, 5)])
         assert report.counts == (3, 6, 12)
         assert report.classification == GROWING
 
     def test_bs12_patch_default_schedule_grows(self, ball_bs12_r10):
-        report = filtered_ends_report(Q, ball_bs12_r10)
+        report = ends_report(build_coset_patch(Q, ball_bs12_r10))
         assert report.counts == (6, 12, 24)
         assert report.classification == GROWING
 
     def test_bs23_patch_counts_grow_fourfold(self, ball_bs23_r10):
-        report = filtered_ends_report(Q, ball_bs23_r10, [(1, 5), (2, 5), (3, 5)])
+        report = ends_report(build_coset_patch(Q, ball_bs23_r10), [(1, 5), (2, 5), (3, 5)])
         assert report.counts == (5, 20, 80)
         assert report.classification == GROWING
 

@@ -148,10 +148,10 @@ def test_profiles_match_whole_ball_searches():
         spec = parse_group_spec(text)
         group = group_for(spec)
         x, t = 1, len(spec.generators)
-        for radius in (5, 7):
+        # default_radii needs radius 7; radius 5 takes the one radius it gave
+        for radius, radii in ((5, [2]), (7, default_radii(7))):
             ball = build_ball(spec, radius)
             patch = build_coset_patch(Q, ball)
-            radii = default_radii(radius)
             elements = ball.elements
             q_members = [v for v, a in enumerate(elements) if is_member(spec, Q, a)]
             words = [(letter,) for letter in spec.letters]
@@ -211,6 +211,8 @@ class TestDefaults:
 
     def test_default_radii_leave_the_stabilization_window(self):
         assert default_radii(10) == [2, 3, 4, 5, 6, 7]
-        with pytest.raises(InsufficientRadiusError) as exc:
-            default_radii(4)
-        assert exc.value.required_radius == 5
+        assert default_radii(7) == [2, 3, 4]
+        for radius in (4, 6):
+            with pytest.raises(InsufficientRadiusError) as exc:
+                default_radii(radius)
+            assert exc.value.required_radius == 7

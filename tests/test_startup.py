@@ -145,12 +145,12 @@ PUBLIC = {
     "dot": ["export_dot"],
     "ends": [
         "EndsReport", "default_schedule", "ends_report", "escape_route",
-        "filtered_ends_report", "stable_hausdorff_bound", "verify_escape_route",
+        "stable_hausdorff_bound", "verify_escape_route",
     ],
     "errors": [
         "BallOverflowError", "ConfigError", "ConstantViolationError", "CosetGeomError",
         "EmptyCosetInBallError", "EscapeBlockedError", "InsufficientRadiusError",
-        "NoRouteWithinBallError", "NoTransferVertexError", "NotCommensuratedError",
+        "NoRouteWithinBallError", "NotCommensuratedError",
         "NotStabilizedError", "ScheduleExceedsBallError",
     ],
     "groups": [
