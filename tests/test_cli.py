@@ -733,6 +733,77 @@ def test_warm_analysis_never_builds_the_vertex_index(argv, tmp_path, monkeypatch
     assert cold[0] == 0
 
 
+# (command, group, radius, further options, exit code, report SHA-256)
+PINNED_REPORTS = [
+    ("commensurate", "bs:2,3", 8, "", 0,
+     "b3fc3714581da562f7ee1e4b268c4c620fdc1f4f12a6a2c5b4a73b13946ca97b"),
+    ("hausdorff", "bs:2,3", 8, "--element t", 0,
+     "c7f87188b74154cc356fce6a5a2754a2696a6b5dae12c557e74491b5fcf33c91"),
+    ("filtered-ends", "bs:2,3", 8, "", 0,
+     "480d46c70f36f25faa206a94c4310445da9cbce82b9afd267c8a76ecee79aa6e"),
+    ("rays", "bs:2,3", 7, "--graph patch", 0,
+     "67f13259128e13e78ce35409820ed7b54960861854e6b819a1687d29c6821efc"),
+    ("coset-graph", "bs:2,3", 5, "--dump", 0,
+     "c7561e8d6490a7ac90a8fe3e9fcf3de3b2896081bdb7bc79535de8cc2066b6e9"),
+    ("lift", "bs:2,3", 6, "--path t.x.t^-1.x^-1 --base x", 0,
+     "0c44dbd8b5f6d0729b0400f8b8818acaffda8963a818acc5489b4a72e089df26"),
+    ("commensurate", "bs:1,2", 9, "", 0,
+     "5eb61e2aad1f6184a2dcad382707292be6ffb9f74d9884a308086b58d6056c61"),
+    ("hausdorff", "bs:1,2", 9, "--element t", 0,
+     "2f0f3b62b1e250e103343dd15068aa918fe56b9402ea170f85c473c40da63716"),
+    ("filtered-ends", "bs:1,2", 9, "", 0,
+     "6a75a9a22f1cc9be710557a5c5c071448b4fbfc4187b7d0ccfa12fd632052d22"),
+    ("rays", "bs:1,2", 8, "--graph patch", 0,
+     "955214af642f37d95dfe3dcd5122bdfaed1517409e35056ffa8858053ffb71da"),
+    ("coset-graph", "bs:1,2", 6, "--dump", 0,
+     "a174142c522fda50d0fc055bdc8671a443160e2841ea51239548665122334ab3"),
+    ("lift", "bs:1,2", 7, "--path t.x.t^-1.x^-1 --base x", 0,
+     "a5f9597a5b3b590dc58433d54dc8cb08d9d03e2d387c9671e4af8d2af1bee31d"),
+    ("commensurate", "hnn:2,2 1;0 2", 7, "", 0,
+     "3c4705a3950a9dc879549a015698879e3c8a438638f331095e354f66e36c1818"),
+    ("hausdorff", "hnn:2,2 1;0 2", 7, "--element t", 0,
+     "3e4225c3b04a9ad9aeac8461d33e8fc533fb4a5c41d37608ec55bc48019ee221"),
+    ("filtered-ends", "hnn:2,2 1;0 2", 8, "", 0,
+     "322e7bbc233562b99e734298374474b66319694832b578d701e85bbf5d999f77"),
+    ("rays", "hnn:2,2 1;0 2", 6, "--graph patch", 0,
+     "6cdf300754913f34073b033370578a26e73b6580242784cecc6f5e17e50737a4"),
+    ("coset-graph", "hnn:2,2 1;0 2", 4, "--dump", 0,
+     "96b0edd8a9ead9681f43e703d1a05a5c75dedd5cc20dfe516e44c20074c0391a"),
+    ("lift", "hnn:2,2 1;0 2", 5, "--path t.x1.t^-1.x1^-1 --base x1", 0,
+     "79e5976ae679f946187886b9cc4baa17966277126f13e276aad496a0be22019d"),
+    ("commensurate", "free:2", 7, "", 0,
+     "f6d0bf0a4479ac7adb29cf977e690eaafd45935a776004cbc5795437a4ba2bab"),
+    ("hausdorff", "free:2", 7, "--element x2", 0,
+     "01dbff66a72fddc8e307621d814312eb24096b0dce7fe13bcf964524fb2f3089"),
+    ("filtered-ends", "free:2", 8, "", 0,
+     "bb9edab902ecbf94f32848171a4b2767ab8ae828a3dc80b49c680f58014950b4"),
+    ("rays", "free:2", 6, "--graph patch", 0,
+     "0e494bc8f53f8cf979de265ee3bcd947c90fa745eb3a42147e87dffd1fe0b8db"),
+    ("coset-graph", "free:2", 4, "--dump", 0,
+     "420d9ac03032207e20e18aaffdf94b84e2acaa6b2abfddbc4bcd25bdf44eb647"),
+    ("lift", "free:2", 5, "--path x2.x1.x2^-1.x1^-1 --base x1", 2,
+     "5e75e6e70a83fe85fc491d80e833bf977604da2bb90935e48dfeab30bddf087b"),
+    ("coset-graph", "bs:1,2", 5, "--dump --subgroup words:x,t.x.t^-1", 0,
+     "fa6bd6dc3f48fcb5e42250e171b4a68b0421ea6ddab163857e32c9eb447b9131"),
+    ("filtered-ends", "bs:1,2", 8, "--subgroup words:x,t.x.t^-1", 0,
+     "de4a5185cce91c091929b6799ba5d2696f9e0073a9254f16a617190de357cda5"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,group,radius,extra,code,digest",
+    PINNED_REPORTS,
+    ids=[f"{row[0]} {row[1]} r{row[2]} {row[3]}".rstrip() for row in PINNED_REPORTS],
+)
+def test_report_bytes_are_pinned(command, group, radius, extra, code, digest, cache_dir, tmp_path):
+    """Golden SHA-256 digests of whole reports on small balls: the patch
+    analyses, the coset-graph dump and lifts, in vertex and words mode."""
+    argv = [command, "--group", group, "--radius", str(radius), *extra.split()]
+    out = tmp_path / "report.json"
+    assert main([*argv, "--cache-dir", str(cache_dir), "--out", str(out)]) == code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 # Each group's largest radius whose ball has about 5,000 vertices or fewer.
 SWEEP_RADII = {"free:2": 7, "abelian:2": 10, "bs:1,2": 10, "bs:2,3": 7, "hnn:2,2 1;0 2": 6}
 
