@@ -332,11 +332,14 @@ def _profile_payload(profile) -> dict:
 
 def cmd_hausdorff(sc: Scenario):
     from .groups import evaluate_word
-    from .metrics import default_radii, hausdorff_profile
+    from .metrics import coset_distance, default_radii, hausdorff_profile
 
     g = evaluate_word(sc.spec, sc.word("element"))
     radii_text = sc.settings.get("radii")
-    radii = parse_int_list(radii_text) if radii_text else default_radii(sc.ball.radius)
+    if radii_text:
+        radii = parse_int_list(radii_text)
+    else:
+        radii = default_radii(sc.ball.radius, coset_distance(sc.patch, g))
     profile = hausdorff_profile(sc.patch, g, radii)
     scenario = sc.block(
         element=sc.settings.require("element"),

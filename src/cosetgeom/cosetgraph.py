@@ -17,15 +17,15 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, defaultdict
 from functools import cached_property
-from itertools import accumulate, repeat
+from itertools import count, repeat
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .cayley import NO_EDGE, Ball, PathInBall, bfs_distances
-from .errors import ConfigError, InsufficientRadiusError
-from .groups import GroupSpec, group_for
-from .subgroups import VERTEX, WORDS, SubgroupSpec, coset_key, coset_label, q_letters
+from .errors import ConfigError, InsufficientRadiusError, SubgroupModeError
+from .groups import Element, GroupSpec, group_for
+from .subgroups import VERTEX, WORDS, SubgroupSpec, coset_key, coset_labeller, q_letters
 
 DEFAULT_TRUST_MARGIN = 1
 
@@ -79,10 +79,12 @@ class CosetPatch:
     """The part of the coset graph witnessed by one ball.
 
     The labelling is built with the patch: each ball vertex's coset and each
-    coset's key, witness and trust flag.  The members of every coset (one
-    CSR list) and the coset graph (flat ``array('i')`` edge and neighbour
-    lists, and ``dist``) are built on first use, since lifts read neither
-    and Hausdorff profiles read only the members.
+    coset's witness and trust flag.  Every other part is built on first use
+    and kept: the keys (for DOT and dumps), the label index behind
+    coset_of_element, the neighbour lists (behind neighbors, degree and
+    dist), the lettered edges and each coset's member list.  So a lift
+    builds none of them, a Hausdorff profile only the index and two member
+    lists, and an ends count only the neighbour lists.
     """
 
     def __init__(
@@ -90,7 +92,6 @@ class CosetPatch:
         subgroup: SubgroupSpec,
         trust_margin: int,
         ball: Ball,
-        keys: Tuple[bytes, ...],
         witness: array,  # each coset's earliest ball vertex
         coset_of: List[int],
         trusted: Tuple[bool, ...],
@@ -98,11 +99,10 @@ class CosetPatch:
         self.subgroup = subgroup
         self.trust_margin = trust_margin
         self.ball = ball
-        self.keys = keys
         self.witness = witness
         self.coset_of = coset_of
         self.trusted = trusted
-        self._id_of_key = {key: cid for cid, key in enumerate(keys)}
+        self._members: Dict[int, array] = {}
 
     @property
     def spec(self) -> GroupSpec:
@@ -114,89 +114,120 @@ class CosetPatch:
 
     @property
     def n_cosets(self) -> int:
-        return len(self.keys)
+        return len(self.witness)
 
     @property
     def base(self) -> int:
         return self.coset_of[0]
 
     @cached_property
-    def _members(self) -> Tuple[array, array]:
-        """(members, offsets): coset c holds members[offsets[c]:offsets[c + 1]]."""
-        coset_of = self.coset_of
-        # a stable sort keeps each coset's vertices ascending
-        members = array("i", sorted(range(len(coset_of)), key=coset_of.__getitem__))
-        sizes = map(Counter(coset_of).__getitem__, range(self.n_cosets))
-        return members, array("i", accumulate(sizes, initial=0))
+    def keys(self) -> Tuple[bytes, ...]:
+        """Each coset's canonical byte key: its coset_key in vertex mode, its
+        witness's group key in words mode."""
+        elements, spec, q = self.ball.elements, self.spec, self.subgroup
+        if q.mode == VERTEX:
+            return tuple(coset_key(spec, q, elements[w]) for w in self.witness)
+        group = group_for(spec)
+        return tuple(group.canonical_key(elements[w]) for w in self.witness)
 
     @cached_property
-    def _graph(self) -> Tuple[array, array, array, array, array]:
-        """(targets, letters, offsets, link_targets, link_offsets) of the coset graph.
+    def _id_of_label(self) -> Dict[Tuple, int]:
+        if self.subgroup.mode != VERTEX:
+            raise SubgroupModeError("coset labels need a vertex subgroup")
+        label, elements = coset_labeller(self.spec), self.ball.elements
+        return {label(elements[w]): cid for cid, w in enumerate(self.witness)}
 
-        Coset c's edges are letters[i] to targets[i] for offsets[c] <= i <
-        offsets[c + 1], by letter then target; its neighbours, sorted and
-        once each, are the same slice of link_targets under link_offsets.
-        Both are read off the ball's slots.  Q-letter slots are skipped:
-        those edges never leave a coset, in vertex mode because the letter
-        lies in Q and in words mode because a one-letter generator word
-        merges its two ends.
+    def coset_of_element(self, a: Element) -> Optional[int]:
+        """The id of the coset a*Q, or None when it has no ball vertex
+        (vertex mode only)."""
+        return self._id_of_label.get(coset_labeller(self.spec)(a))
+
+    def _codes(self, rank_of: Dict[int, int]) -> List[int]:
+        """Sorted distinct codes (source * n_ranks + rank) * n + target, one
+        per coset edge, for the letters ranked in rank_of.
+
+        They are read off the ball's slots.  Q-letters get no rank: their
+        edges never leave a coset, in vertex mode because the letter lies in
+        Q and in words mode because a one-letter generator word merges its
+        two ends.
         """
-        ball, coset_of, n = self.ball, self.coset_of, self.n_cosets
-        slots, k = ball.adj, len(ball.letters)
-        inside = set(q_letters(self.spec, self.subgroup))
-        ranked = sorted((l, i) for i, l in enumerate(ball.letters) if l not in inside)
-        n_ranks = len(ranked) or 1  # free:1 leaves no letter to rank
-        width = n_ranks * n
-        # one code (source * n_ranks + letter rank) * n + target per edge;
-        # sorted, they come by source coset, then letter, then target coset
+        slots, coset_of, n = self.ball.adj, self.coset_of, self.n_cosets
+        k = len(self.ball.letters)
+        scale = (max(rank_of.values(), default=0) + 1) * n
         codes = set()
-        for rank, (_, i) in enumerate(ranked):
-            codes.update(
-                (cv * n_ranks + rank) * n + cu
-                for cv, u in zip(coset_of, slots[i::k])
-                if u != NO_EDGE
-                for cu in (coset_of[u],)
-                if cu != cv
-            )
-        edges = sorted(codes)
-        del codes
-        letter_of = [l for l, _ in ranked]
+        for i, letter in enumerate(self.ball.letters):
+            if letter in rank_of:
+                shift = rank_of[letter] * n
+                codes.update(
+                    cv * scale + shift + cu
+                    for cv, u in zip(coset_of, slots[i::k])
+                    if u != NO_EDGE
+                    for cu in (coset_of[u],)
+                    if cu != cv
+                )
+        return sorted(codes)
+
+    def _outside_letters(self) -> List[int]:
+        inside = set(q_letters(self.spec, self.subgroup))
+        return sorted(l for l in self.ball.letters if l not in inside)
+
+    @cached_property
+    def _links(self) -> Tuple[array, array]:
+        """(targets, offsets): coset c's neighbours, sorted and once each,
+        are targets[offsets[c]:offsets[c + 1]]."""
+        n = self.n_cosets
+        links = self._codes(dict.fromkeys(self._outside_letters(), 0))
+        return array("i", [e % n for e in links]), _row_offsets(links, n, n)
+
+    @cached_property
+    def _edges(self) -> Tuple[array, array, array]:
+        """(targets, letters, offsets): coset c's edges are letters[i] to
+        targets[i] for offsets[c] <= i < offsets[c + 1], by letter then
+        target."""
+        n, letter_of = self.n_cosets, self._outside_letters()
+        edges = self._codes({l: rank for rank, l in enumerate(letter_of)})
+        n_ranks = len(letter_of) or 1  # free:1 leaves no letter to rank
         targets = array("i", [e % n for e in edges])
         letters = array("i", [letter_of[e // n % n_ranks] for e in edges])
-        offsets = _row_offsets(edges, width, n)
-        links = sorted({e // width * n + e % n for e in edges})
-        del edges
-        link_targets = array("i", [e % n for e in links])
-        return targets, letters, offsets, link_targets, _row_offsets(links, n, n)
+        return targets, letters, _row_offsets(edges, n_ranks * n, n)
 
     @cached_property
     def dist(self) -> array:
         """Coset-graph distance of each coset from the base coset Q."""
         return array("i", bfs_distances(self.neighbors, self.n_cosets, [self.base]))
 
-    def coset_id(self, key: bytes) -> Optional[int]:
-        return self._id_of_key.get(key)
-
     def neighbors(self, cid: int) -> array:
         """The coset's neighbours, sorted, once each."""
-        graph = self._graph
-        offsets = graph[4]
-        return graph[3][offsets[cid] : offsets[cid + 1]]
+        targets, offsets = self._links
+        return targets[offsets[cid] : offsets[cid + 1]]
 
     def degree(self, cid: int) -> int:
-        offsets = self._graph[4]
+        offsets = self._links[1]
         return offsets[cid + 1] - offsets[cid]
 
     def edges(self, cid: int) -> Iterator[Tuple[int, int]]:
         """(letter, coset) for each edge leaving the coset, by letter then coset."""
-        targets, letters, offsets = self._graph[:3]
+        targets, letters, offsets = self._edges
         start, stop = offsets[cid], offsets[cid + 1]
         return zip(letters[start:stop], targets[start:stop])
 
     def vertices_in_coset(self, cid: int) -> array:
-        """The coset's ball vertices, ascending."""
-        members, offsets = self._members
-        return members[offsets[cid] : offsets[cid + 1]]
+        """The coset's ball vertices, ascending.
+
+        Each list is found on first use by a scan of the labelling from the
+        coset's witness, and kept.
+        """
+        members = self._members.get(cid)
+        if members is None:
+            find, v = self.coset_of.index, self.witness[cid]
+            members = self._members[cid] = array("i", [v])
+            try:
+                while True:
+                    v = find(cid, v + 1)
+                    members.append(v)
+            except ValueError:
+                pass
+        return members
 
 
 def _row_offsets(codes: List[int], width: int, n: int) -> array:
@@ -277,32 +308,25 @@ def build_coset_patch(
     if trust_margin < 1:
         raise ConfigError("trust_margin must be >= 1")
 
-    spec = ball.spec
-    ids: Dict = {}
-    setdefault = ids.setdefault
-    # one pass: a label is kept only if it opens a coset
+    # one pass: each label takes the next id the first time it is seen
     if q.mode == VERTEX:
-        coset_of = [setdefault(coset_label(spec, q, a), len(ids)) for a in ball.elements]
+        labels = map(coset_labeller(ball.spec), ball.elements)
     elif q.mode == WORDS:
-        coset_of = [setdefault(root, len(ids)) for root in _coset_labels_words(ball, q)]
+        labels = _coset_labels_words(ball, q)
     else:
         raise ConfigError(f"unknown subgroup mode {q.mode!r}")
-    # the first label of every coset goes before the keys are built, and
-    # each transient below before the next, which keeps the build's peak low
-    del ids, setdefault
+    ids = defaultdict(count().__next__)
+    coset_of = list(map(ids.__getitem__, labels))
+    n_cosets = len(ids)
+    del ids, labels
 
-    # ids are numbered in order of first vertex, so the first vertices,
-    # ascending, are the witnesses of cosets 0, 1, ...
-    n = len(coset_of)
-    first = dict(zip(reversed(coset_of), range(n - 1, -1, -1)))
-    witness = array("i", sorted(first.values()))
-    del first
-
-    if q.mode == VERTEX:
-        keys = tuple(coset_key(spec, q, ball.elements[w]) for w in witness)
-    else:
-        group = group_for(spec)
-        keys = tuple(group.canonical_key(ball.elements[w]) for w in witness)
+    # ids open in order of first vertex, so each coset's witness is the
+    # first occurrence of its id after the previous coset's witness
+    find = coset_of.index
+    witness = array("i", [0]) * n_cosets
+    v = 0
+    for cid in range(1, n_cosets):
+        witness[cid] = v = find(cid, v + 1)
 
     dist, limit = ball.dist, ball.radius - trust_margin
     trusted = tuple(dist[w] <= limit for w in witness)
@@ -311,7 +335,6 @@ def build_coset_patch(
         subgroup=q,
         trust_margin=trust_margin,
         ball=ball,
-        keys=keys,
         witness=witness,
         coset_of=coset_of,
         trusted=trusted,
@@ -324,17 +347,17 @@ def project_path(patch: CosetPatch, path: PathInBall) -> LambdaPath:
     The path steps on normal forms, so it may leave the ball; every coset
     it visits must meet the ball (vertex mode only).
     """
-    ball, spec, q = patch.ball, patch.spec, patch.subgroup
+    ball = patch.ball
     v = path.base
     if v < 0 or v >= ball.n_vertices:
         raise InsufficientRadiusError(f"base vertex {v} not in ball")
-    apply_letter = group_for(spec).apply_letter
+    apply_letter = group_for(patch.spec).apply_letter
     a = ball.elements[v]
     cosets = [patch.coset_of[v]]
     letters: List[int] = []
     for step, letter in enumerate(path.word):
         a = apply_letter(a, letter)
-        cid = patch.coset_id(coset_key(spec, q, a))
+        cid = patch.coset_of_element(a)
         if cid is None:
             raise InsufficientRadiusError(
                 f"path leaves the patch at step {step} (letter {letter})",

@@ -228,7 +228,7 @@ def escape_route(
     if v in excluded:
         raise EscapeBlockedError("start vertex lies in the excluded set")
 
-    g_coset = patch.coset_id(coset_key(patch.spec, patch.subgroup, g))
+    g_coset = patch.coset_of_element(g)
     g_vertices = () if g_coset is None else patch.vertices_in_coset(g_coset)
     targets = set(g_vertices) - excluded
     if not targets:

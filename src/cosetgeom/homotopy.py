@@ -54,7 +54,12 @@ class RaySystem(NamedTuple):
 
 
 def build_ray_system(graph: Union[Ball, CosetPatch], base: int = 0) -> RaySystem:
-    """Outward rays: from each vertex, greedily step to deeper shells."""
+    """Outward rays: from each vertex, greedily step to deeper shells.
+
+    A ray below the horizon steps to the least neighbour one shell deeper
+    and goes on as that neighbour's ray, so rays are built from the deepest
+    shell inward, each from the one it continues.
+    """
     from .cosetgraph import graph_view
 
     kind, dist, neighbors, _ = graph_view(graph)
@@ -65,17 +70,11 @@ def build_ray_system(graph: Union[Ball, CosetPatch], base: int = 0) -> RaySystem
     shell = list(dist) if base == 0 else bfs_distances(neighbors, n, [base])
     horizon = max(shell)
 
-    rays: List[Tuple[int, ...]] = []
-    for v in range(n):
-        path = [v]
-        u = v
-        while shell[u] < horizon:
-            outward = [w for w in neighbors(u) if shell[w] == shell[u] + 1]
-            if not outward:
-                break
-            u = min(outward)
-            path.append(u)
-        rays.append(tuple(path))
+    rays: List[Tuple[int, ...]] = [()] * n
+    for v in sorted(range(n), key=shell.__getitem__, reverse=True):
+        deeper = shell[v] + 1
+        outward = [w for w in neighbors(v) if shell[w] == deeper] if deeper <= horizon else ()
+        rays[v] = (v, *rays[min(outward)]) if outward else (v,)
     return RaySystem(
         graph_kind=kind,
         base=base,

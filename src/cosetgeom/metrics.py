@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Sequence, Tu
 from .cayley import UNREACHED, Ball, bfs_layers
 from .errors import ConfigError, EmptyCosetInBallError, InsufficientRadiusError
 from .groups import Element, GroupSpec, group_for, render_word
-from .subgroups import VERTEX, coset_key
+from .subgroups import VERTEX
 
 if TYPE_CHECKING:
     from .cosetgraph import CosetPatch
@@ -126,7 +126,7 @@ def hausdorff_profile(
         )
 
     q_vertices = patch.vertices_in_coset(patch.base)
-    g_coset = patch.coset_id(coset_key(patch.spec, patch.subgroup, g))
+    g_coset = patch.coset_of_element(g)
     g_vertices = () if g_coset is None else patch.vertices_in_coset(g_coset)
     if not g_vertices or min(ball.dist[v] for v in g_vertices) > ball.radius - 1:
         raise EmptyCosetInBallError(
@@ -199,12 +199,23 @@ def default_test_elements(spec: GroupSpec) -> List[Tuple[str, Element]]:
     return out
 
 
-def default_radii(ball_radius: int) -> List[int]:
-    """Every radius from 2 up to R - 3, which must fill a stabilization window."""
-    radii = list(range(2, ball_radius - STABILIZATION_WINDOW + 1))
+def default_radii(ball_radius: int, start: int = 2) -> List[int]:
+    """Every radius from start (at least 2) up to R - 3, which must fill a
+    stabilization window."""
+    start = max(start, 2)
+    radii = list(range(start, ball_radius - STABILIZATION_WINDOW + 1))
     if len(radii) < STABILIZATION_WINDOW:
         raise InsufficientRadiusError(
             f"ball radius {ball_radius} too small for a profile",
-            required_radius=1 + 2 * STABILIZATION_WINDOW,
+            required_radius=start - 1 + 2 * STABILIZATION_WINDOW,
         )
     return radii
+
+
+def coset_distance(patch: CosetPatch, g: Element) -> int:
+    """Ball distance of the nearest vertex of gQ, the first radius at which a
+    profile sees gQ; R + 1 when gQ misses the ball B(R)."""
+    cid = patch.coset_of_element(g)
+    if cid is None:
+        return patch.radius + 1
+    return min(map(patch.ball.dist.__getitem__, patch.vertices_in_coset(cid)))

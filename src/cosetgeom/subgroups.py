@@ -14,6 +14,7 @@ to cross into a neighbouring coset.
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import itemgetter
 from typing import Callable, List, Optional, Tuple
 
 from .cayley import first_hit
@@ -137,34 +138,48 @@ def transfer_basis(
     return ()
 
 
-def coset_label(spec: GroupSpec, q: SubgroupSpec, a: Element) -> Tuple:
-    """Hashable label of the left coset a*Q, read off the normal form.
+def coset_labeller(spec: GroupSpec) -> Callable[[Element], Tuple]:
+    """The label function of left cosets of the vertex subgroup Q.
 
-    Labels agree exactly when the cosets agree, and Q itself gets ().  A
-    label is the part of the normal form that right multiplication by Q
-    leaves alone: for bs the flat form without its trailing exponent, so
-    (head, s1, e1, ..., sj); for hnn (p, v mod M^q Z^k, q); for free the
-    word stripped of its trailing x1-letters; for abelian the coordinates
-    after the first.
-    (Vertex mode only.)
+    A label is hashable and read off the normal form: labels agree exactly
+    when the cosets agree, and Q itself gets ().  It is the part of the
+    normal form that right multiplication by Q leaves alone: for bs the flat
+    form without its trailing exponent, so (head, s1, e1, ..., sj); for hnn
+    (p, v mod M^q Z^k, q); for free the word stripped of its trailing
+    x1-letters; for abelian the coordinates after the first.  Bind it once
+    and call it per element.
     """
-    if q.mode != VERTEX:
-        raise SubgroupModeError("coset_label requires a vertex subgroup")
     family = spec.family
     if family == FAMILY_BS:
-        return a[:-1]
+        return itemgetter(slice(-1))
     if family == FAMILY_HNN:
-        p, v, qq = a
-        if p == 0 and qq == 0:
-            return ()
-        return (p, group_for(spec).reduce_mod_image(v, qq), qq)
+        reduce_mod_image = group_for(spec).reduce_mod_image
+
+        def label(a: Element) -> Tuple:
+            p, v, qq = a
+            if p == 0 and qq == 0:
+                return ()
+            return (p, reduce_mod_image(v, qq), qq)
+
+        return label
     if family == FAMILY_ABELIAN:
-        rest = a[1:]
-        return rest if any(rest) else ()
-    end = len(a)
-    while end and abs(a[end - 1]) == 1:
-        end -= 1
-    return a[:end]
+        return lambda a: a[1:] if any(a[1:]) else ()
+
+    def strip_x1(a: Element) -> Tuple:
+        end = len(a)
+        while end and abs(a[end - 1]) == 1:
+            end -= 1
+        return a[:end]
+
+    return strip_x1
+
+
+def coset_label(spec: GroupSpec, q: SubgroupSpec, a: Element) -> Tuple:
+    """Hashable label of the left coset a*Q (vertex mode only); see
+    coset_labeller."""
+    if q.mode != VERTEX:
+        raise SubgroupModeError("coset_label requires a vertex subgroup")
+    return coset_labeller(spec)(a)
 
 
 def coset_key(spec: GroupSpec, q: SubgroupSpec, a: Element) -> bytes:
@@ -217,11 +232,11 @@ def transfer_walk(
     it: from any element, some Q-walk shorter than F_s reaches every coset
     that the coset's s-edges lead to.  (Vertex mode only.)
     """
-    apply_letter = group_for(spec).apply_letter
+    apply_letter, label = group_for(spec).apply_letter, coset_labeller(spec)
 
     def crosses(w: Element) -> Optional[Element]:
         b = apply_letter(w, crossing)
-        return b if target is None or coset_label(spec, q, b) == target else None
+        return b if target is None or label(b) == target else None
 
     found, _ = first_hit(start, q_steps(spec, q), crosses, max_len)
     return found

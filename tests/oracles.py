@@ -7,8 +7,10 @@ only when |m| = 1), the other is a purely syntactic rewriting closure
 (available for any bs:m,n but only at bounded word length).  The ascending
 HNN groups get an affine representation too, faithful on all of them.  The reference ball
 builder pins the production builder's numbering and adjacency using only Group.multiply.
-The coset sweep pins a patch's labelling, and the key formatter pins the
-bytes of every coset key, written straight from the normal form.  The
+The coset sweep pins a patch's labelling (in words mode over classes that a
+queue search of generator-word translations finds), and the key formatter
+pins the bytes of every coset key, written straight from the normal form.
+The per-vertex greedy rays pin the ray systems built shell by shell.  The
 brute-force Hausdorff distances in Z^2 and F_2 use arithmetic of their own,
 and the whole-ball profile pins the searches that stop at their targets.
 The parent-map route search pins the letters of escape routes, and the
@@ -336,6 +338,77 @@ def coset_sweep(keys: Sequence) -> Tuple[List, List[int]]:
     ids: Dict = {}
     coset_of = [ids.setdefault(key, len(ids)) for key in keys]
     return list(ids), coset_of
+
+
+def reference_word_classes(ball, group, words) -> List[int]:
+    """Per ball vertex, the least vertex of its class: the classes join a
+    and a*w for each generator word w or its inverse whose every prefix
+    stays in the ball, and are read off a queue search per class."""
+    step = {l: group.evaluate_word((l,)) for l in ball.letters}
+    moves = [tuple(w) for w in words] + [tuple(-l for l in reversed(w)) for w in words]
+    index = {a: v for v, a in enumerate(ball.elements)}
+
+    def translates(v: int) -> Iterable[int]:
+        for word in moves:
+            a = ball.elements[v]
+            for letter in word:
+                a = group.multiply(a, step[letter])
+                if a not in index:
+                    break
+            else:
+                yield index[a]
+
+    joined: Dict[int, List[int]] = {}
+    for v in range(ball.n_vertices):
+        for w in translates(v):
+            joined.setdefault(v, []).append(w)
+            joined.setdefault(w, []).append(v)
+    least = [-1] * ball.n_vertices
+    for v in range(ball.n_vertices):
+        if least[v] < 0:
+            least[v] = v
+            queue = deque([v])
+            while queue:
+                for w in joined.get(queue.popleft(), ()):
+                    if least[w] < 0:
+                        least[w] = v
+                        queue.append(w)
+    return least
+
+
+# ---------------------------------------------------------------------------
+# Rays by a greedy walk from every vertex
+# ---------------------------------------------------------------------------
+#
+# Shells are queue-search distances from the base (-1 where unreached).
+# From each vertex, step to the least neighbour one shell deeper until the
+# horizon or a vertex with no deeper neighbour: each ray walked on its own.
+
+
+def reference_rays(neighbors, n: int, base: int) -> Tuple[List[int], List[Tuple[int, ...]]]:
+    """(shell, rays) of the graph on vertices 0..n-1."""
+    shell = [-1] * n
+    shell[base] = 0
+    queue = deque([base])
+    while queue:
+        v = queue.popleft()
+        for w in neighbors(v):
+            if shell[w] < 0:
+                shell[w] = shell[v] + 1
+                queue.append(w)
+    horizon = max(shell)
+    rays = []
+    for v in range(len(shell)):
+        path = [v]
+        u = v
+        while shell[u] < horizon:
+            outward = [w for w in neighbors(u) if shell[w] == shell[u] + 1]
+            if not outward:
+                break
+            u = min(outward)
+            path.append(u)
+        rays.append(tuple(path))
+    return shell, rays
 
 
 # ---------------------------------------------------------------------------

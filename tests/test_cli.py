@@ -15,6 +15,7 @@ from cosetgeom import build_ball, build_coset_patch, export_dot, parse_group_spe
 from cosetgeom import cli as cli_module
 from cosetgeom.cayley import Ball, ball_cache_name
 from cosetgeom.cli import main, parse_subgroup_spec
+from cosetgeom.cosetgraph import CosetPatch
 
 
 @pytest.fixture(scope="module")
@@ -188,12 +189,12 @@ class TestReportsAndExitCodes:
                 id="hausdorff free:2 r1 x2",
             ),
             pytest.param(
-                # profiles start at radius 2 whatever g, and gQ starts later
+                # profiles start at gQ's nearest vertex, at distance 3; K = 3
+                # is exact only up to radius 9, below the last default radius
                 ["hausdorff", "--group", "bs:1,2", "--radius", "13",
                  "--element", "t.x.t^-1"],
                 2,
-                {"reason": "gQ does not meet the ball of radius 2",
-                 "suggest_radius": None},
+                {"k_values": [3] * 8, "verdict": "Inconclusive"},
                 id="hausdorff bs:1,2 r13 t.x.t^-1",
             ),
             pytest.param(
@@ -709,16 +710,15 @@ class TestDotExport:
         assert dot_path.read_text().startswith("digraph cayley_ball {")
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["hausdorff", "--group", "bs:2,3", "--radius", "7", "--element", "t"],
-        ["commensurate", "--group", "bs:2,3", "--radius", "7"],
-        ["rays", "--group", "bs:2,3", "--radius", "7", "--graph", "patch"],
-        ["filtered-ends", "--group", "bs:1,2", "--radius", "8"],
-    ],
-    ids=lambda argv: argv[0],
-)
+WARM_ANALYSES = [
+    ["hausdorff", "--group", "bs:2,3", "--radius", "7", "--element", "t"],
+    ["commensurate", "--group", "bs:2,3", "--radius", "7"],
+    ["rays", "--group", "bs:2,3", "--radius", "7", "--graph", "patch"],
+    ["filtered-ends", "--group", "bs:1,2", "--radius", "8"],
+]
+
+
+@pytest.mark.parametrize("argv", WARM_ANALYSES, ids=lambda argv: argv[0])
 def test_warm_analysis_never_builds_the_vertex_index(argv, tmp_path, monkeypatch):
     """A loaded ball builds its vertex index on first lookup, and these
     analyses look no element up, so a warm run never builds it."""
@@ -729,6 +729,22 @@ def test_warm_analysis_never_builds_the_vertex_index(argv, tmp_path, monkeypatch
         raise AssertionError("a warm run built the vertex index")
 
     monkeypatch.setattr(Ball, "index", property(refuse))
+    assert run_cli(argv, cache, tmp_path, "warm.json") == cold
+    assert cold[0] == 0
+
+
+@pytest.mark.parametrize("argv", WARM_ANALYSES, ids=lambda argv: argv[0])
+def test_warm_analysis_builds_no_coset_keys_or_lettered_edges(argv, tmp_path, monkeypatch):
+    """Profiles, ends counts and rays read neighbour lists, member lists and
+    the label index, never the keys or the lettered edges of a patch."""
+    cache = tmp_path / "cache"
+    cold = run_cli(argv, cache, tmp_path, "cold.json")
+
+    def refuse(patch):
+        raise AssertionError("a patch analysis built its keys or lettered edges")
+
+    monkeypatch.setattr(CosetPatch, "keys", property(refuse))
+    monkeypatch.setattr(CosetPatch, "_edges", property(refuse))
     assert run_cli(argv, cache, tmp_path, "warm.json") == cold
     assert cold[0] == 0
 

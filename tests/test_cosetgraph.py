@@ -14,7 +14,7 @@ from cosetgeom.cosetgraph import (
     degree_profile,
     project_path,
 )
-from cosetgeom.errors import ConfigError, InsufficientRadiusError
+from cosetgeom.errors import ConfigError, InsufficientRadiusError, SubgroupModeError
 from cosetgeom.metrics import hausdorff_profile
 from cosetgeom.groups import (
     baumslag_solitar,
@@ -37,6 +37,7 @@ from .oracles import (
     formatted_coset_key,
     queue_distances,
     reference_coset_graph,
+    reference_word_classes,
 )
 
 Q = vertex_subgroup()
@@ -108,10 +109,70 @@ def test_patch_labelling_matches_a_coset_key_sweep(text):
         keys, coset_of = coset_sweep([coset_key(spec, Q, a) for a in ball.elements])
         assert list(patch.keys) == keys, radius
         assert list(patch.coset_of) == coset_of, radius
-        assert [patch.coset_id(key) for key in keys] == list(range(len(keys)))
+        witnesses = [ball.elements[w] for w in patch.witness]
+        assert list(map(patch.coset_of_element, witnesses)) == list(range(len(keys)))
         reference = reference_coset_graph(ball, coset_of, q_letters(spec, Q))
         for c in range(patch.n_cosets):
             assert list(patch.edges(c)) == reference.edges(c), (radius, c)
+
+
+def word_subgroups(spec):
+    """Words-mode subgroups: <x> and <x^2, x^3> as words, and on two or more
+    generators <x, y.x.y^-1>, which in bs:1,2 is the conjugate tQt^-1."""
+    out = [word_subgroup(((1,),)), word_subgroup(((1, 1), (1, 1, 1)))]
+    if spec.rank >= 2 or spec.family in ("bs", "hnn"):
+        out.append(word_subgroup(((1,), (2, 1, -2))))
+    return out
+
+
+@pytest.mark.parametrize("mode", ["vertex", "words"])
+@pytest.mark.parametrize("text", REFERENCE_GROUPS)
+def test_lazy_parts_match_an_eager_build(text, mode):
+    """Every lazily built part of a patch against the labelling swept in one
+    go (a coset-key sweep, or in words mode the translation classes), read
+    in an order that builds the parts one at a time: per-coset members,
+    coset_of_element (on ball elements and one step past the rim), edges,
+    neighbours and keys."""
+    spec = parse_group_spec(text)
+    group = group_for(spec)
+    subgroups = [Q] if mode == "vertex" else word_subgroups(spec)
+    for radius in range(7):
+        ball = build_ball(spec, radius)
+        for q in subgroups:
+            if mode == "vertex":
+                labels = [coset_key(spec, Q, a) for a in ball.elements]
+            else:
+                labels = reference_word_classes(ball, group, q.words)
+            _, coset_of = coset_sweep(labels)
+            n = max(coset_of) + 1
+            witness = [coset_of.index(c) for c in range(n)]
+            members = [[v for v, c in enumerate(coset_of) if c == cid] for cid in range(n)]
+            patch = build_coset_patch(q, ball)
+            where = (radius, q)
+            assert patch.n_cosets == n, where
+            assert list(patch.coset_of) == coset_of, where
+            assert list(patch.witness) == witness, where
+            for cid in reversed(range(n)):
+                assert list(patch.vertices_in_coset(cid)) == members[cid], (where, cid)
+            if mode == "vertex":
+                keys = [coset_key(spec, Q, ball.elements[w]) for w in witness]
+                id_of_key = {key: cid for cid, key in enumerate(keys)}
+                for v, a in enumerate(ball.elements):
+                    assert patch.coset_of_element(a) == coset_of[v], (where, v)
+                    for letter in spec.letters:
+                        b = group.apply_letter(a, letter)
+                        assert patch.coset_of_element(b) == id_of_key.get(
+                            coset_key(spec, Q, b)
+                        ), (where, v, letter)
+            else:
+                keys = [group.canonical_key(ball.elements[w]) for w in witness]
+                with pytest.raises(SubgroupModeError):
+                    patch.coset_of_element(ball.elements[0])
+            reference = reference_coset_graph(ball, coset_of, q_letters(spec, q))
+            for cid in range(n):
+                assert list(patch.edges(cid)) == reference.edges(cid), (where, cid)
+                assert list(patch.neighbors(cid)) == reference.neighbors(cid), (where, cid)
+            assert list(patch.keys) == keys, where
 
 
 def assert_graph_matches_reference(patch):
@@ -272,22 +333,23 @@ class TestPatchStructure:
     def test_patch_keys_are_distinct(self, ball_bs23_r10):
         patch = build_coset_patch(Q, ball_bs23_r10)
         assert len(set(patch.keys)) == patch.n_cosets
-        for cid, key in enumerate(patch.keys):
-            assert patch.coset_id(key) == cid
+        for cid, w in enumerate(patch.witness):
+            assert patch.coset_of_element(ball_bs23_r10.elements[w]) == cid
 
     def test_patch_monotone_under_radius_growth(self):
         spec = baumslag_solitar(2, 3)
         small = build_coset_patch(Q, build_ball(spec, 4))
         large = build_coset_patch(Q, build_ball(spec, 5))
-        for cid, key in enumerate(small.keys):
-            big_id = large.coset_id(key)
-            assert big_id is not None
-            if small.trusted[cid]:
-                assert large.trusted[big_id]
+        big_id = [large.coset_of_element(small.ball.elements[w]) for w in small.witness]
         for cid in range(small.n_cosets):
-            large_edges = list(large.edges(large.coset_id(small.keys[cid])))
+            assert big_id[cid] is not None
+            assert large.keys[big_id[cid]] == small.keys[cid]
+            if small.trusted[cid]:
+                assert large.trusted[big_id[cid]]
+        for cid in range(small.n_cosets):
+            large_edges = list(large.edges(big_id[cid]))
             for letter, other in small.edges(cid):
-                assert (letter, large.coset_id(small.keys[other])) in large_edges
+                assert (letter, big_id[other]) in large_edges
 
     def test_base_coset_contains_exactly_the_members(self, ball_bs23_r10):
         ball = ball_bs23_r10
@@ -298,12 +360,24 @@ class TestPatchStructure:
             assert in_base == is_member(spec, Q, ball.elements[v])
 
     def test_coset_graph_waits_for_first_use(self, ball_bs23_r10):
+        """Each lazy part is built by its first reader and by no other."""
         patch = build_coset_patch(Q, ball_bs23_r10)
+        lazy = ("keys", "_id_of_label", "_links", "_edges", "dist")
+        built = lambda: {name for name in lazy if name in vars(patch)}
+        assert built() == set() and patch._members == {}
         t = group_for(patch.spec).evaluate_word((2,))
         hausdorff_profile(patch, t, [2, 3, 4])
-        assert "_graph" not in vars(patch)
+        assert built() == {"_id_of_label"}
+        assert set(patch._members) == {patch.base, patch.coset_of_element(t)}
         assert patch.dist[patch.base] == 0
-        assert "_graph" in vars(patch)
+        assert built() == {"_id_of_label", "_links", "dist"}
+        assert patch.degree(patch.base) == len(patch.neighbors(patch.base))
+        assert built() == {"_id_of_label", "_links", "dist"}
+        list(patch.edges(patch.base))
+        assert built() == {"_id_of_label", "_links", "_edges", "dist"}
+        assert patch.keys[patch.base] == b""
+        assert built() == set(lazy)
+        assert len(patch._members) == 2
 
     def test_lambda_path_validation(self):
         with pytest.raises(ValueError):

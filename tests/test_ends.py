@@ -395,7 +395,8 @@ def reference_escape(patch, excluded, v, g, k):
     ball, coset_of = patch.ball, patch.coset_of
     if v in excluded:
         return "EscapeBlockedError"
-    target = patch.coset_id(coset_key(patch.spec, Q, g))
+    keys, key = list(patch.keys), coset_key(patch.spec, Q, g)
+    target = keys.index(key) if key in keys else None
     if all(coset_of[u] != target or u in excluded for u in range(ball.n_vertices)):
         return "EmptyCosetInBallError"
     blocked = reference_blocked(patch, excluded)

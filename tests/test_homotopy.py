@@ -30,7 +30,7 @@ from cosetgeom.homotopy import (
 from cosetgeom.lifting import LiftConstants, compute_f, lift_constants
 from cosetgeom.subgroups import coset_key, k_letters, q_letters, vertex_subgroup
 
-from .oracles import REFERENCE_GROUPS, reference_ladder
+from .oracles import REFERENCE_GROUPS, reference_ladder, reference_rays
 
 Q = vertex_subgroup()
 LADDER_FIELDS = (
@@ -135,6 +135,22 @@ class TestRaySystems:
             self.check_invariants(
                 system, [patch.neighbors(c) for c in range(patch.n_cosets)]
             )
+
+    @pytest.mark.parametrize("text", REFERENCE_GROUPS)
+    def test_rays_match_a_greedy_walk_from_every_vertex(self, text):
+        """Rays built shell by shell against each vertex's own greedy walk,
+        on balls and patches at radii 0-6, from base 0 and from other bases."""
+        spec = parse_group_spec(text)
+        rng = random.Random(text)
+        for radius in range(7):
+            ball = build_ball(spec, radius)
+            patch = build_coset_patch(Q, ball)
+            for graph, n in ((ball, ball.n_vertices), (patch, patch.n_cosets)):
+                for base in {0, n - 1, rng.randrange(n)}:
+                    system = build_ray_system(graph, base=base)
+                    shell, rays = reference_rays(graph.neighbors, n, base)
+                    assert system.shell == tuple(shell), (radius, base)
+                    assert list(system.rays) == rays, (radius, base)
 
     def test_bad_inputs(self, ball_free2_r8):
         with pytest.raises(ConfigError):

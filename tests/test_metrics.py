@@ -21,6 +21,7 @@ from cosetgeom.metrics import (
     INCONCLUSIVE,
     NOT_COMMENSURATED,
     commensuration_verdict,
+    coset_distance,
     default_radii,
     default_test_elements,
     hausdorff_profile,
@@ -216,3 +217,20 @@ class TestDefaults:
             with pytest.raises(InsufficientRadiusError) as exc:
                 default_radii(radius)
             assert exc.value.required_radius == 7
+
+    def test_default_radii_start_where_gq_meets_the_ball(self, patch_bs12_r10):
+        assert default_radii(13, 3) == [3, 4, 5, 6, 7, 8, 9, 10]
+        assert default_radii(10, 0) == default_radii(10, 1) == default_radii(10)
+        with pytest.raises(InsufficientRadiusError) as exc:
+            default_radii(7, 3)
+        assert exc.value.required_radius == 8
+        assert default_radii(8, 3) == [3, 4, 5]
+        patch, spec = patch_bs12_r10, patch_bs12_r10.spec
+        for text, depth in (("1", 0), ("x^5", 0), ("t", 1), ("t.x.t^-1", 3), ("t^-1", 1)):
+            assert coset_distance(patch, element(spec, text)) == depth, text
+        # t^6.x.t^-6 lies at distance 13: its coset misses B(10)
+        assert coset_distance(patch, element(spec, "t^6.x.t^-6")) == 11
+        # the profile from that start sees gQ at every radius
+        g = element(spec, "t.x.t^-1")
+        profile = hausdorff_profile(patch, g, default_radii(10, coset_distance(patch, g)))
+        assert profile.k_values() == (3, 3, 3, 3, 3)
