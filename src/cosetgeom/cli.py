@@ -336,10 +336,8 @@ def cmd_hausdorff(sc: Scenario):
 
     g = evaluate_word(sc.spec, sc.word("element"))
     radii_text = sc.settings.get("radii")
-    if radii_text:
-        radii = parse_int_list(radii_text)
-    else:
-        radii = default_radii(sc.ball.radius, coset_distance(sc.patch, g))
+    start = coset_distance(sc.patch, g)
+    radii = parse_int_list(radii_text) if radii_text else default_radii(sc.ball.radius, start)
     profile = hausdorff_profile(sc.patch, g, radii)
     scenario = sc.block(
         element=sc.settings.require("element"),

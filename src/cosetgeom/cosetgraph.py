@@ -221,12 +221,12 @@ class CosetPatch:
         if members is None:
             find, v = self.coset_of.index, self.witness[cid]
             members = self._members[cid] = array("i", [v])
-            try:
-                while True:
+            while True:
+                try:
                     v = find(cid, v + 1)
-                    members.append(v)
-            except ValueError:
-                pass
+                except ValueError:  # no later vertex of the coset
+                    return members
+                members.append(v)
         return members
 
 

@@ -72,8 +72,8 @@ def build_ray_system(graph: Union[Ball, CosetPatch], base: int = 0) -> RaySystem
 
     rays: List[Tuple[int, ...]] = [()] * n
     for v in sorted(range(n), key=shell.__getitem__, reverse=True):
-        deeper = shell[v] + 1
-        outward = [w for w in neighbors(v) if shell[w] == deeper] if deeper <= horizon else ()
+        d = shell[v]
+        outward = [w for w in neighbors(v) if shell[w] == d + 1] if d < horizon else ()
         rays[v] = (v, *rays[min(outward)]) if outward else (v,)
     return RaySystem(
         graph_kind=kind,

@@ -163,7 +163,12 @@ def coset_labeller(spec: GroupSpec) -> Callable[[Element], Tuple]:
 
         return label
     if family == FAMILY_ABELIAN:
-        return lambda a: a[1:] if any(a[1:]) else ()
+
+        def drop_x1(a: Element) -> Tuple:
+            rest = a[1:]
+            return rest if any(rest) else ()
+
+        return drop_x1
 
     def strip_x1(a: Element) -> Tuple:
         end = len(a)

@@ -120,7 +120,7 @@ def word_subgroups(spec):
     """Words-mode subgroups: <x> and <x^2, x^3> as words, and on two or more
     generators <x, y.x.y^-1>, which in bs:1,2 is the conjugate tQt^-1."""
     out = [word_subgroup(((1,),)), word_subgroup(((1, 1), (1, 1, 1)))]
-    if spec.rank >= 2 or spec.family in ("bs", "hnn"):
+    if len(spec.letters) > 2:
         out.append(word_subgroup(((1,), (2, 1, -2))))
     return out
 
