@@ -13,9 +13,11 @@ Adjacency is one flat int array with a slot per (vertex, letter): slot
 ``spec.letters``, or NO_EDGE where that neighbour lies outside the ball.
 Distances are one byte each while the radius stays below 256.
 
-A built ball keeps the dict its BFS filled as its vertex index; a ball
-loaded from a cache file builds that index on its first lookup, so a run
-that never looks an element up never pays for it.
+A built ball keeps the list and the dict its BFS filled as its elements
+and vertex index.  A ball loaded from a cache file keeps its normal forms
+packed in one int arena and decodes a form when it is read (PackedForms),
+and it builds its vertex index on its first lookup, so a run that never
+looks an element up never pays for it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import threading
 from array import array
 from contextlib import contextmanager
 from functools import cached_property
-from itertools import islice
+from itertools import accumulate, chain, islice
 from typing import (
     Callable,
     Dict,
@@ -44,10 +46,19 @@ from typing import (
 )
 
 from .errors import BallOverflowError, ConfigError, InsufficientRadiusError
-from .groups import Element, GroupSpec, Word, group_for, parse_group_spec
+from .groups import (
+    FAMILY_ABELIAN,
+    FAMILY_BS,
+    FAMILY_HNN,
+    Element,
+    GroupSpec,
+    Word,
+    group_for,
+    parse_group_spec,
+)
 
 # hashlib is imported by the three cache-file functions only, so a run
-# without a cache directory never loads it.
+# without a cache directory never loads it; struct and mmap only by a load.
 
 #: Sentinel distance for vertices a BFS never reached.
 UNREACHED = -1
@@ -57,26 +68,85 @@ NO_EDGE = -1
 
 DEFAULT_VERTEX_BUDGET = 5_000_000
 
-BALL_FORMAT = "cosetgeom.ball.v2"
+BALL_FORMAT = "cosetgeom.ball.v3"
+
+#: Typecodes of a packed form arena, narrowest first.
+FORM_TYPECODES = ("h", "i", "q")
 
 
 def _dist_array(radius: int) -> array:
     return array("B" if radius < 256 else "i")
 
 
+class PackedForms:
+    """The normal forms of a loaded ball, decoded from one packed int arena.
+
+    Vertex v's form is the next lengths[v] ints of the arena, whose array
+    typecode is typecode; an hnn triple (p, v, q) is stored flat as
+    (p, v1, ..., vk, q).  The sequence offers len, [v] and iteration only,
+    and each read decodes with one struct per form length, so it makes a
+    tuple per form read and keeps none.
+    """
+
+    def __init__(self, spec: GroupSpec, typecode: str, lengths: bytes, arena: bytes):
+        import struct
+
+        self.typecode = typecode
+        self.lengths = lengths
+        self.arena = arena
+        self.itemsize = struct.calcsize(typecode)
+        self._structs = {n: struct.Struct(f"{n}{typecode}") for n in set(lengths)}
+        self._nested = spec.family == FAMILY_HNN
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    @cached_property
+    def _starts(self) -> array:
+        """The arena offset of each form, in ints, built on first random read."""
+        return array("q", accumulate(self.lengths, initial=0))
+
+    def __getitem__(self, v: int) -> Element:
+        if not 0 <= v < len(self.lengths):
+            raise IndexError(f"vertex {v} not in ball")
+        n = self.lengths[v]
+        start = v * n if len(self._structs) == 1 else self._starts[v]
+        form = self._structs[n].unpack_from(self.arena, start * self.itemsize)
+        return (form[0], form[1:-1], form[-1]) if self._nested else form
+
+    def __iter__(self) -> Iterator[Element]:
+        # iter_unpack reads forms of one length in C, but refuses length 0
+        if len(self._structs) == 1 and 0 not in self._structs:
+            (fixed,) = self._structs.values()
+            forms = fixed.iter_unpack(self.arena)
+        else:
+            forms = self._walk()
+        if self._nested:
+            return ((t[0], t[1:-1], t[-1]) for t in forms)
+        return forms
+
+    def _walk(self) -> Iterator[tuple]:
+        arena, size, start = self.arena, self.itemsize, 0
+        unpack = {n: s.unpack_from for n, s in self._structs.items()}
+        for n in self.lengths:
+            yield unpack[n](arena, start)
+            start += n * size
+
+
 class Ball:
     """The ball B(radius) of a group: elements in discovery order, their
     ids in index, their distances in dist and the adjacency slots in adj.
 
-    index may be passed in, as a build does; otherwise it is built from
-    elements on first read, as for a loaded ball.
+    elements is the BFS list of a built ball and the PackedForms of a
+    loaded one.  index may be passed in, as a build does; otherwise it is
+    built from elements on first read, as for a loaded ball.
     """
 
     def __init__(
         self,
         spec: GroupSpec,
         radius: int,
-        elements: List[Element],
+        elements: Sequence[Element],
         dist: array,
         adj: array,
         index: Optional[Dict[Element, int]] = None,
@@ -350,24 +420,74 @@ def walk_path(ball: Ball, path: PathInBall) -> List[int]:
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def _replacing(path: str, mode: str):
+    """A file object on a temp file beside path, renamed onto path when the
+    block ends and removed if it raises, so a reader sees either the old
+    file or the whole new one, even when runs race or one is interrupted."""
+    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        fh = open(tmp, mode)
+    except OSError as exc:  # name the file asked for, not the temp file
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _packed_forms(ball: Ball) -> Tuple[str, bytes, array]:
+    """(typecode, lengths, arena) of the ball's normal forms, as saved.
+
+    The arena takes the narrowest typecode of FORM_TYPECODES that holds
+    every value.  Raises OverflowError when none does, or when a form has
+    more than 255 ints.
+    """
+    elements = ball.elements
+    if isinstance(elements, PackedForms):
+        return elements.typecode, elements.lengths, elements.arena
+    hnn = ball.spec.family == FAMILY_HNN
+    try:
+        if hnn:
+            lengths = bytes([ball.spec.rank + 2]) * len(elements)
+        else:
+            lengths = bytes(map(len, elements))
+    except ValueError:
+        raise OverflowError("a normal form has more than 255 ints") from None
+
+    # one pass into a list, which array() converts faster than an iterator
+    forms = ((p, *v, q) for p, v, q in elements) if hnn else elements
+    flat = list(chain.from_iterable(forms))
+    for typecode in FORM_TYPECODES:
+        try:
+            return typecode, lengths, array(typecode, flat)
+        except OverflowError:
+            pass  # widen
+    raise OverflowError("a normal form holds an int wider than 64 bits")
+
+
 def save_ball(ball: Ball, path: str) -> None:
     """Write the ball to a temp file beside path, then rename it into place.
 
     The file is one ASCII JSON header line, then the body
-    ``marshal.dumps((elements, dist bytes, adj bytes), 2)``: version 2 has no
-    shared-object references, whose placement in later versions depends on
-    reference counts, so a ball always gives the same bytes.  A reader sees
-    either the old file or the whole new one, never a half-written ball,
-    even when runs race or one is interrupted.
+    ``marshal.dumps((typecode, lengths, arena, dist, adj), 2)``, whose last
+    four fields marshal writes as bytes: each form's int count, the forms
+    packed one after the other (_packed_forms), the distances and the
+    adjacency slots.  Version 2 has no shared-object references, whose
+    placement in later versions depends on reference counts, so a ball
+    always gives the same bytes.  Raises OverflowError, and writes nothing,
+    for a ball whose forms do not pack.
     """
     import hashlib
 
-    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
-    try:
-        with open(tmp, "wb") as fh, _collector_paused():
-            body = marshal.dumps(
-                (ball.elements, ball.dist.tobytes(), ball.adj.tobytes()), 2
-            )
+    with _collector_paused():
+        typecode, lengths, arena = _packed_forms(ball)
+        with _replacing(path, "wb") as fh:
+            body = marshal.dumps((typecode, lengths, arena, ball.dist, ball.adj), 2)
             header = {
                 "byteorder": sys.byteorder,
                 "format": BALL_FORMAT,
@@ -379,11 +499,32 @@ def save_ball(ball: Ball, path: str) -> None:
             fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode())
             fh.write(b"\n")
             fh.write(body)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+
+
+def _check_forms(spec: GroupSpec, radius: int, forms: PackedForms) -> None:
+    """Raise ValueError unless every form length suits the family, the
+    lengths add up to the arena and no two forms share their bytes."""
+    widths = set(forms.lengths)
+    if spec.family == FAMILY_HNN:
+        valid = widths <= {spec.rank + 2}
+    elif spec.family == FAMILY_ABELIAN:
+        valid = widths <= {spec.rank}
+    elif spec.family == FAMILY_BS:
+        valid = all(n % 2 for n in widths)
+    else:  # a reduced word is as long as its distance
+        valid = max(widths, default=0) <= radius
+    if not valid:
+        raise ValueError("ball file form length does not suit its group")
+    arena, size, rows, start = forms.arena, forms.itemsize, set(), 0
+    add = rows.add
+    for n in forms.lengths:
+        end = start + n * size
+        add(arena[start:end])
+        start = end
+    if start != len(arena):
+        raise ValueError("ball file form lengths do not add up to the arena")
+    if len(rows) != len(forms):
+        raise ValueError("ball file repeats a vertex")
 
 
 def load_ball(path: str) -> Ball:
@@ -392,8 +533,9 @@ def load_ball(path: str) -> Ball:
     The body is hashed before it is unmarshalled, so a truncated or corrupt
     file never reaches marshal.  It is read through a read-only mapping, not
     copied onto the heap; save_ball only renames whole files into place, so
-    a mapped file never shrinks under its reader.  The vertex index is left
-    to the ball to build on its first lookup.
+    a mapped file never shrinks under its reader.  The forms stay packed in
+    the arena the file holds, and the vertex index is left to the ball to
+    build on its first lookup.
     """
     import hashlib
     import mmap
@@ -413,24 +555,25 @@ def load_ball(path: str) -> Ball:
                 with memoryview(mapped)[fh.tell() :] as body:
                     if header.get("sha256") != hashlib.sha256(body).hexdigest():
                         raise ValueError("ball file body does not match its digest")
-                    elements, dist_bytes, adj_bytes = marshal.loads(body)
+                    typecode, lengths, arena, dist_bytes, adj_bytes = marshal.loads(body)
             spec = parse_group_spec(header.get("group"))
-            dist, adj = _dist_array(radius), array("i")
-            dist.frombytes(dist_bytes)
-            adj.frombytes(adj_bytes)
-            del dist_bytes, adj_bytes  # dropped once copied, to lower the peak
-            # hashing inside the try: an unhashable vertex is a wrong shape
-            distinct = len(set(elements))
         except (ConfigError, EOFError, TypeError) as exc:
             raise ValueError(f"malformed ball file: {exc!r}") from None
-        if type(elements) is not list or set(map(type, elements)) != {tuple}:
-            raise ValueError("ball file elements are not a list of tuples")
+        fields = (lengths, arena, dist_bytes, adj_bytes)
+        if typecode not in FORM_TYPECODES or {type(f) for f in fields} != {bytes}:
+            raise ValueError("ball file fields are not a typecode and four byte strings")
+        dist, adj = _dist_array(radius), array("i")
+        dist.frombytes(dist_bytes)
+        adj.frombytes(adj_bytes)
+        del fields, dist_bytes, adj_bytes  # dropped once copied, to lower the peak
         k = len(spec.letters)
-        if not n == len(elements) == distinct == len(dist) or len(adj) != n * k:
-            raise ValueError("ball file fields disagree or repeat a vertex")
+        if not n == len(lengths) == len(dist) or len(adj) != n * k:
+            raise ValueError("ball file fields disagree")
+        forms = PackedForms(spec, typecode, lengths, arena)
+        _check_forms(spec, radius, forms)
         if min(dist) < 0 or max(dist) > radius or min(adj) < NO_EDGE or max(adj) >= n:
             raise ValueError("ball file distance or vertex id out of range")
-    return Ball(spec=spec, radius=radius, elements=elements, dist=dist, adj=adj)
+    return Ball(spec=spec, radius=radius, elements=forms, dist=dist, adj=adj)
 
 
 def ball_cache_name(spec: GroupSpec, radius: int) -> str:
@@ -449,6 +592,9 @@ def cached_ball(
     max_vertices: int = DEFAULT_VERTEX_BUDGET,
 ) -> Ball:
     """Build a ball, reusing a cache file when its header matches.
+
+    A ball whose forms do not pack (save_ball) is built and served, and no
+    file is written.
 
     A cached ball larger than the budget raises the BallOverflowError a
     cold build would: ids are in discovery order, so that build fails on
@@ -472,5 +618,8 @@ def cached_ball(
         except ValueError:
             pass  # fall through and rebuild a corrupt or stale file
     ball = build_ball(spec, radius, max_vertices)
-    save_ball(ball, path)
+    try:
+        save_ball(ball, path)
+    except OverflowError:
+        pass  # served uncached: its forms do not pack into 64-bit ints
     return ball

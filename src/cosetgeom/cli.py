@@ -261,7 +261,7 @@ class Scenario:
 
 # ---------------------------------------------------------------- handlers
 
-Handler = Callable[[Scenario], Tuple[dict, dict, str, Optional[str]]]
+Handler = Callable[[Scenario], Tuple[dict, dict, str, "Optional[Ball | CosetPatch]"]]
 
 
 def cmd_ball(sc: Scenario):
@@ -270,17 +270,12 @@ def cmd_ball(sc: Scenario):
         "n_vertices": ball.n_vertices,
         "sphere_sizes": ball.sphere_sizes(),
     }
-    dot = None
-    if sc.settings.get("dot"):
-        from .dot import export_dot
-
-        dot = export_dot(ball)
+    dot = ball if sc.settings.get("dot") else None
     return sc.block(), result, STATUS_OK, dot
 
 
 def cmd_coset_graph(sc: Scenario):
     from .cosetgraph import degree_profile
-    from .dot import export_dot
     from .groups import group_for
 
     patch = sc.patch
@@ -311,7 +306,7 @@ def cmd_coset_graph(sc: Scenario):
             for cid in range(patch.n_cosets)
             for letter, target in patch.edges(cid)
         ]
-    dot = export_dot(patch) if sc.settings.get("dot") else None
+    dot = patch if sc.settings.get("dot") else None
     return sc.block(trust_margin=sc.trust_margin), result, STATUS_OK, dot
 
 
@@ -352,6 +347,7 @@ def cmd_commensurate(sc: Scenario):
     from .groups import evaluate_word, parse_word
     from .metrics import (
         commensuration_verdict,
+        coset_distance,
         default_radii,
         default_test_elements,
         hausdorff_profile,
@@ -365,7 +361,10 @@ def cmd_commensurate(sc: Scenario):
             if token:
                 word = parse_word(sc.spec, token)
                 tests.append((token, evaluate_word(sc.spec, word)))
-    radii = default_radii(sc.ball.radius)
+    # the generators meet B(1), so only extra elements can start the radii later
+    extras = tests[len(sc.spec.letters) :]
+    start = max((coset_distance(sc.patch, g) for _, g in extras), default=2)
+    radii = default_radii(sc.ball.radius, start)
     profiles = [hausdorff_profile(sc.patch, g, radii) for _, g in tests]
     overall = commensuration_verdict(profiles)
     result = {
@@ -537,8 +536,6 @@ def cmd_ladder(sc: Scenario):
 
 
 def cmd_export(sc: Scenario):
-    from .dot import export_dot
-
     what = sc.settings.get("what", "patch")
     if what not in ("ball", "patch"):
         raise ConfigError(f"unknown export target {what!r} (use ball or patch)")
@@ -547,7 +544,7 @@ def cmd_export(sc: Scenario):
     nodes = graph.n_vertices if what == "ball" else graph.n_cosets
     edges = sum(1 for v in range(nodes) for _ in graph.edges(v))
     result = {"graph": what, "nodes": nodes, "edges": edges}
-    return sc.block(what=what), result, STATUS_OK, export_dot(graph)
+    return sc.block(what=what), result, STATUS_OK, graph
 
 
 HANDLERS: Dict[str, Handler] = {
@@ -648,8 +645,11 @@ def emit(payload: dict, out_path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def run(sc: Scenario, command: str) -> Tuple[dict, dict, str, Optional[str]]:
-    """Run one subcommand on a resolved scenario: (block, result, status, dot).
+def run(
+    sc: Scenario, command: str
+) -> Tuple[dict, dict, str, Optional[Ball | CosetPatch]]:
+    """Run one subcommand on a resolved scenario: (block, result, status,
+    the ball or patch to write as DOT, or None).
 
     A run that cannot conclude comes back as an inconclusive result, not an
     exception: Q is not commensurated, or the ball ran out of radius.  The
@@ -670,7 +670,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         settings = Settings(args, load_config(args.config) if args.config else {})
-        block, result, status, dot_text = run(Scenario(settings), args.command)
+        block, result, status, dot_graph = run(Scenario(settings), args.command)
         payload = {
             "schema": SCHEMA,
             "command": args.command,
@@ -679,9 +679,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "status": status,
         }
         dot_path = settings.get("dot")
-        if dot_text is not None and dot_path:
-            with open(dot_path, "w") as fh:
-                fh.write(dot_text)
+        if dot_graph is not None and dot_path:
+            from .cayley import _replacing
+            from .dot import dot_lines
+
+            # streamed into a temp file, so a failed export leaves no part file
+            with _replacing(dot_path, "w") as fh:
+                fh.writelines(dot_lines(dot_graph))
         emit(payload, settings.get("out"))
     except (CosetGeomError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,12 +3,14 @@
 Vertices are labeled by the normal form of their element (balls) or their
 witness element (patches); edge labels are generator names.  Output order
 is fixed by sorting on canonical vertex keys, so two exports of the same
-graph are byte-identical and diffs stay readable.
+graph are byte-identical and diffs stay readable.  dot_lines yields the
+text line by line, so a caller can write it out without holding it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Union
+from array import array
+from typing import TYPE_CHECKING, Iterator, Union
 
 from .cayley import Ball
 from .errors import ConfigError
@@ -22,11 +24,15 @@ def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def export_dot(graph: Union[Ball, CosetPatch]) -> str:
-    """One node line per vertex, then one edge line per directed edge.
+def dot_lines(graph: Union[Ball, CosetPatch]) -> Iterator[str]:
+    """One node line per vertex, then one edge line per directed edge, each
+    ending in a newline.
 
     A ball and a patch differ only in their node names, sort keys and node
-    attributes; both list their edges through ``graph.edges``.
+    attributes; both list their edges through ``graph.edges``.  Nodes come
+    in key order, and edges by source key, letter and target key: keys are
+    distinct, so each node's edges are sorted on their own, by letter and
+    the target's place in the node order.
     """
     if not isinstance(graph, Ball):
         from .cosetgraph import CosetPatch  # a ball export never loads it
@@ -51,16 +57,22 @@ def export_dot(graph: Union[Ball, CosetPatch]) -> str:
             trust = "true" if graph.trusted[c] else "false"
             return f"label={_quote(witness)}, dist={graph.dist[c]}, trusted={trust}"
 
-    lines: List[str] = [f"digraph {name} {{"]
-    for v in sorted(range(n), key=keys.__getitem__):
-        lines.append(f"  {prefix}{v} [{attrs(v)}];")
-    edges = sorted(
-        (keys[v], letter, keys[w], v, w)
-        for v in range(n)
-        for letter, w in graph.edges(v)
-    )
+    order = sorted(range(n), key=keys.__getitem__)
+    del keys  # a ball's keys are needed for the order only
+    place = array("i", [0]) * n
+    for i, v in enumerate(order):
+        place[v] = i
+
+    yield f"digraph {name} {{\n"
+    for v in order:
+        yield f"  {prefix}{v} [{attrs(v)}];\n"
     label = {l: _quote(render_word(graph.spec, (l,))) for l in graph.spec.letters}
-    for _, letter, _, v, w in edges:
-        lines.append(f"  {prefix}{v} -> {prefix}{w} [label={label[letter]}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    for v in order:
+        for letter, w in sorted(graph.edges(v), key=lambda e: (e[0], place[e[1]])):
+            yield f"  {prefix}{v} -> {prefix}{w} [label={label[letter]}];\n"
+    yield "}\n"
+
+
+def export_dot(graph: Union[Ball, CosetPatch]) -> str:
+    """The whole DOT text of dot_lines."""
+    return "".join(dot_lines(graph))

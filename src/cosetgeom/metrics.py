@@ -11,7 +11,9 @@ evidence verdicts, never decisions.
 Within-ball BFS can only overestimate a true distance (a geodesic may exit
 the ball), and a value K measured at radius r is provably exact as soon as
 r + K + margin fits inside the ball radius: any shorter outside path would
-have to leave the ball, which its own length forbids.
+have to leave the ball, which its own length forbids.  A row is exact by
+monotonicity too: the true one-sided distances never decrease in r, so a
+row whose two in-ball values equal those of an earlier exact row is exact.
 """
 
 from __future__ import annotations
@@ -112,6 +114,11 @@ def hausdorff_profile(
     from two ball searches, one from each coset, and each stops once it has
     reached every vertex of the other coset within the largest radius, so
     a call costs about K layers per coset, whatever the radii.
+
+    A row is exact when r + K + margin <= R, or when its k_forward and
+    k_backward equal those of the last exact row before it: each true
+    one-sided distance is at least that row's exact value, since it never
+    decreases in r, and at most this row's in-ball value.
     """
     if patch.subgroup.mode != VERTEX:
         raise ConfigError("hausdorff_profile needs exact coset keys (vertex mode)")
@@ -139,6 +146,7 @@ def hausdorff_profile(
     dist_to_q = _distances_to(ball, q_vertices, near_g)
 
     values: List[RadiusValue] = []
+    last_exact = None
     for r in radii:
         fwd_pool = [dist_to_gq.get(v, UNREACHED) for v in near_q if ball.dist[v] <= r]
         bwd_pool = [dist_to_q.get(v, UNREACHED) for v in near_g if ball.dist[v] <= r]
@@ -149,7 +157,12 @@ def hausdorff_profile(
         k_forward = max(fwd_pool)
         k_backward = max(bwd_pool)
         k = max(k_forward, k_backward)
-        exact = r + k + SAFETY_MARGIN <= ball.radius
+        exact = (
+            r + k + SAFETY_MARGIN <= ball.radius
+            or last_exact == (k_forward, k_backward)
+        )
+        if exact:
+            last_exact = (k_forward, k_backward)
         values.append(RadiusValue(r, k_forward, k_backward, k, exact))
 
     return HausdorffProfile(

@@ -12,14 +12,17 @@ import sys
 import tracemalloc
 from array import array
 from collections import deque
+from itertools import chain
 
 import pytest
 
 from cosetgeom import cayley
 from cosetgeom.cayley import (
+    BALL_FORMAT,
     NO_EDGE,
     UNREACHED,
     Ball,
+    PackedForms,
     PathInBall,
     ball_cache_name,
     bfs_distances,
@@ -53,10 +56,13 @@ REFERENCE_SPECS = [parse_group_spec(text) for text in REFERENCE_GROUPS]
 
 
 def same_ball(a, b):
-    """Equal group, radius, elements, distances and slots, typecodes included."""
+    """Equal group, radius, elements, distances and slots, typecodes included.
+
+    A loaded ball's elements are a PackedForms, so both sides are listed.
+    """
     return (
-        (a.spec, a.radius, a.elements, a.dist, a.dist.typecode, a.adj, a.adj.typecode)
-        == (b.spec, b.radius, b.elements, b.dist, b.dist.typecode, b.adj, b.adj.typecode)
+        (a.spec, a.radius, list(a.elements), a.dist, a.dist.typecode, a.adj, a.adj.typecode)
+        == (b.spec, b.radius, list(b.elements), b.dist, b.dist.typecode, b.adj, b.adj.typecode)
     )
 
 
@@ -71,6 +77,30 @@ def ball_file(header, body):
     if isinstance(header, dict):
         header = {**header, "sha256": hashlib.sha256(data).hexdigest()}
     return json.dumps(header).encode() + b"\n" + data
+
+
+def flat_forms(spec, elements):
+    """Normal forms as flat int tuples: an hnn (p, v, q) becomes (p, *v, q)."""
+    if spec.family == "hnn":
+        return [(p, *v, q) for p, v, q in elements]
+    return [tuple(a) for a in elements]
+
+
+def body_forms(body):
+    """The flat forms of a ball file body, read with its own typecode."""
+    typecode, lengths, arena = body[:3]
+    ints, at, out = array(typecode, arena), 0, []
+    for n in lengths:
+        out.append(tuple(ints[at : at + n]))
+        at += n
+    return out
+
+
+def with_forms(body, forms):
+    """The body with its lengths and arena packed from the given flat forms."""
+    typecode = body[0]
+    arena = array(typecode, chain.from_iterable(forms)).tobytes()
+    return (typecode, bytes(map(len, forms)), arena, *body[3:])
 
 
 def flat_adjacency(letters, rows):
@@ -405,7 +435,7 @@ class TestSerialization:
         files = list(tmp_path.iterdir())
         assert len(files) == 1
         b2 = cached_ball(BS12, 4, d)
-        assert b1.elements == b2.elements
+        assert b1.elements == list(b2.elements)
         assert list(tmp_path.iterdir()) == files
 
     @pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=lambda s: s.describe())
@@ -447,44 +477,56 @@ class TestSerialization:
             lambda h, b: ball_file([], b),
             lambda h, b: ball_file("x", b),
             lambda h, b: ball_file(h, b)[:-100],
-            # elements reversed under the old digest: only the digest tells
+            # forms reversed under the old digest: only the digest tells
             lambda h, b: (
-                json.dumps(h).encode() + b"\n" + marshal.dumps((b[0][::-1], b[1], b[2]), 2)
+                json.dumps(h).encode() + b"\n"
+                + marshal.dumps(with_forms(b, body_forms(b)[::-1]), 2)
             ),
-            lambda h, b: ball_file({**h, "format": "cosetgeom.ball.v1"}, b),
+            lambda h, b: ball_file({**h, "format": "cosetgeom.ball.v2"}, b),
             lambda h, b: ball_file(
                 {**h, "byteorder": "big" if sys.byteorder == "little" else "little"}, b
             ),
             lambda h, b: ball_file({**h, "group": "bs:x"}, b),
             lambda h, b: ball_file({**h, "radius": "4"}, b),
-            # a body with a valid digest but bad content
-            lambda h, b: ball_file(h, (None, b[1], b[2])),
-            lambda h, b: ball_file(h, ([1] + b[0][1:], b[1], b[2])),
-            lambda h, b: ball_file(h, (b[0], b[1][:-1], b[2])),
-            lambda h, b: ball_file(h, (b[0], b[1], b[2] + b[2][:16])),
-            lambda h, b: ball_file(h, (b[0], b[1], 7)),
+            # a body with a valid digest but bad content: no arena
+            lambda h, b: ball_file(h, (b[0], b[1], None, b[3], b[4])),
+            # the identity as (0, 0): a bs form has odd length
+            lambda h, b: ball_file(h, with_forms(b, [(0, 0)] + body_forms(b)[1:])),
+            lambda h, b: ball_file(h, (*b[:3], b[3][:-1], b[4])),
+            lambda h, b: ball_file(h, (*b[:3], b[3], b[4] + b[4][:16])),
+            lambda h, b: ball_file(h, (*b[:3], b[3], 7)),
             # rows of four letters read as the six of free:3
             lambda h, b: ball_file({**h, "group": "free:3"}, b),
             lambda h, b: ball_file(
-                h, (b[0], b[1], array("i", [len(b[0])]).tobytes() + b[2][4:])
+                h, (*b[:3], b[3], array("i", [len(b[1])]).tobytes() + b[4][4:])
             ),
             # four-byte distances under a radius that stores one byte each
-            lambda h, b: ball_file(h, (b[0], array("i", [300, *b[1][1:]]).tobytes(), b[2])),
+            lambda h, b: ball_file(h, (*b[:3], array("i", [300, *b[3][1:]]).tobytes(), b[4])),
             lambda h, b: ball_file(
-                {**h, "radius": 300}, (b[0], array("i", [-1, *b[1][1:]]).tobytes(), b[2])
+                {**h, "radius": 300},
+                (*b[:3], array("i", [-1, *b[3][1:]]).tobytes(), b[4]),
             ),
-            lambda h, b: ball_file(h, (b[0], bytes([h["radius"] + 1]) + b[1][1:], b[2])),
-            # vertices[1] set to vertices[2]: one vertex twice, one index entry short
-            lambda h, b: ball_file(h, (b[0][:1] + b[0][2:3] + b[0][2:], b[1], b[2])),
-            # a tuple that cannot be hashed: the uniqueness check's TypeError
-            lambda h, b: ball_file(h, (b[0][:1] + [(0, [1])] + b[0][2:], b[1], b[2])),
+            lambda h, b: ball_file(h, (*b[:3], bytes([h["radius"] + 1]) + b[3][1:], b[4])),
+            # form 1 set to form 2: one vertex twice, one index entry short
+            lambda h, b: ball_file(
+                h, with_forms(b, body_forms(b)[:1] + body_forms(b)[2:3] + body_forms(b)[2:])
+            ),
+            # lengths marshalled as a list, not a byte string
+            lambda h, b: ball_file(h, (b[0], list(b[1]), *b[2:])),
+            # packed ints of another typecode, or lengths that overrun them
+            lambda h, b: ball_file(h, ("b", *b[1:])),
+            lambda h, b: ball_file(h, ("i", *b[1:])),
+            lambda h, b: ball_file(h, (b[0], b[1][:-1] + bytes([b[1][-1] + 2]), *b[2:])),
+            # four fields, as a body without its typecode
+            lambda h, b: ball_file(h, b[1:]),
         ],
         ids=[
             "list", "string", "truncated-body", "digest-mismatch", "wrong-format",
             "other-byteorder", "bad-group", "radius-text", "vertices-null",
             "vertex-int", "short-dist", "long-adj", "adj-row-int", "unknown-letter",
             "vertex-id-past-end", "dist-300", "dist-negative", "dist-past-radius",
-            "repeated-vertex", "vertex-unhashable",
+            "repeated-vertex", "vertex-unhashable", "unknown-typecode", "wider-typecode",
+            "lengths-past-arena", "four-fields",
         ],
     )
     def test_wrong_shape_cache_file_is_rebuilt(self, tmp_path, reshape):
@@ -543,11 +585,12 @@ class TestSerialization:
         with pytest.raises(InsufficientRadiusError):
             walk_path(warm, PathInBall(base=rim, word=(letter,)))
 
-    @pytest.mark.parametrize("text, radius, bound", [("bs:2,3", 8, 190), ("free:2", 7, 150)])
+    @pytest.mark.parametrize("text, radius, bound", [("bs:2,3", 8, 55), ("free:2", 7, 45)])
     def test_load_retained_bytes_per_vertex(self, tmp_path, text, radius, bound):
-        """A load keeps elements, distances and slots but no vertex index:
-        building the index there retained 227 and 182 bytes per vertex on
-        these balls, against 153 and 119 without it."""
+        """A load keeps the packed forms, distances and slots, and no tuple
+        or index entry per vertex: about 40 and 33 bytes per vertex on these
+        balls, against 153 and 119 when each form was a tuple, and 227 and
+        182 with the vertex index built as well."""
         path = str(tmp_path / "ball")
         save_ball(build_ball(parse_group_spec(text), radius), path)
         gc.collect()  # empties the tuple free lists, whose reuse tracemalloc misses
@@ -589,9 +632,9 @@ class TestSerialization:
         "group,radius,digest",
         [
             ("free:2", 3,
-             "751ba3775e2a702be8cddf32e1377237cf6c77e4f24b45d94c055f8dd59f983c"),
+             "5f5a14c70013357f65b2e591e965d85ef8a1db2c42b57f2dc7c7da38863e1495"),
             ("bs:1,2", 5,
-             "11ba94b4e6aa29623416a3ecafa305b968005507de69c81795ed1e4692fcdb11"),
+             "93e094ba097b2075020561e63b7d5c9299afa242013159b03bcb348c53484833"),
         ],
     )
     def test_cache_file_bytes_are_pinned(self, tmp_path, group, radius, digest):
@@ -606,6 +649,79 @@ class TestSerialization:
         save_ball(ball, str(p1))
         save_ball(load_ball(str(p1)), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=lambda s: s.describe())
+class TestPackedForms:
+    def test_loaded_forms_decode_as_built(self, tmp_path, spec):
+        # the free group's identity is the empty form, and hnn triples come
+        # back nested
+        for radius in range(7):
+            ball = build_ball(spec, radius)
+            forms = round_trip(ball, tmp_path / "ball").elements
+            assert isinstance(forms, PackedForms)
+            assert len(forms) == ball.n_vertices
+            assert list(forms) == ball.elements
+            # random reads, last vertex first
+            assert [forms[v] for v in range(len(forms) - 1, -1, -1)] == ball.elements[::-1]
+            assert dict(zip(forms, range(len(forms)))) == ball.index
+            for v in (-1, len(forms)):
+                with pytest.raises(IndexError):
+                    forms[v]
+
+    def test_file_body_holds_the_packed_forms(self, tmp_path, spec):
+        # read with marshal and array alone: typecode, form lengths, the
+        # forms one after the other, then the distance and slot bytes
+        ball = build_ball(spec, 6)
+        path = tmp_path / "ball"
+        save_ball(ball, str(path))
+        header, body = path.read_bytes().split(b"\n", 1)
+        assert json.loads(header)["format"] == BALL_FORMAT == "cosetgeom.ball.v3"
+        typecode, lengths, arena, dist, adj = marshal.loads(body)
+        forms = flat_forms(spec, ball.elements)
+        assert typecode == "h"
+        assert list(lengths) == [len(a) for a in forms]
+        assert array(typecode, arena).tolist() == [x for a in forms for x in a]
+        assert (dist, adj) == (ball.dist.tobytes(), ball.adj.tobytes())
+
+    def test_save_of_a_loaded_ball_is_byte_stable(self, tmp_path, spec):
+        p1, p2 = tmp_path / "a.ball", tmp_path / "b.ball"
+        for radius in (0, 3, 6):
+            save_ball(build_ball(spec, radius), str(p1))
+            save_ball(load_ball(str(p1)), str(p2))
+            assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestFormWidths:
+    @pytest.mark.parametrize(
+        "text, radius, typecode, low, high",
+        [
+            ("bs:1,2", 6, "h", 0, 2**15),
+            ("bs:1,300", 3, "i", 2**15, 2**31),
+            (f"bs:1,{2**31}", 2, "q", 2**31, 2**63),
+        ],
+    )
+    def test_arena_widens_only_when_a_value_needs_it(
+        self, tmp_path, text, radius, typecode, low, high
+    ):
+        # the largest value passes the narrower typecode's range only
+        ball = build_ball(parse_group_spec(text), radius)
+        widest = max(abs(x) for a in ball.elements for x in a)
+        assert low <= widest < high
+        clone = round_trip(ball, tmp_path / "ball")
+        assert clone.elements.typecode == typecode
+        assert same_ball(clone, ball)
+
+    def test_forms_past_64_bits_are_served_uncached(self, tmp_path):
+        spec = baumslag_solitar(1, 2**63)
+        cold = build_ball(spec, 2)
+        assert max(max(a) for a in cold.elements) == 2**63
+        ball = cached_ball(spec, 2, str(tmp_path))
+        assert same_ball(ball, cold)
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(OverflowError):
+            save_ball(cold, str(tmp_path / "ball"))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCollectorPause:

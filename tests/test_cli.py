@@ -13,6 +13,7 @@ import pytest
 
 from cosetgeom import build_ball, build_coset_patch, export_dot, parse_group_spec
 from cosetgeom import cli as cli_module
+from cosetgeom import dot as dot_module
 from cosetgeom.cayley import Ball, ball_cache_name
 from cosetgeom.cli import main, parse_subgroup_spec
 from cosetgeom.cosetgraph import CosetPatch
@@ -190,11 +191,12 @@ class TestReportsAndExitCodes:
             ),
             pytest.param(
                 # profiles start at gQ's nearest vertex, at distance 3; K = 3
-                # is exact only up to radius 9, below the last default radius
+                # passes r + K + 1 <= 13 up to radius 9, and radius 10
+                # repeats radius 9's values, so it is exact by monotonicity
                 ["hausdorff", "--group", "bs:1,2", "--radius", "13",
                  "--element", "t.x.t^-1"],
-                2,
-                {"k_values": [3] * 8, "verdict": "Inconclusive"},
+                0,
+                {"k_values": [3] * 8, "verdict": "CommensuratedEvidence"},
                 id="hausdorff bs:1,2 r13 t.x.t^-1",
             ),
             pytest.param(
@@ -230,6 +232,21 @@ class TestReportsAndExitCodes:
         assert {key: report["result"][key] for key in result} == result
         # the scenario block survives a handler that raised before writing it
         assert report["scenario"]["radius"] == int(argv[4])
+
+    def test_commensurate_elements_start_where_their_cosets_do(self, cache_dir, tmp_path):
+        # t.x.t^-1.Q lies at distance 3, so the profiles start at radius 3
+        argv = ["commensurate", "--group", "bs:1,2", "--radius", "13"]
+        code, report = run_cli([*argv, "--elements", "t.x.t^-1"], cache_dir, tmp_path)
+        assert code == 0
+        assert report["scenario"]["profile_radii"] == list(range(3, 11))
+        profiles = report["result"]["profiles"]
+        assert [p["element"] for p in profiles] == ["x", "x^-1", "t", "t^-1", "t.x.t^-1"]
+        assert profiles[-1]["k_values"] == [3] * 8
+        assert report["result"]["verdict"] == "CommensuratedEvidence"
+        # the generators meet B(1): without --elements the radii start at 2
+        code, report = run_cli(argv, cache_dir, tmp_path)
+        assert code == 0
+        assert report["scenario"]["profile_radii"] == list(range(2, 11))
 
     def test_unknown_group_exits_one(self, cache_dir, tmp_path, capsys):
         code, report = run_cli(
@@ -668,6 +685,8 @@ class TestDotExport:
         assert code == 1
         assert captured.out == ""
         assert "error:" in captured.err
+        # the message names the DOT file, not the temp file beside it
+        assert f"No such file or directory: '{dot_path}'" in captured.err
         assert not dot_path.exists()
 
     @pytest.mark.parametrize(
@@ -697,6 +716,61 @@ class TestDotExport:
         if subgroup is not None:
             graph = build_coset_patch(parse_subgroup_spec(spec, subgroup), graph)
         assert hashlib.sha256(export_dot(graph).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "argv, graph",
+        [
+            (["export", "--what", "ball"], "ball"),
+            (["export", "--what", "patch"], "patch"),
+            (["ball"], "ball"),
+            (["coset-graph"], "patch"),
+        ],
+        ids=["export-ball", "export-patch", "ball", "coset-graph"],
+    )
+    def test_streamed_file_equals_export_dot(self, cache_dir, tmp_path, argv, graph):
+        dot_path = tmp_path / "out.dot"
+        code, _ = run_cli(
+            [*argv, "--group", "bs:1,2", "--radius", "5", "--dot", str(dot_path)],
+            cache_dir,
+            tmp_path,
+        )
+        assert code == 0
+        ball = build_ball(parse_group_spec("bs:1,2"), 5)
+        if graph == "patch":
+            ball = build_coset_patch(parse_subgroup_spec(ball.spec, "vertex"), ball)
+        assert dot_path.read_text() == export_dot(ball)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.dot", "report.json"]
+
+    @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+    def test_failed_export_leaves_the_earlier_file_or_none(
+        self, cache_dir, tmp_path, monkeypatch, error
+    ):
+        dot_path = tmp_path / "patch.dot"
+        argv = ["export", "--group", "bs:1,2", "--radius", "5", "--what", "patch",
+                "--dot", str(dot_path)]
+        lines = dot_module.dot_lines
+
+        def fail_mid_stream(graph):
+            for i, line in enumerate(lines(graph)):
+                if i == 40:
+                    raise error("the export failed")
+                yield line
+
+        monkeypatch.setattr(dot_module, "dot_lines", fail_mid_stream)
+        for earlier in (None, "digraph earlier {\n}\n"):
+            if earlier is not None:
+                dot_path.write_text(earlier)
+            if error is OSError:
+                code, report = run_cli(argv, cache_dir, tmp_path)
+                assert (code, report) == (1, None)
+            else:
+                with pytest.raises(KeyboardInterrupt):
+                    run_cli(argv, cache_dir, tmp_path)
+            # no temp file is left beside it, and the earlier file is whole
+            names = [p.name for p in tmp_path.iterdir()]
+            assert names == ([] if earlier is None else ["patch.dot"])
+            if earlier is not None:
+                assert dot_path.read_text() == earlier
 
     def test_ball_subcommand_writes_dot_too(self, cache_dir, tmp_path):
         dot_path = tmp_path / "ball2.dot"

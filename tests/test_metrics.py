@@ -63,9 +63,14 @@ class TestHausdorffProfiles:
     def test_margin_flags_values_too_close_to_the_boundary(self, patch_ab2_r12):
         spec = patch_ab2_r12.spec
         g = element(spec, "x2^3")
-        p = hausdorff_profile(patch_ab2_r12, g, [7, 8, 9])
-        assert [v.exact for v in p.values] == [True, True, False]
+        # r + K + 1 > 12 at every radius, and no earlier row is exact
+        p = hausdorff_profile(patch_ab2_r12, g, [9])
+        assert [v.exact for v in p.values] == [False]
         assert p.verdict == INCONCLUSIVE
+        # after the exact rows 7 and 8, the equal row 9 is exact by monotonicity
+        p = hausdorff_profile(patch_ab2_r12, g, [7, 8, 9])
+        assert [(v.k, v.exact) for v in p.values] == [(3, True)] * 3
+        assert p.verdict == COMMENSURATED
 
     def test_free2_profile_grows_linearly(self, patch_free2_r8):
         spec = patch_free2_r8.spec
@@ -136,6 +141,41 @@ def test_profile_matches_brute_force_distances(group, radius, word):
             assert (v.k_forward, v.k_backward) == truth, v
         else:
             assert v.k_forward >= truth[0] and v.k_backward >= truth[1], v
+
+
+def test_rows_exact_by_monotonicity_match_a_larger_ball():
+    """A row promoted to exact equals the row measured on B(r + K + 1),
+    where the margin rule alone makes it exact."""
+    # on bs:3,-2 r7, t^2 reads (4, 4) at radii 5 and 6, where B(10) and
+    # B(11) read (4, 3): an equal row after an inexact one, or an equal K
+    # alone, proves nothing
+    cases = [("bs:1,2", 13, ["t.x.t^-1"]), ("abelian:2", 12, ["x2^3", "x1.x2^2"])]
+    cases += [("bs:3,-2", 7, ["t^2"])]
+    cases += [(text, 7, None) for text in REFERENCE_GROUPS]
+    promoted = 0
+    for text, radius, words in cases:
+        spec = parse_group_spec(text)
+        patches = {radius: build_coset_patch(Q, build_ball(spec, radius))}
+        if words is None:
+            x, t = spec.generators[0], spec.generators[-1]
+            words = [t, f"{t}^-1", f"{t}.{x}.{t}^-1", f"{x}^2.{t}"]
+        for word in words:
+            g = element(spec, word)
+            start = coset_distance(patches[radius], g)
+            if start > radius - 2:
+                continue
+            profile = hausdorff_profile(patches[radius], g, list(range(start, radius)))
+            for v in profile.values:
+                bound = v.radius + v.k + 1
+                if not v.exact or bound <= radius:
+                    continue
+                promoted += 1
+                if bound not in patches:
+                    patches[bound] = build_coset_patch(Q, build_ball(spec, bound))
+                (want,) = hausdorff_profile(patches[bound], g, [v.radius]).values
+                assert want.exact, (text, word, v)
+                assert (v.k_forward, v.k_backward) == (want.k_forward, want.k_backward)
+    assert promoted >= 10
 
 
 def test_profiles_match_whole_ball_searches():

@@ -123,6 +123,23 @@ def test_cache_and_config_load_what_they_use(tmp_path):
     assert {"hashlib", "configparser"} <= names
 
 
+def test_only_a_cache_load_imports_struct_and_mmap(tmp_path):
+    # a cold run writes the cache file without them, a warm run reads it
+    argv = ["ball", "--group", "bs:1,2", "--radius", "3", "--cache-dir", "cache"]
+    _, baseline = loaded(tmp_path / "empty.txt", [])
+    cold_code, cold = loaded(tmp_path / "cold.txt", argv)
+    warm_code, warm = loaded(tmp_path / "warm.txt", argv)
+    assert cold_code == warm_code == 0
+    assert "mmap" not in baseline
+    assert "mmap" not in cold and "mmap" in warm
+    # struct may be loaded before any cosetgeom code runs, so check that no
+    # module binds it, or mmap, when imported
+    from cosetgeom import cayley, cli, dot
+
+    for module in (cayley, cli, dot):
+        assert not {"struct", "mmap"} & set(vars(module)), module.__name__
+
+
 def test_importing_the_package_loads_no_module():
     code = "import sys, cosetgeom; print(sorted(m for m in sys.modules if 'cosetgeom' in m))"
     env = dict(os.environ, PYTHONPATH=str(SRC))
