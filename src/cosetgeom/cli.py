@@ -681,11 +681,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         dot_path = settings.get("dot")
         if dot_graph is not None and dot_path:
             from .cayley import _replacing
-            from .dot import dot_lines
+            from .dot import export_dot
 
             # streamed into a temp file, so a failed export leaves no part file
             with _replacing(dot_path, "w") as fh:
-                fh.writelines(dot_lines(dot_graph))
+                export_dot(dot_graph, fh)
         emit(payload, settings.get("out"))
     except (CosetGeomError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

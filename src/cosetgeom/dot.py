@@ -4,13 +4,13 @@ Vertices are labeled by the normal form of their element (balls) or their
 witness element (patches); edge labels are generator names.  Output order
 is fixed by sorting on canonical vertex keys, so two exports of the same
 graph are byte-identical and diffs stay readable.  dot_lines yields the
-text line by line, so a caller can write it out without holding it.
+text line by line, so export_dot can write it to a file without holding it.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import TYPE_CHECKING, Iterator, Union
+from typing import TYPE_CHECKING, Iterator, Optional, TextIO, Union
 
 from .cayley import Ball
 from .errors import ConfigError
@@ -73,6 +73,12 @@ def dot_lines(graph: Union[Ball, CosetPatch]) -> Iterator[str]:
     yield "}\n"
 
 
-def export_dot(graph: Union[Ball, CosetPatch]) -> str:
-    """The whole DOT text of dot_lines."""
-    return "".join(dot_lines(graph))
+def export_dot(
+    graph: Union[Ball, CosetPatch], out: Optional[TextIO] = None
+) -> Optional[str]:
+    """The whole DOT text of dot_lines, or, given a file out, None once the
+    lines are written to it one by one."""
+    if out is None:
+        return "".join(dot_lines(graph))
+    out.writelines(dot_lines(graph))
+    return None
