@@ -503,8 +503,15 @@ def save_ball(ball: Ball, path: str) -> None:
 
 def _check_forms(spec: GroupSpec, radius: int, forms: PackedForms) -> None:
     """Raise ValueError unless every form length suits the family, the
-    lengths add up to the arena and no two forms share their bytes."""
-    widths = set(forms.lengths)
+    lengths add up to the arena and no two forms share their bytes.
+
+    Repeats are found through an open-addressing table keyed by each form's
+    hash and at most half full, whose slots hold a form's offset and length
+    in one int, so the check keeps 16 to 32 bytes per vertex, not a bytes
+    object and a set entry.
+    """
+    lengths, arena, size = forms.lengths, forms.arena, forms.itemsize
+    widths = set(lengths)
     if spec.family == FAMILY_HNN:
         valid = widths <= {spec.rank + 2}
     elif spec.family == FAMILY_ABELIAN:
@@ -515,16 +522,21 @@ def _check_forms(spec: GroupSpec, radius: int, forms: PackedForms) -> None:
         valid = max(widths, default=0) <= radius
     if not valid:
         raise ValueError("ball file form length does not suit its group")
-    arena, size, rows, start = forms.arena, forms.itemsize, set(), 0
-    add = rows.add
-    for n in forms.lengths:
-        end = start + n * size
-        add(arena[start:end])
-        start = end
-    if start != len(arena):
+    if sum(lengths) * size != len(arena):
         raise ValueError("ball file form lengths do not add up to the arena")
-    if len(rows) != len(forms):
-        raise ValueError("ball file repeats a vertex")
+    mask = (1 << (2 * len(lengths)).bit_length()) - 1
+    slots, start = array("q", [-1]) * (mask + 1), 0
+    for n in lengths:
+        end = start + n * size
+        row = arena[start:end]
+        h = hash(row) & mask
+        while slots[h] != -1:  # a slot holds offset << 8 | length
+            at, width = divmod(slots[h], 256)
+            if width == n and arena[at : at + n * size] == row:
+                raise ValueError("ball file repeats a vertex")
+            h = (h + 1) & mask
+        slots[h] = start << 8 | n
+        start = end
 
 
 def load_ball(path: str) -> Ball:
