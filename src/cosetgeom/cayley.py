@@ -57,7 +57,7 @@ from .groups import (
     parse_group_spec,
 )
 
-# hashlib is imported by the three cache-file functions only, so a run
+# _blake2 is imported by the cache-file functions only (_digest), so a run
 # without a cache directory never loads it; struct and mmap only by a load.
 
 #: Sentinel distance for vertices a BFS never reached.
@@ -68,7 +68,7 @@ NO_EDGE = -1
 
 DEFAULT_VERTEX_BUDGET = 5_000_000
 
-BALL_FORMAT = "cosetgeom.ball.v3"
+BALL_FORMAT = "cosetgeom.ball.v4"
 
 #: Typecodes of a packed form arena, narrowest first.
 FORM_TYPECODES = ("h", "i", "q")
@@ -85,7 +85,8 @@ class PackedForms:
     typecode is typecode; an hnn triple (p, v, q) is stored flat as
     (p, v1, ..., vk, q).  The sequence offers len, [v] and iteration only,
     and each read decodes with one struct per form length, so it makes a
-    tuple per form read and keeps none.
+    tuple per form read and keeps none.  heads() reads the forms less their
+    last int as undecoded bytes.
     """
 
     def __init__(self, spec: GroupSpec, typecode: str, lengths: bytes, arena: bytes):
@@ -124,6 +125,13 @@ class PackedForms:
         if self._nested:
             return ((t[0], t[1:-1], t[-1]) for t in forms)
         return forms
+
+    def heads(self) -> Iterator[bytes]:
+        """Each form less its last int, as the arena's bytes, in vertex order."""
+        arena, size, start = self.arena, self.itemsize, 0
+        for n in self.lengths:
+            yield arena[start : start + (n - 1) * size]
+            start += n * size
 
     def _walk(self) -> Iterator[tuple]:
         arena, size, start = self.arena, self.itemsize, 0
@@ -420,6 +428,20 @@ def walk_path(ball: Ball, path: PathInBall) -> List[int]:
 # ---------------------------------------------------------------------------
 
 
+def _digest(data) -> str:
+    """The 256-bit BLAKE2b digest of data, in hex.
+
+    It comes from CPython's built-in _blake2, not hashlib, whose import
+    maps OpenSSL's libcrypto (about 3.4 MB of every cached run's peak) for
+    this one hash.
+    """
+    try:
+        from _blake2 import blake2b
+    except ImportError:  # an interpreter built without the module
+        from hashlib import blake2b
+    return blake2b(data, digest_size=32).hexdigest()
+
+
 @contextmanager
 def _replacing(path: str, mode: str):
     """A file object on a temp file beside path, renamed onto path when the
@@ -479,22 +501,22 @@ def save_ball(ball: Ball, path: str) -> None:
     packed one after the other (_packed_forms), the distances and the
     adjacency slots.  Version 2 has no shared-object references, whose
     placement in later versions depends on reference counts, so a ball
-    always gives the same bytes.  Raises OverflowError, and writes nothing,
-    for a ball whose forms do not pack.
+    always gives the same bytes.  The header names the format, byte order,
+    group, radius and vertex count, and holds the body's 256-bit BLAKE2b
+    digest (_digest).  Raises OverflowError, and writes nothing, for a ball
+    whose forms do not pack.
     """
-    import hashlib
-
     with _collector_paused():
         typecode, lengths, arena = _packed_forms(ball)
         with _replacing(path, "wb") as fh:
             body = marshal.dumps((typecode, lengths, arena, ball.dist, ball.adj), 2)
             header = {
+                "blake2b": _digest(body),
                 "byteorder": sys.byteorder,
                 "format": BALL_FORMAT,
                 "group": ball.spec.describe(),
                 "n": ball.n_vertices,
                 "radius": ball.radius,
-                "sha256": hashlib.sha256(body).hexdigest(),
             }
             fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode())
             fh.write(b"\n")
@@ -549,7 +571,6 @@ def load_ball(path: str) -> Ball:
     the arena the file holds, and the vertex index is left to the ball to
     build on its first lookup.
     """
-    import hashlib
     import mmap
 
     with open(path, "rb") as fh, _collector_paused():
@@ -565,7 +586,7 @@ def load_ball(path: str) -> Ball:
         try:
             with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
                 with memoryview(mapped)[fh.tell() :] as body:
-                    if header.get("sha256") != hashlib.sha256(body).hexdigest():
+                    if header.get("blake2b") != _digest(body):
                         raise ValueError("ball file body does not match its digest")
                     typecode, lengths, arena, dist_bytes, adj_bytes = marshal.loads(body)
             spec = parse_group_spec(header.get("group"))
@@ -589,11 +610,7 @@ def load_ball(path: str) -> Ball:
 
 
 def ball_cache_name(spec: GroupSpec, radius: int) -> str:
-    import hashlib
-
-    digest = hashlib.sha256(
-        f"{BALL_FORMAT}|{spec.describe()}|{radius}".encode()
-    ).hexdigest()[:16]
+    digest = _digest(f"{BALL_FORMAT}|{spec.describe()}|{radius}".encode())[:16]
     return f"ball-{digest}-r{radius}.ball"
 
 

@@ -441,7 +441,14 @@ def cmd_lift(sc: Scenario):
     base_text = sc.settings.get("base", "1")
     scenario = sc.block(path=render_word(sc.spec, word), base=base_text)
     base_word = parse_word(sc.spec, base_text)
-    base = sc.ball.vertex(evaluate_word(sc.spec, base_word))
+    # the ball's slots are exact, so a walk along the word that stays in
+    # the ball ends at the base without building the ball's vertex index
+    ball, base = sc.ball, 0
+    for letter in base_word:
+        base = ball.neighbor(base, letter)
+        if base is None:
+            base = ball.vertex(evaluate_word(sc.spec, base_word))
+            break
     if base is None:
         raise InsufficientRadiusError(
             f"base element {base_text!r} lies outside the ball",

@@ -20,11 +20,11 @@ from bisect import bisect_left
 from collections import Counter, defaultdict
 from functools import cached_property
 from itertools import count, repeat
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, Hashable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
-from .cayley import NO_EDGE, Ball, PathInBall, bfs_distances
+from .cayley import NO_EDGE, Ball, PackedForms, PathInBall, bfs_distances
 from .errors import ConfigError, InsufficientRadiusError, SubgroupModeError
-from .groups import Element, GroupSpec, group_for
+from .groups import FAMILY_BS, Element, GroupSpec, group_for
 from .subgroups import VERTEX, WORDS, SubgroupSpec, coset_key, coset_labeller, q_letters
 
 DEFAULT_TRUST_MARGIN = 1
@@ -93,7 +93,7 @@ class CosetPatch:
         trust_margin: int,
         ball: Ball,
         witness: array,  # each coset's earliest ball vertex
-        coset_of: List[int],
+        coset_of: array,  # each ball vertex's coset id
         trusted: Tuple[bool, ...],
     ):
         self.subgroup = subgroup
@@ -294,6 +294,19 @@ def _coset_labels_words(ball: Ball, subgroup: SubgroupSpec) -> Iterator[int]:
     return map(uf.find, range(ball.n_vertices))
 
 
+def _vertex_labels(ball: Ball) -> Iterator[Hashable]:
+    """Each ball vertex's coset label (coset_labeller), in vertex order.
+
+    On a loaded bs ball the label is the form less its last int, so the
+    pass reads it as those ints' bytes, sliced from the arena undecoded:
+    forms of one ball pack alike, so the bytes agree exactly when the labels
+    do.
+    """
+    if ball.spec.family == FAMILY_BS and isinstance(ball.elements, PackedForms):
+        return ball.elements.heads()
+    return map(coset_labeller(ball.spec), ball.elements)
+
+
 def build_coset_patch(
     q: SubgroupSpec,
     ball: Ball,
@@ -310,13 +323,14 @@ def build_coset_patch(
 
     # one pass: each label takes the next id the first time it is seen
     if q.mode == VERTEX:
-        labels = map(coset_labeller(ball.spec), ball.elements)
+        labels = _vertex_labels(ball)
     elif q.mode == WORDS:
         labels = _coset_labels_words(ball, q)
     else:
         raise ConfigError(f"unknown subgroup mode {q.mode!r}")
+    # coset_of takes 4 bytes per vertex as an array, not a pointer and an int
     ids = defaultdict(count().__next__)
-    coset_of = list(map(ids.__getitem__, labels))
+    coset_of = array("i", map(ids.__getitem__, labels))
     n_cosets = len(ids)
     del ids, labels
 

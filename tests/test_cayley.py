@@ -75,7 +75,7 @@ def ball_file(header, body):
     """Ball file bytes for a header and a body tuple, stamped with the body's digest."""
     data = marshal.dumps(body, 2)
     if isinstance(header, dict):
-        header = {**header, "sha256": hashlib.sha256(data).hexdigest()}
+        header = {**header, "blake2b": hashlib.blake2b(data, digest_size=32).hexdigest()}
     return json.dumps(header).encode() + b"\n" + data
 
 
@@ -471,54 +471,95 @@ class TestSerialization:
         assert list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize(
-        "reshape",
+        "reshape, message",
         [
             # header or transport damage
-            lambda h, b: ball_file([], b),
-            lambda h, b: ball_file("x", b),
-            lambda h, b: ball_file(h, b)[:-100],
+            (lambda h, b: ball_file([], b), "not a ball file of format"),
+            (lambda h, b: ball_file("x", b), "not a ball file of format"),
+            (lambda h, b: ball_file(h, b)[:-100], "does not match its digest"),
             # forms reversed under the old digest: only the digest tells
-            lambda h, b: (
-                json.dumps(h).encode() + b"\n"
-                + marshal.dumps(with_forms(b, body_forms(b)[::-1]), 2)
+            (
+                lambda h, b: (
+                    json.dumps(h).encode() + b"\n"
+                    + marshal.dumps(with_forms(b, body_forms(b)[::-1]), 2)
+                ),
+                "does not match its digest",
             ),
-            lambda h, b: ball_file({**h, "format": "cosetgeom.ball.v2"}, b),
-            lambda h, b: ball_file(
-                {**h, "byteorder": "big" if sys.byteorder == "little" else "little"}, b
+            (
+                lambda h, b: ball_file({**h, "format": "cosetgeom.ball.v3"}, b),
+                "not a ball file of format",
             ),
-            lambda h, b: ball_file({**h, "group": "bs:x"}, b),
-            lambda h, b: ball_file({**h, "radius": "4"}, b),
+            (
+                lambda h, b: ball_file(
+                    {**h, "byteorder": "big" if sys.byteorder == "little" else "little"}, b
+                ),
+                "another byte order",
+            ),
+            (lambda h, b: ball_file({**h, "group": "bs:x"}, b), "malformed ball file: Config"),
+            (lambda h, b: ball_file({**h, "radius": "4"}, b), "radius or size is not an integer"),
             # a body with a valid digest but bad content: no arena
-            lambda h, b: ball_file(h, (b[0], b[1], None, b[3], b[4])),
+            (
+                lambda h, b: ball_file(h, (b[0], b[1], None, b[3], b[4])),
+                "not a typecode and four byte strings",
+            ),
             # the identity as (0, 0): a bs form has odd length
-            lambda h, b: ball_file(h, with_forms(b, [(0, 0)] + body_forms(b)[1:])),
-            lambda h, b: ball_file(h, (*b[:3], b[3][:-1], b[4])),
-            lambda h, b: ball_file(h, (*b[:3], b[3], b[4] + b[4][:16])),
-            lambda h, b: ball_file(h, (*b[:3], b[3], 7)),
+            (
+                lambda h, b: ball_file(h, with_forms(b, [(0, 0)] + body_forms(b)[1:])),
+                "form length does not suit its group",
+            ),
+            (lambda h, b: ball_file(h, (*b[:3], b[3][:-1], b[4])), "fields disagree"),
+            (lambda h, b: ball_file(h, (*b[:3], b[3], b[4] + b[4][:16])), "fields disagree"),
+            (
+                lambda h, b: ball_file(h, (*b[:3], b[3], 7)),
+                "not a typecode and four byte strings",
+            ),
             # rows of four letters read as the six of free:3
-            lambda h, b: ball_file({**h, "group": "free:3"}, b),
-            lambda h, b: ball_file(
-                h, (*b[:3], b[3], array("i", [len(b[1])]).tobytes() + b[4][4:])
+            (lambda h, b: ball_file({**h, "group": "free:3"}, b), "fields disagree"),
+            (
+                lambda h, b: ball_file(
+                    h, (*b[:3], b[3], array("i", [len(b[1])]).tobytes() + b[4][4:])
+                ),
+                "distance or vertex id out of range",
             ),
             # four-byte distances under a radius that stores one byte each
-            lambda h, b: ball_file(h, (*b[:3], array("i", [300, *b[3][1:]]).tobytes(), b[4])),
-            lambda h, b: ball_file(
-                {**h, "radius": 300},
-                (*b[:3], array("i", [-1, *b[3][1:]]).tobytes(), b[4]),
+            (
+                lambda h, b: ball_file(
+                    h, (*b[:3], array("i", [300, *b[3][1:]]).tobytes(), b[4])
+                ),
+                "fields disagree",
             ),
-            lambda h, b: ball_file(h, (*b[:3], bytes([h["radius"] + 1]) + b[3][1:], b[4])),
+            (
+                lambda h, b: ball_file(
+                    {**h, "radius": 300},
+                    (*b[:3], array("i", [-1, *b[3][1:]]).tobytes(), b[4]),
+                ),
+                "distance or vertex id out of range",
+            ),
+            (
+                lambda h, b: ball_file(h, (*b[:3], bytes([h["radius"] + 1]) + b[3][1:], b[4])),
+                "distance or vertex id out of range",
+            ),
             # form 1 set to form 2: one vertex twice, one index entry short
-            lambda h, b: ball_file(
-                h, with_forms(b, body_forms(b)[:1] + body_forms(b)[2:3] + body_forms(b)[2:])
+            (
+                lambda h, b: ball_file(
+                    h, with_forms(b, body_forms(b)[:1] + body_forms(b)[2:3] + body_forms(b)[2:])
+                ),
+                "repeats a vertex",
             ),
             # lengths marshalled as a list, not a byte string
-            lambda h, b: ball_file(h, (b[0], list(b[1]), *b[2:])),
+            (
+                lambda h, b: ball_file(h, (b[0], list(b[1]), *b[2:])),
+                "not a typecode and four byte strings",
+            ),
             # packed ints of another typecode, or lengths that overrun them
-            lambda h, b: ball_file(h, ("b", *b[1:])),
-            lambda h, b: ball_file(h, ("i", *b[1:])),
-            lambda h, b: ball_file(h, (b[0], b[1][:-1] + bytes([b[1][-1] + 2]), *b[2:])),
+            (lambda h, b: ball_file(h, ("b", *b[1:])), "not a typecode and four byte strings"),
+            (lambda h, b: ball_file(h, ("i", *b[1:])), "do not add up to the arena"),
+            (
+                lambda h, b: ball_file(h, (b[0], b[1][:-1] + bytes([b[1][-1] + 2]), *b[2:])),
+                "do not add up to the arena",
+            ),
             # four fields, as a body without its typecode
-            lambda h, b: ball_file(h, b[1:]),
+            (lambda h, b: ball_file(h, b[1:]), "not enough values to unpack"),
         ],
         ids=[
             "list", "string", "truncated-body", "digest-mismatch", "wrong-format",
@@ -529,14 +570,16 @@ class TestSerialization:
             "lengths-past-arena", "four-fields",
         ],
     )
-    def test_wrong_shape_cache_file_is_rebuilt(self, tmp_path, reshape):
+    def test_wrong_shape_cache_file_is_rebuilt(self, tmp_path, reshape, message):
+        # each file fails its own check: all but the digest cases carry the
+        # digest of their body, as ball_file stamps it
         d = str(tmp_path)
         cached_ball(BS12, 4, d)
         path = tmp_path / ball_cache_name(BS12, 4)
         whole = path.read_bytes()
         header, body = whole.split(b"\n", 1)
         path.write_bytes(reshape(json.loads(header), marshal.loads(body)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             load_ball(str(path))
         ball = cached_ball(BS12, 4, d)
         assert same_ball(ball, build_ball(BS12, 4))
@@ -632,9 +675,9 @@ class TestSerialization:
         "group,radius,digest",
         [
             ("free:2", 3,
-             "5f5a14c70013357f65b2e591e965d85ef8a1db2c42b57f2dc7c7da38863e1495"),
+             "6de218a98f21730019a30007a9ad3a17a8e7133cc466c43bed12109ac310465f"),
             ("bs:1,2", 5,
-             "93e094ba097b2075020561e63b7d5c9299afa242013159b03bcb348c53484833"),
+             "6c61b9a6caa6f839025c29ff16755756e5d16d31e9ca532c1e7234324b374017"),
         ],
     )
     def test_cache_file_bytes_are_pinned(self, tmp_path, group, radius, digest):
@@ -642,6 +685,23 @@ class TestSerialization:
         cached_ball(spec, radius, str(tmp_path))
         data = (tmp_path / ball_cache_name(spec, radius)).read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
+
+    @pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=lambda s: s.describe())
+    def test_header_holds_the_blake2b_digest_of_the_body(self, tmp_path, spec):
+        cached_ball(spec, 4, str(tmp_path))
+        name = ball_cache_name(spec, 4)
+        header, body = (tmp_path / name).read_bytes().split(b"\n", 1)
+        assert json.loads(header)["blake2b"] == hashlib.blake2b(body, digest_size=32).hexdigest()
+        key = f"cosetgeom.ball.v4|{spec.describe()}|4".encode()
+        assert name == f"ball-{hashlib.blake2b(key, digest_size=32).hexdigest()[:16]}-r4.ball"
+
+    def test_digest_falls_back_to_hashlib(self, monkeypatch):
+        # an interpreter built without _blake2 digests through hashlib
+        body = marshal.dumps(tuple(range(100)), 2)
+        expected = hashlib.blake2b(body, digest_size=32).hexdigest()
+        assert cayley._digest(body) == expected
+        monkeypatch.setitem(sys.modules, "_blake2", None)
+        assert cayley._digest(body) == expected
 
     def test_save_load_bytes_stable(self, tmp_path):
         ball = build_ball(AB2, 5)
@@ -676,7 +736,7 @@ class TestPackedForms:
         path = tmp_path / "ball"
         save_ball(ball, str(path))
         header, body = path.read_bytes().split(b"\n", 1)
-        assert json.loads(header)["format"] == BALL_FORMAT == "cosetgeom.ball.v3"
+        assert json.loads(header)["format"] == BALL_FORMAT == "cosetgeom.ball.v4"
         typecode, lengths, arena, dist, adj = marshal.loads(body)
         forms = flat_forms(spec, ball.elements)
         assert typecode == "h"

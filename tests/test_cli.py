@@ -541,6 +541,33 @@ class TestGeometrySubcommands:
         for name, length in zip(letters, result["block_lengths"]):
             assert length < f_bound[name]
 
+    # in the ball along the word; the walk leaves and comes back; outside
+    LIFT_BASES = ["1", "x^4", "t.x.t^-1", "t^-1.x^5", "t^7.t^-7", "t^7"]
+
+    @pytest.mark.parametrize("base", LIFT_BASES)
+    def test_lift_base_walk_matches_the_index(self, cache_dir, tmp_path, monkeypatch, base):
+        argv = ["lift", "--group", "bs:1,2", "--radius", "6", "--path", "t.x.t^-1.x^-1",
+                "--base", base]
+        run_cli(argv, cache_dir, tmp_path)  # fills the cache, so both runs load
+        walked = run_cli(argv, cache_dir, tmp_path)
+        # no slot leads anywhere, so every base is looked up in the index
+        monkeypatch.setattr(Ball, "neighbor", lambda self, vid, letter: None)
+        assert run_cli(argv, cache_dir, tmp_path) == walked
+        assert walked[0] == (2 if base == "t^7" else 0)
+
+    @pytest.mark.parametrize("base", LIFT_BASES[:4])
+    def test_lift_base_inside_the_ball_needs_no_index(
+        self, cache_dir, tmp_path, monkeypatch, base
+    ):
+        def refuse(self, a):
+            raise AssertionError("the lift base was looked up in the vertex index")
+
+        argv = ["lift", "--group", "bs:1,2", "--radius", "6", "--path", "t.x.t^-1.x^-1",
+                "--base", base]
+        run_cli(argv, cache_dir, tmp_path)
+        monkeypatch.setattr(Ball, "vertex", refuse)
+        assert run_cli(argv, cache_dir, tmp_path)[0] == 0
+
     def test_rays_cover_abelian_ball(self, cache_dir, tmp_path):
         code, report = run_cli(
             ["rays", "--group", "abelian:2", "--radius", "6"],

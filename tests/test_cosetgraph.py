@@ -7,7 +7,14 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from cosetgeom.cayley import UNREACHED, PathInBall, build_ball, walk_path
+from cosetgeom.cayley import (
+    UNREACHED,
+    PathInBall,
+    build_ball,
+    load_ball,
+    save_ball,
+    walk_path,
+)
 from cosetgeom.cosetgraph import (
     LambdaPath,
     build_coset_patch,
@@ -245,6 +252,31 @@ def test_patch_cosets_are_the_membership_classes(text):
         for c in range(patch.n_cosets):
             swept = [v for v, cv in enumerate(patch.coset_of) if cv == c]
             assert list(patch.vertices_in_coset(c)) == swept, (radius, c)
+
+
+@pytest.mark.parametrize(
+    "text, radius", [("bs:1,2", 7), ("bs:2,3", 6), ("bs:-2,3", 6), ("bs:1,300", 3)]
+)
+def test_loaded_bs_patch_labels_by_arena_bytes(tmp_path, text, radius):
+    """A loaded bs ball labels its vertices by the arena bytes of each form
+    less its last int, in two-byte ints or the four of bs:1,300: the patch
+    and coset_of_element agree with the tuple labels of the built ball,
+    also one letter past the rim and for a label too wide for the arena."""
+    spec = parse_group_spec(text)
+    built = build_ball(spec, radius)
+    save_ball(built, str(tmp_path / "ball"))
+    by_tuple = build_coset_patch(Q, built)
+    by_bytes = build_coset_patch(Q, load_ball(str(tmp_path / "ball")))
+    assert by_bytes.coset_of.typecode == "i"
+    assert list(by_bytes.coset_of) == list(by_tuple.coset_of)
+    assert (by_bytes.witness, by_bytes.trusted) == (by_tuple.witness, by_tuple.trusted)
+    group = group_for(spec)
+    beyond = [group.apply_letter(a, l) for a in built.elements for l in spec.letters]
+    for a in built.elements + beyond:
+        assert by_bytes.coset_of_element(a) == by_tuple.coset_of_element(a)
+    longest = max(built.elements, key=len)
+    wide = (*longest[:-2], 1 << 40, longest[-1])
+    assert by_bytes.coset_of_element(wide) is by_tuple.coset_of_element(wide) is None
 
 
 class TestPartitionSoundness:
