@@ -328,7 +328,7 @@ def build_coset_patch(
         labels = _coset_labels_words(ball, q)
     else:
         raise ConfigError(f"unknown subgroup mode {q.mode!r}")
-    # coset_of takes 4 bytes per vertex as an array, not a pointer and an int
+    # an array keeps 4 bytes per vertex
     ids = defaultdict(count().__next__)
     coset_of = array("i", map(ids.__getitem__, labels))
     n_cosets = len(ids)
