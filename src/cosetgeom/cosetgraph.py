@@ -80,11 +80,11 @@ class CosetPatch:
 
     The labelling is built with the patch: each ball vertex's coset and each
     coset's witness and trust flag.  Every other part is built on first use
-    and kept: the keys (for DOT and dumps), the label index behind
-    coset_of_element, the neighbour lists (behind neighbors, degree and
-    dist), the lettered edges and each coset's member list.  So a lift
-    builds none of them, a Hausdorff profile only the index and two member
-    lists, and an ends count only the neighbour lists.
+    and kept: the keys (for DOT and dumps), the neighbour lists (behind
+    neighbors, degree and dist), the lettered edges and each coset's member
+    list.  coset_of_element labels witnesses only as far as its lookups
+    reach.  So a lift builds none of the parts, a Hausdorff profile two
+    member lists, and an ends count only the neighbour lists.
     """
 
     def __init__(
@@ -103,6 +103,7 @@ class CosetPatch:
         self.coset_of = coset_of
         self.trusted = trusted
         self._members: Dict[int, array] = {}
+        self._label_ids: Dict[Hashable, int] = {}  # labels of cosets 0, 1, ...
 
     @property
     def spec(self) -> GroupSpec:
@@ -130,17 +131,29 @@ class CosetPatch:
         group = group_for(spec)
         return tuple(group.canonical_key(elements[w]) for w in self.witness)
 
-    @cached_property
-    def _id_of_label(self) -> Dict[Tuple, int]:
-        if self.subgroup.mode != VERTEX:
-            raise SubgroupModeError("coset labels need a vertex subgroup")
-        label, elements = coset_labeller(self.spec), self.ball.elements
-        return {label(elements[w]): cid for cid, w in enumerate(self.witness)}
-
     def coset_of_element(self, a: Element) -> Optional[int]:
         """The id of the coset a*Q, or None when it has no ball vertex
-        (vertex mode only)."""
-        return self._id_of_label.get(coset_labeller(self.spec)(a))
+        (vertex mode only).
+
+        Each call labels witnesses in id order from where the last one
+        stopped, up to the first match, and keeps their labels.  Ids open in
+        order of first ball vertex, so gQ is found among the cosets that
+        meet B(|g|); a miss labels the rest once.
+        """
+        if self.subgroup.mode != VERTEX:
+            raise SubgroupModeError("coset labels need a vertex subgroup")
+        label, ids = coset_labeller(self.spec), self._label_ids
+        key = label(a)
+        cid = ids.get(key)
+        if cid is not None:
+            return cid
+        elements, witness = self.ball.elements, self.witness
+        for cid in range(len(ids), len(witness)):
+            seen = label(elements[witness[cid]])
+            ids[seen] = cid
+            if seen == key:
+                return cid
+        return None
 
     def _codes(self, rank_of: Dict[int, int]) -> List[int]:
         """Sorted distinct codes (source * n_ranks + rank) * n + target, one

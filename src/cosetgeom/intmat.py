@@ -7,6 +7,7 @@ keeps the cubic and quintic algorithms comfortably cheap.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import List, Sequence, Tuple
 
 IntMatrix = Tuple[Tuple[int, ...], ...]
@@ -18,7 +19,7 @@ def identity_matrix(k: int) -> IntMatrix:
 
 
 def mat_vec(A: IntMatrix, v: Sequence[int]) -> IntVector:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in A)
+    return tuple([sum(map(mul, row, v)) for row in A])
 
 
 def mat_mul(A: IntMatrix, B: IntMatrix) -> IntMatrix:

@@ -5,7 +5,8 @@ The two BS word-problem oracles are deliberately different in kind: one is
 an exact affine representation (a homomorphism of every bs:m,n, faithful
 only when |m| = 1), the other is a purely syntactic rewriting closure
 (available for any bs:m,n but only at bounded word length).  The ascending
-HNN groups get an affine representation too, faithful on all of them.  The reference ball
+HNN groups get an affine representation too, faithful on all of them, and
+their integer kernel is pinned by plain loops and solutions over Q.  The reference ball
 builder pins the production builder's numbering and adjacency using only Group.multiply.
 The coset sweep pins a patch's labelling (in words mode over classes that a
 queue search of generator-word translations finds), and the key formatter
@@ -96,6 +97,35 @@ def _fraction_inverse(rows: Sequence[Sequence[int]]) -> Tuple[Tuple[Fraction, ..
                 factor = aug[r][col]
                 aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
     return tuple(tuple(row[k:]) for row in aug)
+
+
+# ---------------------------------------------------------------------------
+# Integer matrix kernel
+# ---------------------------------------------------------------------------
+#
+# The HNN normal forms step through matrix-vector products and exact
+# solutions of A w = v.  Here the product is a plain loop over the entries
+# and the solution is read off the inverse over Q, with no adjugate and no
+# determinant.
+
+
+def reference_mat_vec(A: Sequence[Sequence[int]], v: Sequence[int]) -> Tuple[int, ...]:
+    out = []
+    for row in A:
+        total = 0
+        for j in range(len(v)):
+            total += row[j] * v[j]
+        out.append(total)
+    return tuple(out)
+
+
+def reference_solve(A: Sequence[Sequence[int]], v: Sequence[int]) -> Optional[Tuple[int, ...]]:
+    """The integer w with A w = v for a nonsingular A, or None when the
+    rational solution is not integral."""
+    w = [sum(x * y for x, y in zip(row, v)) for row in _fraction_inverse(A)]
+    if any(x.denominator != 1 for x in w):
+        return None
+    return tuple(int(x) for x in w)
 
 
 class HNNAffine:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import tracemalloc
 
 import pytest
@@ -138,8 +139,8 @@ def test_lazy_parts_match_an_eager_build(text, mode):
     """Every lazily built part of a patch against the labelling swept in one
     go (a coset-key sweep, or in words mode the translation classes), read
     in an order that builds the parts one at a time: per-coset members,
-    coset_of_element (on ball elements and one step past the rim), edges,
-    neighbours and keys."""
+    coset_of_element (on ball elements and one step past the rim, in vertex
+    order and then shuffled on a fresh patch), edges, neighbours and keys."""
     spec = parse_group_spec(text)
     group = group_for(spec)
     subgroups = [Q] if mode == "vertex" else word_subgroups(spec)
@@ -171,6 +172,26 @@ def test_lazy_parts_match_an_eager_build(text, mode):
                         assert patch.coset_of_element(b) == id_of_key.get(
                             coset_key(spec, Q, b)
                         ), (where, v, letter)
+                # out of order on a fresh patch, so the lookups stop and
+                # resume their scan: ball elements, one step past them, a
+                # few powers far outside the ball, a third of them repeated
+                rng = random.Random(radius)
+                queries = [
+                    b
+                    for a in ball.elements
+                    for b in (a, *(group.apply_letter(a, l) for l in spec.letters))
+                ]
+                queries += [
+                    group.evaluate_word((letter,) * (radius + e))
+                    for letter in spec.letters
+                    for e in (2, 5)
+                ]
+                queries += rng.sample(queries, len(queries) // 3)
+                rng.shuffle(queries)
+                fresh = build_coset_patch(q, ball)
+                expected = [id_of_key.get(coset_key(spec, Q, b)) for b in queries]
+                assert (None in expected) == (len(spec.letters) > 2), where
+                assert list(map(fresh.coset_of_element, queries)) == expected, where
             else:
                 keys = [group.canonical_key(ball.elements[w]) for w in witness]
                 with pytest.raises(SubgroupModeError):
@@ -392,24 +413,33 @@ class TestPatchStructure:
             assert in_base == is_member(spec, Q, ball.elements[v])
 
     def test_coset_graph_waits_for_first_use(self, ball_bs23_r10):
-        """Each lazy part is built by its first reader and by no other."""
+        """Each lazy part is built by its first reader and by no other, and a
+        coset lookup labels witnesses only up to its match."""
         patch = build_coset_patch(Q, ball_bs23_r10)
-        lazy = ("keys", "_id_of_label", "_links", "_edges", "dist")
+        lazy = ("keys", "_links", "_edges", "dist")
         built = lambda: {name for name in lazy if name in vars(patch)}
-        assert built() == set() and patch._members == {}
-        t = group_for(patch.spec).evaluate_word((2,))
+        assert built() == set() and patch._members == {} and patch._label_ids == {}
+        group = group_for(patch.spec)
+        t, t_inv = group.evaluate_word((2,)), group.evaluate_word((-2,))
+        near = [c for c, w in enumerate(patch.witness) if ball_bs23_r10.dist[w] <= 1]
+        assert len(near) == 3  # Q, tQ and t^-1 Q, in vertex order
         hausdorff_profile(patch, t, [2, 3, 4])
-        assert built() == {"_id_of_label"}
+        assert built() == set()
+        # the scan stopped at tQ, the second of the cosets that meet B(1)
+        assert sorted(patch._label_ids.values()) == near[:2]
+        assert patch.coset_of_element(t_inv) == near[2]
+        assert sorted(patch._label_ids.values()) == near
         assert set(patch._members) == {patch.base, patch.coset_of_element(t)}
         assert patch.dist[patch.base] == 0
-        assert built() == {"_id_of_label", "_links", "dist"}
+        assert built() == {"_links", "dist"}
         assert patch.degree(patch.base) == len(patch.neighbors(patch.base))
-        assert built() == {"_id_of_label", "_links", "dist"}
+        assert built() == {"_links", "dist"}
         list(patch.edges(patch.base))
-        assert built() == {"_id_of_label", "_links", "_edges", "dist"}
+        assert built() == {"_links", "_edges", "dist"}
         assert patch.keys[patch.base] == b""
         assert built() == set(lazy)
         assert len(patch._members) == 2
+        assert sorted(patch._label_ids.values()) == near
 
     def test_lambda_path_validation(self):
         with pytest.raises(ValueError):

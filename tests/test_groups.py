@@ -22,6 +22,7 @@ from cosetgeom.groups import (
     parse_word,
     render_word,
 )
+from cosetgeom.intmat import adjugate, determinant, mat_vec, solve_exact
 
 from .oracles import (
     INVERSE_DIGIT,
@@ -30,6 +31,8 @@ from .oracles import (
     affine_evaluate,
     all_words,
     digits_to_letters,
+    reference_mat_vec,
+    reference_solve,
 )
 
 BS23 = baumslag_solitar(2, 3)
@@ -370,6 +373,30 @@ class TestHNNAffineImage:
         assert image([-3, 1, 3]) == image([1, 1])
         assert image([3, 1, -3]) != image([1])
         assert image([3, 1, -3, 3, 1, -3]) == image([3, 1, 1, -3])
+
+
+def test_integer_kernel_matches_plain_loops():
+    """mat_vec and solve_exact on random nonsingular matrices of rank 1-3
+    with entries -9..9, against a plain loop and a solution over Q: a random
+    right-hand side is mostly not solvable over the integers, A v always is."""
+    rng = random.Random(27)
+    outcomes = set()
+    for _ in range(300):
+        k = rng.randint(1, 3)
+        det = 0
+        while not det:
+            A = tuple(tuple(rng.randint(-9, 9) for _ in range(k)) for _ in range(k))
+            det = determinant(A)
+        adj = adjugate(A)
+        v = tuple(rng.randint(-99, 99) for _ in range(k))
+        assert mat_vec(A, v) == reference_mat_vec(A, v), (A, v)
+        assert mat_vec(adj, v) == reference_mat_vec(adj, v), (adj, v)
+        for rhs in (v, reference_mat_vec(A, v)):
+            w = solve_exact(A, rhs, det, adj)
+            assert w == reference_solve(A, rhs), (A, rhs)
+            outcomes.add(w is None)
+        assert solve_exact(A, reference_mat_vec(A, v), det, adj) == v
+    assert outcomes == {True, False}
 
 
 class TestSmallClosureOracle:

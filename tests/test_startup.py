@@ -47,6 +47,8 @@ RUNS = {
     "rays": ["rays", "--group", "bs:1,2", "--radius", "6", "--graph", "patch"],
     "commensurate": ["commensurate", "--group", "bs:1,2", "--radius", "7"],
     "filtered-ends": ["filtered-ends", "--group", "bs:1,2", "--radius", "8"],
+    "hausdorff": ["hausdorff", "--group", "bs:1,2", "--radius", "7", "--element", "t"],
+    "lift": ["lift", "--group", "bs:1,2", "--radius", "7", "--path", "t.x.t^-1"],
 }
 
 
@@ -112,6 +114,20 @@ def test_analyses_load_their_modules(imports):
     assert "cosetgeom.homotopy" in imports["ladder"][1]
     assert {"cosetgeom.cosetgraph", "cosetgeom.metrics"} <= imports["commensurate"][1]
     assert "cosetgeom.ends" in imports["filtered-ends"][1]
+
+
+@pytest.mark.parametrize(
+    "run, uses, skips",
+    [
+        ("hausdorff", {"metrics"}, {"ends", "dot", "homotopy", "lifting"}),
+        ("lift", {"lifting"}, {"metrics", "ends", "dot", "homotopy"}),
+    ],
+)
+def test_coset_lookups_load_only_their_analysis(imports, run, uses, skips):
+    # both look cosets up in a patch; neither counts ends nor builds a ladder
+    _, names = imports[run]
+    assert {f"cosetgeom.{m}" for m in {"cosetgraph", *uses}} <= names
+    assert names.isdisjoint(f"cosetgeom.{m}" for m in skips), sorted(names)
 
 
 def test_cache_and_config_load_what_they_use(tmp_path):
