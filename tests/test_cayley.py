@@ -678,6 +678,8 @@ class TestSerialization:
              "6de218a98f21730019a30007a9ad3a17a8e7133cc466c43bed12109ac310465f"),
             ("bs:1,2", 5,
              "6c61b9a6caa6f839025c29ff16755756e5d16d31e9ca532c1e7234324b374017"),
+            ("hnn:2,2 1;0 2", 3,
+             "5442b40327934dfe0e0932e0346a3f89fc5401a05f5d02ec0d9564e9c5154f4b"),
         ],
     )
     def test_cache_file_bytes_are_pinned(self, tmp_path, group, radius, digest):
