@@ -15,8 +15,10 @@ Distances are one byte each while the radius stays below 256.
 
 A built ball keeps the list and the dict its BFS filled as its elements
 and vertex index.  A ball loaded from a cache file keeps its normal forms
-packed in one int arena and decodes a form when it is read (PackedForms),
-and it builds its vertex index on its first lookup, so a run that never
+packed in one int arena and decodes a form when it is read (PackedForms);
+every family's form is one flat int tuple, so the arena holds the forms
+exactly as the group makes them, and a decoded form is the element itself.
+It builds its vertex index on its first lookup, so a run that never
 looks an element up never pays for it.
 """
 
@@ -82,14 +84,13 @@ class PackedForms:
     """The normal forms of a loaded ball, decoded from one packed int arena.
 
     Vertex v's form is the next lengths[v] ints of the arena, whose array
-    typecode is typecode; an hnn triple (p, v, q) is stored flat as
-    (p, v1, ..., vk, q).  The sequence offers len, [v] and iteration only,
+    typecode is typecode.  The sequence offers len, [v] and iteration only,
     and each read decodes with one struct per form length, so it makes a
     tuple per form read and keeps none.  heads() reads the forms less their
     last int as undecoded bytes.
     """
 
-    def __init__(self, spec: GroupSpec, typecode: str, lengths: bytes, arena: bytes):
+    def __init__(self, typecode: str, lengths: bytes, arena: bytes):
         import struct
 
         self.typecode = typecode
@@ -97,7 +98,6 @@ class PackedForms:
         self.arena = arena
         self.itemsize = struct.calcsize(typecode)
         self._structs = {n: struct.Struct(f"{n}{typecode}") for n in set(lengths)}
-        self._nested = spec.family == FAMILY_HNN
 
     def __len__(self) -> int:
         return len(self.lengths)
@@ -112,19 +112,14 @@ class PackedForms:
             raise IndexError(f"vertex {v} not in ball")
         n = self.lengths[v]
         start = v * n if len(self._structs) == 1 else self._starts[v]
-        form = self._structs[n].unpack_from(self.arena, start * self.itemsize)
-        return (form[0], form[1:-1], form[-1]) if self._nested else form
+        return self._structs[n].unpack_from(self.arena, start * self.itemsize)
 
     def __iter__(self) -> Iterator[Element]:
         # iter_unpack reads forms of one length in C, but refuses length 0
         if len(self._structs) == 1 and 0 not in self._structs:
             (fixed,) = self._structs.values()
-            forms = fixed.iter_unpack(self.arena)
-        else:
-            forms = self._walk()
-        if self._nested:
-            return ((t[0], t[1:-1], t[-1]) for t in forms)
-        return forms
+            return fixed.iter_unpack(self.arena)
+        return self._walk()
 
     def heads(self) -> Iterator[bytes]:
         """Each form less its last int, as the arena's bytes, in vertex order."""
@@ -472,18 +467,13 @@ def _packed_forms(ball: Ball) -> Tuple[str, bytes, array]:
     elements = ball.elements
     if isinstance(elements, PackedForms):
         return elements.typecode, elements.lengths, elements.arena
-    hnn = ball.spec.family == FAMILY_HNN
     try:
-        if hnn:
-            lengths = bytes([ball.spec.rank + 2]) * len(elements)
-        else:
-            lengths = bytes(map(len, elements))
+        lengths = bytes(map(len, elements))
     except ValueError:
         raise OverflowError("a normal form has more than 255 ints") from None
 
     # one pass into a list, which array() converts faster than an iterator
-    forms = ((p, *v, q) for p, v, q in elements) if hnn else elements
-    flat = list(chain.from_iterable(forms))
+    flat = list(chain.from_iterable(elements))
     for typecode in FORM_TYPECODES:
         try:
             return typecode, lengths, array(typecode, flat)
@@ -602,7 +592,7 @@ def load_ball(path: str) -> Ball:
         k = len(spec.letters)
         if not n == len(lengths) == len(dist) or len(adj) != n * k:
             raise ValueError("ball file fields disagree")
-        forms = PackedForms(spec, typecode, lengths, arena)
+        forms = PackedForms(typecode, lengths, arena)
         _check_forms(spec, radius, forms)
         if min(dist) < 0 or max(dist) > radius or min(adj) < NO_EDGE or max(adj) >= n:
             raise ValueError("ball file distance or vertex id out of range")

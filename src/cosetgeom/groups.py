@@ -8,11 +8,11 @@ bs:m,n      one-relator group <x, t | t^-1 x^m t = x^n>; elements are
             reduced syllable forms with a fixed coset transversal
 hnn:k,M     ascending extension of Z^k by an injective integer matrix M,
             with relation t^-1 x^v t = x^(M v); elements are reduced
-            triples (p, v, q) meaning t^p * x^v * t^-q
+            forms (p, v1, ..., vk, q) meaning t^p * x^v * t^-q
 
-Elements are immutable tuples of arbitrary-precision ints: flat for free,
-abelian and bs, and the nested triple (p, v, q) for hnn.  Byte equality of
-canonical keys coincides with equality in the group.  Words are tuples of
+Every element is one flat immutable tuple of arbitrary-precision ints, the
+order in which a ball file packs it.  Byte equality of canonical keys
+coincides with equality in the group.  Words are tuples of
 signed 1-based generator indices (+i for the generator, -i for its inverse).
 """
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property, lru_cache
-from operator import add
+from operator import add, neg
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import ConfigError
@@ -362,11 +362,12 @@ class BaumslagSolitarGroup(Group):
 
 
 class AscendingHNNGroup(Group):
-    """Reduced triples (p, v, q) = t^p x^v t^-q for Z^k *_M.
+    """Reduced forms (p, v1, ..., vk, q) = t^p x^v t^-q for Z^k *_M.
 
-    The defining relation is t^-1 x^v t = x^(M v).  A triple with p > 0 and
+    The defining relation is t^-1 x^v t = x^(M v).  A form with p > 0 and
     q > 0 reduces while v lies in the lattice M Z^k, via
-    t x^(M w) t^-1 = x^w; reduced triples are unique.
+    t x^(M w) t^-1 = x^w; reduced forms are unique.  A form is one flat
+    tuple, the order a ball file packs it in.
     """
 
     def __init__(self, spec: GroupSpec):
@@ -376,10 +377,10 @@ class AscendingHNNGroup(Group):
         self.det = determinant(self.M)
         self.adj = adjugate(self.M)
         self._hnf_cache: Dict[int, IntMatrix] = {}
-        self._step_cache: Dict[Tuple[int, Letter], Tuple[int, ...]] = {}
+        self._step_cache: Dict[Tuple[int, Letter], Element] = {}
 
     def identity(self) -> Element:
-        return (0, (0,) * self.k, 0)
+        return (0,) * (self.k + 2)
 
     def _reduce(self, p: int, v: Tuple[int, ...], q: int) -> Element:
         while p > 0 and q > 0:
@@ -389,7 +390,7 @@ class AscendingHNNGroup(Group):
             p -= 1
             q -= 1
             v = w
-        return (p, v, q)
+        return (p, *v, q)
 
     def _mat_pow_vec(self, e: int, v: Tuple[int, ...]) -> Tuple[int, ...]:
         for _ in range(e):
@@ -397,43 +398,42 @@ class AscendingHNNGroup(Group):
         return v
 
     def multiply(self, a: Element, b: Element) -> Element:
-        p1, v1, q1 = a
-        p2, v2, q2 = b
+        q1, p2 = a[-1], b[0]
         if p2 <= q1:
             j = q1 - p2
-            v = tuple(x + y for x, y in zip(v1, self._mat_pow_vec(j, v2)))
-            return self._reduce(p1, v, j + q2)
+            v = tuple(map(add, a[1:-1], self._mat_pow_vec(j, b[1:-1])))
+            return self._reduce(a[0], v, j + b[-1])
         j = p2 - q1
-        v = tuple(x + y for x, y in zip(self._mat_pow_vec(j, v1), v2))
-        return self._reduce(p1 + j, v, q2)
+        v = tuple(map(add, self._mat_pow_vec(j, a[1:-1]), b[1:-1]))
+        return self._reduce(a[0] + j, v, b[-1])
 
     def invert(self, a: Element) -> Element:
-        p, v, q = a
-        return (q, tuple(-x for x in v), p)
+        return (a[-1], *map(neg, a[1:-1]), a[0])
 
-    def _step(self, q: int, letter: Letter) -> Tuple[int, ...]:
-        """M^q applied to the unit vector of an x-letter, cached per (q, letter)."""
-        step = [0] * self.k
-        step[abs(letter) - 1] = 1 if letter > 0 else -1
-        self._step_cache[(q, letter)] = self._mat_pow_vec(q, tuple(step))
-        return self._step_cache[(q, letter)]
+    def _step(self, q: int, letter: Letter) -> Element:
+        """(0, M^q e, 0) for the signed unit vector e of an x-letter, the
+        whole-form delta of that letter at q, cached per (q, letter)."""
+        unit = [0] * self.k
+        unit[abs(letter) - 1] = 1 if letter > 0 else -1
+        delta = self._step_cache[(q, letter)] = (0, *self._mat_pow_vec(q, unit), 0)
+        return delta
 
     def apply_letter(self, a: Element, letter: Letter) -> Element:
-        p, v, q = a
+        q = a[-1]
         if abs(letter) <= self.k:
-            moved = self._step_cache.get((q, letter))
-            if moved is None:
-                moved = self._step(q, letter)
-            return (p, tuple(map(add, v, moved)), q)
+            delta = self._step_cache.get((q, letter))
+            if delta is None:
+                delta = self._step(q, letter)
+            return tuple(map(add, a, delta))
         # a is reduced, so with p > 0 and q > 0 its v is outside M Z^k and
         # only a step from q = 0 to q = 1 can cancel a t against a t^-1.
         if letter > 0:
             if q > 0:
-                return (p, v, q - 1)
-            return (p + 1, mat_vec(self.M, v), 0)
+                return a[:-1] + (q - 1,)
+            return (a[0] + 1, *mat_vec(self.M, a[1:-1]), 0)
         if q > 0:
-            return (p, v, q + 1)
-        return self._reduce(p, v, 1)
+            return a[:-1] + (q + 1,)
+        return self._reduce(a[0], a[1:-1], 1)
 
     def lattice_hnf(self, power: int) -> IntMatrix:
         """Column Hermite form of M^power, cached per power."""
@@ -448,20 +448,19 @@ class AscendingHNNGroup(Group):
         return reduce_mod_lattice(self.lattice_hnf(power), v)
 
     def canonical_key(self, a: Element) -> bytes:
-        p, v, q = a
-        if p == 0 and q == 0 and not any(v):
+        if not any(a):
             return IDENTITY_KEY
-        vec = ",".join(str(x) for x in v)
-        return f"{p}|{vec}|{q}".encode()
+        vec = ",".join(map(str, a[1:-1]))
+        return f"{a[0]}|{vec}|{a[-1]}".encode()
 
     def render(self, a: Element) -> str:
-        p, v, q = a
+        p, q = a[0], a[-1]
         parts: List[str] = []
         if p:
             parts.append("t" if p == 1 else f"t^{p}")
         parts.extend(
             f"x{i + 1}" + (f"^{x}" if x != 1 else "")
-            for i, x in enumerate(v)
+            for i, x in enumerate(a[1:-1])
             if x != 0
         )
         if q:
@@ -469,11 +468,10 @@ class AscendingHNNGroup(Group):
         return ".".join(parts) if parts else "1"
 
     def is_canonical(self, a: Element) -> bool:
-        p, v, q = a
-        if p < 0 or q < 0 or len(v) != self.k:
+        if len(a) != self.k + 2 or a[0] < 0 or a[-1] < 0:
             return False
-        if p > 0 and q > 0:
-            return solve_exact(self.M, v, self.det, self.adj) is None
+        if a[0] > 0 and a[-1] > 0:
+            return solve_exact(self.M, a[1:-1], self.det, self.adj) is None
         return True
 
 

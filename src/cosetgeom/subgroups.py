@@ -87,7 +87,7 @@ def is_member(spec: GroupSpec, q: SubgroupSpec, a: Element) -> bool:
     if spec.family == FAMILY_BS:
         return len(a) == 1
     if spec.family == FAMILY_HNN:
-        return a[0] == 0 and a[2] == 0
+        return a[0] == 0 and a[-1] == 0
     if spec.family == FAMILY_ABELIAN:
         return not any(a[1:])
     return all(abs(l) == 1 for l in a)
@@ -98,7 +98,7 @@ def q_norm(spec: GroupSpec, a: Element) -> int:
     if spec.family in (FAMILY_BS, FAMILY_ABELIAN):
         return abs(a[0])
     if spec.family == FAMILY_HNN:
-        return sum(map(abs, a[1]))
+        return sum(map(abs, a[1:-1]))
     return len(a)
 
 
@@ -143,9 +143,10 @@ def coset_labeller(spec: GroupSpec) -> Callable[[Element], Tuple]:
 
     A label is hashable and read off the normal form: labels agree exactly
     when the cosets agree, and Q itself gets ().  It is the part of the
-    normal form that right multiplication by Q leaves alone: for bs the flat
-    form without its trailing exponent, so (head, s1, e1, ..., sj); for hnn
-    (p, v mod M^q Z^k, q); for free the word stripped of its trailing
+    normal form that right multiplication by Q leaves alone: for bs the form
+    without its trailing exponent, so (head, s1, e1, ..., sj); for hnn the
+    form (p, v1, ..., vk, q) with v taken mod M^q Z^k, itself a reduced hnn
+    form; for free the word stripped of its trailing
     x1-letters; for abelian the coordinates after the first.  Bind it once
     and call it per element.
     """
@@ -156,10 +157,10 @@ def coset_labeller(spec: GroupSpec) -> Callable[[Element], Tuple]:
         reduce_mod_image = group_for(spec).reduce_mod_image
 
         def label(a: Element) -> Tuple:
-            p, v, qq = a
+            p, qq = a[0], a[-1]
             if p == 0 and qq == 0:
                 return ()
-            return (p, reduce_mod_image(v, qq), qq)
+            return (p, *reduce_mod_image(a[1:-1], qq), qq)
 
         return label
     if family == FAMILY_ABELIAN:
@@ -202,9 +203,7 @@ def coset_key(spec: GroupSpec, q: SubgroupSpec, a: Element) -> bytes:
             text += ("|+" if label[i] > 0 else "|-") + str(label[i + 1])
         return (text + ("|+" if label[-1] > 0 else "|-")).encode()
     if spec.family == FAMILY_HNN:
-        p, residue, qq = label
-        vec = ",".join(str(x) for x in residue)
-        return f"{p}|{vec}|{qq}".encode()
+        return group_for(spec).canonical_key(label)
     return ",".join(str(x) for x in label).encode()
 
 

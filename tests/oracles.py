@@ -483,8 +483,8 @@ def reference_coset_graph(ball, coset_of: Sequence[int], q_letters) -> Reference
 # The byte key of a*Q written family by family from a's normal form, with no
 # intermediate label: a free word loses its trailing x1-letters, an abelian
 # vector its first coordinate; a bs form keeps its head, every syllable but
-# the last and the last t-sign; an hnn triple (p, v, q) keeps v modulo
-# M^q Z^k, for which the caller passes the reducer.  Q gets the empty key.
+# the last and the last t-sign; an hnn form (p, v1, ..., vk, q) keeps v
+# modulo M^q Z^k, for which the caller passes the reducer.  Q gets the empty key.
 
 
 def formatted_coset_key(family: str, a, reduce_mod_image=None) -> bytes:
@@ -505,7 +505,7 @@ def formatted_coset_key(family: str, a, reduce_mod_image=None) -> bytes:
             mark = "+" if a[i] > 0 else "-"
             parts.append(f"{mark}{a[i + 1]}" if i < len(a) - 2 else mark)
         return "|".join(parts).encode()
-    p, v, q = a
+    p, v, q = a[0], a[1:-1], a[-1]
     if p == 0 and q == 0:
         return b""
     residue = ",".join(str(x) for x in reduce_mod_image(v, q))

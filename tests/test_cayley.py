@@ -79,13 +79,6 @@ def ball_file(header, body):
     return json.dumps(header).encode() + b"\n" + data
 
 
-def flat_forms(spec, elements):
-    """Normal forms as flat int tuples: an hnn (p, v, q) becomes (p, *v, q)."""
-    if spec.family == "hnn":
-        return [(p, *v, q) for p, v, q in elements]
-    return [tuple(a) for a in elements]
-
-
 def body_forms(body):
     """The flat forms of a ball file body, read with its own typecode."""
     typecode, lengths, arena = body[:3]
@@ -716,8 +709,7 @@ class TestSerialization:
 @pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=lambda s: s.describe())
 class TestPackedForms:
     def test_loaded_forms_decode_as_built(self, tmp_path, spec):
-        # the free group's identity is the empty form, and hnn triples come
-        # back nested
+        # the free group's identity is the empty form
         for radius in range(7):
             ball = build_ball(spec, radius)
             forms = round_trip(ball, tmp_path / "ball").elements
@@ -740,7 +732,7 @@ class TestPackedForms:
         header, body = path.read_bytes().split(b"\n", 1)
         assert json.loads(header)["format"] == BALL_FORMAT == "cosetgeom.ball.v4"
         typecode, lengths, arena, dist, adj = marshal.loads(body)
-        forms = flat_forms(spec, ball.elements)
+        forms = ball.elements
         assert typecode == "h"
         assert list(lengths) == [len(a) for a in forms]
         assert array(typecode, arena).tolist() == [x for a in forms for x in a]

@@ -54,7 +54,7 @@ class TestIdentityAndKeys:
         assert group_for(FREE2).identity() == ()
         assert group_for(AB2).identity() == (0, 0)
         assert group_for(BS23).identity() == (0,)
-        assert group_for(HNN_DOUBLE).identity() == (0, (0,), 0)
+        assert group_for(HNN_DOUBLE).identity() == (0, 0, 0)
 
     def test_identity_key_is_empty_constant(self):
         for spec in ALL_SPECS:
@@ -103,9 +103,9 @@ class TestWorkedExamples:
         assert g.invert((3, -1)) == (-3, 1)
 
     def test_hnn_conjugation_matches_matrix(self):
-        assert ev(HNN_DOUBLE, "t^-1.x1.t") == (0, (2,), 0)
-        assert ev(HNN_DOUBLE, "t.x1^2.t^-1") == (0, (1,), 0)
-        assert ev(HNN_DOUBLE, "t.x1.t^-1") == (1, (1,), 1)
+        assert ev(HNN_DOUBLE, "t^-1.x1.t") == (0, 2, 0)
+        assert ev(HNN_DOUBLE, "t.x1^2.t^-1") == (0, 1, 0)
+        assert ev(HNN_DOUBLE, "t.x1.t^-1") == (1, 1, 1)
 
     def test_hnn_relator_soundness(self):
         g = group_for(HNN_MIXED)
