@@ -646,7 +646,9 @@ def build_parser() -> argparse.ArgumentParser:
 def emit(payload: dict, out_path: Optional[str]) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out_path:
-        with open(out_path, "w") as fh:
+        from .cayley import _replacing
+
+        with _replacing(out_path, "w") as fh:  # the old report or the whole new one
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -5,6 +5,7 @@ and checks the exit code contract: 0 conclusive, 2 inconclusive, 1 error.
 A module-scoped cache directory keeps repeated ball builds cheap.
 """
 
+import builtins
 import gc
 import hashlib
 import json
@@ -798,6 +799,56 @@ class TestDotExport:
             assert names == ([] if earlier is None else ["patch.dot"])
             if earlier is not None:
                 assert dot_path.read_text() == earlier
+
+    @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+    def test_failed_report_write_leaves_the_earlier_report_or_none(
+        self, cache_dir, tmp_path, monkeypatch, error
+    ):
+        report_path = tmp_path / "report.json"
+        argv = ["ball", "--group", "bs:1,2", "--radius", "5"]
+        run_cli(argv, cache_dir, tmp_path)  # warm, so the report is the one file written
+        report_path.unlink()
+        real_open = builtins.open
+
+        class HalfWritten:
+            """A file opened for text writing whose write puts down half the
+            text, then fails."""
+
+            def __init__(self, *args):
+                self.fh = real_open(*args)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                self.fh.flush()
+                raise error("the write failed")
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            if mode == "w":
+                return HalfWritten(file, mode)
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", failing_open)
+        for earlier in (None, '{"earlier": true}\n'):
+            if earlier is not None:
+                report_path.write_text(earlier)
+            if error is OSError:
+                code, report = run_cli(argv, cache_dir, tmp_path)
+                assert code == 1
+                assert report == (None if earlier is None else {"earlier": True})
+            else:
+                with pytest.raises(KeyboardInterrupt):
+                    run_cli(argv, cache_dir, tmp_path)
+            # no temp file is left beside it, and the earlier report is whole
+            names = [p.name for p in tmp_path.iterdir()]
+            assert names == ([] if earlier is None else ["report.json"])
+            if earlier is not None:
+                assert report_path.read_text() == earlier
 
     def test_ball_subcommand_writes_dot_too(self, cache_dir, tmp_path):
         dot_path = tmp_path / "ball2.dot"
