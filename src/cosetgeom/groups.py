@@ -377,7 +377,11 @@ class AscendingHNNGroup(Group):
         self.det = determinant(self.M)
         self.adj = adjugate(self.M)
         self._hnf_cache: Dict[int, IntMatrix] = {}
-        self._step_cache: Dict[Tuple[int, Letter], Element] = {}
+        # x-step deltas keyed by q * stride + letter, where the stride counts
+        # the letters -(k+1)..k+1, so each (q, letter) has its own key; no
+        # t-letter is stored, so its lookup misses
+        self._stride = 2 * self.k + 3
+        self._deltas: Dict[int, Element] = {}
 
     def identity(self) -> Element:
         return (0,) * (self.k + 2)
@@ -415,16 +419,17 @@ class AscendingHNNGroup(Group):
         whole-form delta of that letter at q, cached per (q, letter)."""
         unit = [0] * self.k
         unit[abs(letter) - 1] = 1 if letter > 0 else -1
-        delta = self._step_cache[(q, letter)] = (0, *self._mat_pow_vec(q, unit), 0)
+        delta = (0, *self._mat_pow_vec(q, unit), 0)
+        self._deltas[q * self._stride + letter] = delta
         return delta
 
     def apply_letter(self, a: Element, letter: Letter) -> Element:
         q = a[-1]
-        if abs(letter) <= self.k:
-            delta = self._step_cache.get((q, letter))
-            if delta is None:
-                delta = self._step(q, letter)
+        delta = self._deltas.get(q * self._stride + letter)
+        if delta is not None:  # an x-letter already stepped at this q
             return tuple(map(add, a, delta))
+        if abs(letter) <= self.k:
+            return tuple(map(add, a, self._step(q, letter)))
         # a is reduced, so with p > 0 and q > 0 its v is outside M Z^k and
         # only a step from q = 0 to q = 1 can cancel a t against a t^-1.
         if letter > 0:
