@@ -441,7 +441,13 @@ def _digest(data) -> str:
 def _replacing(path: str, mode: str):
     """A file object on a temp file beside path, renamed onto path when the
     block ends and removed if it raises, so a reader sees either the old
-    file or the whole new one, even when runs race or one is interrupted."""
+    file or the whole new one, even when runs race or one is interrupted.
+    A path that exists but is no regular file, such as a pipe or /dev/stdout,
+    is written through, since a rename would replace it."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, mode) as fh:
+            yield fh
+        return
     tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
         fh = open(tmp, mode)

@@ -9,6 +9,9 @@ import builtins
 import gc
 import hashlib
 import json
+import os
+import stat
+import threading
 
 import pytest
 
@@ -849,6 +852,28 @@ class TestDotExport:
             assert names == ([] if earlier is None else ["report.json"])
             if earlier is not None:
                 assert report_path.read_text() == earlier
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("flag", ["--out", "--dot"])
+    def test_a_pipe_is_written_through_not_replaced(self, cache_dir, tmp_path, flag):
+        # as --out /dev/stdout would be: a rename would put a file in its place
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(pipe.read_text()), daemon=True)
+        reader.start()
+        dot_path = pipe if flag == "--dot" else tmp_path / "ball.dot"
+        argv = ["export", "--group", "free:2", "--radius", "2", "--what", "ball",
+                "--cache-dir", str(cache_dir), "--dot", str(dot_path)]
+        if flag == "--out":
+            argv += ["--out", str(pipe)]
+        assert main(argv) == 0
+        reader.join(timeout=30)
+        assert stat.S_ISFIFO(pipe.stat().st_mode)
+        if flag == "--out":
+            assert json.loads(got[0])["result"]["nodes"] == 17
+        else:
+            assert got[0] == export_dot(build_ball(parse_group_spec("free:2"), 2))
 
     def test_ball_subcommand_writes_dot_too(self, cache_dir, tmp_path):
         dot_path = tmp_path / "ball2.dot"
