@@ -442,13 +442,15 @@ def _replacing(path: str, mode: str):
     """A file object on a temp file beside path, renamed onto path when the
     block ends and removed if it raises, so a reader sees either the old
     file or the whole new one, even when runs race or one is interrupted.
-    A path that exists but is no regular file, such as a pipe or /dev/stdout,
-    is written through, since a rename would replace it."""
+    A symlink is followed, so the file it names is the one replaced.  A path
+    that exists but is no regular file, such as a pipe or /dev/stdout, is
+    written through, since a rename would replace it."""
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, mode) as fh:
             yield fh
         return
-    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+    target = os.path.realpath(path)
+    tmp = f"{target}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
         fh = open(tmp, mode)
     except OSError as exc:  # name the file asked for, not the temp file
@@ -456,7 +458,7 @@ def _replacing(path: str, mode: str):
     try:
         with fh:
             yield fh
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)

@@ -875,6 +875,22 @@ class TestDotExport:
         else:
             assert got[0] == export_dot(build_ball(parse_group_spec("free:2"), 2))
 
+    @pytest.mark.parametrize("flag", ["--out", "--dot"])
+    def test_a_symlink_keeps_pointing_at_the_new_file(self, cache_dir, tmp_path, flag):
+        (tmp_path / "target").write_text("earlier\n")
+        (tmp_path / "link").symlink_to("target")
+        argv = ["export", "--group", "free:2", "--radius", "2", "--what", "ball",
+                "--cache-dir", str(cache_dir), flag, str(tmp_path / "link")]
+        if flag == "--out":
+            argv += ["--dot", str(tmp_path / "ball.dot")]
+        assert main(argv) == 0
+        assert os.readlink(tmp_path / "link") == "target"
+        text = (tmp_path / "target").read_text()
+        if flag == "--out":
+            assert json.loads(text)["result"]["nodes"] == 17
+        else:
+            assert text == export_dot(build_ball(parse_group_spec("free:2"), 2))
+
     def test_ball_subcommand_writes_dot_too(self, cache_dir, tmp_path):
         dot_path = tmp_path / "ball2.dot"
         code, _ = run_cli(
