@@ -532,10 +532,8 @@ def _check_forms(spec: GroupSpec, radius: int, forms: PackedForms) -> None:
     """
     lengths, arena, size = forms.lengths, forms.arena, forms.itemsize
     widths = set(lengths)
-    if spec.family == FAMILY_HNN:
-        valid = widths <= {spec.rank + 2}
-    elif spec.family == FAMILY_ABELIAN:
-        valid = widths <= {spec.rank}
+    if spec.family in (FAMILY_ABELIAN, FAMILY_HNN):  # fixed width, the identity's
+        valid = widths <= {len(group_for(spec).identity())}
     elif spec.family == FAMILY_BS:
         valid = all(n % 2 for n in widths)
     else:  # a reduced word is as long as its distance

@@ -402,14 +402,11 @@ class AscendingHNNGroup(Group):
         return v
 
     def multiply(self, a: Element, b: Element) -> Element:
-        q1, p2 = a[-1], b[0]
-        if p2 <= q1:
-            j = q1 - p2
-            v = tuple(map(add, a[1:-1], self._mat_pow_vec(j, b[1:-1])))
-            return self._reduce(a[0], v, j + b[-1])
-        j = p2 - q1
-        v = tuple(map(add, self._mat_pow_vec(j, a[1:-1]), b[1:-1]))
-        return self._reduce(a[0] + j, v, b[-1])
+        # t^-q1 t^p2 = t^-j; x^u t^-j x^w = x^(u + M^j w) t^-j when j >= 0, and
+        # x^u t^-j = t^-j x^(M^-j u) when j < 0 (_mat_pow_vec skips e <= 0)
+        j = a[-1] - b[0]
+        v = tuple(map(add, self._mat_pow_vec(-j, a[1:-1]), self._mat_pow_vec(j, b[1:-1])))
+        return self._reduce(a[0] + max(-j, 0), v, max(j, 0) + b[-1])
 
     def invert(self, a: Element) -> Element:
         return (a[-1], *map(neg, a[1:-1]), a[0])
