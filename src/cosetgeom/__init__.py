@@ -104,9 +104,7 @@ _EXPORTS = {
     ),
     "subgroups": (
         "SubgroupSpec",
-        "base_coset_key",
         "coset_key",
-        "coset_label",
         "is_member",
         "k_letters",
         "q_letters",

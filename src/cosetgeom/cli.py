@@ -212,14 +212,18 @@ class Scenario:
         """lift_constants read off B(2F + 1), the smallest ball that holds M,
         whatever the radius: the scenario's own ball when it is built and
         holds B(2F + 1), else that ball.  F takes well under a millisecond,
-        so lift_constants simply computes it again."""
+        so lift_constants simply computes it again.  They are constants of
+        the vertex subgroup, so a words subgroup is refused."""
         from .lifting import compute_f, lift_constants
+        from .subgroups import VERTEX
 
-        bound = 2 * max(compute_f(self.q, self.spec).values()) + 1
+        if self.q.mode != VERTEX:
+            raise ConfigError("transfer constants and ladders need the vertex subgroup")
+        bound = 2 * max(compute_f(self.spec).values()) + 1
         ball = self._ball
         if ball is None or ball.radius < bound:
             ball = self.ball_of(bound)
-        return lift_constants(self.q, ball)
+        return lift_constants(ball)
 
     @property
     def trust_margin(self) -> int:
@@ -405,7 +409,7 @@ def _witness_payload(sc: Scenario) -> list:
     for s in sc.spec.letters:
         s_inv = group.evaluate_word((-s,))
         pairs = []
-        for v in transfer_basis(sc.spec, sc.q, s):
+        for v in transfer_basis(sc.spec, s):
             w = q_element(sc.spec, v)
             image = group.evaluate_word((s,), group.multiply(s_inv, w))
             pairs.append([group.render(w), group.render(image)])
@@ -454,7 +458,8 @@ def cmd_lift(sc: Scenario):
             f"base element {base_text!r} lies outside the ball",
             required_radius=len(base_word),
         )
-    f_per_letter = compute_f(sc.q, sc.spec).items()
+    sc.patch.labeller  # a words subgroup is refused before F is read
+    f_per_letter = compute_f(sc.spec).items()
     lpath = project_path(sc.patch, PathInBall(base, word))
     lift = approximate_lift(sc.patch, lpath, base)
     replay = project_path(sc.patch, PathInBall(base, lift.word))
@@ -513,7 +518,7 @@ def cmd_ladder(sc: Scenario):
         crossing=sc.letter_name(crossing),
     )
     constants = sc.constants()
-    ladder = build_ladder(sc.q, sc.spec, prefix, crossing, constants)
+    ladder = build_ladder(sc.spec, prefix, crossing, constants)
     report = verify_ladder(sc.spec, ladder)
     loops = [
         {

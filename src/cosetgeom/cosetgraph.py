@@ -17,46 +17,34 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, namedtuple
 from functools import cached_property
 from itertools import count, repeat
-from typing import Dict, Hashable, Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, Hashable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .cayley import NO_EDGE, Ball, PackedForms, PathInBall, bfs_distances
-from .errors import ConfigError, InsufficientRadiusError, SubgroupModeError
+from .errors import ConfigError, InsufficientRadiusError
 from .groups import FAMILY_BS, Element, GroupSpec, group_for
-from .subgroups import VERTEX, WORDS, SubgroupSpec, coset_key, coset_labeller, q_letters
+from .subgroups import VERTEX, SubgroupSpec, coset_key, coset_labeller, q_letters
 
 DEFAULT_TRUST_MARGIN = 1
 
 
-class LambdaPath:
+class LambdaPath(namedtuple("LambdaPath", "cosets letters")):
     """A walk in the coset graph: visited cosets plus the letter per step.
 
     Letters are the Cayley-graph letters whose projection produced each
     coset change; steps that stayed inside a coset are contracted away, so
     ``len(letters) == len(cosets) - 1`` and consecutive cosets differ.
-    Paths compare and hash by (cosets, letters).
     """
 
-    __slots__ = ("cosets", "letters")
+    __slots__ = ()
 
-    def __init__(self, cosets: Tuple[int, ...], letters: Tuple[int, ...]):
-        if len(cosets) != len(letters) + 1:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if len(self.cosets) != len(self.letters) + 1:
             raise ValueError("coset/letter length mismatch")
-        self.cosets = cosets
-        self.letters = letters
-
-    def __eq__(self, other):
-        if other.__class__ is not LambdaPath:
-            return NotImplemented
-        return self.cosets == other.cosets and self.letters == other.letters
-
-    def __hash__(self) -> int:
-        return hash((self.cosets, self.letters))
-
-    def __repr__(self) -> str:
-        return f"LambdaPath(cosets={self.cosets!r}, letters={self.letters!r})"
+        return self
 
     @property
     def start(self) -> int:
@@ -125,24 +113,31 @@ class CosetPatch:
     def keys(self) -> Tuple[bytes, ...]:
         """Each coset's canonical byte key: its coset_key in vertex mode, its
         witness's group key in words mode."""
-        elements, spec, q = self.ball.elements, self.spec, self.subgroup
-        if q.mode == VERTEX:
-            return tuple(coset_key(spec, q, elements[w]) for w in self.witness)
+        elements, spec = self.ball.elements, self.spec
+        if self.subgroup.mode == VERTEX:
+            return tuple(coset_key(spec, elements[w]) for w in self.witness)
         group = group_for(spec)
         return tuple(group.canonical_key(elements[w]) for w in self.witness)
 
+    @cached_property
+    def labeller(self) -> Callable[[Element], Tuple]:
+        """The exact coset labeller of the patch's group (coset_labeller).
+
+        A words subgroup has none: ConfigError.
+        """
+        if self.subgroup.mode != VERTEX:
+            raise ConfigError("exact coset labels need the vertex subgroup")
+        return coset_labeller(self.spec)
+
     def coset_of_element(self, a: Element) -> Optional[int]:
-        """The id of the coset a*Q, or None when it has no ball vertex
-        (vertex mode only).
+        """The id of the coset a*Q, or None when it has no ball vertex.
 
         Each call labels witnesses in id order from where the last one
         stopped, up to the first match, and keeps their labels.  Ids open in
         order of first ball vertex, so gQ is found among the cosets that
         meet B(|g|); a miss labels the rest once.
         """
-        if self.subgroup.mode != VERTEX:
-            raise SubgroupModeError("coset labels need a vertex subgroup")
-        label, ids = coset_labeller(self.spec), self._label_ids
+        label, ids = self.labeller, self._label_ids
         key = label(a)
         cid = ids.get(key)
         if cid is not None:
@@ -159,10 +154,9 @@ class CosetPatch:
         """Sorted distinct codes (source * n_ranks + rank) * n + target, one
         per coset edge, for the letters ranked in rank_of.
 
-        They are read off the ball's slots.  Q-letters get no rank: their
-        edges never leave a coset, in vertex mode because the letter lies in
-        Q and in words mode because a one-letter generator word merges its
-        two ends.
+        They are read off the ball's slots.  An edge that stays inside its
+        coset gives no code: in words mode that is every edge of a one-letter
+        generator word, whose two ends the labelling merges.
         """
         slots, coset_of, n = self.ball.adj, self.coset_of, self.n_cosets
         k = len(self.ball.letters)
@@ -181,7 +175,9 @@ class CosetPatch:
         return sorted(codes)
 
     def _outside_letters(self) -> List[int]:
-        inside = set(q_letters(self.spec, self.subgroup))
+        """The letters to rank: in vertex mode those outside Q, whose
+        Q-letter edges never leave a coset; in words mode every letter."""
+        inside = set(q_letters(self.spec)) if self.subgroup.mode == VERTEX else ()
         return sorted(l for l in self.ball.letters if l not in inside)
 
     @cached_property
@@ -335,12 +331,7 @@ def build_coset_patch(
         raise ConfigError("trust_margin must be >= 1")
 
     # one pass: each label takes the next id the first time it is seen
-    if q.mode == VERTEX:
-        labels = _vertex_labels(ball)
-    elif q.mode == WORDS:
-        labels = _coset_labels_words(ball, q)
-    else:
-        raise ConfigError(f"unknown subgroup mode {q.mode!r}")
+    labels = _vertex_labels(ball) if q.mode == VERTEX else _coset_labels_words(ball, q)
     # an array keeps 4 bytes per vertex
     ids = defaultdict(count().__next__)
     coset_of = array("i", map(ids.__getitem__, labels))
@@ -372,7 +363,7 @@ def project_path(patch: CosetPatch, path: PathInBall) -> LambdaPath:
     """Project a ball path to the coset graph, contracting in-coset steps.
 
     The path steps on normal forms, so it may leave the ball; every coset
-    it visits must meet the ball (vertex mode only).
+    it visits must meet the ball (vertex subgroup only).
     """
     ball = patch.ball
     v = path.base

@@ -50,7 +50,7 @@ from .metrics import (
     default_test_elements,
     hausdorff_profile,
 )
-from .subgroups import SubgroupSpec, VERTEX, coset_key
+from .subgroups import coset_key
 
 ZERO_ENDS = "ZeroEnds"
 STABLE_COUNT = "StableCount"
@@ -214,8 +214,6 @@ def escape_route(
     of the excluded set, then routes freely (still avoiding the set) into the
     target coset.  K may be passed in to reuse a previously computed bound.
     """
-    if patch.subgroup.mode != VERTEX:
-        raise ConfigError("escape routing needs exact coset keys (vertex mode)")
     ball = patch.ball
     coset_of = patch.coset_of
     excluded = frozenset(c_vertices)
@@ -280,7 +278,6 @@ def escape_route(
 
 
 def verify_escape_route(
-    q: SubgroupSpec,
     ball: Ball,
     c_vertices: Iterable[int],
     v: int,
@@ -306,6 +303,6 @@ def verify_escape_route(
             return False, f"step {i} leaves the ball"
         if vid in excluded:
             return False, f"step {i} enters the excluded set"
-    if coset_key(spec, q, a) != coset_key(spec, q, g):
+    if coset_key(spec, a) != coset_key(spec, g):
         return False, "terminal vertex is not in the target coset"
     return True, ""

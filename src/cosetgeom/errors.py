@@ -13,10 +13,6 @@ class ConfigError(CosetGeomError):
     """Malformed scenario text (group string, word, schedule, config file)."""
 
 
-class SubgroupModeError(CosetGeomError):
-    """Operation requires the other subgroup mode."""
-
-
 class BallOverflowError(CosetGeomError):
     """Ball construction exceeded the vertex budget."""
 

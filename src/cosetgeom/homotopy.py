@@ -23,10 +23,8 @@ from .cayley import Ball, bfs_distances, first_hit
 from .errors import ConfigError, ConstantViolationError
 from .groups import Element, GroupSpec, group_for, inverse_word
 from .subgroups import (
-    SubgroupSpec,
-    VERTEX,
     coset_key,
-    coset_label,
+    coset_labeller,
     k_letters,
     q_letters,
     q_steps,
@@ -138,7 +136,6 @@ class Ladder(NamedTuple):
 
 
 def build_ladder(
-    q: SubgroupSpec,
     spec: GroupSpec,
     prefix: Sequence[int],
     crossing: int,
@@ -146,10 +143,8 @@ def build_ladder(
 ) -> Ladder:
     """Build and check a homotopy ladder along a Q-letter prefix from the
     identity, stepping on normal forms: no ball bounds its walks."""
-    if q.mode != VERTEX:
-        raise ConfigError("ladders need exact coset keys (vertex mode)")
-    qlets = q_letters(spec, q)
-    if crossing not in k_letters(spec, q):
+    qlets = q_letters(spec)
+    if crossing not in k_letters(spec):
         raise ConfigError(f"crossing letter {crossing} must lie outside Q")
     prefix = tuple(int(e) for e in prefix)
     for e in prefix:
@@ -168,7 +163,7 @@ def build_ladder(
     # the first crossing fixes the target coset; later ones must match it
     target: Optional[Tuple] = None
     for i, v in enumerate(prefix_elements):
-        found = transfer_walk(spec, q, v, crossing, target, f_bound - 1)
+        found = transfer_walk(spec, v, crossing, target, f_bound - 1)
         if found is None:
             raise ConstantViolationError(
                 f"no transfer within {f_bound - 1} Q-steps at rung {i}; "
@@ -176,12 +171,12 @@ def build_ladder(
             )
         alpha, landing = found
         if target is None:
-            target = coset_label(spec, q, landing)
+            target = coset_labeller(spec)(landing)
         alphas.append(alpha)
         rung_ends.append(landing)
         transfer_ends.append(group.evaluate_word(alpha, v))
 
-    steps = q_steps(spec, q)
+    steps = q_steps(spec)
     rungs: List[Tuple[int, ...]] = []
     for i in range(len(prefix)):
         goal = rung_ends[i + 1]
@@ -200,7 +195,7 @@ def build_ladder(
         constants=constants,
         prefix=prefix,
         crossing=crossing,
-        target_key=coset_key(spec, q, rung_ends[0]),
+        target_key=coset_key(spec, rung_ends[0]),
         prefix_elements=tuple(prefix_elements),
         transfer_ends=tuple(transfer_ends),
         rung_ends=tuple(rung_ends),

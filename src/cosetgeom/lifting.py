@@ -34,16 +34,7 @@ from .errors import (
 )
 from .groups import GroupSpec, render_word
 from .intmat import column_hnf, l1_covering_radius
-from .subgroups import (
-    SubgroupSpec,
-    VERTEX,
-    coset_label,
-    is_member,
-    q_letters,
-    q_norm,
-    transfer_basis,
-    transfer_walk,
-)
+from .subgroups import is_member, q_letters, q_norm, transfer_basis, transfer_walk
 
 if TYPE_CHECKING:
     from .cosetgraph import CosetPatch, LambdaPath
@@ -101,22 +92,16 @@ class LiftResult(namedtuple("LiftResult", "input_path base blocks letters end"))
         return tuple(len(b) for b in self.blocks)
 
 
-def _require_vertex_mode(q: SubgroupSpec) -> None:
-    if q.mode != VERTEX:
-        raise ConfigError("transfer constants need exact membership (vertex mode)")
-
-
-def compute_f(q: SubgroupSpec, spec: GroupSpec) -> Dict[int, int]:
+def compute_f(spec: GroupSpec) -> Dict[int, int]:
     """Per-letter transfer constants F_s = 1 + the l1 covering radius of T_s.
 
     Raises NotCommensuratedError, naming the letters, when some T_s has
     lower rank than Q.
     """
-    _require_vertex_mode(q)
-    k = len(q_letters(spec, q)) // 2
+    k = len(q_letters(spec)) // 2
     out: Dict[int, int] = {}
     for s in spec.letters:
-        basis = transfer_basis(spec, q, s)
+        basis = transfer_basis(spec, s)
         if len(basis) == k:
             out[s] = 1 + l1_covering_radius(column_hnf(tuple(zip(*basis))))
     short = [render_word(spec, (s,)) for s in spec.letters if s not in out]
@@ -125,9 +110,8 @@ def compute_f(q: SubgroupSpec, spec: GroupSpec) -> Dict[int, int]:
     return out
 
 
-def compute_m(q: SubgroupSpec, ball: Ball, f: int) -> int:
+def compute_m(ball: Ball, f: int) -> int:
     """Largest Q-length of a Q-element at ambient distance at most 2F+1."""
-    _require_vertex_mode(q)
     bound = 2 * f + 1
     if ball.radius < bound:
         raise InsufficientRadiusError(
@@ -140,16 +124,16 @@ def compute_m(q: SubgroupSpec, ball: Ball, f: int) -> int:
     return max(
         q_norm(spec, a)
         for a in islice(ball.elements, bisect_right(ball.dist, bound))
-        if is_member(spec, q, a)
+        if is_member(spec, a)
     )
 
 
-def lift_constants(q: SubgroupSpec, ball: Ball) -> LiftConstants:
+def lift_constants(ball: Ball) -> LiftConstants:
     """F (per letter), M, and with them the loop bound L, all exact."""
-    f_per_letter = compute_f(q, ball.spec)
+    f_per_letter = compute_f(ball.spec)
     return LiftConstants(
         f_per_letter=tuple(f_per_letter.items()),
-        m=compute_m(q, ball, max(f_per_letter.values())),
+        m=compute_m(ball, max(f_per_letter.values())),
     )
 
 
@@ -158,9 +142,10 @@ def approximate_lift(patch: CosetPatch, lpath: LambdaPath, base: int) -> LiftRes
 
     Each block is the first transfer walk (subgroups.transfer_walk) from
     the last landing, on normal forms, so no ball bounds it; only F is read.
+    The landings are labelled exactly, so a words patch is refused.
     """
-    spec, q, ball = patch.spec, patch.subgroup, patch.ball
-    f = compute_f(q, spec)
+    spec, ball, label = patch.spec, patch.ball, patch.labeller
+    f = compute_f(spec)
     if not (0 <= base < ball.n_vertices):
         raise ConfigError(f"base vertex {base} not in ball")
     if patch.coset_of[base] != lpath.start:
@@ -173,8 +158,8 @@ def approximate_lift(patch: CosetPatch, lpath: LambdaPath, base: int) -> LiftRes
     u = elements[base]
     blocks: List[Tuple[int, ...]] = []
     for i, s in enumerate(lpath.letters):
-        target = coset_label(spec, q, elements[witness[lpath.cosets[i + 1]]])
-        found = transfer_walk(spec, q, u, s, target, f[s] - 1)
+        target = label(elements[witness[lpath.cosets[i + 1]]])
+        found = transfer_walk(spec, u, s, target, f[s] - 1)
         if found is None:
             raise ConstantViolationError(
                 f"no transfer within {f[s] - 1} Q-steps at lift step {i}; "

@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Sequence, Tu
 from .cayley import UNREACHED, Ball, bfs_layers
 from .errors import ConfigError, EmptyCosetInBallError, InsufficientRadiusError
 from .groups import Element, GroupSpec, group_for, render_word
-from .subgroups import VERTEX
 
 if TYPE_CHECKING:
     from .cosetgraph import CosetPatch
@@ -120,8 +119,6 @@ def hausdorff_profile(
     one-sided distance is at least that row's exact value, since it never
     decreases in r, and at most this row's in-ball value.
     """
-    if patch.subgroup.mode != VERTEX:
-        raise ConfigError("hausdorff_profile needs exact coset keys (vertex mode)")
     ball = patch.ball
     radii = list(radii)
     if not radii or sorted(radii) != radii:

@@ -1,13 +1,13 @@
 """Subgroup descriptions, membership tests, left-coset keys and Q-walks.
 
-Two modes are supported.  A vertex subgroup is the distinguished base
-subgroup of the family (the x-generators; for free and free abelian
-groups, <x1>), where membership and coset identity are exact and read
-directly off canonical forms.  A word-generated subgroup is given by
-arbitrary generator words; it has no membership test or coset key, and a
-coset patch built for it merges ball vertices joined by generator words
-inside the ball, so it under-merges near the rim.  Q-letter walks step on
-normal forms; transfer_walk is the one search that lifts and ladders use
+Q is the distinguished base subgroup of the group spec's family (the
+x-generators; for free and free abelian groups, <x1>), so every function
+here reads Q off the spec: membership and coset identity are exact and read
+directly off canonical forms.  A word-generated subgroup (``words:...``) is
+only an input to cosetgraph.build_coset_patch, whose patch merges ball
+vertices joined by its generator words inside the ball and so under-merges
+near the rim; it has no membership test or coset key.  Q-letter walks step
+on normal forms; transfer_walk is the one search that lifts and ladders use
 to cross into a neighbouring coset.
 """
 
@@ -18,7 +18,7 @@ from operator import itemgetter
 from typing import Callable, List, Optional, Tuple
 
 from .cayley import first_hit
-from .errors import SubgroupModeError
+from .errors import ConfigError
 from .groups import (
     FAMILY_ABELIAN,
     FAMILY_BS,
@@ -43,9 +43,9 @@ class SubgroupSpec(namedtuple("SubgroupSpec", "mode words", defaults=((),))):
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         if self.mode not in (VERTEX, WORDS):
-            raise SubgroupModeError(f"unknown subgroup mode {self.mode!r}")
+            raise ConfigError(f"unknown subgroup mode {self.mode!r}")
         if self.mode == WORDS and not self.words:
-            raise SubgroupModeError("word-generated subgroup needs generator words")
+            raise ConfigError("word-generated subgroup needs generator words")
         return self
 
 
@@ -57,33 +57,21 @@ def word_subgroup(words) -> SubgroupSpec:
     return SubgroupSpec(mode=WORDS, words=tuple(tuple(w) for w in words))
 
 
-def q_letters(spec: GroupSpec, q: SubgroupSpec) -> Tuple[int, ...]:
-    """Signed generator letters of the ambient group that lie in Q.
-
-    Empty for word-generated subgroups whose generators are not single
-    letters; the sub-generating set there is the given words themselves.
-    """
-    if q.mode == VERTEX:
-        if spec.family in (FAMILY_FREE, FAMILY_ABELIAN, FAMILY_BS):
-            return (1, -1)
-        return tuple(l for i in range(1, spec.rank + 1) for l in (i, -i))
-    letters = []
-    for w in q.words:
-        if len(w) == 1:
-            letters.extend((w[0], -w[0]))
-    return tuple(sorted(set(letters), key=lambda l: (abs(l), -l)))
+def q_letters(spec: GroupSpec) -> Tuple[int, ...]:
+    """Signed generator letters of the ambient group that lie in Q."""
+    if spec.family in (FAMILY_FREE, FAMILY_ABELIAN, FAMILY_BS):
+        return (1, -1)
+    return tuple(l for i in range(1, spec.rank + 1) for l in (i, -i))
 
 
-def k_letters(spec: GroupSpec, q: SubgroupSpec) -> Tuple[int, ...]:
+def k_letters(spec: GroupSpec) -> Tuple[int, ...]:
     """Signed letters of the ambient generating set outside Q."""
-    inside = set(q_letters(spec, q))
+    inside = set(q_letters(spec))
     return tuple(l for l in spec.letters if l not in inside)
 
 
-def is_member(spec: GroupSpec, q: SubgroupSpec, a: Element) -> bool:
-    """Exact test of a in Q, read off the normal form (vertex mode only)."""
-    if q.mode != VERTEX:
-        raise SubgroupModeError("is_member requires a vertex subgroup")
+def is_member(spec: GroupSpec, a: Element) -> bool:
+    """Exact test of a in Q, read off the normal form."""
     if spec.family == FAMILY_BS:
         return len(a) == 1
     if spec.family == FAMILY_HNN:
@@ -112,20 +100,16 @@ def q_element(spec: GroupSpec, v: IntVector) -> Element:
     return group_for(spec).evaluate_word(word)
 
 
-def transfer_basis(
-    spec: GroupSpec, q: SubgroupSpec, letter: int
-) -> Tuple[IntVector, ...]:
+def transfer_basis(spec: GroupSpec, letter: int) -> Tuple[IntVector, ...]:
     """Generators of T_s = Q ∩ sQs^-1 for the letter s, in Q's coordinates.
 
     Q = Z^k (k the rank for hnn, else 1) and T_s holds the q in Q with
     s^-1 q s in Q again.  For s in Q or Q normal it is all of Q.  For bs:m,n,
     t^-1 x^m t = x^n gives T_t = <x^|m|> and T_{t^-1} = <x^|n|>; for hnn,
     t^-1 x^v t = x^(M v) gives T_t = Z^k and T_{t^-1} = M Z^k.  In a free
-    group T_s is trivial for s outside Q.  (Vertex mode only.)
+    group T_s is trivial for s outside Q.
     """
-    if q.mode != VERTEX:
-        raise SubgroupModeError("transfer_basis requires a vertex subgroup")
-    qlets = q_letters(spec, q)
+    qlets = q_letters(spec)
     whole = identity_matrix(len(qlets) // 2)
     if letter in qlets or spec.family == FAMILY_ABELIAN:
         return whole
@@ -180,21 +164,13 @@ def coset_labeller(spec: GroupSpec) -> Callable[[Element], Tuple]:
     return strip_x1
 
 
-def coset_label(spec: GroupSpec, q: SubgroupSpec, a: Element) -> Tuple:
-    """Hashable label of the left coset a*Q (vertex mode only); see
-    coset_labeller."""
-    if q.mode != VERTEX:
-        raise SubgroupModeError("coset_label requires a vertex subgroup")
-    return coset_labeller(spec)(a)
+def coset_key(spec: GroupSpec, a: Element) -> bytes:
+    """Canonical byte key of the left coset a*Q.
 
-
-def coset_key(spec: GroupSpec, q: SubgroupSpec, a: Element) -> bytes:
-    """Canonical byte key of the left coset a*Q (vertex mode only).
-
-    The byte encoding of coset_label: keys agree exactly when the cosets
-    agree, and the base coset Q maps to the identity key.
+    The byte encoding of the coset_labeller label: keys agree exactly when
+    the cosets agree, and the base coset Q maps to the identity key.
     """
-    label = coset_label(spec, q, a)
+    label = coset_labeller(spec)(a)
     if not label:
         return IDENTITY_KEY
     if spec.family == FAMILY_BS:
@@ -207,22 +183,17 @@ def coset_key(spec: GroupSpec, q: SubgroupSpec, a: Element) -> bytes:
     return ",".join(str(x) for x in label).encode()
 
 
-def base_coset_key(spec: GroupSpec, q: SubgroupSpec) -> bytes:
-    return coset_key(spec, q, group_for(spec).identity())
-
-
-def q_steps(spec: GroupSpec, q: SubgroupSpec) -> Callable[[Element], List]:
+def q_steps(spec: GroupSpec) -> Callable[[Element], List]:
     """Search edges (letter, element) of Q-letter walks on normal forms,
     letters ascending.  Right multiplication by Q fixes the left coset, so
     a Q-walk never leaves its start's coset and no ball bounds it."""
     apply_letter = group_for(spec).apply_letter
-    ordered = sorted(q_letters(spec, q))
+    ordered = sorted(q_letters(spec))
     return lambda a: [(letter, apply_letter(a, letter)) for letter in ordered]
 
 
 def transfer_walk(
     spec: GroupSpec,
-    q: SubgroupSpec,
     start: Element,
     crossing: int,
     target: Optional[Tuple],
@@ -234,7 +205,7 @@ def transfer_walk(
 
     The walk is a shortest one with the earliest letters first.  F_s bounds
     it: from any element, some Q-walk shorter than F_s reaches every coset
-    that the coset's s-edges lead to.  (Vertex mode only.)
+    that the coset's s-edges lead to.
     """
     apply_letter, label = group_for(spec).apply_letter, coset_labeller(spec)
 
@@ -242,5 +213,5 @@ def transfer_walk(
         b = apply_letter(w, crossing)
         return b if target is None or label(b) == target else None
 
-    found, _ = first_hit(start, q_steps(spec, q), crosses, max_len)
+    found, _ = first_hit(start, q_steps(spec), crosses, max_len)
     return found

@@ -232,7 +232,7 @@ def test_criterion_5_end_classifications(
 def test_criterion_6_approximate_lifting(ball_bs12_r15, ball_bs23_r13):
     outcomes = {}
     for spec, ball, f_t in ((BS12, ball_bs12_r15, 1), (BS23, ball_bs23_r13, 2)):
-        f = compute_f(Q, ball.spec)
+        f = compute_f(ball.spec)
         assert f[2] == f_t
 
         patch = build_coset_patch(Q, ball)
@@ -259,8 +259,8 @@ def test_criterion_6_approximate_lifting(ball_bs12_r15, ball_bs23_r13):
 
 def test_criterion_7_homotopy_ladders(ball_bs23_r13):
     t0 = time.monotonic()
-    constants = lift_constants(Q, ball_bs23_r13)
-    ladder = build_ladder(Q, BS23, (1,) * 12, 2, constants)
+    constants = lift_constants(ball_bs23_r13)
+    ladder = build_ladder(BS23, (1,) * 12, 2, constants)
     assert ladder.n_loops == 12
 
     g = group_for(BS23)
@@ -319,7 +319,7 @@ def test_criterion_8_escape_paths(patch_bs12_r10, patch_bs23_r10, patch_ab2_r12)
                 assert exc.required_radius > ball.radius
                 refused += 1
                 continue
-            ok, _ = verify_escape_route(Q, ball, excluded, v, g, path)
+            ok, _ = verify_escape_route(ball, excluded, v, g, path)
             if not ok:
                 invalid += 1
             verified += 1

@@ -403,6 +403,45 @@ class TestScenarioResolution:
         assert report["scenario"]["subgroup"] == "words:x1^2,x2"
 
 
+    @pytest.mark.parametrize(
+        "command, refused",
+        [
+            ("hausdorff --element t", True),
+            ("commensurate", True),
+            ("constants", True),
+            ("ladder --prefix x^8 --crossing t", True),
+            ("lift --path t.x", True),
+            # an empty path looks up no coset before the lift itself
+            ("lift --path 1", True),
+            ("ball", False),
+            ("ends", False),
+            ("coset-graph --dump", False),
+            ("filtered-ends", False),
+            ("rays --graph patch", False),
+            ("export --what patch", False),
+        ],
+    )
+    def test_word_subgroup_is_refused_only_where_q_must_be_exact(
+        self, command, refused, cache_dir, tmp_path, capsys
+    ):
+        argv = command.split()
+        if argv[0] == "export":
+            argv = [*argv, "--dot", str(tmp_path / "patch.dot")]
+        code, report = run_cli(
+            [*argv, "--group", "bs:1,2", "--radius", "8", "--subgroup", "words:x,t.x.t^-1"],
+            cache_dir,
+            tmp_path,
+        )
+        err = capsys.readouterr().err
+        if refused:
+            assert code == 1 and report is None
+            assert "vertex subgroup" in err
+        else:
+            assert code in (0, 2)
+            assert err == ""
+            assert report["scenario"]["subgroup"] == "words:x,t.x.t^-1"
+
+
 class TestDeterminismAndCache:
     def test_cache_hit_reproduces_report(self, cache_dir, tmp_path):
         args = ["ends", "--group", "bs:1,2", "--radius", "8"]

@@ -209,7 +209,7 @@ class TestEscapeRoutes:
         v = ball_bs23_r10.vertex(element(spec, "x^5"))
         g = element(spec, "t^3")
         path = escape_route(patch_bs23_r10, excluded, v, g, k=2)
-        ok, reason = verify_escape_route(Q, ball_bs23_r10, excluded, v, g, path)
+        ok, reason = verify_escape_route(ball_bs23_r10, excluded, v, g, path)
         assert ok, reason
 
     def test_plane_route_goes_straight_up(self, ball_ab2_r12, patch_ab2_r12):
@@ -219,7 +219,7 @@ class TestEscapeRoutes:
         g = element(spec, "x2^5")
         path = escape_route(patch_ab2_r12, excluded, v, g, k=1)
         assert path.word == (2, 2)
-        ok, reason = verify_escape_route(Q, ball_ab2_r12, excluded, v, g, path)
+        ok, reason = verify_escape_route(ball_ab2_r12, excluded, v, g, path)
         assert ok, reason
 
     def test_empty_exclusion_accepts_geodesic(self, ball_ab2_r12, patch_ab2_r12):
@@ -228,7 +228,7 @@ class TestEscapeRoutes:
         g = element(spec, "x2^5")
         path = escape_route(patch_ab2_r12, [], v, g, k=1)
         assert len(path.word) == 2
-        ok, reason = verify_escape_route(Q, ball_ab2_r12, [], v, g, path)
+        ok, reason = verify_escape_route(ball_ab2_r12, [], v, g, path)
         assert ok, reason
 
     def test_start_inside_excluded_set_is_blocked(self, ball_ab2_r12, patch_ab2_r12):
@@ -304,7 +304,7 @@ class TestEscapeVerifierIndependence:
         other = ball_ab2_r12.vertex(element(spec, "x2^2"))
         bad = PathInBall(other, (2, 2))
         ok, reason = verify_escape_route(
-            Q, ball_ab2_r12, [], v, element(spec, "x2^5"), bad
+            ball_ab2_r12, [], v, element(spec, "x2^5"), bad
         )
         assert not ok and "start" in reason
 
@@ -314,7 +314,7 @@ class TestEscapeVerifierIndependence:
         v = ball_ab2_r12.vertex(element(spec, "x2^3"))
         g = element(spec, "x2^5")
         bad = PathInBall(v, (-2, -2, -2, 2, 2, 2, 2, 2))
-        ok, reason = verify_escape_route(Q, ball_ab2_r12, excluded, v, g, bad)
+        ok, reason = verify_escape_route(ball_ab2_r12, excluded, v, g, bad)
         assert not ok and "excluded" in reason
 
     def test_verifier_rejects_wrong_terminal_coset(self, ball_ab2_r12):
@@ -322,7 +322,7 @@ class TestEscapeVerifierIndependence:
         v = ball_ab2_r12.vertex(element(spec, "x2^3"))
         short = PathInBall(v, (2,))
         ok, reason = verify_escape_route(
-            Q, ball_ab2_r12, [], v, element(spec, "x2^5"), short
+            ball_ab2_r12, [], v, element(spec, "x2^5"), short
         )
         assert not ok and "terminal" in reason
 
@@ -331,7 +331,7 @@ class TestEscapeVerifierIndependence:
         rim = ball_ab2_r12.vertex(element(spec, "x2^12"))
         bad = PathInBall(rim, (2,))
         ok, reason = verify_escape_route(
-            Q, ball_ab2_r12, [], rim, element(spec, "x2^13"), bad
+            ball_ab2_r12, [], rim, element(spec, "x2^13"), bad
         )
         assert not ok and "ball" in reason
 
@@ -343,7 +343,7 @@ class TestEscapeVerifierIndependence:
         last = ball.n_vertices - 1
         base = -1 if where == "before" else ball.n_vertices
         ok, reason = verify_escape_route(
-            Q, ball, [last], base, ball.elements[last], PathInBall(base, ())
+            ball, [last], base, ball.elements[last], PathInBall(base, ())
         )
         assert (ok, reason) == (False, "start vertex not in ball")
 
@@ -395,7 +395,7 @@ def reference_escape(patch, excluded, v, g, k):
     ball, coset_of = patch.ball, patch.coset_of
     if v in excluded:
         return "EscapeBlockedError"
-    keys, key = list(patch.keys), coset_key(patch.spec, Q, g)
+    keys, key = list(patch.keys), coset_key(patch.spec, g)
     target = keys.index(key) if key in keys else None
     if all(coset_of[u] != target or u in excluded for u in range(ball.n_vertices)):
         return "EmptyCosetInBallError"
@@ -501,7 +501,7 @@ class TestRandomEscapeScenarios:
                 path = escape_route(patch, excluded, v, g, k=k)
             except (NoRouteWithinBallError, EscapeBlockedError):
                 continue
-            ok, reason = verify_escape_route(Q, ball, excluded, v, g, path)
+            ok, reason = verify_escape_route(ball, excluded, v, g, path)
             assert ok, reason
             solved += 1
         return solved

@@ -48,22 +48,22 @@ def ball_neighbor_sets(ball):
 
 @pytest.fixture(scope="module")
 def constants_bs12(ball_bs12_r10):
-    return lift_constants(Q, ball_bs12_r10)
+    return lift_constants(ball_bs12_r10)
 
 
 @pytest.fixture(scope="module")
 def constants_bs23(ball_bs23_r10):
-    return lift_constants(Q, ball_bs23_r10)
+    return lift_constants(ball_bs23_r10)
 
 
 @pytest.fixture(scope="module")
 def constants_ab2(ball_ab2_r12):
-    return lift_constants(Q, ball_ab2_r12)
+    return lift_constants(ball_ab2_r12)
 
 
 @pytest.fixture(scope="module")
 def ladder_bs23(constants_bs23):
-    return build_ladder(Q, baumslag_solitar(2, 3), (1,) * 6, 2, constants_bs23)
+    return build_ladder(baumslag_solitar(2, 3), (1,) * 6, 2, constants_bs23)
 
 
 class TestRaySystems:
@@ -164,7 +164,7 @@ class TestRaySystems:
 class TestLadderConstruction:
     def test_ab2_ladders_are_commutator_squares(self, constants_ab2):
         spec = free_abelian_group(2)
-        ladder = build_ladder(Q, spec, (1, 1, 1), 2, constants_ab2)
+        ladder = build_ladder(spec, (1, 1, 1), 2, constants_ab2)
         assert ladder.n_loops == 3
         assert ladder.alphas == ((), (), (), ())
         assert ladder.rungs == ((1,), (1,), (1,))
@@ -173,7 +173,7 @@ class TestLadderConstruction:
 
     def test_bs12_rungs_double_the_prefix(self, constants_bs12):
         spec = baumslag_solitar(1, 2)
-        ladder = build_ladder(Q, spec, (1,) * 4, 2, constants_bs12)
+        ladder = build_ladder(spec, (1,) * 4, 2, constants_bs12)
         assert ladder.alphas == ((),) * 5
         assert ladder.rungs == ((1, 1),) * 4
         assert ladder.output_word() == (2,) + (1,) * 8
@@ -199,7 +199,7 @@ class TestLadderConstruction:
     def test_rung_ends_share_the_target_coset(self, ladder_bs23):
         spec = baumslag_solitar(2, 3)
         for el in ladder_bs23.rung_ends:
-            assert coset_key(spec, Q, el) == ladder_bs23.target_key
+            assert coset_key(spec, el) == ladder_bs23.target_key
 
     def test_report_shape(self, ladder_bs23):
         report = verify_ladder(baumslag_solitar(2, 3), ladder_bs23)
@@ -209,17 +209,17 @@ class TestLadderConstruction:
 
     def test_crossing_letter_must_leave_q(self, constants_bs12):
         with pytest.raises(ConfigError):
-            build_ladder(Q, baumslag_solitar(1, 2), (1,), 1, constants_bs12)
+            build_ladder(baumslag_solitar(1, 2), (1,), 1, constants_bs12)
 
     def test_prefix_letters_must_stay_in_q(self, constants_bs12):
         with pytest.raises(ConfigError):
-            build_ladder(Q, baumslag_solitar(1, 2), (2,), 2, constants_bs12)
+            build_ladder(baumslag_solitar(1, 2), (2,), 2, constants_bs12)
 
     def test_prefix_leaving_the_ball(self, ball_ab2_r12, constants_ab2):
         # the ladder walks on normal forms: the ball its constants came
         # from does not bound the prefix
         spec = free_abelian_group(2)
-        ladder = build_ladder(Q, spec, (1,) * 13, 2, constants_ab2)
+        ladder = build_ladder(spec, (1,) * 13, 2, constants_ab2)
         assert ball_ab2_r12.vertex(ladder.prefix_elements[-1]) is None
         assert ladder.n_loops == 13
         assert verify_ladder(spec, ladder).ok
@@ -230,7 +230,7 @@ class TestLadderConstruction:
             m=5,
         )
         with pytest.raises(ConstantViolationError, match="F appears underestimated"):
-            build_ladder(Q, baumslag_solitar(2, 3), (1,), 2, starved)
+            build_ladder(baumslag_solitar(2, 3), (1,), 2, starved)
 
     def test_starved_m_is_flagged(self):
         starved = LiftConstants(
@@ -238,7 +238,7 @@ class TestLadderConstruction:
             m=1,
         )
         with pytest.raises(ConstantViolationError, match="M appears underestimated"):
-            build_ladder(Q, baumslag_solitar(1, 2), (1, 1), 2, starved)
+            build_ladder(baumslag_solitar(1, 2), (1, 1), 2, starved)
 
 
 class TestFormLadderOracle:
@@ -256,22 +256,22 @@ class TestFormLadderOracle:
         for text in REFERENCE_GROUPS:
             spec = parse_group_spec(text)
             try:
-                f = max(compute_f(Q, spec).values())
+                f = max(compute_f(spec).values())
             except NotCommensuratedError:
                 assert spec.family == "free"
                 continue
-            constants = lift_constants(Q, build_ball(spec, 2 * f + 1))
-            key = lambda a: coset_key(spec, Q, a)
+            constants = lift_constants(build_ball(spec, 2 * f + 1))
+            key = lambda a: coset_key(spec, a)
             for radius in range(3, 8):
                 ball = build_ball(spec, radius)
-                for crossing in k_letters(spec, Q):
-                    for x in q_letters(spec, Q):
+                for crossing in k_letters(spec):
+                    for x in q_letters(spec):
                         for power in range(1, radius + 1):
                             prefix = (x,) * power
-                            ladder = build_ladder(Q, spec, prefix, crossing, constants)
+                            ladder = build_ladder(spec, prefix, crossing, constants)
                             assert verify_ladder(spec, ladder).ok
                             want, touched = reference_ladder(
-                                ball, q_letters(spec, Q), prefix, crossing,
+                                ball, q_letters(spec), prefix, crossing,
                                 constants.f_for(crossing), constants.m, key,
                             )
                             # the oracle fails only where the rim cut it short
@@ -312,7 +312,7 @@ class TestLadderVerifier:
 
     def test_oversize_rung_is_flagged(self, constants_bs12):
         spec = baumslag_solitar(1, 2)
-        ladder = build_ladder(Q, spec, (1,) * 4, 2, constants_bs12)
+        ladder = build_ladder(spec, (1,) * 4, 2, constants_bs12)
         rungs = list(ladder.rungs)
         rungs[2] = rungs[2] + (1, -1) * 3
         report = verify_ladder(spec, ladder._replace(rungs=tuple(rungs)))

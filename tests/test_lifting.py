@@ -73,12 +73,12 @@ def random_lambda_walk(patch, rng, length, cid=0):
 
 @pytest.fixture(scope="module")
 def constants_bs12(ball_bs12_r10):
-    return lift_constants(Q, ball_bs12_r10)
+    return lift_constants(ball_bs12_r10)
 
 
 @pytest.fixture(scope="module")
 def constants_bs23(ball_bs23_r10):
-    return lift_constants(Q, ball_bs23_r10)
+    return lift_constants(ball_bs23_r10)
 
 
 class TestTransferConstants:
@@ -93,7 +93,7 @@ class TestTransferConstants:
         assert (c.f, c.m, c.l) == (2, 5, 10)
 
     def test_abelian_values(self, ball_ab2_r12):
-        c = lift_constants(Q, ball_ab2_r12)
+        c = lift_constants(ball_ab2_r12)
         assert all(value == 1 for _, value in c.f_per_letter)
         assert (c.f, c.m, c.l) == (1, 3, 6)
 
@@ -110,28 +110,24 @@ class TestTransferConstants:
     )
     def test_hnn_values(self, text, f_per_letter, fml):
         spec = parse_group_spec(text)
-        c = lift_constants(Q, build_ball(spec, 8))
+        c = lift_constants(build_ball(spec, 8))
         assert c.f_per_letter == f_per_letter
         assert (c.f, c.m, c.l) == fml
 
     def test_free_group_does_not_stabilize(self, ball_free2_r8):
         # T_s is trivial for s = x2, so no finite F exists
         with pytest.raises(NotCommensuratedError) as info:
-            lift_constants(Q, ball_free2_r8)
+            lift_constants(ball_free2_r8)
         assert info.value.letters == ("x2", "x2^-1")
 
     def test_smaller_pair_bound_shrinks_m(self, ball_bs12_r10):
-        assert compute_m(Q, ball_bs12_r10, 1) == 3
+        assert compute_m(ball_bs12_r10, 1) == 3
 
     def test_m_shortfall_names_the_radius_it_needs(self):
         spec = baumslag_solitar(1, 3)
         with pytest.raises(InsufficientRadiusError, match="radius >= 5") as info:
-            compute_m(Q, build_ball(spec, 4), 2)
+            compute_m(build_ball(spec, 4), 2)
         assert info.value.required_radius == 5
-
-    def test_words_mode_rejected(self, ball_ab2_r12):
-        with pytest.raises(ConfigError):
-            lift_constants(word_subgroup(((1,),)), ball_ab2_r12)
 
     def test_constants_shape_validation(self):
         with pytest.raises(ConfigError):
@@ -144,7 +140,7 @@ class TestTransferConstants:
 def q_walk_distances(ball, start, radius):
     """Length of the shortest walk along Q-letters from start to each vertex
     it reaches without leaving the given radius."""
-    qlets = q_letters(ball.spec, Q)
+    qlets = q_letters(ball.spec)
     depth = {start: 0}
     frontier = [start]
     while frontier:
@@ -164,7 +160,7 @@ def brute_f(spec, ball, q_vertices, s, r):
     s-edge lands in the coset sQ, or None when some Q-vertex reaches none."""
     group = group_for(spec)
     s_el = group.evaluate_word((s,))
-    goal = coset_key(spec, Q, s_el)
+    goal = coset_key(spec, s_el)
     worst = 0
     for a in q_vertices:
         if ball.dist[a] > r:
@@ -172,7 +168,7 @@ def brute_f(spec, ball, q_vertices, s, r):
         gaps = [
             d
             for b, d in q_walk_distances(ball, a, r).items()
-            if coset_key(spec, Q, group.multiply(ball.elements[b], s_el)) == goal
+            if coset_key(spec, group.multiply(ball.elements[b], s_el)) == goal
         ]
         if not gaps:
             return None
@@ -212,18 +208,18 @@ class TestBruteForceConstants:
         spec = parse_group_spec(text)
         r = 9 if text == "bs:2,5" else 8
         ball = build_ball(spec, r)
-        q_vertices = [v for v, a in enumerate(ball.elements) if is_member(spec, Q, a)]
+        q_vertices = [v for v, a in enumerate(ball.elements) if is_member(spec, a)]
         if text == "free:2":
             # no finite F: the scan for x2 reads radius + 1 at every radius
             growth = [brute_f(spec, ball, q_vertices, 2, i) for i in range(1, r + 1)]
             assert growth == list(range(2, r + 2))
             with pytest.raises(NotCommensuratedError):
-                compute_f(Q, spec)
+                compute_f(spec)
             return
-        f = compute_f(Q, spec)
+        f = compute_f(spec)
         assert f == {s: brute_f(spec, ball, q_vertices, s, r) for s in spec.letters}
         top = max(f.values())
-        assert compute_m(Q, ball, top) == brute_m(ball, q_vertices, top, r)
+        assert compute_m(ball, top) == brute_m(ball, q_vertices, top, r)
 
 
 class TestHausdorffBound:
@@ -237,9 +233,9 @@ class TestHausdorffBound:
     def test_exact_profile_values_obey_the_bound(self, text, radius):
         spec = parse_group_spec(text)
         patch = build_coset_patch(Q, build_ball(spec, radius))
-        f = compute_f(Q, spec)
+        f = compute_f(spec)
         group = group_for(spec)
-        outside = k_letters(spec, Q)
+        outside = k_letters(spec)
         for s in spec.letters:
             profile = hausdorff_profile(
                 patch, group.evaluate_word((s,)), default_radii(radius)
@@ -259,10 +255,10 @@ class TestQWalkOracle:
     @pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=REFERENCE_GROUPS)
     def test_matches_walk_carrying_search(self, spec):
         rng = random.Random(spec.describe())
-        qlets = q_letters(spec, Q)
-        crossings = k_letters(spec, Q) or spec.letters
+        qlets = q_letters(spec)
+        crossings = k_letters(spec) or spec.letters
         apply_letter = group_for(spec).apply_letter
-        steps = q_steps(spec, Q)
+        steps = q_steps(spec)
         compared = 0
         for radius in range(1, 7):
             ball = build_ball(spec, radius)
@@ -340,7 +336,7 @@ class TestApproximateLift:
 
     @pytest.mark.parametrize("seed", [11, 12, 13])
     def test_short_walks_round_trip(self, seed, patch_bs12_r10):
-        f = compute_f(Q, patch_bs12_r10.spec)
+        f = compute_f(patch_bs12_r10.spec)
         rng = random.Random(seed)
         for _ in range(50):
             lp = random_lambda_walk(patch_bs12_r10, rng, rng.randint(0, 5))
@@ -374,7 +370,7 @@ class TestApproximateLift:
 
     def test_underestimated_f_violates_the_constant(self, patch_bs23_r10, monkeypatch):
         starved = {1: 1, -1: 1, 2: 1, -2: 1}
-        monkeypatch.setattr(lifting, "compute_f", lambda q, spec: starved)
+        monkeypatch.setattr(lifting, "compute_f", lambda spec: starved)
         t_children = targets(patch_bs23_r10, 0, 2)
         assert len(t_children) == 2
         lp = LambdaPath((0, t_children[1]), (2,))
@@ -407,12 +403,12 @@ class TestFormLiftOracle:
         for text in REFERENCE_GROUPS:
             spec = parse_group_spec(text)
             try:
-                f = compute_f(Q, spec)
+                f = compute_f(spec)
             except NotCommensuratedError:
                 assert spec.family == "free"
                 continue
             rng = random.Random(text)
-            qlets = q_letters(spec, Q)
+            qlets = q_letters(spec)
             for radius in range(1, 8):
                 ball = build_ball(spec, radius)
                 patch = build_coset_patch(Q, ball)

@@ -194,7 +194,7 @@ def test_profiles_match_whole_ball_searches():
             ball = build_ball(spec, radius)
             patch = build_coset_patch(Q, ball)
             elements = ball.elements
-            q_members = [v for v, a in enumerate(elements) if is_member(spec, Q, a)]
+            q_members = [v for v, a in enumerate(elements) if is_member(spec, a)]
             words = [(letter,) for letter in spec.letters]
             words += [(x, x), (t, t), (t, x, -t), (t,) * radius]
             for word in words:
@@ -203,7 +203,7 @@ def test_profiles_match_whole_ball_searches():
                 g_members = [
                     v
                     for v, a in enumerate(elements)
-                    if is_member(spec, Q, group.multiply(g_inv, a))
+                    if is_member(spec, group.multiply(g_inv, a))
                 ]
                 expected = reference_profile(ball, q_members, g_members, radii)
                 if isinstance(expected, str):

@@ -212,8 +212,8 @@ PUBLIC = {
         "hausdorff_profile",
     ],
     "subgroups": [
-        "SubgroupSpec", "base_coset_key", "coset_key", "coset_label", "is_member",
-        "k_letters", "q_letters", "transfer_basis", "vertex_subgroup", "word_subgroup",
+        "SubgroupSpec", "coset_key", "is_member", "k_letters", "q_letters",
+        "transfer_basis", "vertex_subgroup", "word_subgroup",
     ],
 }
 
