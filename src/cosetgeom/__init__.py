@@ -103,14 +103,11 @@ _EXPORTS = {
         "hausdorff_profile",
     ),
     "subgroups": (
-        "SubgroupSpec",
         "coset_key",
         "is_member",
         "k_letters",
         "q_letters",
         "transfer_basis",
-        "vertex_subgroup",
-        "word_subgroup",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -36,9 +36,8 @@ from .errors import (
 if TYPE_CHECKING:
     from .cayley import Ball
     from .cosetgraph import CosetPatch
-    from .groups import GroupSpec
+    from .groups import GroupSpec, Word
     from .lifting import LiftConstants
-    from .subgroups import SubgroupSpec
 
 SCHEMA = "cosetgeom.report.v1"
 CACHE_ENV = "COSETGEOM_CACHE"
@@ -50,30 +49,29 @@ STATUS_INCONCLUSIVE = "inconclusive"
 # ---------------------------------------------------------------- scenario
 
 
-def parse_subgroup_spec(spec: GroupSpec, text: str) -> SubgroupSpec:
-    """Parse ``vertex`` or ``words:w1,w2,...`` (comma-separated words)."""
+def parse_subgroup_spec(spec: GroupSpec, text: str) -> Tuple[Word, ...]:
+    """Parse ``vertex`` or ``words:w1,w2,...`` (comma-separated words) into
+    the generator words build_coset_patch takes: none for Q itself."""
     from .groups import parse_word
-    from .subgroups import vertex_subgroup, word_subgroup
 
     text = text.strip()
     if text == "vertex":
-        return vertex_subgroup()
+        return ()
     if text.startswith("words:"):
         body = text[len("words:") :]
-        words = [parse_word(spec, tok) for tok in body.split(",") if tok.strip()]
+        words = tuple(parse_word(spec, tok) for tok in body.split(",") if tok.strip())
         if not words:
             raise ConfigError(f"no generator words in {text!r}")
-        return word_subgroup(words)
+        return words
     raise ConfigError(f"unknown subgroup syntax {text!r} (use vertex or words:...)")
 
 
-def render_subgroup_spec(spec: GroupSpec, q: SubgroupSpec) -> str:
+def render_subgroup_spec(spec: GroupSpec, words: Tuple[Word, ...]) -> str:
     from .groups import render_word
-    from .subgroups import VERTEX
 
-    if q.mode == VERTEX:
+    if not words:
         return "vertex"
-    return "words:" + ",".join(render_word(spec, w) for w in q.words)
+    return "words:" + ",".join(render_word(spec, w) for w in words)
 
 
 def parse_schedule(text: str) -> List[Tuple[int, int]]:
@@ -176,7 +174,7 @@ class Scenario:
 
         self.settings = settings
         self.spec = parse_group_spec(settings.require("group"))
-        self.q = parse_subgroup_spec(self.spec, settings.get("subgroup", "vertex"))
+        self.words = parse_subgroup_spec(self.spec, settings.get("subgroup", "vertex"))
         self.radius = settings.get_int("radius")
         if self.radius is None:
             raise ConfigError("missing required option --radius")
@@ -215,9 +213,8 @@ class Scenario:
         so lift_constants simply computes it again.  They are constants of
         the vertex subgroup, so a words subgroup is refused."""
         from .lifting import compute_f, lift_constants
-        from .subgroups import VERTEX
 
-        if self.q.mode != VERTEX:
+        if self.words:
             raise ConfigError("transfer constants and ladders need the vertex subgroup")
         bound = 2 * max(compute_f(self.spec).values()) + 1
         ball = self._ball
@@ -237,7 +234,7 @@ class Scenario:
             from .cosetgraph import build_coset_patch
 
             margin = self.trust_margin  # read first: a bad value fails before the build
-            self._patch = build_coset_patch(self.q, self.ball, margin)
+            self._patch = build_coset_patch(self.ball, margin, self.words)
         return self._patch
 
     def block(self, **extras) -> dict:
@@ -245,7 +242,7 @@ class Scenario:
         a run that raised after it."""
         self.last_block = {
             "group": self.spec.describe(),
-            "subgroup": render_subgroup_spec(self.spec, self.q),
+            "subgroup": render_subgroup_spec(self.spec, self.words),
             "radius": self.radius,
             "max_vertices": self.max_vertices,
             **extras,

@@ -11,6 +11,11 @@ A patch is an under-approximation: edges missing from the ball are missing
 here.  Each coset carries a trust flag saying its earliest witness sits at
 least ``trust_margin`` below the ball radius; untrusted cosets sit so close
 to the boundary that their recorded degree is likely clipped.
+
+build_coset_patch(ball) builds the patch of Q, the group's distinguished
+subgroup.  Given generator words instead, it merges ball vertices joined by
+them (a words patch); such a patch has no exact coset labels, so coset
+lookups and lifts refuse it.
 """
 
 from __future__ import annotations
@@ -24,8 +29,8 @@ from typing import Callable, Dict, Hashable, Iterator, List, NamedTuple, Optiona
 
 from .cayley import NO_EDGE, Ball, PackedForms, PathInBall, bfs_distances
 from .errors import ConfigError, InsufficientRadiusError
-from .groups import FAMILY_BS, Element, GroupSpec, group_for
-from .subgroups import VERTEX, SubgroupSpec, coset_key, coset_labeller, q_letters
+from .groups import FAMILY_BS, Element, GroupSpec, Word, group_for, inverse_word
+from .subgroups import coset_key, coset_labeller, q_letters
 
 DEFAULT_TRUST_MARGIN = 1
 
@@ -73,18 +78,21 @@ class CosetPatch:
     list.  coset_of_element labels witnesses only as far as its lookups
     reach.  So a lift builds none of the parts, a Hausdorff profile two
     member lists, and an ends count only the neighbour lists.
+
+    words is empty for Q's patch; otherwise it holds the generator words of
+    the word-generated subgroup whose classes the patch merged.
     """
 
     def __init__(
         self,
-        subgroup: SubgroupSpec,
+        words: Tuple[Word, ...],
         trust_margin: int,
         ball: Ball,
         witness: array,  # each coset's earliest ball vertex
         coset_of: array,  # each ball vertex's coset id
         trusted: Tuple[bool, ...],
     ):
-        self.subgroup = subgroup
+        self.words = words
         self.trust_margin = trust_margin
         self.ball = ball
         self.witness = witness
@@ -111,10 +119,10 @@ class CosetPatch:
 
     @cached_property
     def keys(self) -> Tuple[bytes, ...]:
-        """Each coset's canonical byte key: its coset_key in vertex mode, its
-        witness's group key in words mode."""
+        """Each coset's canonical byte key: its coset_key on Q's patch, its
+        witness's group key on a words patch."""
         elements, spec = self.ball.elements, self.spec
-        if self.subgroup.mode == VERTEX:
+        if not self.words:
             return tuple(coset_key(spec, elements[w]) for w in self.witness)
         group = group_for(spec)
         return tuple(group.canonical_key(elements[w]) for w in self.witness)
@@ -123,9 +131,9 @@ class CosetPatch:
     def labeller(self) -> Callable[[Element], Tuple]:
         """The exact coset labeller of the patch's group (coset_labeller).
 
-        A words subgroup has none: ConfigError.
+        A words patch has none: ConfigError.
         """
-        if self.subgroup.mode != VERTEX:
+        if self.words:
             raise ConfigError("exact coset labels need the vertex subgroup")
         return coset_labeller(self.spec)
 
@@ -155,8 +163,8 @@ class CosetPatch:
         per coset edge, for the letters ranked in rank_of.
 
         They are read off the ball's slots.  An edge that stays inside its
-        coset gives no code: in words mode that is every edge of a one-letter
-        generator word, whose two ends the labelling merges.
+        coset gives no code: on a words patch that is every edge of a
+        one-letter generator word, whose two ends the labelling merges.
         """
         slots, coset_of, n = self.ball.adj, self.coset_of, self.n_cosets
         k = len(self.ball.letters)
@@ -175,9 +183,9 @@ class CosetPatch:
         return sorted(codes)
 
     def _outside_letters(self) -> List[int]:
-        """The letters to rank: in vertex mode those outside Q, whose
-        Q-letter edges never leave a coset; in words mode every letter."""
-        inside = set(q_letters(self.spec)) if self.subgroup.mode == VERTEX else ()
+        """The letters to rank: on Q's patch those outside Q, whose Q-letter
+        edges never leave a coset; on a words patch every letter."""
+        inside = () if self.words else set(q_letters(self.spec))
         return sorted(l for l in self.ball.letters if l not in inside)
 
     @cached_property
@@ -276,21 +284,15 @@ class _UnionFind:
             self.parent[max(ri, rj)] = min(ri, rj)
 
 
-def _coset_labels_words(ball: Ball, subgroup: SubgroupSpec) -> Iterator[int]:
-    """Merge ball vertices connected by generator words of the subgroup.
+def _coset_labels_words(ball: Ball, words: Tuple[Word, ...]) -> Iterator[int]:
+    """Merge ball vertices connected by the generator words.
 
     Two vertices land in one class when some chain of generator-word
     translations joins them without leaving the ball.  This under-merges
     near the boundary, which is exactly what the trust flags account for.
     """
-    from .groups import inverse_word
-
     uf = _UnionFind(ball.n_vertices)
-    gen_words = []
-    for w in subgroup.words:
-        word = tuple(w)
-        gen_words.append(word)
-        gen_words.append(inverse_word(word))
+    gen_words = [w for word in words for w in (word, inverse_word(word))]
     for start in range(ball.n_vertices):
         for word in gen_words:
             v: Optional[int] = start
@@ -317,21 +319,23 @@ def _vertex_labels(ball: Ball) -> Iterator[Hashable]:
 
 
 def build_coset_patch(
-    q: SubgroupSpec,
     ball: Ball,
     trust_margin: int = DEFAULT_TRUST_MARGIN,
+    words: Tuple[Word, ...] = (),
 ) -> CosetPatch:
-    """Project the ball onto its coset graph patch.
+    """Project the ball onto its coset graph patch: Q's cosets, or with
+    generator words, the classes of the subgroup they generate.
 
     Cosets are numbered in order of their earliest ball vertex, so ids are
-    stable for a fixed (group, subgroup, radius).  A coset is trusted when
+    stable for a fixed (group, words, radius).  A coset is trusted when
     that earliest witness lies at distance <= radius - trust_margin.
     """
     if trust_margin < 1:
         raise ConfigError("trust_margin must be >= 1")
 
+    words = tuple(map(tuple, words))
     # one pass: each label takes the next id the first time it is seen
-    labels = _vertex_labels(ball) if q.mode == VERTEX else _coset_labels_words(ball, q)
+    labels = _coset_labels_words(ball, words) if words else _vertex_labels(ball)
     # an array keeps 4 bytes per vertex
     ids = defaultdict(count().__next__)
     coset_of = array("i", map(ids.__getitem__, labels))
@@ -350,7 +354,7 @@ def build_coset_patch(
     trusted = tuple(dist[w] <= limit for w in witness)
 
     return CosetPatch(
-        subgroup=q,
+        words=words,
         trust_margin=trust_margin,
         ball=ball,
         witness=witness,

@@ -47,9 +47,6 @@ class RaySystem(NamedTuple):
     def n_vertices(self) -> int:
         return len(self.rays)
 
-    def ray(self, v: int) -> Tuple[int, ...]:
-        return self.rays[v]
-
 
 def build_ray_system(graph: Union[Ball, CosetPatch], base: int = 0) -> RaySystem:
     """Outward rays: from each vertex, greedily step to deeper shells.

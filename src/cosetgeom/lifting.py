@@ -68,9 +68,9 @@ class LiftConstants(namedtuple("LiftConstants", "f_per_letter m")):
         raise ConfigError(f"no transfer constant for letter {letter}")
 
 
-class LiftResult(namedtuple("LiftResult", "input_path base blocks letters end")):
-    """A lift of input_path (a LambdaPath) from the ball vertex base: a
-    Q-block before each crossing letter, ending at the element end."""
+class LiftResult(namedtuple("LiftResult", "blocks letters end")):
+    """A lift of a coset-graph path: a Q-block before each crossing letter,
+    ending at the element end."""
 
     __slots__ = ()
 
@@ -167,10 +167,4 @@ def approximate_lift(patch: CosetPatch, lpath: LambdaPath, base: int) -> LiftRes
             )
         alpha, u = found
         blocks.append(alpha)
-    return LiftResult(
-        input_path=lpath,
-        base=base,
-        blocks=tuple(blocks),
-        letters=lpath.letters,
-        end=u,
-    )
+    return LiftResult(blocks=tuple(blocks), letters=lpath.letters, end=u)

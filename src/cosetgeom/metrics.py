@@ -123,6 +123,8 @@ def hausdorff_profile(
     radii = list(radii)
     if not radii or sorted(radii) != radii:
         raise ConfigError("radii must be a nondecreasing nonempty sequence")
+    if radii[0] < 0:
+        raise ConfigError(f"profile radius {radii[0]} is negative")
     if radii[-1] > ball.radius - SAFETY_MARGIN:
         raise InsufficientRadiusError(
             f"largest radius {radii[-1]} too close to ball radius {ball.radius}",

@@ -1,60 +1,33 @@
-"""Subgroup descriptions, membership tests, left-coset keys and Q-walks.
+"""Membership tests, left-coset labels and keys, and Q-walks.
 
 Q is the distinguished base subgroup of the group spec's family (the
 x-generators; for free and free abelian groups, <x1>), so every function
 here reads Q off the spec: membership and coset identity are exact and read
-directly off canonical forms.  A word-generated subgroup (``words:...``) is
-only an input to cosetgraph.build_coset_patch, whose patch merges ball
-vertices joined by its generator words inside the ball and so under-merges
-near the rim; it has no membership test or coset key.  Q-letter walks step
-on normal forms; transfer_walk is the one search that lifts and ladders use
-to cross into a neighbouring coset.
+directly off canonical forms.  There is no subgroup object: a
+word-generated subgroup (``words:...``) is only a tuple of generator words
+passed to cosetgraph.build_coset_patch, whose patch merges ball vertices
+joined by those words inside the ball and so under-merges near the rim; it
+has no membership test or coset key.  Q-letter walks step on normal forms;
+transfer_walk is the one search that lifts and ladders use to cross into a
+neighbouring coset.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from operator import itemgetter
 from typing import Callable, List, Optional, Tuple
 
 from .cayley import first_hit
-from .errors import ConfigError
 from .groups import (
     FAMILY_ABELIAN,
     FAMILY_BS,
     FAMILY_FREE,
     FAMILY_HNN,
-    IDENTITY_KEY,
     Element,
     GroupSpec,
     group_for,
 )
 from .intmat import IntVector, identity_matrix
-
-VERTEX = "vertex"
-WORDS = "words"
-
-
-class SubgroupSpec(namedtuple("SubgroupSpec", "mode words", defaults=((),))):
-    """Q as a mode (VERTEX or WORDS) and, in words mode, its generator words."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.mode not in (VERTEX, WORDS):
-            raise ConfigError(f"unknown subgroup mode {self.mode!r}")
-        if self.mode == WORDS and not self.words:
-            raise ConfigError("word-generated subgroup needs generator words")
-        return self
-
-
-def vertex_subgroup() -> SubgroupSpec:
-    return SubgroupSpec(mode=VERTEX)
-
-
-def word_subgroup(words) -> SubgroupSpec:
-    return SubgroupSpec(mode=WORDS, words=tuple(tuple(w) for w in words))
 
 
 def q_letters(spec: GroupSpec) -> Tuple[int, ...]:
@@ -167,20 +140,16 @@ def coset_labeller(spec: GroupSpec) -> Callable[[Element], Tuple]:
 def coset_key(spec: GroupSpec, a: Element) -> bytes:
     """Canonical byte key of the left coset a*Q.
 
-    The byte encoding of the coset_labeller label: keys agree exactly when
-    the cosets agree, and the base coset Q maps to the identity key.
+    The group's canonical_key of the coset_labeller label, so the byte
+    format is defined only in groups: keys agree exactly when the cosets
+    agree, and the base coset Q maps to the identity key.
     """
-    label = coset_labeller(spec)(a)
-    if not label:
-        return IDENTITY_KEY
+    label, key = coset_labeller(spec)(a), group_for(spec).canonical_key
     if spec.family == FAMILY_BS:
-        text = str(label[0])
-        for i in range(1, len(label) - 1, 2):
-            text += ("|+" if label[i] > 0 else "|-") + str(label[i + 1])
-        return (text + ("|+" if label[-1] > 0 else "|-")).encode()
-    if spec.family == FAMILY_HNN:
-        return group_for(spec).canonical_key(label)
-    return ",".join(str(x) for x in label).encode()
+        # a bs label is a form less its trailing exponent: key the form
+        # with exponent 0 and drop that digit
+        return key((*label, 0))[:-1]
+    return key(label)
 
 
 def q_steps(spec: GroupSpec) -> Callable[[Element], List]:

@@ -14,7 +14,6 @@ from cosetgeom.groups import (
     free_abelian_group,
     free_group,
 )
-from cosetgeom.subgroups import vertex_subgroup
 
 hypothesis.settings.register_profile("fast", max_examples=25)
 hypothesis.settings.register_profile("default", max_examples=75)
@@ -43,7 +42,7 @@ def ball_ab2_r12():
 
 
 def _vertex_patch(ball):
-    return build_coset_patch(vertex_subgroup(), ball)
+    return build_coset_patch(ball)
 
 
 @pytest.fixture(scope="session")

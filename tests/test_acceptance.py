@@ -52,11 +52,9 @@ from cosetgeom.metrics import (
     default_test_elements,
     hausdorff_profile,
 )
-from cosetgeom.subgroups import vertex_subgroup
 
 from .oracles import RelatorClosure, affine_evaluate, all_words, digits_to_letters
 
-Q = vertex_subgroup()
 BS12 = baumslag_solitar(1, 2)
 BS23 = baumslag_solitar(2, 3)
 AB2 = free_abelian_group(2)
@@ -172,7 +170,7 @@ def test_criterion_3_commensuration_verdicts(
         assert profile.verdict == COMMENSURATED
         assert set(profile.k_values()) == {b}
 
-    patch_free2_r9 = build_coset_patch(Q, build_ball(FREE2, 9))
+    patch_free2_r9 = build_coset_patch(build_ball(FREE2, 9))
     profile = hausdorff_profile(patch_free2_r9, element(FREE2, "x2"), [4, 5, 6, 7, 8])
     assert profile.verdict == NOT_COMMENSURATED
     for radius, k in zip([4, 5, 6, 7, 8], profile.k_values()):
@@ -190,7 +188,7 @@ def test_criterion_4_local_finiteness_audit():
     degrees = {spec.describe(): [] for spec in (BS12, BS23, FREE2)}
     for radius in range(4, 9):
         for spec in (BS12, BS23, FREE2):
-            patch = build_coset_patch(Q, build_ball(spec, radius))
+            patch = build_coset_patch(build_ball(spec, radius))
             degrees[spec.describe()].append(degree_profile(patch).max_degree)
     assert degrees["bs:1,2"] == [3] * 5
     assert degrees["bs:2,3"] == [5] * 5
@@ -216,10 +214,10 @@ def test_criterion_5_end_classifications(
     assert ends_report(ball_bs12_r10).label() == "StableCount(1)"
     assert ends_report(ball_bs23_r10).label() == "StableCount(1)"
 
-    plane_patch = build_coset_patch(Q, ball_ab2_r12)
+    plane_patch = build_coset_patch(ball_ab2_r12)
     assert ends_report(plane_patch).label() == "StableCount(2)"
 
-    bs12_patch = build_coset_patch(Q, ball_bs12_r10)
+    bs12_patch = build_coset_patch(ball_bs12_r10)
     bs12_report = ends_report(bs12_patch, [(1, 8), (2, 8), (3, 8)])
     assert bs12_report.classification == GROWING
     assert bs12_report.counts == (3, 6, 12)
@@ -235,7 +233,7 @@ def test_criterion_6_approximate_lifting(ball_bs12_r15, ball_bs23_r13):
         f = compute_f(ball.spec)
         assert f[2] == f_t
 
-        patch = build_coset_patch(Q, ball)
+        patch = build_coset_patch(ball)
         rng = random.Random(42)
         lifted = violations = 0
         for _ in range(1000):

@@ -1,9 +1,16 @@
 """The public API asks for each fact once."""
 
+import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
+
+import cosetgeom
+from cosetgeom import build_coset_patch
+
+PACKAGE = Path(cosetgeom.__file__).parent
 
 
 @pytest.mark.parametrize(
@@ -25,11 +32,13 @@ def test_no_function_takes_a_spec_beside_a_ball_or_patch(module_name):
 
 
 def test_only_the_patch_build_takes_a_subgroup():
-    # every other function reads Q off the group spec, so a second
-    # description of Q could only disagree with it
+    # every function reads Q off the group spec, and a words subgroup is only
+    # the generator words that build_coset_patch takes, so no function takes
+    # a second description of Q that could disagree with it
     takers = []
     for module_name in (
-        "cayley", "cosetgraph", "metrics", "ends", "lifting", "homotopy", "subgroups"
+        "cayley", "cosetgraph", "metrics", "ends", "lifting", "homotopy",
+        "subgroups", "cli",
     ):
         module = importlib.import_module(f"cosetgeom.{module_name}")
         for name, obj in vars(module).items():
@@ -40,4 +49,60 @@ def test_only_the_patch_build_takes_a_subgroup():
             params = inspect.signature(obj).parameters
             if "q" in params or "subgroup" in params:
                 takers.append(f"{module_name}.{name}")
-    assert takers == ["cosetgraph.build_coset_patch"]
+    assert takers == []
+    assert "words" in inspect.signature(build_coset_patch).parameters
+
+
+def _imported_names(body):
+    """The names bound by the import statements of one scope: body and the
+    if/try blocks in it, not nested functions or classes."""
+    for node in body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], node.lineno
+        elif isinstance(node, (ast.If, ast.Try)):
+            for block in (node.body, node.orelse, getattr(node, "finalbody", [])):
+                yield from _imported_names(block)
+            for handler in getattr(node, "handlers", []):
+                yield from _imported_names(handler.body)
+
+
+def _used_names(tree):
+    """Every name read in the tree, string annotations included."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:  # a quoted annotation such as "Optional[Ball | CosetPatch]"
+                quoted = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            used.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+    return used
+
+
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name
+)
+def test_no_module_imports_a_name_it_never_uses(path):
+    # an import left behind by a deletion still compiles and runs, so only a
+    # scan finds it; a module's imports and each function's local imports
+    # must each be read somewhere in their scope
+    tree = ast.parse(path.read_text(), str(path))
+    scopes = [tree] + [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    unused = []
+    for scope in scopes:
+        used = _used_names(scope)
+        unused += [
+            f"{path.name}:{line} {name}"
+            for name, line in _imported_names(scope.body)
+            if name not in used
+        ]
+    assert unused == []

@@ -568,6 +568,16 @@ class TestGeometrySubcommands:
         assert report["result"]["verdict"] == "CommensuratedEvidence"
         assert report["result"]["k_values"] == [2, 2, 2, 2]
 
+    def test_hausdorff_negative_radius_exits_one(self, cache_dir, tmp_path, capsys):
+        code, report = run_cli(
+            ["hausdorff", "--group", "bs:1,2", "--radius", "8",
+             "--element", "x", "--radii=-1,2,3"],
+            cache_dir,
+            tmp_path,
+        )
+        assert code == 1 and report is None
+        assert capsys.readouterr().err == "error: profile radius -1 is negative\n"
+
     def test_lift_projects_back(self, cache_dir, tmp_path):
         code, report = run_cli(
             ["lift", "--group", "bs:1,2", "--radius", "8",
@@ -784,7 +794,7 @@ class TestDotExport:
         spec = parse_group_spec(group)
         graph = build_ball(spec, radius)
         if subgroup is not None:
-            graph = build_coset_patch(parse_subgroup_spec(spec, subgroup), graph)
+            graph = build_coset_patch(graph, words=parse_subgroup_spec(spec, subgroup))
         assert hashlib.sha256(export_dot(graph).encode()).hexdigest() == digest
 
     @pytest.mark.parametrize(
@@ -807,7 +817,7 @@ class TestDotExport:
         assert code == 0
         ball = build_ball(parse_group_spec("bs:1,2"), 5)
         if graph == "patch":
-            ball = build_coset_patch(parse_subgroup_spec(ball.spec, "vertex"), ball)
+            ball = build_coset_patch(ball)
         assert dot_path.read_text() == export_dot(ball)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.dot", "report.json"]
 

@@ -35,8 +35,6 @@ from cosetgeom.subgroups import (
     coset_key,
     is_member,
     q_letters,
-    vertex_subgroup,
-    word_subgroup,
 )
 
 from .oracles import (
@@ -48,13 +46,11 @@ from .oracles import (
     reference_word_classes,
 )
 
-Q = vertex_subgroup()
-
 
 class TestBaumslagSolitarPatches:
     def test_bs12_every_trusted_coset_has_three_neighbors_at_margin_two(self):
         ball = build_ball(baumslag_solitar(1, 2), 6)
-        patch = build_coset_patch(Q, ball, trust_margin=2)
+        patch = build_coset_patch(ball, trust_margin=2)
         for cid in range(patch.n_cosets):
             if patch.trusted[cid]:
                 assert patch.degree(cid) == 3
@@ -67,14 +63,14 @@ class TestBaumslagSolitarPatches:
 
     def test_bs12_default_margin_never_exceeds_three(self):
         ball = build_ball(baumslag_solitar(1, 2), 6)
-        patch = build_coset_patch(Q, ball)
+        patch = build_coset_patch(ball)
         prof = degree_profile(patch)
         assert prof.max_degree == 3
         assert prof.per_label == ((-2, 2), (2, 1))
 
     def test_bs23_max_trusted_degree_is_five(self):
         ball = build_ball(baumslag_solitar(2, 3), 5)
-        patch = build_coset_patch(Q, ball)
+        patch = build_coset_patch(ball)
         prof = degree_profile(patch)
         assert prof.max_degree == 5
         assert prof.per_label == ((-2, 3), (2, 2))
@@ -82,7 +78,7 @@ class TestBaumslagSolitarPatches:
 
     def test_x_letters_never_leave_a_coset(self):
         ball = build_ball(baumslag_solitar(2, 3), 5)
-        patch = build_coset_patch(Q, ball)
+        patch = build_coset_patch(ball)
         for cid in range(patch.n_cosets):
             assert {letter for letter, _ in patch.edges(cid)}.isdisjoint({1, -1})
 
@@ -90,7 +86,7 @@ class TestBaumslagSolitarPatches:
 class TestAbelianAndFreePatches:
     def test_z2_patch_is_a_path_graph(self):
         ball = build_ball(free_abelian_group(2), 5)
-        patch = build_coset_patch(Q, ball)
+        patch = build_coset_patch(ball)
         assert patch.n_cosets == 11
         for cid in range(patch.n_cosets):
             assert patch.degree(cid) <= 2
@@ -102,7 +98,7 @@ class TestAbelianAndFreePatches:
         maxima = []
         for radius in (3, 4, 5):
             ball = build_ball(free_group(2), radius)
-            patch = build_coset_patch(Q, ball)
+            patch = build_coset_patch(ball)
             assert patch.degree(patch.base) == 2 * (2 * radius - 1)
             maxima.append(degree_profile(patch).max_degree)
         assert maxima[0] < maxima[1] < maxima[2]
@@ -113,7 +109,7 @@ def test_patch_labelling_matches_a_coset_key_sweep(text):
     spec = parse_group_spec(text)
     for radius in range(7):
         ball = build_ball(spec, radius)
-        patch = build_coset_patch(Q, ball)
+        patch = build_coset_patch(ball)
         keys, coset_of = coset_sweep([coset_key(spec, a) for a in ball.elements])
         assert list(patch.keys) == keys, radius
         assert list(patch.coset_of) == coset_of, radius
@@ -125,11 +121,11 @@ def test_patch_labelling_matches_a_coset_key_sweep(text):
 
 
 def word_subgroups(spec):
-    """Words-mode subgroups: <x> and <x^2, x^3> as words, and on two or more
-    generators <x, y.x.y^-1>, which in bs:1,2 is the conjugate tQt^-1."""
-    out = [word_subgroup(((1,),)), word_subgroup(((1, 1), (1, 1, 1)))]
+    """Generator words of words patches: <x> and <x^2, x^3>, and on two or
+    more generators <x, y.x.y^-1>, which in bs:1,2 is the conjugate tQt^-1."""
+    out = [((1,),), ((1, 1), (1, 1, 1))]
     if len(spec.letters) > 2:
-        out.append(word_subgroup(((1,), (2, 1, -2))))
+        out.append(((1,), (2, 1, -2)))
     return out
 
 
@@ -143,20 +139,20 @@ def test_lazy_parts_match_an_eager_build(text, mode):
     order and then shuffled on a fresh patch), edges, neighbours and keys."""
     spec = parse_group_spec(text)
     group = group_for(spec)
-    subgroups = [Q] if mode == "vertex" else word_subgroups(spec)
+    subgroups = [()] if mode == "vertex" else word_subgroups(spec)
     for radius in range(7):
         ball = build_ball(spec, radius)
-        for q in subgroups:
+        for words in subgroups:
             if mode == "vertex":
                 labels = [coset_key(spec, a) for a in ball.elements]
             else:
-                labels = reference_word_classes(ball, group, q.words)
+                labels = reference_word_classes(ball, group, words)
             _, coset_of = coset_sweep(labels)
             n = max(coset_of) + 1
             witness = [coset_of.index(c) for c in range(n)]
             members = [[v for v, c in enumerate(coset_of) if c == cid] for cid in range(n)]
-            patch = build_coset_patch(q, ball)
-            where = (radius, q)
+            patch = build_coset_patch(ball, words=words)
+            where = (radius, words)
             assert patch.n_cosets == n, where
             assert list(patch.coset_of) == coset_of, where
             assert list(patch.witness) == witness, where
@@ -188,7 +184,7 @@ def test_lazy_parts_match_an_eager_build(text, mode):
                 ]
                 queries += rng.sample(queries, len(queries) // 3)
                 rng.shuffle(queries)
-                fresh = build_coset_patch(q, ball)
+                fresh = build_coset_patch(ball)
                 expected = [id_of_key.get(coset_key(spec, b)) for b in queries]
                 assert (None in expected) == (len(spec.letters) > 2), where
                 assert list(map(fresh.coset_of_element, queries)) == expected, where
@@ -206,7 +202,7 @@ def test_lazy_parts_match_an_eager_build(text, mode):
 
 def assert_graph_matches_reference(patch):
     ball = patch.ball
-    inside = q_letters(ball.spec) if patch.subgroup == Q else ()
+    inside = () if patch.words else q_letters(ball.spec)
     reference = reference_coset_graph(ball, patch.coset_of, inside)
     n = patch.n_cosets
     for c in range(n):
@@ -223,11 +219,11 @@ def test_flat_coset_graph_matches_a_walk_over_ball_edges(text):
     in vertex mode, for words:x, and for words:x^2,x^3, where the letter x
     is not a generator word, so x-edges inside a class must be dropped."""
     spec = parse_group_spec(text)
-    subgroups = [Q, word_subgroup(((1,),)), word_subgroup(((1, 1), (1, 1, 1)))]
+    subgroups = [(), ((1,),), ((1, 1), (1, 1, 1))]
     for radius in range(7):
         ball = build_ball(spec, radius)
-        for q in subgroups:
-            assert_graph_matches_reference(build_coset_patch(q, ball))
+        for words in subgroups:
+            assert_graph_matches_reference(build_coset_patch(ball, words=words))
 
 
 @pytest.mark.parametrize("text, radius, bound", [("bs:2,3", 8, 280), ("free:2", 7, 400)])
@@ -239,7 +235,7 @@ def test_patch_build_peak_bytes_per_vertex(text, radius, bound):
     ball = build_ball(parse_group_spec(text), radius)
     tracemalloc.start()
     try:
-        build_coset_patch(Q, ball).dist
+        build_coset_patch(ball).dist
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -258,7 +254,7 @@ def test_patch_cosets_are_the_membership_classes(text):
     reduce = getattr(group, "reduce_mod_image", None)
     for radius in range(7):
         ball = build_ball(spec, radius)
-        patch = build_coset_patch(Q, ball)
+        patch = build_coset_patch(ball)
         witnesses = [ball.elements[w] for w in patch.witness]
         inverses = [group.invert(w) for w in witnesses]
         for v, a in enumerate(ball.elements):
@@ -286,8 +282,8 @@ def test_loaded_bs_patch_labels_by_arena_bytes(tmp_path, text, radius):
     spec = parse_group_spec(text)
     built = build_ball(spec, radius)
     save_ball(built, str(tmp_path / "ball"))
-    by_tuple = build_coset_patch(Q, built)
-    by_bytes = build_coset_patch(Q, load_ball(str(tmp_path / "ball")))
+    by_tuple = build_coset_patch(built)
+    by_bytes = build_coset_patch(load_ball(str(tmp_path / "ball")))
     assert by_bytes.coset_of.typecode == "i"
     assert list(by_bytes.coset_of) == list(by_tuple.coset_of)
     assert (by_bytes.witness, by_bytes.trusted) == (by_tuple.witness, by_tuple.trusted)
@@ -305,7 +301,7 @@ class TestPartitionSoundness:
         spec = baumslag_solitar(2, 3)
         group = group_for(spec)
         ball = build_ball(spec, 4)
-        patch = build_coset_patch(Q, ball)
+        patch = build_coset_patch(ball)
         for u in range(ball.n_vertices):
             au_inv = group.invert(ball.elements[u])
             for v in range(u, ball.n_vertices):
@@ -316,8 +312,8 @@ class TestPartitionSoundness:
     def test_words_mode_agrees_with_vertex_mode_on_z2(self):
         spec = free_abelian_group(2)
         ball = build_ball(spec, 5)
-        by_vertex = build_coset_patch(Q, ball)
-        by_words = build_coset_patch(word_subgroup(((1,),)), ball)
+        by_vertex = build_coset_patch(ball)
+        by_words = build_coset_patch(ball, words=((1,),))
         assert by_words.coset_of == by_vertex.coset_of
         assert [list(by_words.edges(c)) for c in range(by_words.n_cosets)] == [
             list(by_vertex.edges(c)) for c in range(by_vertex.n_cosets)
@@ -327,14 +323,14 @@ class TestPartitionSoundness:
 
 class TestProjection:
     def test_q_letter_paths_project_to_a_point(self, ball_bs12_r10):
-        patch = build_coset_patch(Q, ball_bs12_r10)
+        patch = build_coset_patch(ball_bs12_r10)
         lam = project_path(patch, PathInBall(0, (1, 1, -1, 1)))
         assert len(lam) == 0
         assert lam.cosets == (patch.base,)
 
     def test_projection_end_matches_coset_of_endpoint(self, ball_bs12_r10):
         ball = ball_bs12_r10
-        patch = build_coset_patch(Q, ball)
+        patch = build_coset_patch(ball)
         word = (2, 1, -2, -2, 1, 2)
         lam = project_path(patch, PathInBall(0, word))
         end_vertex = walk_path(ball, PathInBall(0, word))[-1]
@@ -342,7 +338,7 @@ class TestProjection:
 
     def test_projected_steps_are_patch_edges(self, ball_bs23_r10):
         ball = ball_bs23_r10
-        patch = build_coset_patch(Q, ball)
+        patch = build_coset_patch(ball)
         word = (1, 2, 1, -2, 1, -2, 1, 1)
         lam = project_path(patch, PathInBall(0, word))
         for i, letter in enumerate(lam.letters):
@@ -351,7 +347,7 @@ class TestProjection:
     def test_paths_step_past_the_rim_inside_patch_cosets(self, ball_bs12_r10):
         # x leaves the ball from the rim vertex t^10 but not its coset
         ball = ball_bs12_r10
-        patch = build_coset_patch(Q, ball)
+        patch = build_coset_patch(ball)
         group = group_for(ball.spec)
         rim = ball.vertex(group.evaluate_word((2,) * 10))
         assert ball.vertex(group.evaluate_word((2,) * 10 + (1,))) is None
@@ -362,7 +358,7 @@ class TestProjection:
     def test_a_coset_past_the_patch_names_the_radius(self, ball_bs12_r10):
         # t^9.t^2 lies in t^11.Q, whose elements all have t-exponent sum 11
         ball = ball_bs12_r10
-        patch = build_coset_patch(Q, ball)
+        patch = build_coset_patch(ball)
         v = ball.vertex(group_for(ball.spec).evaluate_word((2,) * 9))
         with pytest.raises(InsufficientRadiusError, match="at step 1") as info:
             project_path(patch, PathInBall(v, (2, 2)))
@@ -374,7 +370,7 @@ class TestProjection:
     )
     def test_projection_is_functorial(self, ball_bs12_r10, w1, w2):
         ball = ball_bs12_r10
-        patch = build_coset_patch(Q, ball)
+        patch = build_coset_patch(ball)
         mid = walk_path(ball, PathInBall(0, tuple(w1)))[-1]
         lam1 = project_path(patch, PathInBall(0, tuple(w1)))
         lam2 = project_path(patch, PathInBall(mid, tuple(w2)))
@@ -384,15 +380,15 @@ class TestProjection:
 
 class TestPatchStructure:
     def test_patch_keys_are_distinct(self, ball_bs23_r10):
-        patch = build_coset_patch(Q, ball_bs23_r10)
+        patch = build_coset_patch(ball_bs23_r10)
         assert len(set(patch.keys)) == patch.n_cosets
         for cid, w in enumerate(patch.witness):
             assert patch.coset_of_element(ball_bs23_r10.elements[w]) == cid
 
     def test_patch_monotone_under_radius_growth(self):
         spec = baumslag_solitar(2, 3)
-        small = build_coset_patch(Q, build_ball(spec, 4))
-        large = build_coset_patch(Q, build_ball(spec, 5))
+        small = build_coset_patch(build_ball(spec, 4))
+        large = build_coset_patch(build_ball(spec, 5))
         big_id = [large.coset_of_element(small.ball.elements[w]) for w in small.witness]
         for cid in range(small.n_cosets):
             assert big_id[cid] is not None
@@ -406,7 +402,7 @@ class TestPatchStructure:
 
     def test_base_coset_contains_exactly_the_members(self, ball_bs23_r10):
         ball = ball_bs23_r10
-        patch = build_coset_patch(Q, ball)
+        patch = build_coset_patch(ball)
         spec = ball.spec
         for v in range(ball.n_vertices):
             in_base = patch.coset_of[v] == patch.base
@@ -415,7 +411,7 @@ class TestPatchStructure:
     def test_coset_graph_waits_for_first_use(self, ball_bs23_r10):
         """Each lazy part is built by its first reader and by no other, and a
         coset lookup labels witnesses only up to its match."""
-        patch = build_coset_patch(Q, ball_bs23_r10)
+        patch = build_coset_patch(ball_bs23_r10)
         lazy = ("keys", "_links", "_edges", "dist")
         built = lambda: {name for name in lazy if name in vars(patch)}
         assert built() == set() and patch._members == {} and patch._label_ids == {}
@@ -451,4 +447,4 @@ class TestPatchStructure:
 
     def test_build_rejects_bad_inputs(self, ball_bs23_r10):
         with pytest.raises(ConfigError):
-            build_coset_patch(Q, ball_bs23_r10, trust_margin=0)
+            build_coset_patch(ball_bs23_r10, trust_margin=0)

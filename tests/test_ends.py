@@ -39,11 +39,9 @@ from cosetgeom.groups import (
     parse_group_spec,
     parse_word,
 )
-from cosetgeom.subgroups import coset_key, vertex_subgroup, word_subgroup
+from cosetgeom.subgroups import coset_key
 
 from .oracles import REFERENCE_GROUPS, reference_annulus_counts, reference_route
-
-Q = vertex_subgroup()
 
 
 def element(spec, text):
@@ -89,23 +87,23 @@ class TestGroupEndCounts:
 
 class TestCosetGraphEndCounts:
     def test_plane_mod_axis_is_a_two_ended_line(self, ball_ab2_r12):
-        report = ends_report(build_coset_patch(Q, ball_ab2_r12))
+        report = ends_report(build_coset_patch(ball_ab2_r12))
         assert report.graph_kind == "patch"
         assert set(report.counts) == {2}
         assert report.label() == "StableCount(2)"
 
     def test_bs12_patch_counts_double(self, ball_bs12_r10):
-        report = ends_report(build_coset_patch(Q, ball_bs12_r10), [(1, 5), (2, 5), (3, 5)])
+        report = ends_report(build_coset_patch(ball_bs12_r10), [(1, 5), (2, 5), (3, 5)])
         assert report.counts == (3, 6, 12)
         assert report.classification == GROWING
 
     def test_bs12_patch_default_schedule_grows(self, ball_bs12_r10):
-        report = ends_report(build_coset_patch(Q, ball_bs12_r10))
+        report = ends_report(build_coset_patch(ball_bs12_r10))
         assert report.counts == (6, 12, 24)
         assert report.classification == GROWING
 
     def test_bs23_patch_counts_grow_fourfold(self, ball_bs23_r10):
-        report = ends_report(build_coset_patch(Q, ball_bs23_r10), [(1, 5), (2, 5), (3, 5)])
+        report = ends_report(build_coset_patch(ball_bs23_r10), [(1, 5), (2, 5), (3, 5)])
         assert report.counts == (5, 20, 80)
         assert report.classification == GROWING
 
@@ -134,7 +132,7 @@ class TestAnnulusCountOracle:
         checked = 0
         for radius in range(4, 9):
             ball = build_ball(spec, radius)
-            for graph in (ball, build_coset_patch(Q, ball)):
+            for graph in (ball, build_coset_patch(ball)):
                 _, dist, neighbors, horizon = graph_view(graph)
                 for schedule in self.schedules(horizon):
                     expected = reference_annulus_counts(dist, neighbors, schedule)
@@ -280,11 +278,11 @@ class TestEscapeRoutes:
 
     def test_word_mode_subgroup_rejected(self, ball_ab2_r12):
         spec = free_abelian_group(2)
-        wq = word_subgroup(((1,),))
         v = ball_ab2_r12.vertex(element(spec, "x2^3"))
         with pytest.raises(ConfigError):
             escape_route(
-                build_coset_patch(wq, ball_ab2_r12), [], v, element(spec, "x2^5"), k=1
+                build_coset_patch(ball_ab2_r12, words=((1,),)),
+                [], v, element(spec, "x2^5"), k=1,
             )
 
     def test_route_is_deterministic(self, ball_bs23_r10, patch_bs23_r10):

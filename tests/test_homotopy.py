@@ -28,11 +28,10 @@ from cosetgeom.homotopy import (
     verify_ladder,
 )
 from cosetgeom.lifting import LiftConstants, compute_f, lift_constants
-from cosetgeom.subgroups import coset_key, k_letters, q_letters, vertex_subgroup
+from cosetgeom.subgroups import coset_key, k_letters, q_letters
 
 from .oracles import REFERENCE_GROUPS, reference_ladder, reference_rays
 
-Q = vertex_subgroup()
 LADDER_FIELDS = (
     "target_key", "prefix_elements", "transfer_ends", "rung_ends", "alphas", "rungs"
 )
@@ -96,7 +95,7 @@ class TestRaySystems:
         self.check_invariants(system, ball_neighbor_sets(ball_bs12_r10))
 
     def test_patch_rays(self, ball_bs23_r10):
-        patch = build_coset_patch(Q, ball_bs23_r10)
+        patch = build_coset_patch(ball_bs23_r10)
         system = build_ray_system(patch)
         assert system.graph_kind == "patch"
         neighbor_sets = [patch.neighbors(c) for c in range(patch.n_cosets)]
@@ -144,7 +143,7 @@ class TestRaySystems:
         rng = random.Random(text)
         for radius in range(7):
             ball = build_ball(spec, radius)
-            patch = build_coset_patch(Q, ball)
+            patch = build_coset_patch(ball)
             for graph, n in ((ball, ball.n_vertices), (patch, patch.n_cosets)):
                 for base in {0, n - 1, rng.randrange(n)}:
                     system = build_ray_system(graph, base=base)

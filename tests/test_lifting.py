@@ -36,15 +36,12 @@ from cosetgeom.subgroups import (
     k_letters,
     q_letters,
     q_steps,
-    vertex_subgroup,
-    word_subgroup,
 )
 
 from cosetgeom.metrics import default_radii, hausdorff_profile
 
 from .oracles import REFERENCE_GROUPS, reference_lift, reference_q_walk
 
-Q = vertex_subgroup()
 REFERENCE_SPECS = [parse_group_spec(text) for text in REFERENCE_GROUPS]
 
 
@@ -232,7 +229,7 @@ class TestHausdorffBound:
     @pytest.mark.parametrize("text", FINITE_F_GROUPS)
     def test_exact_profile_values_obey_the_bound(self, text, radius):
         spec = parse_group_spec(text)
-        patch = build_coset_patch(Q, build_ball(spec, radius))
+        patch = build_coset_patch(build_ball(spec, radius))
         f = compute_f(spec)
         group = group_for(spec)
         outside = k_letters(spec)
@@ -378,8 +375,7 @@ class TestApproximateLift:
             approximate_lift(patch_bs23_r10, lp, 0)
 
     def test_words_mode_rejected(self, ball_ab2_r12):
-        wq = word_subgroup(((1,),))
-        patch = build_coset_patch(wq, ball_ab2_r12)
+        patch = build_coset_patch(ball_ab2_r12, words=((1,),))
         with pytest.raises(ConfigError):
             approximate_lift(patch, LambdaPath((0,), ()), 0)
 
@@ -411,7 +407,7 @@ class TestFormLiftOracle:
             qlets = q_letters(spec)
             for radius in range(1, 8):
                 ball = build_ball(spec, radius)
-                patch = build_coset_patch(Q, ball)
+                patch = build_coset_patch(ball)
                 for _ in range(60):
                     base = rng.randrange(ball.n_vertices)
                     lp = random_lambda_walk(

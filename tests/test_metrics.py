@@ -26,11 +26,9 @@ from cosetgeom.metrics import (
     default_test_elements,
     hausdorff_profile,
 )
-from cosetgeom.subgroups import is_member, vertex_subgroup, word_subgroup
+from cosetgeom.subgroups import is_member
 
 from .oracles import F2, REFERENCE_GROUPS, Z2, brute_hausdorff, reference_profile
-
-Q = vertex_subgroup()
 
 
 def element(spec, text):
@@ -111,10 +109,13 @@ class TestHausdorffProfiles:
             hausdorff_profile(patch_ab2_r12, g, [12])
         assert exc.value.required_radius == 13
         with pytest.raises(ConfigError):
-            words = build_coset_patch(word_subgroup(((1,),)), ball_ab2_r12)
+            words = build_coset_patch(ball_ab2_r12, words=((1,),))
             hausdorff_profile(words, g, [4, 5])
         with pytest.raises(EmptyCosetInBallError):
             hausdorff_profile(patch_ab2_r12, element(spec, "x2^12"), [4, 5])
+        # malformed, not a ball too small: no radius holds a negative one
+        with pytest.raises(ConfigError, match="profile radius -1 is negative"):
+            hausdorff_profile(patch_ab2_r12, g, [-1, 2, 3])
 
 
 @pytest.mark.parametrize(
@@ -131,7 +132,7 @@ def test_profile_matches_brute_force_distances(group, radius, word):
     spec = parse_group_spec(group)
     model = {"abelian:2": Z2, "free:2": F2}[group]
     letters = parse_word(spec, word)
-    patch = build_coset_patch(Q, build_ball(spec, radius))
+    patch = build_coset_patch(build_ball(spec, radius))
     radii = list(range(2, radius))
     profile = hausdorff_profile(patch, evaluate_word(spec, letters), radii)
     assert any(v.exact for v in profile.values)
@@ -155,7 +156,7 @@ def test_rows_exact_by_monotonicity_match_a_larger_ball():
     promoted = 0
     for text, radius, words in cases:
         spec = parse_group_spec(text)
-        patches = {radius: build_coset_patch(Q, build_ball(spec, radius))}
+        patches = {radius: build_coset_patch(build_ball(spec, radius))}
         if words is None:
             x, t = spec.generators[0], spec.generators[-1]
             words = [t, f"{t}^-1", f"{t}.{x}.{t}^-1", f"{x}^2.{t}"]
@@ -171,7 +172,7 @@ def test_rows_exact_by_monotonicity_match_a_larger_ball():
                     continue
                 promoted += 1
                 if bound not in patches:
-                    patches[bound] = build_coset_patch(Q, build_ball(spec, bound))
+                    patches[bound] = build_coset_patch(build_ball(spec, bound))
                 (want,) = hausdorff_profile(patches[bound], g, [v.radius]).values
                 assert want.exact, (text, word, v)
                 assert (v.k_forward, v.k_backward) == (want.k_forward, want.k_backward)
@@ -192,7 +193,7 @@ def test_profiles_match_whole_ball_searches():
         # default_radii needs radius 7; radius 5 takes the one radius it gave
         for radius, radii in ((5, [2]), (7, default_radii(7))):
             ball = build_ball(spec, radius)
-            patch = build_coset_patch(Q, ball)
+            patch = build_coset_patch(ball)
             elements = ball.elements
             q_members = [v for v, a in enumerate(elements) if is_member(spec, a)]
             words = [(letter,) for letter in spec.letters]

@@ -1,9 +1,11 @@
-"""The example scripts run to completion against the installed API."""
+"""The example scripts and README's library example run to completion
+against the installed API."""
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -76,3 +78,15 @@ def test_survey_reads_inconclusive_where_the_radius_runs_out(tmp_path):
         assert "ends=inconclusive " in line and "coset-ends=inconclusive " in line
     for row in json.loads(rows_path.read_text()):
         assert row["group_ends"] == row["coset_ends"] == "inconclusive"
+
+
+def test_readme_library_example_prints_what_its_comments_say(capsys):
+    code = re.search(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)[1]
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == re.findall(r"^print\(.*#\s*(.*)$", code, re.M)
+    assert printed == ["Growing", "(2, 2, 2, 2)"]
+    constants = namespace["constants"]
+    stated = f"F={constants.f}, M={constants.m}, L={constants.l}"
+    assert stated == "F=2, M=5, L=10" and f"# {stated}" in code

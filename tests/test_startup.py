@@ -212,8 +212,7 @@ PUBLIC = {
         "hausdorff_profile",
     ],
     "subgroups": [
-        "SubgroupSpec", "coset_key", "is_member", "k_letters", "q_letters",
-        "transfer_basis", "vertex_subgroup", "word_subgroup",
+        "coset_key", "is_member", "k_letters", "q_letters", "transfer_basis",
     ],
 }
 
