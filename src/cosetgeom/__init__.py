@@ -30,7 +30,6 @@ _EXPORTS = {
         "load_ball",
         "save_ball",
         "star",
-        "walk_path",
     ),
     "cosetgraph": (
         "DEFAULT_TRUST_MARGIN",

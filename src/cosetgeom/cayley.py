@@ -400,24 +400,6 @@ class PathInBall(NamedTuple):
     word: Word
 
 
-def walk_path(ball: Ball, path: PathInBall) -> List[int]:
-    """Vertex ids visited by the path; raises if it leaves the ball."""
-    if not (0 <= path.base < ball.n_vertices):
-        raise InsufficientRadiusError(f"base vertex {path.base} not in ball")
-    g = group_for(ball.spec)
-    vids = [path.base]
-    a = ball.elements[path.base]
-    for letter in path.word:
-        a = g.apply_letter(a, letter)
-        vid = ball.vertex(a)
-        if vid is None:
-            raise InsufficientRadiusError(
-                f"path leaves the radius-{ball.radius} ball"
-            )
-        vids.append(vid)
-    return vids
-
-
 # ---------------------------------------------------------------------------
 # Serialization and caching
 # ---------------------------------------------------------------------------

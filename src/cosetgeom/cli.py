@@ -328,7 +328,13 @@ def _profile_payload(profile) -> dict:
 
 def cmd_hausdorff(sc: Scenario):
     from .groups import evaluate_word
-    from .metrics import coset_distance, default_radii, hausdorff_profile
+    from .metrics import (
+        SAFETY_MARGIN,
+        STABILIZATION_WINDOW,
+        coset_distance,
+        default_radii,
+        hausdorff_profile,
+    )
 
     g = evaluate_word(sc.spec, sc.word("element"))
     radii_text = sc.settings.get("radii")
@@ -338,8 +344,8 @@ def cmd_hausdorff(sc: Scenario):
     scenario = sc.block(
         element=sc.settings.require("element"),
         profile_radii=list(radii),
-        window=profile.window,
-        margin=profile.margin,
+        window=STABILIZATION_WINDOW,
+        margin=SAFETY_MARGIN,
     )
     return scenario, _profile_payload(profile), _status(profile.verdict), None
 
@@ -347,6 +353,7 @@ def cmd_hausdorff(sc: Scenario):
 def cmd_commensurate(sc: Scenario):
     from .groups import evaluate_word, parse_word
     from .metrics import (
+        STABILIZATION_WINDOW,
         commensuration_verdict,
         coset_distance,
         default_radii,
@@ -372,7 +379,7 @@ def cmd_commensurate(sc: Scenario):
         "verdict": overall.verdict,
         "profiles": [_profile_payload(p) for p in overall.profiles],
     }
-    scenario = sc.block(profile_radii=list(radii), window=profiles[0].window)
+    scenario = sc.block(profile_radii=list(radii), window=STABILIZATION_WINDOW)
     return scenario, result, _status(overall.verdict), None
 
 
@@ -486,9 +493,8 @@ def cmd_rays(sc: Scenario):
     else:
         raise ConfigError(f"unknown ray graph {kind!r} (use ball or patch)")
     system = build_ray_system(graph)
-    reaching = sum(
-        1 for ray in system.rays if system.shell[ray[-1]] == system.horizon
-    )
+    dist = graph.dist
+    reaching = sum(1 for ray in system.rays if dist[ray[-1]] == system.horizon)
     longest = max((len(ray) - 1 for ray in system.rays), default=0)
     result = {
         "graph": system.graph_kind,

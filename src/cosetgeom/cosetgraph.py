@@ -9,8 +9,9 @@ to points and are not stored as edges.
 
 A patch is an under-approximation: edges missing from the ball are missing
 here.  Each coset carries a trust flag saying its earliest witness sits at
-least ``trust_margin`` below the ball radius; untrusted cosets sit so close
-to the boundary that their recorded degree is likely clipped.
+least the build's ``trust_margin`` below the ball radius; the patch keeps
+the flags, not the margin.  Untrusted cosets sit so close to the boundary
+that their recorded degree is likely clipped.
 
 build_coset_patch(ball) builds the patch of Q, the group's distinguished
 subgroup.  Given generator words instead, it merges ball vertices joined by
@@ -86,14 +87,12 @@ class CosetPatch:
     def __init__(
         self,
         words: Tuple[Word, ...],
-        trust_margin: int,
         ball: Ball,
         witness: array,  # each coset's earliest ball vertex
         coset_of: array,  # each ball vertex's coset id
         trusted: Tuple[bool, ...],
     ):
         self.words = words
-        self.trust_margin = trust_margin
         self.ball = ball
         self.witness = witness
         self.coset_of = coset_of
@@ -355,7 +354,6 @@ def build_coset_patch(
 
     return CosetPatch(
         words=words,
-        trust_margin=trust_margin,
         ball=ball,
         witness=witness,
         coset_of=coset_of,
@@ -398,10 +396,6 @@ class DegreeProfile(NamedTuple):
     histogram: Tuple[Tuple[int, int], ...]
     per_label: Tuple[Tuple[int, int], ...]
     n_trusted: int
-    n_cosets: int
-
-    def histogram_dict(self) -> Dict[int, int]:
-        return dict(self.histogram)
 
 
 def degree_profile(patch: CosetPatch) -> DegreeProfile:
@@ -417,5 +411,4 @@ def degree_profile(patch: CosetPatch) -> DegreeProfile:
         histogram=tuple(sorted(hist.items())),
         per_label=tuple(sorted(per_label.items())),
         n_trusted=len(trusted),
-        n_cosets=patch.n_cosets,
     )

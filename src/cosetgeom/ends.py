@@ -81,8 +81,8 @@ def default_schedule(horizon: int) -> List[Tuple[int, int]]:
     if len(inners) < 2:
         inners = list(range(1, inner_top + 1))
     if len(inners) < 2:
-        # horizon 8 gives inner radii 1 and 2; a patch's horizon is at most
-        # its ball's radius, so a ball needs that radius at least
+        # horizon 8 gives inner radii 1 and 2, so a ball needs radius 8;
+        # ends_report turns this into the radius a patch needs
         raise InsufficientRadiusError(
             f"horizon {horizon} too small for an ends schedule", required_radius=8
         )
@@ -136,8 +136,17 @@ def ends_report(
 ) -> EndsReport:
     """Count sphere-touching annulus components over a schedule of (r, R)."""
     kind, dist, neighbors, horizon = graph_view(graph)
+    # A patch's horizon grows by at most 1 per unit of ball radius: the new
+    # cosets of B(R + 1) sit one edge from B(R), and old distances only
+    # shrink.  So horizon h needs radius >= h + lag; a ball's horizon is its
+    # radius, and its lag 0.
+    lag = graph.radius - horizon
     if schedule is None:
-        schedule = default_schedule(horizon)
+        try:
+            schedule = default_schedule(horizon)
+        except InsufficientRadiusError as exc:
+            exc.required_radius += lag  # it names the horizon needed
+            raise
     schedule = [(int(r), int(R)) for r, R in schedule]
     if not schedule:
         raise ConfigError("empty ends schedule")
@@ -147,7 +156,7 @@ def ends_report(
         if R > horizon - 1:
             raise ScheduleExceedsBallError(
                 f"annulus ({r}, {R}) reaches past usable horizon {horizon - 1}",
-                required_radius=R + 1,
+                required_radius=lag + R + 1,
             )
     rs = [r for r, _ in schedule]
     if sorted(rs) != rs:

@@ -50,13 +50,18 @@ class InsufficientRadiusError(CosetGeomError):
     """A requested in-ball construction does not fit inside the ball.
 
     required_radius, when known, is a ball radius the construction needs at
-    least; None where no radius can be named in advance."""
+    least; None where no radius can be named in advance.  The message names
+    it as it stands when the error is printed."""
 
     def __init__(self, message: str, required_radius: Optional[int] = None):
-        self.required_radius = required_radius
-        if required_radius is not None:
-            message = f"{message} (suggest radius >= {required_radius})"
         super().__init__(message)
+        self.required_radius = required_radius
+
+    def __str__(self) -> str:
+        message = super().__str__()
+        if self.required_radius is None:
+            return message
+        return f"{message} (suggest radius >= {self.required_radius})"
 
 
 class ScheduleExceedsBallError(InsufficientRadiusError):

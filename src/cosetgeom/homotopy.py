@@ -1,7 +1,7 @@
 """Escape-ray systems and finite homotopy-ladder certificates.
 
 A ray system equips every vertex of a ball or coset patch with a finite
-outward path whose distance from the base strictly increases.  Rays built
+outward path whose distance from vertex 0 strictly increases.  Rays built
 this way leave any fixed finite set behind: only vertices at most as deep
 as the set can have rays meeting it, which is the checkable finite form of
 properness.
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .cayley import Ball, bfs_distances, first_hit
+from .cayley import Ball, first_hit
 from .errors import ConfigError, ConstantViolationError
 from .groups import Element, GroupSpec, group_for, inverse_word
 from .subgroups import (
@@ -38,9 +38,7 @@ if TYPE_CHECKING:
 
 class RaySystem(NamedTuple):
     graph_kind: str
-    base: int
     horizon: int
-    shell: Tuple[int, ...]
     rays: Tuple[Tuple[int, ...], ...]
 
     @property
@@ -48,10 +46,11 @@ class RaySystem(NamedTuple):
         return len(self.rays)
 
 
-def build_ray_system(graph: Union[Ball, CosetPatch], base: int = 0) -> RaySystem:
+def build_ray_system(graph: Union[Ball, CosetPatch]) -> RaySystem:
     """Outward rays: from each vertex, greedily step to deeper shells.
 
-    A ray below the horizon steps to the least neighbour one shell deeper
+    A vertex's shell is its graph distance from vertex 0 (graph.dist).  A
+    ray below the horizon steps to the least neighbour one shell deeper
     and goes on as that neighbour's ray, so rays are built from the deepest
     shell inward, each from the one it continues.
     """
@@ -59,24 +58,14 @@ def build_ray_system(graph: Union[Ball, CosetPatch], base: int = 0) -> RaySystem
 
     kind, dist, neighbors, _ = graph_view(graph)
     n = len(dist)
-    if not (0 <= base < n):
-        raise ConfigError(f"base vertex {base} not in graph")
-    # the graph's own distances are from vertex 0
-    shell = list(dist) if base == 0 else bfs_distances(neighbors, n, [base])
-    horizon = max(shell)
+    horizon = max(dist)
 
     rays: List[Tuple[int, ...]] = [()] * n
-    for v in sorted(range(n), key=shell.__getitem__, reverse=True):
-        d = shell[v]
-        outward = [w for w in neighbors(v) if shell[w] == d + 1] if d < horizon else ()
+    for v in sorted(range(n), key=dist.__getitem__, reverse=True):
+        d = dist[v]
+        outward = [w for w in neighbors(v) if dist[w] == d + 1] if d < horizon else ()
         rays[v] = (v, *rays[min(outward)]) if outward else (v,)
-    return RaySystem(
-        graph_kind=kind,
-        base=base,
-        horizon=horizon,
-        shell=tuple(shell),
-        rays=tuple(rays),
-    )
+    return RaySystem(graph_kind=kind, horizon=horizon, rays=tuple(rays))
 
 
 class LadderViolation(NamedTuple):
@@ -86,7 +75,6 @@ class LadderViolation(NamedTuple):
 
 
 class LadderReport(NamedTuple):
-    n_loops: int
     violations: Tuple[LadderViolation, ...]
 
     @property
@@ -230,7 +218,6 @@ def verify_ladder(spec: GroupSpec, ladder: Ladder) -> LadderReport:
     )
     if not shapes_ok:
         return LadderReport(
-            n_loops=n,
             violations=(
                 LadderViolation(-1, "structure", "component counts disagree"),
             ),
@@ -287,4 +274,4 @@ def verify_ladder(spec: GroupSpec, ladder: Ladder) -> LadderReport:
                     i, "identity", "loop does not close through its waypoints"
                 )
             )
-    return LadderReport(n_loops=n, violations=tuple(violations))
+    return LadderReport(violations=tuple(violations))

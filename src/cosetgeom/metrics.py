@@ -48,12 +48,9 @@ class RadiusValue(NamedTuple):
 class HausdorffProfile(NamedTuple):
     """Per-radius Hausdorff distance between Q and gQ, with a verdict."""
 
-    g: Element
     g_text: str
     values: Tuple[RadiusValue, ...]
     verdict: str
-    window: int
-    margin: int
 
     def k_values(self) -> Tuple[int, ...]:
         return tuple(v.k for v in self.values)
@@ -165,12 +162,9 @@ def hausdorff_profile(
         values.append(RadiusValue(r, k_forward, k_backward, k, exact))
 
     return HausdorffProfile(
-        g=g,
         g_text=group_for(patch.spec).render(g),
         values=tuple(values),
         verdict=_profile_verdict(values),
-        window=STABILIZATION_WINDOW,
-        margin=SAFETY_MARGIN,
     )
 
 

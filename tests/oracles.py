@@ -415,11 +415,11 @@ def reference_word_classes(ball, group, words) -> List[int]:
 # horizon or a vertex with no deeper neighbour: each ray walked on its own.
 
 
-def reference_rays(neighbors, n: int, base: int) -> Tuple[List[int], List[Tuple[int, ...]]]:
-    """(shell, rays) of the graph on vertices 0..n-1."""
+def reference_rays(neighbors, n: int) -> Tuple[List[int], List[Tuple[int, ...]]]:
+    """(shell, rays) of the graph on vertices 0..n-1, shells from vertex 0."""
     shell = [-1] * n
-    shell[base] = 0
-    queue = deque([base])
+    shell[0] = 0
+    queue = deque([0])
     while queue:
         v = queue.popleft()
         for w in neighbors(v):

@@ -53,20 +53,27 @@ def test_only_the_patch_build_takes_a_subgroup():
     assert "words" in inspect.signature(build_coset_patch).parameters
 
 
-def _imported_names(body):
-    """The names bound by the import statements of one scope: body and the
-    if/try blocks in it, not nested functions or classes."""
+def _statements(body):
+    """The statements of one scope: body and the if/try blocks in it, not
+    nested functions or classes."""
     for node in body:
+        if isinstance(node, (ast.If, ast.Try)):
+            for block in (node.body, node.orelse, getattr(node, "finalbody", [])):
+                yield from _statements(block)
+            for handler in getattr(node, "handlers", []):
+                yield from _statements(handler.body)
+        else:
+            yield node
+
+
+def _imported_names(body):
+    """The names bound by the import statements of one scope."""
+    for node in _statements(body):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
-            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-                continue
             for alias in node.names:
                 yield alias.asname or alias.name.partition(".")[0], node.lineno
-        elif isinstance(node, (ast.If, ast.Try)):
-            for block in (node.body, node.orelse, getattr(node, "finalbody", [])):
-                yield from _imported_names(block)
-            for handler in getattr(node, "handlers", []):
-                yield from _imported_names(handler.body)
 
 
 def _used_names(tree):
@@ -106,3 +113,58 @@ def test_no_module_imports_a_name_it_never_uses(path):
             if name not in used
         ]
     assert unused == []
+
+
+def _defined_names(node):
+    """The names a module-level def, class or assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def _read_names(node):
+    """Names a statement reads: loaded names, attributes and imported names."""
+    read = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            read.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            read.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            read.update(alias.name for alias in sub.names)
+    return read
+
+
+def _statements_by_module():
+    return {
+        path.name: list(_statements(ast.parse(path.read_text(), str(path)).body))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+
+
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name
+)
+def test_no_private_module_name_is_orphaned(path):
+    # a helper whose last caller was deleted still compiles and runs; a
+    # module-level _name must be read by some statement of the package other
+    # than its own definition (so recursion does not count)
+    statements = _statements_by_module()
+    reads = [
+        (module, i, _read_names(node))
+        for module, body in statements.items()
+        for i, node in enumerate(body)
+    ]
+    orphans = []
+    for i, node in enumerate(statements[path.name]):
+        for name in _defined_names(node):
+            if not name.startswith("_") or name.startswith("__"):
+                continue
+            if not any(
+                name in read
+                for module, j, read in reads
+                if (module, j) != (path.name, i)
+            ):
+                orphans.append(f"{path.name}:{node.lineno} {name}")
+    assert orphans == []

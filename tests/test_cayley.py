@@ -23,7 +23,6 @@ from cosetgeom.cayley import (
     UNREACHED,
     Ball,
     PackedForms,
-    PathInBall,
     ball_cache_name,
     bfs_distances,
     bfs_layers,
@@ -33,7 +32,6 @@ from cosetgeom.cayley import (
     load_ball,
     save_ball,
     star,
-    walk_path,
 )
 from cosetgeom.errors import BallOverflowError, InsufficientRadiusError
 from cosetgeom.groups import (
@@ -43,7 +41,6 @@ from cosetgeom.groups import (
     free_group,
     group_for,
     parse_group_spec,
-    parse_word,
 )
 
 from .oracles import REFERENCE_GROUPS, ReferenceOverflow, reference_ball, reference_star
@@ -392,29 +389,6 @@ class TestStar:
                     assert (got.vertices, got.clipped) == want, (radius, seeds, n)
 
 
-class TestPaths:
-    def test_walk_inside(self):
-        ball = build_ball(BS12, 4)
-        path = PathInBall(base=0, word=parse_word(BS12, "x.t.t"))
-        vids = walk_path(ball, path)
-        assert len(vids) == 4
-        assert ball.elements[vids[-1]] == group_for(BS12).evaluate_word(
-            parse_word(BS12, "x.t.t")
-        )
-
-    def test_walk_leaving_ball_raises(self):
-        ball = build_ball(FREE2, 2)
-        with pytest.raises(InsufficientRadiusError):
-            walk_path(ball, PathInBall(base=0, word=(1, 1, 1)))
-
-    @pytest.mark.parametrize("where", ["before", "past"])
-    def test_base_outside_ball_raises(self, where):
-        ball = build_ball(AB2, 4)
-        base = -1 if where == "before" else ball.n_vertices
-        with pytest.raises(InsufficientRadiusError, match=f"base vertex {base} not in ball"):
-            walk_path(ball, PathInBall(base=base, word=()))
-
-
 class TestSerialization:
     def test_payload_round_trip(self, tmp_path):
         ball = build_ball(BS12, 5)
@@ -616,10 +590,6 @@ class TestSerialization:
         assert [warm.vertex(a) for a in cold.elements] == list(range(cold.n_vertices))
         assert warm.vertex(outside) is None
         assert warm.index == cold.index
-        inside = PathInBall(base=0, word=spec.letters[:1] * 2 + spec.letters[-1:] * 3)
-        assert walk_path(warm, inside) == walk_path(cold, inside)
-        with pytest.raises(InsufficientRadiusError):
-            walk_path(warm, PathInBall(base=rim, word=(letter,)))
 
     @pytest.mark.parametrize("text, radius, bound", [("bs:2,3", 8, 55), ("free:2", 7, 45)])
     def test_load_retained_bytes_per_vertex(self, tmp_path, text, radius, bound):

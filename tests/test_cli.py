@@ -237,6 +237,19 @@ class TestReportsAndExitCodes:
         # the scenario block survives a handler that raised before writing it
         assert report["scenario"]["radius"] == int(argv[4])
 
+    @pytest.mark.parametrize("group", ["free:1", "abelian:1"])
+    @pytest.mark.parametrize("radius", [8, 12])
+    @pytest.mark.parametrize("schedule", [[], ["--schedule", "1:3"]], ids=["default", "1:3"])
+    def test_ends_on_a_one_coset_patch_suggest_a_larger_radius(
+        self, group, radius, schedule, cache_dir, tmp_path
+    ):
+        # Q = G, so the patch is one coset and its horizon stays 0; the
+        # radius to suggest is the ball's own plus the horizon still needed
+        argv = ["filtered-ends", "--group", group, "--radius", str(radius), *schedule]
+        code, report = run_cli(argv, cache_dir, tmp_path)
+        assert code == 2
+        assert report["result"]["suggest_radius"] == radius + (4 if schedule else 8)
+
     def test_commensurate_elements_start_where_their_cosets_do(self, cache_dir, tmp_path):
         # t.x.t^-1.Q lies at distance 3, so the profiles start at radius 3
         argv = ["commensurate", "--group", "bs:1,2", "--radius", "13"]
@@ -1096,5 +1109,7 @@ def test_every_well_formed_run_exits_zero_or_two(group, cache_dir, tmp_path, cap
             codes[command, radius] = code
             if code == 2:
                 assert report["status"] == "inconclusive"
+                suggest = report["result"].get("suggest_radius")
+                assert suggest is None or suggest > radius, (command, radius)
     assert {key: code for key, code in codes.items() if code not in (0, 2)} == {}
     assert capsys.readouterr().err == ""

@@ -14,7 +14,6 @@ from cosetgeom.cayley import (
     build_ball,
     load_ball,
     save_ball,
-    walk_path,
 )
 from cosetgeom.cosetgraph import (
     LambdaPath,
@@ -26,6 +25,7 @@ from cosetgeom.errors import ConfigError, InsufficientRadiusError
 from cosetgeom.metrics import hausdorff_profile
 from cosetgeom.groups import (
     baumslag_solitar,
+    evaluate_word,
     free_abelian_group,
     free_group,
     group_for,
@@ -74,7 +74,7 @@ class TestBaumslagSolitarPatches:
         prof = degree_profile(patch)
         assert prof.max_degree == 5
         assert prof.per_label == ((-2, 3), (2, 2))
-        assert prof.histogram_dict()[5] >= 1
+        assert dict(prof.histogram)[5] >= 1
 
     def test_x_letters_never_leave_a_coset(self):
         ball = build_ball(baumslag_solitar(2, 3), 5)
@@ -333,7 +333,7 @@ class TestProjection:
         patch = build_coset_patch(ball)
         word = (2, 1, -2, -2, 1, 2)
         lam = project_path(patch, PathInBall(0, word))
-        end_vertex = walk_path(ball, PathInBall(0, word))[-1]
+        end_vertex = ball.vertex(evaluate_word(ball.spec, word))
         assert lam.end == patch.coset_of[end_vertex]
 
     def test_projected_steps_are_patch_edges(self, ball_bs23_r10):
@@ -371,7 +371,7 @@ class TestProjection:
     def test_projection_is_functorial(self, ball_bs12_r10, w1, w2):
         ball = ball_bs12_r10
         patch = build_coset_patch(ball)
-        mid = walk_path(ball, PathInBall(0, tuple(w1)))[-1]
+        mid = ball.vertex(evaluate_word(ball.spec, w1))
         lam1 = project_path(patch, PathInBall(0, tuple(w1)))
         lam2 = project_path(patch, PathInBall(mid, tuple(w2)))
         lam12 = project_path(patch, PathInBall(0, tuple(w1 + w2)))

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from cosetgeom.cosetgraph import build_coset_patch
@@ -15,11 +13,9 @@ from cosetgeom.errors import (
 )
 from cosetgeom.groups import (
     baumslag_solitar,
-    evaluate_word,
     free_abelian_group,
     group_for,
     parse_group_spec,
-    parse_word,
     render_word,
 )
 from cosetgeom.homotopy import (
@@ -35,10 +31,6 @@ from .oracles import REFERENCE_GROUPS, reference_ladder, reference_rays
 LADDER_FIELDS = (
     "target_key", "prefix_elements", "transfer_ends", "rung_ends", "alphas", "rungs"
 )
-
-
-def element(spec, text):
-    return evaluate_word(spec, parse_word(spec, text))
 
 
 def ball_neighbor_sets(ball):
@@ -66,19 +58,15 @@ def ladder_bs23(constants_bs23):
 
 
 class TestRaySystems:
-    def check_invariants(self, system, neighbor_sets):
+    def check_invariants(self, system, dist, neighbor_sets):
         for v, ray in enumerate(system.rays):
             assert ray[0] == v
             for a, b in zip(ray, ray[1:]):
                 assert b in neighbor_sets[a]
-                assert system.shell[b] == system.shell[a] + 1
+                assert dist[b] == dist[a] + 1
             tip = ray[-1]
-            if system.shell[tip] < system.horizon:
-                outward = [
-                    w
-                    for w in neighbor_sets[tip]
-                    if system.shell[w] == system.shell[tip] + 1
-                ]
+            if dist[tip] < system.horizon:
+                outward = [w for w in neighbor_sets[tip] if dist[w] == dist[tip] + 1]
                 assert outward == []
 
     def test_ball_rays_reach_the_horizon(self, ball_ab2_r12, ball_free2_r8):
@@ -86,76 +74,41 @@ class TestRaySystems:
             system = build_ray_system(ball)
             assert system.graph_kind == "ball"
             assert system.horizon == ball.radius
-            self.check_invariants(system, ball_neighbor_sets(ball))
+            self.check_invariants(system, ball.dist, ball_neighbor_sets(ball))
             for ray in system.rays:
-                assert system.shell[ray[-1]] == system.horizon
+                assert ball.dist[ray[-1]] == system.horizon
 
     def test_bs_ball_rays_are_monotone(self, ball_bs12_r10):
         system = build_ray_system(ball_bs12_r10)
-        self.check_invariants(system, ball_neighbor_sets(ball_bs12_r10))
+        self.check_invariants(
+            system, ball_bs12_r10.dist, ball_neighbor_sets(ball_bs12_r10)
+        )
 
     def test_patch_rays(self, ball_bs23_r10):
         patch = build_coset_patch(ball_bs23_r10)
         system = build_ray_system(patch)
         assert system.graph_kind == "patch"
         neighbor_sets = [patch.neighbors(c) for c in range(patch.n_cosets)]
-        self.check_invariants(system, neighbor_sets)
+        self.check_invariants(system, patch.dist, neighbor_sets)
         star = [c for c in range(patch.n_cosets) if patch.dist[c] <= 1]
         assert len(star) == 6
-
-    def test_rebased_shells(self, ball_ab2_r12):
-        ball = ball_ab2_r12
-        base = ball.vertex(element(free_abelian_group(2), "x2"))
-        system = build_ray_system(ball, base=base)
-        assert system.base == base
-        assert system.shell[base] == 0
-        assert system.shell[0] == 1
-        self.check_invariants(system, ball_neighbor_sets(ball))
-
-    def test_rebased_shells_on_a_patch(self, patch_bs23_r10):
-        patch = patch_bs23_r10
-        rng = random.Random(21)
-        for base in [1, patch.n_cosets - 1, *rng.sample(range(2, patch.n_cosets - 1), 3)]:
-            system = build_ray_system(patch, base=base)
-            assert system.shell[base] == 0
-            shell = [-1] * patch.n_cosets
-            shell[base] = 0
-            frontier = [base]
-            while frontier:
-                nxt = []
-                for c in frontier:
-                    for d in patch.neighbors(c):
-                        if shell[d] == -1:
-                            shell[d] = shell[c] + 1
-                            nxt.append(d)
-                frontier = nxt
-            assert system.shell == tuple(shell)
-            assert system.horizon == max(shell)
-            self.check_invariants(
-                system, [patch.neighbors(c) for c in range(patch.n_cosets)]
-            )
 
     @pytest.mark.parametrize("text", REFERENCE_GROUPS)
     def test_rays_match_a_greedy_walk_from_every_vertex(self, text):
         """Rays built shell by shell against each vertex's own greedy walk,
-        on balls and patches at radii 0-6, from base 0 and from other bases."""
+        on balls and patches at radii 0-6."""
         spec = parse_group_spec(text)
-        rng = random.Random(text)
         for radius in range(7):
             ball = build_ball(spec, radius)
             patch = build_coset_patch(ball)
             for graph, n in ((ball, ball.n_vertices), (patch, patch.n_cosets)):
-                for base in {0, n - 1, rng.randrange(n)}:
-                    system = build_ray_system(graph, base=base)
-                    shell, rays = reference_rays(graph.neighbors, n, base)
-                    assert system.shell == tuple(shell), (radius, base)
-                    assert list(system.rays) == rays, (radius, base)
+                system = build_ray_system(graph)
+                shell, rays = reference_rays(graph.neighbors, n)
+                assert list(graph.dist) == shell, radius
+                assert system.horizon == max(shell), radius
+                assert list(system.rays) == rays, radius
 
-    def test_bad_inputs(self, ball_free2_r8):
-        with pytest.raises(ConfigError):
-            build_ray_system(ball_free2_r8, base=-1)
-        with pytest.raises(ConfigError):
-            build_ray_system(ball_free2_r8, base=ball_free2_r8.n_vertices)
+    def test_bad_inputs(self):
         with pytest.raises(ConfigError):
             build_ray_system(object())
 
@@ -203,7 +156,7 @@ class TestLadderConstruction:
     def test_report_shape(self, ladder_bs23):
         report = verify_ladder(baumslag_solitar(2, 3), ladder_bs23)
         assert report.ok
-        assert report.n_loops == 6
+        assert ladder_bs23.n_loops == 6
         assert report.failed_loops() == ()
 
     def test_crossing_letter_must_leave_q(self, constants_bs12):

@@ -1,11 +1,12 @@
-"""The example scripts and README's library example run to completion
-against the installed API."""
+"""The example scripts and README's library and command-line examples run
+to completion against the installed API."""
 
 from __future__ import annotations
 
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,16 +14,30 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text()
+# README's "Command line" section: its sh examples and the config file one reads
+COMMAND_LINE = re.search(r"^## Command line\n(.*?)^## ", README, re.S | re.M)[1]
+README_COMMANDS = [
+    line
+    for block in re.findall(r"```sh\n(.*?)```", COMMAND_LINE, re.S)
+    for line in block.splitlines()
+    if line.startswith("cosetgeom ")
+]
+README_CONFIG = re.search(r"```ini\n(.*?)```", COMMAND_LINE, re.S)[1]
 
 
-def run_script(name, *args):
+def package_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def run_script(name, *args):
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
-        env=env,
+        env=package_env(),
         capture_output=True,
         text=True,
         timeout=120,
@@ -81,7 +96,7 @@ def test_survey_reads_inconclusive_where_the_radius_runs_out(tmp_path):
 
 
 def test_readme_library_example_prints_what_its_comments_say(capsys):
-    code = re.search(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)[1]
+    code = re.search(r"```python\n(.*?)```", README, re.S)[1]
     namespace = {}
     exec(compile(code, "README.md", "exec"), namespace)
     printed = capsys.readouterr().out.splitlines()
@@ -90,3 +105,28 @@ def test_readme_library_example_prints_what_its_comments_say(capsys):
     constants = namespace["constants"]
     stated = f"F={constants.f}, M={constants.m}, L={constants.l}"
     assert stated == "F=2, M=5, L=10" and f"# {stated}" in code
+
+
+def test_readme_lists_its_command_examples():
+    assert len(README_COMMANDS) == 8
+    assert README_COMMANDS[-1] == "cosetgeom filtered-ends --config scenario.ini"
+    assert README_CONFIG.startswith("[scenario]\n")
+
+
+@pytest.mark.parametrize("command", README_COMMANDS)
+def test_readme_command_prints_a_report(command, tmp_path):
+    """Each command example runs from a fresh directory, beside the README's
+    scenario.ini, and prints a report."""
+    (tmp_path / "scenario.ini").write_text(README_CONFIG)
+    env = package_env()
+    env.pop("COSETGEOM_CACHE", None)  # build every ball, cache nothing
+    done = subprocess.run(
+        [sys.executable, "-m", "cosetgeom", *shlex.split(command)[1:]],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["schema"] == "cosetgeom.report.v1"

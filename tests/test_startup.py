@@ -176,7 +176,7 @@ def test_importing_the_package_loads_no_module():
 PUBLIC = {
     "cayley": [
         "DEFAULT_VERTEX_BUDGET", "Ball", "PathInBall", "StarResult", "build_ball",
-        "cached_ball", "load_ball", "save_ball", "star", "walk_path",
+        "cached_ball", "load_ball", "save_ball", "star",
     ],
     "cosetgraph": [
         "DEFAULT_TRUST_MARGIN", "CosetPatch", "DegreeProfile", "LambdaPath",
