@@ -60,7 +60,7 @@ from .groups import (
 )
 
 # _blake2 is imported by the cache-file functions only (_digest), so a run
-# without a cache directory never loads it; struct and mmap only by a load.
+# without a cache directory never loads it; struct and mmap only by a ball load.
 
 #: Sentinel distance for vertices a BFS never reached.
 UNREACHED = -1
@@ -472,6 +472,67 @@ def _packed_forms(ball: Ball) -> Tuple[str, bytes, array]:
     raise OverflowError("a normal form holds an int wider than 64 bits")
 
 
+def _write_cache_file(path: str, header: dict, fields: tuple) -> None:
+    """Write one cache file through _replacing: an ASCII JSON header line,
+    then the body ``marshal.dumps(fields, 2)``.
+
+    Version 2 has no shared-object references, whose placement in later
+    versions depends on reference counts, so equal fields always give the
+    same bytes.  The header gains the byte order and the body's 256-bit
+    BLAKE2b digest (_digest); its keys are written sorted.
+    """
+    with _replacing(path, "wb") as fh:
+        body = marshal.dumps(fields, 2)
+        header = {**header, "blake2b": _digest(body), "byteorder": sys.byteorder}
+        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode())
+        fh.write(b"\n")
+        fh.write(body)
+
+
+def _read_cache_file(fh, fmt: str, mapped: bool = False) -> Tuple[dict, GroupSpec, tuple]:
+    """(header, group, body fields) of an open cache file of the given format.
+
+    Raises ValueError when the header does not name the format and this
+    machine's byte order or lacks an integer radius and size n, when the
+    body does not match its digest or is no tuple, and when the group does
+    not parse.  The body is hashed before it is unmarshalled, so a truncated
+    or corrupt file never reaches marshal.  A mapped body is read through a
+    read-only mapping, not copied onto the heap; the writers only rename
+    whole files into place, so a mapped file never shrinks under its reader.
+    """
+    what = fmt.split(".")[1] + " file"  # "cosetgeom.ball.v4" names a ball file
+    header = json.loads(fh.readline())
+    if not isinstance(header, dict) or header.get("format") != fmt:
+        raise ValueError(f"not a {what} of format {fmt}")
+    if header.get("byteorder") != sys.byteorder:
+        raise ValueError(f"{what} written in another byte order")
+    # type, not isinstance: a JSON true or false is an int subclass
+    if not (type(header.get("radius")) is int and type(header.get("n")) is int):
+        raise ValueError(f"{what} radius or size is not an integer")
+
+    def unmarshal(body) -> tuple:
+        if header.get("blake2b") != _digest(body):
+            raise ValueError(f"{what} body does not match its digest")
+        fields = marshal.loads(body)
+        if type(fields) is not tuple:  # so unpacking it raises only ValueError
+            raise TypeError("body is not a tuple")
+        return fields
+
+    try:
+        if mapped:
+            import mmap
+
+            with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as whole:
+                with memoryview(whole)[fh.tell() :] as body:
+                    fields = unmarshal(body)
+        else:
+            fields = unmarshal(fh.read())
+        spec = parse_group_spec(header.get("group"))
+    except (ConfigError, EOFError, TypeError) as exc:
+        raise ValueError(f"malformed {what}: {exc!r}") from None
+    return header, spec, fields
+
+
 def save_ball(ball: Ball, path: str) -> None:
     """Write the ball to a temp file beside path, then rename it into place.
 
@@ -479,28 +540,20 @@ def save_ball(ball: Ball, path: str) -> None:
     ``marshal.dumps((typecode, lengths, arena, dist, adj), 2)``, whose last
     four fields marshal writes as bytes: each form's int count, the forms
     packed one after the other (_packed_forms), the distances and the
-    adjacency slots.  Version 2 has no shared-object references, whose
-    placement in later versions depends on reference counts, so a ball
-    always gives the same bytes.  The header names the format, byte order,
-    group, radius and vertex count, and holds the body's 256-bit BLAKE2b
-    digest (_digest).  Raises OverflowError, and writes nothing, for a ball
-    whose forms do not pack.
+    adjacency slots (_write_cache_file).  The header names the format, byte
+    order, group, radius and vertex count, and holds the body's digest.
+    Raises OverflowError, and writes nothing, for a ball whose forms do not
+    pack.
     """
     with _collector_paused():
         typecode, lengths, arena = _packed_forms(ball)
-        with _replacing(path, "wb") as fh:
-            body = marshal.dumps((typecode, lengths, arena, ball.dist, ball.adj), 2)
-            header = {
-                "blake2b": _digest(body),
-                "byteorder": sys.byteorder,
-                "format": BALL_FORMAT,
-                "group": ball.spec.describe(),
-                "n": ball.n_vertices,
-                "radius": ball.radius,
-            }
-            fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode())
-            fh.write(b"\n")
-            fh.write(body)
+        header = {
+            "format": BALL_FORMAT,
+            "group": ball.spec.describe(),
+            "n": ball.n_vertices,
+            "radius": ball.radius,
+        }
+        _write_cache_file(path, header, (typecode, lengths, arena, ball.dist, ball.adj))
 
 
 def _check_forms(spec: GroupSpec, radius: int, forms: PackedForms) -> None:
@@ -542,34 +595,14 @@ def _check_forms(spec: GroupSpec, radius: int, forms: PackedForms) -> None:
 def load_ball(path: str) -> Ball:
     """Read a ball file; raises ValueError for a file of the wrong shape.
 
-    The body is hashed before it is unmarshalled, so a truncated or corrupt
-    file never reaches marshal.  It is read through a read-only mapping, not
-    copied onto the heap; save_ball only renames whole files into place, so
-    a mapped file never shrinks under its reader.  The forms stay packed in
-    the arena the file holds, and the vertex index is left to the ball to
-    build on its first lookup.
+    The body is read through a read-only mapping (_read_cache_file).  The
+    forms stay packed in the arena the file holds, and the vertex index is
+    left to the ball to build on its first lookup.
     """
-    import mmap
-
     with open(path, "rb") as fh, _collector_paused():
-        header = json.loads(fh.readline())
-        if not isinstance(header, dict) or header.get("format") != BALL_FORMAT:
-            raise ValueError("not a ball file of format " + BALL_FORMAT)
-        if header.get("byteorder") != sys.byteorder:
-            raise ValueError("ball file written in another byte order")
-        radius, n = header.get("radius"), header.get("n")
-        # type, not isinstance: a JSON true or false is an int subclass
-        if not (type(radius) is int and type(n) is int):
-            raise ValueError("ball file radius or size is not an integer")
-        try:
-            with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
-                with memoryview(mapped)[fh.tell() :] as body:
-                    if header.get("blake2b") != _digest(body):
-                        raise ValueError("ball file body does not match its digest")
-                    typecode, lengths, arena, dist_bytes, adj_bytes = marshal.loads(body)
-            spec = parse_group_spec(header.get("group"))
-        except (ConfigError, EOFError, TypeError) as exc:
-            raise ValueError(f"malformed ball file: {exc!r}") from None
+        header, spec, fields = _read_cache_file(fh, BALL_FORMAT, mapped=True)
+        radius, n = header["radius"], header["n"]
+        typecode, lengths, arena, dist_bytes, adj_bytes = fields
         fields = (lengths, arena, dist_bytes, adj_bytes)
         if typecode not in FORM_TYPECODES or {type(f) for f in fields} != {bytes}:
             raise ValueError("ball file fields are not a typecode and four byte strings")

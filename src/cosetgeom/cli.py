@@ -35,7 +35,7 @@ from .errors import (
 
 if TYPE_CHECKING:
     from .cayley import Ball
-    from .cosetgraph import CosetPatch
+    from .cosetgraph import CosetGraph, CosetPatch
     from .groups import GroupSpec, Word
     from .lifting import LiftConstants
 
@@ -236,6 +236,26 @@ class Scenario:
             margin = self.trust_margin  # read first: a bad value fails before the build
             self._patch = build_coset_patch(self.ball, margin, self.words)
         return self._patch
+
+    @property
+    def coset_graph(self) -> CosetGraph:
+        """Q's coset graph, all that an ends count or a ray system reads.
+
+        With a cache directory it comes from cached_coset_graph, which reads
+        a graph file without loading the ball, or builds the patch and
+        writes the file.  A words subgroup, a run without a cache, or a
+        scenario that has built its patch (as the survey script's rows do)
+        reads the patch's own.
+        """
+        if self.words or not self.cache_dir or self._patch is not None:
+            return self.patch.graph
+        from .cayley import _collector_paused
+        from .cosetgraph import cached_coset_graph
+
+        # paused as for a ball (ball_of): a cold run builds the patch of a
+        # ball that no collection should rescan
+        with _collector_paused():
+            return cached_coset_graph(self.spec, self.radius, self.cache_dir, self.max_vertices)
 
     def block(self, **extras) -> dict:
         """The report's scenario block, kept as last_block for the report of
@@ -489,7 +509,7 @@ def cmd_rays(sc: Scenario):
     if kind == "ball":
         graph = sc.ball
     elif kind == "patch":
-        graph = sc.patch
+        graph = sc.coset_graph
     else:
         raise ConfigError(f"unknown ray graph {kind!r} (use ball or patch)")
     system = build_ray_system(graph)
@@ -568,7 +588,7 @@ HANDLERS: Dict[str, Handler] = {
     "hausdorff": cmd_hausdorff,
     "commensurate": cmd_commensurate,
     "ends": lambda sc: cmd_ends(sc, sc.ball),
-    "filtered-ends": lambda sc: cmd_ends(sc, sc.patch),
+    "filtered-ends": lambda sc: cmd_ends(sc, sc.coset_graph),
     "constants": cmd_constants,
     "lift": cmd_lift,
     "rays": cmd_rays,

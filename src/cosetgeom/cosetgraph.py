@@ -17,23 +17,47 @@ build_coset_patch(ball) builds the patch of Q, the group's distinguished
 subgroup.  Given generator words instead, it merges ball vertices joined by
 them (a words patch); such a patch has no exact coset labels, so coset
 lookups and lifts refuse it.
+
+An ends count and a ray system read only the coset graph: a CosetGraph
+holds the ball radius, each coset's distance from Q and the neighbour
+lists, and a patch gives its own as patch.graph.  cached_coset_graph keeps
+Q's in a graph file beside the ball file, written once per (group, radius)
+through the ball file's header, digest and marshal helpers, so a warm
+filtered-ends or patch rays run reads it without loading the ball or
+labelling a vertex.
 """
 
 from __future__ import annotations
 
+import os
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict, namedtuple
 from functools import cached_property
-from itertools import count, repeat
+from itertools import accumulate, count, repeat
+from operator import le
 from typing import Callable, Dict, Hashable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
-from .cayley import NO_EDGE, Ball, PackedForms, PathInBall, bfs_distances
-from .errors import ConfigError, InsufficientRadiusError
+from .cayley import (
+    BALL_FORMAT,
+    DEFAULT_VERTEX_BUDGET,
+    NO_EDGE,
+    Ball,
+    PackedForms,
+    PathInBall,
+    _digest,
+    _read_cache_file,
+    _write_cache_file,
+    bfs_distances,
+    cached_ball,
+)
+from .errors import BallOverflowError, ConfigError, InsufficientRadiusError
 from .groups import FAMILY_BS, Element, GroupSpec, Word, group_for, inverse_word
 from .subgroups import coset_key, coset_labeller, q_letters
 
 DEFAULT_TRUST_MARGIN = 1
+
+GRAPH_FORMAT = "cosetgeom.graph.v1"
 
 
 class LambdaPath(namedtuple("LambdaPath", "cosets letters")):
@@ -67,6 +91,26 @@ class LambdaPath(namedtuple("LambdaPath", "cosets letters")):
         if other.start != self.end:
             raise ValueError("paths do not compose")
         return LambdaPath(self.cosets + other.cosets[1:], self.letters + other.letters)
+
+
+class CosetGraph(NamedTuple):
+    """Q's coset graph as one ball shows it, without the ball: what an ends
+    count or a ray system reads.
+
+    radius is the ball's and dist holds each coset's distance from Q.
+    Coset c's neighbours, sorted and once each, are
+    targets[offsets[c]:offsets[c + 1]].  A patch gives its own as
+    CosetPatch.graph, and a graph file holds one (cached_coset_graph).
+    """
+
+    radius: int
+    dist: array
+    targets: array
+    offsets: array
+
+    def neighbors(self, cid: int) -> array:
+        """The coset's neighbours, sorted, once each."""
+        return self.targets[self.offsets[cid] : self.offsets[cid + 1]]
 
 
 class CosetPatch:
@@ -212,6 +256,11 @@ class CosetPatch:
         """Coset-graph distance of each coset from the base coset Q."""
         return array("i", bfs_distances(self.neighbors, self.n_cosets, [self.base]))
 
+    @cached_property
+    def graph(self) -> CosetGraph:
+        """The patch's coset graph: its radius, dist and neighbour lists."""
+        return CosetGraph(self.radius, self.dist, *self._links)
+
     def neighbors(self, cid: int) -> array:
         """The coset's neighbours, sorted, once each."""
         targets, offsets = self._links
@@ -252,16 +301,21 @@ def _row_offsets(codes: List[int], width: int, n: int) -> array:
     return array("i", map(bisect_left, repeat(codes, n + 1), starts))
 
 
-def graph_view(graph: Union[Ball, CosetPatch]):
-    """(kind, dist, neighbors, horizon) of a ball or a coset patch.
+def graph_view(graph: Union[Ball, CosetPatch, CosetGraph]):
+    """(kind, dist, neighbors, horizon) of a ball or a coset graph, a patch
+    read through its own.
 
     neighbors(v) may repeat a vertex and follows no particular order.
     """
     if isinstance(graph, Ball):
         return "ball", graph.dist, graph.neighbors, graph.radius
     if isinstance(graph, CosetPatch):
+        graph = graph.graph
+    if isinstance(graph, CosetGraph):
         return "patch", graph.dist, graph.neighbors, max(graph.dist)
-    raise ConfigError(f"expected a ball or a coset patch, got {type(graph).__name__}")
+    raise ConfigError(
+        f"expected a ball, a coset patch or a coset graph, got {type(graph).__name__}"
+    )
 
 
 class _UnionFind:
@@ -359,6 +413,98 @@ def build_coset_patch(
         coset_of=coset_of,
         trusted=trusted,
     )
+
+
+def coset_graph_cache_name(spec: GroupSpec, radius: int) -> str:
+    """The graph file's name: the graph and ball formats name it too, so a
+    ball built another way never serves an old graph."""
+    key = f"{GRAPH_FORMAT}|{BALL_FORMAT}|{spec.describe()}|{radius}"
+    return f"graph-{_digest(key.encode())[:16]}-r{radius}.graph"
+
+
+def save_coset_graph(patch: CosetPatch, path: str) -> None:
+    """Write the patch's coset graph as a cache file (cayley._write_cache_file).
+
+    The header names the format, group and radius, the coset count n and
+    the ball's sphere sizes, which a budget check reads; the body is
+    ``marshal.dumps((dist, targets, offsets), 2)``, the bytes of the three
+    int arrays of patch.graph.
+    """
+    graph = patch.graph
+    header = {
+        "format": GRAPH_FORMAT,
+        "group": patch.spec.describe(),
+        "n": patch.n_cosets,
+        "radius": graph.radius,
+        "sphere_sizes": patch.ball.sphere_sizes(),
+    }
+    _write_cache_file(path, header, (graph.dist, graph.targets, graph.offsets))
+
+
+def load_coset_graph(path: str) -> Tuple[GroupSpec, List[int], CosetGraph]:
+    """(group, the ball's sphere sizes, coset graph) of a graph file.
+
+    Raises ValueError for a file of the wrong shape: the header and digest
+    checks of cayley._read_cache_file, then the sizes, offsets that start
+    at 0 and never decrease, and targets and distances in range.
+    """
+    with open(path, "rb") as fh:
+        header, spec, fields = _read_cache_file(fh, GRAPH_FORMAT)
+    radius, n, sizes = header["radius"], header["n"], header.get("sphere_sizes")
+    if not (
+        isinstance(sizes, list)
+        and len(sizes) == radius + 1
+        and all(type(size) is int and size >= 0 for size in sizes)
+    ):
+        raise ValueError("graph file sphere sizes do not suit its radius")
+    if len(fields) != 3 or {type(f) for f in fields} != {bytes}:
+        raise ValueError("graph file fields are not three byte strings")
+    dist, targets, offsets = (array("i", field) for field in fields)
+    if not (len(dist) == n >= 1 and len(offsets) == n + 1):
+        raise ValueError("graph file fields disagree")
+    if offsets[0] != 0 or offsets[-1] != len(targets):
+        raise ValueError("graph file offsets do not span the targets")
+    if not all(map(le, offsets, offsets[1:])):
+        raise ValueError("graph file offsets decrease")
+    if min(dist) < 0 or max(dist) > radius:
+        raise ValueError("graph file distance out of range")
+    if targets and (min(targets) < 0 or max(targets) >= n):
+        raise ValueError("graph file coset id out of range")
+    return spec, sizes, CosetGraph(radius, dist, targets, offsets)
+
+
+def cached_coset_graph(
+    spec: GroupSpec, radius: int, cache_dir: str, max_vertices: int = DEFAULT_VERTEX_BUDGET
+) -> CosetGraph:
+    """Q's coset graph of B(radius), read from the graph file in cache_dir
+    when its header matches, without the ball.
+
+    Otherwise, or when the file fails a check, the graph is the patch's of
+    cached_ball(spec, radius, cache_dir, max_vertices), and the file is
+    written for the next run; a cache directory that takes no file leaves
+    it unwritten.  A graph file whose ball is larger than the budget raises
+    the BallOverflowError the cold build would: vertex max_vertices lies in
+    the first sphere where the sizes add up past it.
+    """
+    if max_vertices < 1:
+        raise ValueError("vertex budget must be at least 1")
+    path = os.path.join(cache_dir, coset_graph_cache_name(spec, radius))
+    if os.path.exists(path):
+        try:
+            found, sizes, graph = load_coset_graph(path)
+            if found == spec and graph.radius == radius:
+                if max_vertices < sum(sizes):
+                    layer = bisect_right(list(accumulate(sizes)), max_vertices)
+                    raise BallOverflowError(layer, max_vertices + 1, max_vertices)
+                return graph
+        except ValueError:
+            pass  # fall through and rebuild a corrupt or stale file
+    patch = build_coset_patch(cached_ball(spec, radius, cache_dir, max_vertices))
+    try:
+        save_coset_graph(patch, path)
+    except OSError:
+        pass  # served unsaved, as from a read-only cache directory
+    return patch.graph
 
 
 def project_path(patch: CosetPatch, path: PathInBall) -> LambdaPath:

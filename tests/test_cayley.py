@@ -33,6 +33,7 @@ from cosetgeom.cayley import (
     save_ball,
     star,
 )
+from cosetgeom.cosetgraph import cached_coset_graph, coset_graph_cache_name
 from cosetgeom.errors import BallOverflowError, InsufficientRadiusError
 from cosetgeom.groups import (
     Group,
@@ -650,6 +651,15 @@ class TestSerialization:
         cached_ball(spec, radius, str(tmp_path))
         data = (tmp_path / ball_cache_name(spec, radius)).read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
+
+    def test_graph_file_bytes_are_pinned(self, tmp_path):
+        # the coset graph file beside the ball file (cosetgraph.save_coset_graph)
+        spec = parse_group_spec("bs:1,2")
+        cached_coset_graph(spec, 5, str(tmp_path))
+        data = (tmp_path / coset_graph_cache_name(spec, 5)).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == (
+            "049752d63c9e0e6dfa144a11ecc01966c2955cf5b77950a1b25bb84a0f034926"
+        )
 
     @pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=lambda s: s.describe())
     def test_header_holds_the_blake2b_digest_of_the_body(self, tmp_path, spec):

@@ -163,6 +163,23 @@ def test_only_a_cache_load_imports_struct_and_mmap(tmp_path):
         assert not {"struct", "mmap"} & set(vars(module)), module.__name__
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["filtered-ends"], ["rays", "--graph", "patch"]],
+    ids=["filtered-ends", "rays"],
+)
+def test_a_warm_coset_graph_run_maps_no_ball(tmp_path, argv):
+    # the cold run loads the ball that a ball run cached, and writes the
+    # graph file; the warm run reads only that file, so it maps nothing
+    scenario = ["--group", "bs:1,2", "--radius", "8", "--cache-dir", "cache"]
+    assert loaded(tmp_path / "ball.txt", ["ball", *scenario])[0] == 0
+    cold_code, cold = loaded(tmp_path / "cold.txt", [*argv, *scenario])
+    warm_code, warm = loaded(tmp_path / "warm.txt", [*argv, *scenario])
+    assert cold_code == warm_code == 0
+    assert "mmap" in cold and "mmap" not in warm
+    assert len(list((tmp_path / "cache").iterdir())) == 2
+
+
 def test_importing_the_package_loads_no_module():
     code = "import sys, cosetgeom; print(sorted(m for m in sys.modules if 'cosetgeom' in m))"
     env = dict(os.environ, PYTHONPATH=str(SRC))
